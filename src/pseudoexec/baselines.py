@@ -15,7 +15,8 @@ from pathlib import Path
 from .errors import (GatewayError, InterpreterNotConfigured, MissingAsset,
                      SpawnFailure)
 from .gateway import ChatRequest, Gateway
-from .prompts import PromptAsset, load_asset_text, load_taskinfo, render
+from .prompts import (FENCE_RE, PromptAsset, load_asset_text, load_taskinfo,
+                      render)
 from .tasks import YES_NO_TASKS, TaskInstance
 
 
@@ -27,16 +28,6 @@ class MethodId(Enum):
     ZERO_SHOT_POT = "zero_shot_pot"
     THINK_AND_EXECUTE = "think_and_execute"
     ORACLE = "oracle"          # routes through the task solvers, no model
-
-
-# convenient aliases for cross-module comparisons
-DIRECT = MethodId.DIRECT
-ZERO_SHOT_COT = MethodId.ZERO_SHOT_COT
-PLAN_AND_SOLVE = MethodId.PLAN_AND_SOLVE
-NL_PLANNING = MethodId.NL_PLANNING
-ZERO_SHOT_POT = MethodId.ZERO_SHOT_POT
-THINK_AND_EXECUTE = MethodId.THINK_AND_EXECUTE
-ORACLE = MethodId.ORACLE
 
 DEFAULT_TIMEOUT_MS = 10_000
 DEFAULT_INTERPRETER = ("python3",)
@@ -94,9 +85,7 @@ def extract_program(response: str, seeded_header: str) -> str:
     """Textual extraction only: prefer a fenced code block, else assume the
     response continues the seeded function header.  Either way an epilogue
     prints solution()'s raw return value as the last stdout line."""
-    import re
-
-    blocks = re.findall(r"```(?:python)?\n(.*?)```", response, re.DOTALL)
+    blocks = FENCE_RE.findall(response)
     if blocks:
         program = "\n\n".join(b.rstrip("\n") for b in blocks)
         if "def solution" not in program:
@@ -170,7 +159,6 @@ def pot_answer(result: SandboxResult, instance: TaskInstance):
     from .engine import FAIL_SANDBOX, Prediction
 
     lines = [ln for ln in result.stdout.splitlines() if ln.strip()]
-    outputs = tuple(lines)
     if result.timed_out:
         failure = f"{FAIL_SANDBOX}: timed out after {result.wall_time_ms}ms"
     elif result.exit_status != 0:
@@ -182,10 +170,9 @@ def pot_answer(result: SandboxResult, instance: TaskInstance):
         answer = lines[-1].strip()
         if instance.task in YES_NO_TASKS:
             answer = {"True": "Yes", "False": "No"}.get(answer, answer)
-        return Prediction(transcript=result.stdout, outputs=outputs,
-                          final_answer=answer)
-    return Prediction(transcript=result.stdout, outputs=outputs,
-                      final_answer=None, failure=failure)
+        return Prediction(transcript=result.stdout, final_answer=answer)
+    return Prediction(transcript=result.stdout, final_answer=None,
+                      failure=failure)
 
 
 def run_pot_instance(instance: TaskInstance, gateway: Gateway,
@@ -201,7 +188,7 @@ def run_pot_instance(instance: TaskInstance, gateway: Gateway,
     try:
         response = gateway.complete(request)
     except GatewayError as exc:
-        return Prediction(transcript="", outputs=(), final_answer=None,
+        return Prediction(transcript="", final_answer=None,
                           failure=f"{FAIL_GATEWAY}: {exc}")
     program = extract_program(response, pot_seeded_header(instance))
     result = execute_program(

@@ -7,16 +7,16 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
-from . import baselines
 from .baselines import MethodId
 from .config import RunConfig, load_config, run_id
 from .errors import MalformedDataset, PseudoexecError
 from .evaluator import (EvalReport, TaskTally, evaluate_run, render_report)
-from .gateway import (Gateway, LiveGateway, MockGateway, RecordGateway,
-                      ReplayGateway, oracle_responder)
+from .gateway import Gateway, LiveGateway, RecordGateway, ReplayGateway
+from .mock import mock_gateway
 from .prompts import (ablate_prompt, default_demo_pool, load_nl_plan,
-                      load_pseudocode, run_think, simulate_instructor)
+                      load_pseudocode, run_think)
 from .tasks import TaskId, TaskInstance, make_instance
 
 TASK_CHOICES = [t.value for t in TaskId]
@@ -73,12 +73,12 @@ def dataset_digest(dataset_dir: Path, tasks: list[TaskId]) -> str:
 
 # --- gateway construction ----------------------------------------------------
 
-def build_gateway(config: RunConfig) -> Gateway:
+def build_gateway(config: RunConfig,
+                  instances: Iterable[TaskInstance] = ()) -> Gateway:
+    """The configured backend; in mock mode the Reasoner answers for
+    ``instances``."""
     if config.mode == "mock":
-        return MockGateway(responders={
-            "reasoner": oracle_responder(config.mock_corrupt_fraction),
-            "instructor": simulate_instructor,
-        })
+        return mock_gateway(instances, config.mock_corrupt_fraction)
     if config.mode == "replay":
         return ReplayGateway(Path(config.cassette_path))
     live = LiveGateway(config.endpoint, config.credential_env)
@@ -161,7 +161,8 @@ def cmd_run(args, config: RunConfig) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
 
     method = config.method_id()
-    gateway = None if method is MethodId.ORACLE else build_gateway(config)
+    gateway = (None if method is MethodId.ORACLE
+               else build_gateway(config, instances))
     counters: dict[TaskId, int] = {}
 
     def persist(index, instance, prediction, correct):

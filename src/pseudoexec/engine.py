@@ -1,17 +1,17 @@
 """Execute phase: wrap a pseudocode prompt and an instance in the
 execution-simulation template, obtain the simulated transcript, and extract
-the ordered print outputs and final answer."""
+the final answer."""
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 
+from .baselines import MethodId, build_baseline_prompt, run_pot_instance
 from .errors import GatewayError, MissingFunctionName, NoFinalAnswer
 from .gateway import ChatRequest, Gateway
 from .prompts import PromptAsset, escape_instance, load_asset_text, render
-from .tasks import FUNCTION_NAMES, TaskId, TaskInstance, solve
+from .tasks import TaskInstance
 
 FAIL_NO_FINAL_ANSWER = "no_final_answer"
 FAIL_GATEWAY = "gateway_error"
@@ -23,7 +23,6 @@ _MARKER_RE = re.compile(r"Final answer:[ \t]*(.*)")
 @dataclass(frozen=True)
 class Prediction:
     transcript: str
-    outputs: tuple[str, ...]
     final_answer: str | None
     failure: str | None = None
 
@@ -57,17 +56,16 @@ def extract_final_answer(transcript: str) -> str:
 
 
 def _prediction_from_transcript(transcript: str) -> Prediction:
-    outputs = tuple(line for line in transcript.splitlines() if line.strip())
     try:
         answer = extract_final_answer(transcript)
     except NoFinalAnswer:
-        return Prediction(transcript=transcript, outputs=outputs,
-                          final_answer=None, failure=FAIL_NO_FINAL_ANSWER)
-    return Prediction(transcript=transcript, outputs=outputs,
-                      final_answer=answer)
+        return Prediction(transcript=transcript, final_answer=None,
+                          failure=FAIL_NO_FINAL_ANSWER)
+    return Prediction(transcript=transcript, final_answer=answer)
 
 
-def run_instance(method: str, instance: TaskInstance, assets, gateway: Gateway,
+def run_instance(method: MethodId, instance: TaskInstance, assets,
+                 gateway: Gateway,
                  model_id: str = "mock-model",
                  interpreter_command: list[str] | None = None,
                  sandbox_timeout_ms: int = 10_000,
@@ -75,28 +73,25 @@ def run_instance(method: str, instance: TaskInstance, assets, gateway: Gateway,
     """Run one instance under one method.  Model-content failures (missing
     marker, gateway refusals, sandbox crashes) are recorded in the returned
     Prediction; only configuration errors raise."""
-    from . import baselines
-
-    if method == baselines.THINK_AND_EXECUTE:
+    if method is MethodId.THINK_AND_EXECUTE:
         pseudocode = _require_asset(assets, "pseudocode")
         system, user = build_execute_prompt(pseudocode, instance)
-    elif method == baselines.ZERO_SHOT_POT:
-        return baselines.run_pot_instance(
+    elif method is MethodId.ZERO_SHOT_POT:
+        return run_pot_instance(
             instance, gateway, model_id=model_id,
             interpreter_command=interpreter_command,
             timeout_ms=sandbox_timeout_ms,
             credential_env=credential_env)
     else:
         asset = assets.get("nl_plan") if isinstance(assets, dict) else None
-        system, user = baselines.build_baseline_prompt(
-            method, instance, asset)
+        system, user = build_baseline_prompt(method, instance, asset)
 
     request = ChatRequest(role_tag="reasoner", system=system, user=user,
                           model_id=model_id)
     try:
         transcript = gateway.complete(request)
     except GatewayError as exc:
-        return Prediction(transcript="", outputs=(), final_answer=None,
+        return Prediction(transcript="", final_answer=None,
                           failure=f"{FAIL_GATEWAY}: {exc}")
     return _prediction_from_transcript(transcript)
 
@@ -108,85 +103,3 @@ def _require_asset(assets, key: str) -> PromptAsset:
         raise MissingAsset(key)
     return asset
 
-
-# --- deterministic reasoner stand-in (for recording mock cassettes) ----------
-
-_EMBED_RE = re.compile(
-    r'^input_text = "(?P<literal>.*)"\n'
-    r"final_answer = (?P<function>\w+)\(input_text\)$",
-    re.MULTILINE | re.DOTALL)
-_BASELINE_RE = re.compile(
-    r"^text for the task: (?P<question>.*?)\n"
-    r"Final answer should be at the end of your answer",
-    re.MULTILINE | re.DOTALL)
-
-_BY_FUNCTION = {name: task for task, name in FUNCTION_NAMES.items()}
-
-
-def simulate_reasoner(request: ChatRequest,
-                      corrupt_fraction: float = 0.0) -> str:
-    """Answer a Reasoner request with the oracle solver, rendering a small
-    print-style transcript.  A deterministic slice of requests (keyed on the
-    request digest) is answered wrongly so recorded accuracies are not all
-    100%."""
-    from .gateway import digest
-
-    match = _EMBED_RE.search(request.user)
-    if match:
-        question = match.group("literal").replace('\\"', '"')
-        task = _BY_FUNCTION.get(match.group("function"))
-    else:
-        base = _BASELINE_RE.search(request.user)
-        if base is None:
-            raise ValueError("unrecognized reasoner prompt shape")
-        question = base.group("question")
-        task = _guess_task(question)
-    if task is None:
-        raise ValueError("could not infer task from prompt")
-
-    key = int(hashlib.sha256(digest(request).encode()).hexdigest()[:8], 16)
-    corrupted = (key % 10_000) < int(corrupt_fraction * 10_000)
-
-    instance = _reparse(task, question)
-    try:
-        answer = solve(task, instance)
-    except Exception:
-        answer = "unknown"
-    if corrupted:
-        answer = "unknown"
-    lines = [
-        f"Simulating {FUNCTION_NAMES[task]} on the given input.",
-        f"Parsed input of length {len(question)}.",
-        f"Final answer: {answer}",
-    ]
-    return "\n".join(lines)
-
-
-def _guess_task(question: str) -> TaskId | None:
-    markers = [
-        (TaskId.DYCK_LANGUAGES, "parentheses are closed properly"),
-        (TaskId.GEOMETRIC_SHAPES, "SVG path element"),
-        (TaskId.NAVIGATE, "If you follow these instructions"),
-        (TaskId.TEMPORAL_SEQUENCES, "Between what times"),
-        (TaskId.SHUFFLED_OBJECTS, "At the end of the"),
-        (TaskId.WEB_OF_LIES, "tell the truth?"),
-        (TaskId.COLORED_OBJECTS, "you see"),
-    ]
-    for task, marker in markers:
-        if marker in question:
-            return task
-    return None
-
-
-def _reparse(task: TaskId, question: str) -> TaskInstance:
-    from .tasks import make_instance
-
-    # Target is unknown at simulation time; a syntactically valid placeholder
-    # ("(A)" or "Yes") satisfies the instance invariants and is ignored by
-    # the solvers.
-    from .tasks import MULTIPLE_CHOICE_TASKS
-
-    placeholder = "(A)" if task in MULTIPLE_CHOICE_TASKS else "Yes"
-    if task is TaskId.DYCK_LANGUAGES:
-        placeholder = ")"
-    return make_instance(task, question, placeholder)

@@ -97,13 +97,12 @@ def _oracle_prediction(instance: TaskInstance, tally: TaskTally) -> Prediction:
         answer = solve(instance.task, instance)
     except ParseUnsupported as exc:
         tally.parse_unsupported += 1
-        return Prediction(transcript=str(exc), outputs=(),
-                          final_answer=None, failure=f"parse_unsupported: {exc}")
+        return Prediction(transcript=str(exc), final_answer=None,
+                          failure=f"parse_unsupported: {exc}")
     except PseudoexecError as exc:
-        return Prediction(transcript=str(exc), outputs=(),
-                          final_answer=None, failure=f"solver_error: {exc}")
+        return Prediction(transcript=str(exc), final_answer=None,
+                          failure=f"solver_error: {exc}")
     return Prediction(transcript=f"Final answer: {answer}",
-                      outputs=(f"Final answer: {answer}",),
                       final_answer=answer)
 
 

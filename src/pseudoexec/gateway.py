@@ -252,15 +252,3 @@ class LiveGateway(Gateway):
             return resp.json()["choices"][0]["message"]["content"]
         raise last_error if last_error else TransportError("no attempts made")
 
-
-def oracle_responder(corrupt_fraction: float = 0.0) -> Callable[[ChatRequest], str]:
-    """A reasoner stand-in for recording cassettes: parses the instance out
-    of an execute-style prompt, answers with the oracle solver, and — keyed
-    deterministically on the request digest — garbles a fixed fraction of
-    answers so recorded accuracy is non-trivial."""
-    from .engine import simulate_reasoner
-
-    def respond(request: ChatRequest) -> str:
-        return simulate_reasoner(request, corrupt_fraction)
-
-    return respond

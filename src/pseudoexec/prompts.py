@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import (InsufficientDemos, LexError, MalformedPseudocode,
-                     MissingAsset, MissingFunctionName)
+from .errors import (InsufficientDemos, MalformedPseudocode, MissingAsset,
+                     MissingFunctionName)
 from .gateway import ChatRequest, Gateway
 from .pseudolex import ablate_text, text_features
 from .tasks import FUNCTION_NAMES, TaskId
@@ -279,7 +279,7 @@ def build_nl_plan_prompt(target_questions: list[str],
 
 # --- Think orchestration -----------------------------------------------------
 
-_FENCE_RE = re.compile(r"```(?:python)?\n(.*?)```", re.DOTALL)
+FENCE_RE = re.compile(r"```(?:python)?\n(.*?)```", re.DOTALL)
 
 
 def parse_pseudocode_response(response: str, function_name: str) -> str:
@@ -287,7 +287,7 @@ def parse_pseudocode_response(response: str, function_name: str) -> str:
     blocks win; otherwise the raw response is accepted as-is so long as it
     defines the expected function."""
     pattern = _DEF_RE.format(name=re.escape(function_name))
-    for match in _FENCE_RE.finditer(response):
+    for match in FENCE_RE.finditer(response):
         block = match.group(1)
         if re.search(pattern, block, re.MULTILINE):
             return block
@@ -336,27 +336,6 @@ def run_think(target_task: TaskId, gateway: Gateway, seed: int,
     return analysis, pseudocode
 
 
-def simulate_instructor(request: ChatRequest) -> str:
-    """Instructor stand-in for mock mode and cassette recording: answers the
-    analysis meta prompt with the bundled analysis for the target task and
-    the code meta prompt with the bundled generated pseudocode prompt."""
-    user = request.user
-    fn_match = re.search(r"The main function name should be '(\w+)'", user)
-    if fn_match:
-        by_function = {name: task for task, name in FUNCTION_NAMES.items()}
-        task = by_function.get(fn_match.group(1))
-        if task is None:
-            raise ValueError("unknown function name in code meta prompt")
-        return load_pseudocode(task, "generated").body
-    tail = user.rsplit("[Example 4]", 1)[-1]
-    from .engine import _guess_task
-
-    task = _guess_task(tail)
-    if task is None:
-        raise ValueError("could not infer target task from meta prompt")
-    return load_analysis(task).body
-
-
 # --- ablation and feature analysis -------------------------------------------
 
 def ablate_prompt(asset: PromptAsset,
@@ -374,10 +353,7 @@ def ablate_prompt(asset: PromptAsset,
 def analyze_prompt_features(asset: PromptAsset) -> PromptFeatureReport:
     if asset.kind != PSEUDOCODE:
         raise ValueError("feature analysis applies to pseudocode assets")
-    try:
-        feats = text_features(asset.body, asset.function_name)
-    except LexError:
-        raise
+    feats = text_features(asset.body, asset.function_name)
     return PromptFeatureReport(
         has_loop=feats["has_loop"],
         has_conditional=feats["has_conditional"],

@@ -12,6 +12,7 @@ from pseudoexec.engine import (Prediction, build_execute_prompt,
                                extract_final_answer, run_instance)
 from pseudoexec.errors import MissingAsset, NoFinalAnswer
 from pseudoexec.gateway import MockGateway
+from pseudoexec.mock import mock_gateway
 from pseudoexec.prompts import PromptAsset, load_pseudocode
 from pseudoexec.tasks import TaskId, make_instance
 from pseudoexec.tasks.generate import generate_instance
@@ -83,10 +84,9 @@ def test_extract_single_marker_property(prefix, answer):
 
 def test_prediction_invariant():
     with pytest.raises(ValueError):
-        Prediction(transcript="", outputs=(), final_answer="x",
-                   failure="also set")
+        Prediction(transcript="", final_answer="x", failure="also set")
     with pytest.raises(ValueError):
-        Prediction(transcript="", outputs=(), final_answer=None)
+        Prediction(transcript="", final_answer=None)
 
 
 def test_run_instance_think_and_execute_mock():
@@ -97,7 +97,6 @@ def test_run_instance_think_and_execute_mock():
                         {"pseudocode": load_pseudocode(TaskId.NAVIGATE)},
                         gateway)
     assert pred.final_answer == "Yes"
-    assert len(pred.outputs) >= 1
 
 
 def test_run_instance_records_missing_marker_as_failure():
@@ -139,10 +138,8 @@ def test_run_instance_direct_lowercase_answer():
 
 
 def test_run_instance_deterministic_under_mock():
-    from pseudoexec.gateway import oracle_responder
-
     inst = generate_instance(TaskId.WEB_OF_LIES, 5, 5)
-    gateway = MockGateway(responders={"reasoner": oracle_responder(0.3)})
+    gateway = mock_gateway([inst], 0.3)
     assets = {"pseudocode": load_pseudocode(TaskId.WEB_OF_LIES)}
     a = run_instance(MethodId.THINK_AND_EXECUTE, inst, assets, gateway)
     b = run_instance(MethodId.THINK_AND_EXECUTE, inst, assets, gateway)

@@ -17,10 +17,9 @@ from pseudoexec.tasks.generate import generate_instance
 
 def _pred(answer: str | None, failure: str | None = None) -> Prediction:
     if answer is None:
-        return Prediction(transcript="", outputs=(), final_answer=None,
+        return Prediction(transcript="", final_answer=None,
                           failure=failure or "no_final_answer")
     return Prediction(transcript=f"Final answer: {answer}",
-                      outputs=(f"Final answer: {answer}",),
                       final_answer=answer)
 
 

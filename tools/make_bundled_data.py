@@ -22,13 +22,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from pseudoexec.baselines import MethodId, build_baseline_prompt  # noqa: E402
 from pseudoexec.engine import build_execute_prompt  # noqa: E402
 from pseudoexec.evaluator import evaluate_run  # noqa: E402
-from pseudoexec.gateway import (MockGateway, RecordGateway,  # noqa: E402
-                                oracle_responder)
+from pseudoexec.gateway import RecordGateway  # noqa: E402
+from pseudoexec.mock import mock_gateway  # noqa: E402
 from pseudoexec.prompts import (build_analysis_meta_prompt,  # noqa: E402
                                 build_code_meta_prompt, build_nl_plan_prompt,
                                 default_demo_pool, load_analysis,
                                 load_nl_plan, load_pseudocode, load_taskinfo,
-                                run_think, simulate_instructor)
+                                run_think)
 from pseudoexec.tasks import TaskId, TaskInstance, make_instance  # noqa: E402
 from pseudoexec.tasks.generate import generate_instance  # noqa: E402
 
@@ -134,16 +134,13 @@ def record_cassette(corpus: dict[TaskId, list[TaskInstance]]) -> None:
     cassette.parent.mkdir(parents=True, exist_ok=True)
     if cassette.exists():
         cassette.unlink()
-    mock = MockGateway(responders={
-        "reasoner": oracle_responder(CORRUPT_FRACTION),
-        "instructor": simulate_instructor,
-    })
-    recorder = RecordGateway(mock, cassette)
+    instances = [inst for task in TaskId for inst in corpus[task]]
+    recorder = RecordGateway(mock_gateway(instances, CORRUPT_FRACTION),
+                             cassette)
 
     # Think exchange for web_of_lies (seed 0, default demo pool).
     run_think(TaskId.WEB_OF_LIES, recorder, 0, model_id=MODEL_ID)
 
-    instances = [inst for task in TaskId for inst in corpus[task]]
     assets = {task: {"pseudocode": load_pseudocode(task)} for task in TaskId}
     report = evaluate_run(MethodId.THINK_AND_EXECUTE, instances, recorder,
                           assets, model_id=MODEL_ID)
