@@ -1,5 +1,6 @@
 """Baseline prompting methods (Direct, zero-shot CoT, Plan-and-Solve, NL
-planning, zero-shot PoT) and the subprocess sandbox that runs PoT programs."""
+planning, zero-shot PoT), the subprocess sandbox that runs PoT programs, and
+the Prediction every method returns."""
 
 from __future__ import annotations
 
@@ -32,12 +33,28 @@ class MethodId(Enum):
 DEFAULT_TIMEOUT_MS = 10_000
 DEFAULT_INTERPRETER = ("python3",)
 
+FAIL_NO_FINAL_ANSWER = "no_final_answer"
+FAIL_GATEWAY = "gateway_error"
+FAIL_SANDBOX = "sandbox_error"
+
 _TEMPLATE_BY_METHOD = {
     MethodId.DIRECT: "direct",
     MethodId.ZERO_SHOT_COT: "cot",
     MethodId.PLAN_AND_SOLVE: "plan_and_solve",
     MethodId.NL_PLANNING: "direct",
 }
+
+
+@dataclass(frozen=True)
+class Prediction:
+    transcript: str
+    final_answer: str | None
+    failure: str | None = None
+
+    def __post_init__(self) -> None:
+        if (self.final_answer is None) == (self.failure is None):
+            raise ValueError(
+                "exactly one of final_answer and failure must be set")
 
 
 @dataclass(frozen=True)
@@ -57,9 +74,6 @@ def build_baseline_prompt(method: MethodId, instance: TaskInstance,
         user = render(load_asset_text("meta/pot.txt"),
                       {"question": instance.input_text})
         return None, user
-    if method is MethodId.THINK_AND_EXECUTE:
-        raise ValueError("think_and_execute prompts are built by the "
-                         "execute engine")
     template = _TEMPLATE_BY_METHOD.get(method)
     if template is None:
         raise ValueError(f"no baseline template for {method}")
@@ -111,8 +125,7 @@ def _sandbox_env(credential_env: str | None) -> dict[str, str]:
 def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
                     interpreter_command: list[str] | tuple[str, ...] | None
                     = DEFAULT_INTERPRETER,
-                    credential_env: str | None = None,
-                    keep_sandbox: bool = False) -> SandboxResult:
+                    credential_env: str | None = None) -> SandboxResult:
     """Run a generated program in a subprocess: empty temp working dir,
     scrubbed environment, hard kill at the timeout."""
     if not interpreter_command:
@@ -143,8 +156,7 @@ def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
                              exit_status=proc.returncode, timed_out=False,
                              wall_time_ms=wall_ms)
     finally:
-        if not keep_sandbox:
-            shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def _as_text(data) -> str:
@@ -153,11 +165,9 @@ def _as_text(data) -> str:
     return data.decode("utf-8", "replace") if isinstance(data, bytes) else data
 
 
-def pot_answer(result: SandboxResult, instance: TaskInstance):
+def pot_answer(result: SandboxResult, instance: TaskInstance) -> Prediction:
     """Turn a sandbox run into a Prediction: the last non-empty stdout line
     is the answer; booleans become Yes/No only for the Yes/No tasks."""
-    from .engine import FAIL_SANDBOX, Prediction
-
     lines = [ln for ln in result.stdout.splitlines() if ln.strip()]
     if result.timed_out:
         failure = f"{FAIL_SANDBOX}: timed out after {result.wall_time_ms}ms"
@@ -179,10 +189,7 @@ def run_pot_instance(instance: TaskInstance, gateway: Gateway,
                      model_id: str = "mock-model",
                      interpreter_command=None,
                      timeout_ms: int = DEFAULT_TIMEOUT_MS,
-                     credential_env: str | None = None,
-                     keep_sandbox: bool = False):
-    from .engine import FAIL_GATEWAY, Prediction
-
+                     credential_env: str | None = None) -> Prediction:
     _, user = build_baseline_prompt(MethodId.ZERO_SHOT_POT, instance)
     request = ChatRequest(role_tag="reasoner", user=user, model_id=model_id)
     try:
@@ -194,5 +201,5 @@ def run_pot_instance(instance: TaskInstance, gateway: Gateway,
     result = execute_program(
         program, timeout_ms=timeout_ms,
         interpreter_command=interpreter_command or DEFAULT_INTERPRETER,
-        credential_env=credential_env, keep_sandbox=keep_sandbox)
+        credential_env=credential_env)
     return pot_answer(result, instance)

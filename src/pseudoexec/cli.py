@@ -10,13 +10,13 @@ from pathlib import Path
 from typing import Iterable
 
 from .baselines import MethodId
-from .config import RunConfig, load_config, run_id
+from .config import MODES, RunConfig, load_config, run_id
 from .errors import MalformedDataset, PseudoexecError
 from .evaluator import (EvalReport, TaskTally, evaluate_run, render_report)
 from .gateway import Gateway, LiveGateway, RecordGateway, ReplayGateway
 from .mock import mock_gateway
-from .prompts import (ablate_prompt, default_demo_pool, load_nl_plan,
-                      load_pseudocode, run_think)
+from .prompts import (PromptAsset, ablate_prompt, default_demo_pool,
+                      load_nl_plan, load_pseudocode, run_think)
 from .tasks import TaskId, TaskInstance, make_instance
 
 TASK_CHOICES = [t.value for t in TaskId]
@@ -137,18 +137,15 @@ def cmd_think(args, config: RunConfig) -> int:
     return 0
 
 
-def _task_assets(config: RunConfig) -> dict[TaskId, dict]:
+def _task_assets(config: RunConfig) -> dict[TaskId, PromptAsset]:
+    """The one task-level prompt each task's instances are run with."""
     method = config.method_id()
-    assets: dict[TaskId, dict] = {}
-    for task in config.task_ids():
-        entry: dict = {}
-        if method is MethodId.THINK_AND_EXECUTE:
-            entry["pseudocode"] = load_pseudocode(
-                task, config.pseudocode_source)
-        elif method is MethodId.NL_PLANNING:
-            entry["nl_plan"] = load_nl_plan(task)
-        assets[task] = entry
-    return assets
+    if method is MethodId.THINK_AND_EXECUTE:
+        return {task: load_pseudocode(task, config.pseudocode_source)
+                for task in config.task_ids()}
+    if method is MethodId.NL_PLANNING:
+        return {task: load_nl_plan(task) for task in config.task_ids()}
+    return {}
 
 
 def cmd_run(args, config: RunConfig) -> int:
@@ -267,10 +264,8 @@ def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON run config")
     common.add_argument("--seed", type=int, help="override config seed")
-    common.add_argument("--mode", choices=("live", "record", "replay", "mock"),
+    common.add_argument("--mode", choices=MODES,
                         help="override gateway mode")
-    common.add_argument("--keep-sandbox", action="store_true", default=None,
-                        help="keep sandbox temp dirs for inspection")
 
     parser = argparse.ArgumentParser(
         prog="pseudoexec",
@@ -314,7 +309,6 @@ def _load_effective_config(args) -> RunConfig:
     overrides = {
         "seed": getattr(args, "seed", None),
         "mode": getattr(args, "mode", None),
-        "keep_sandbox": getattr(args, "keep_sandbox", None),
     }
     return load_config(args.config, overrides)
 

@@ -37,7 +37,6 @@ class RunConfig:
     interpreter_command: list[str] = field(
         default_factory=lambda: ["python3"])
     sandbox_timeout_ms: int = DEFAULT_TIMEOUT_MS
-    keep_sandbox: bool = False
     mock_corrupt_fraction: float = 0.2
 
     def method_id(self) -> MethodId:

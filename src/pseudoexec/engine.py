@@ -5,31 +5,17 @@ the final answer."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .baselines import MethodId, build_baseline_prompt, run_pot_instance
-from .errors import GatewayError, MissingFunctionName, NoFinalAnswer
+from .baselines import (DEFAULT_TIMEOUT_MS, FAIL_GATEWAY,
+                        FAIL_NO_FINAL_ANSWER, MethodId, Prediction,
+                        build_baseline_prompt, run_pot_instance)
+from .errors import (GatewayError, MissingAsset, MissingFunctionName,
+                     NoFinalAnswer)
 from .gateway import ChatRequest, Gateway
 from .prompts import PromptAsset, escape_instance, load_asset_text, render
 from .tasks import TaskInstance
 
-FAIL_NO_FINAL_ANSWER = "no_final_answer"
-FAIL_GATEWAY = "gateway_error"
-FAIL_SANDBOX = "sandbox_error"
-
 _MARKER_RE = re.compile(r"Final answer:[ \t]*(.*)")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    transcript: str
-    final_answer: str | None
-    failure: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.final_answer is None) == (self.failure is None):
-            raise ValueError(
-                "exactly one of final_answer and failure must be set")
 
 
 def build_execute_prompt(pseudocode: PromptAsset,
@@ -64,18 +50,21 @@ def _prediction_from_transcript(transcript: str) -> Prediction:
     return Prediction(transcript=transcript, final_answer=answer)
 
 
-def run_instance(method: MethodId, instance: TaskInstance, assets,
-                 gateway: Gateway,
+def run_instance(method: MethodId, instance: TaskInstance,
+                 asset: PromptAsset | None, gateway: Gateway,
                  model_id: str = "mock-model",
                  interpreter_command: list[str] | None = None,
-                 sandbox_timeout_ms: int = 10_000,
+                 sandbox_timeout_ms: int = DEFAULT_TIMEOUT_MS,
                  credential_env: str | None = None) -> Prediction:
-    """Run one instance under one method.  Model-content failures (missing
-    marker, gateway refusals, sandbox crashes) are recorded in the returned
-    Prediction; only configuration errors raise."""
+    """Run one instance under one method.  ``asset`` is the task's prompt:
+    the pseudocode for Think-and-Execute, the plan for NL planning, unused
+    otherwise.  Model-content failures (missing marker, gateway refusals,
+    sandbox crashes) are recorded in the returned Prediction; only
+    configuration errors raise."""
     if method is MethodId.THINK_AND_EXECUTE:
-        pseudocode = _require_asset(assets, "pseudocode")
-        system, user = build_execute_prompt(pseudocode, instance)
+        if asset is None:
+            raise MissingAsset("pseudocode")
+        system, user = build_execute_prompt(asset, instance)
     elif method is MethodId.ZERO_SHOT_POT:
         return run_pot_instance(
             instance, gateway, model_id=model_id,
@@ -83,7 +72,6 @@ def run_instance(method: MethodId, instance: TaskInstance, assets,
             timeout_ms=sandbox_timeout_ms,
             credential_env=credential_env)
     else:
-        asset = assets.get("nl_plan") if isinstance(assets, dict) else None
         system, user = build_baseline_prompt(method, instance, asset)
 
     request = ChatRequest(role_tag="reasoner", system=system, user=user,
@@ -94,12 +82,3 @@ def run_instance(method: MethodId, instance: TaskInstance, assets,
         return Prediction(transcript="", final_answer=None,
                           failure=f"{FAIL_GATEWAY}: {exc}")
     return _prediction_from_transcript(transcript)
-
-
-def _require_asset(assets, key: str) -> PromptAsset:
-    from .errors import MissingAsset
-    asset = assets.get(key) if isinstance(assets, dict) else None
-    if asset is None:
-        raise MissingAsset(key)
-    return asset
-

@@ -6,14 +6,11 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .baselines import MethodId
-from .engine import Prediction, run_instance
+from .baselines import MethodId, Prediction
+from .engine import run_instance
 from .errors import ParseUnsupported, PseudoexecError
+from .prompts import PromptAsset
 from .tasks import SHORT_CODES, TaskId, TaskInstance, solve
-
-TASK_ORDER = (TaskId.DYCK_LANGUAGES, TaskId.GEOMETRIC_SHAPES, TaskId.NAVIGATE,
-              TaskId.COLORED_OBJECTS, TaskId.TEMPORAL_SEQUENCES,
-              TaskId.SHUFFLED_OBJECTS, TaskId.WEB_OF_LIES)
 
 
 @dataclass
@@ -64,7 +61,7 @@ def score_prediction(prediction: Prediction, instance: TaskInstance) -> bool:
 
 
 def evaluate_run(method: MethodId, instances: list[TaskInstance], gateway,
-                 assets_by_task: dict[TaskId, dict] | None = None,
+                 assets_by_task: dict[TaskId, PromptAsset] | None = None,
                  model_id: str = "mock-model",
                  on_prediction=None,
                  **run_kwargs) -> EvalReport:
@@ -81,8 +78,8 @@ def evaluate_run(method: MethodId, instances: list[TaskInstance], gateway,
         if method is MethodId.ORACLE:
             prediction = _oracle_prediction(instance, tally)
         else:
-            assets = (assets_by_task or {}).get(instance.task, {})
-            prediction = run_instance(method, instance, assets, gateway,
+            asset = (assets_by_task or {}).get(instance.task)
+            prediction = run_instance(method, instance, asset, gateway,
                                       model_id=model_id, **run_kwargs)
         correct = score_prediction(prediction, instance)
         if correct:
@@ -112,9 +109,9 @@ def _percent(value: float) -> str:
 
 def render_report(report: EvalReport, format: str = "markdown") -> str:
     cells = [_percent(report.per_task.get(task, TaskTally()).accuracy)
-             for task in TASK_ORDER]
+             for task in TaskId]
     cells.append(_percent(report.average_accuracy))
-    headers = [SHORT_CODES[task] for task in TASK_ORDER] + ["Avg"]
+    headers = [SHORT_CODES[task] for task in TaskId] + ["Avg"]
     method_name = report.method.value
     if format == "markdown":
         lines = [

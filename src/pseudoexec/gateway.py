@@ -249,6 +249,16 @@ class LiveGateway(Gateway):
             if resp.status_code != 200:
                 raise TransportError(
                     f"HTTP {resp.status_code}: {resp.text[:200]}")
-            return resp.json()["choices"][0]["message"]["content"]
+            # A 200 with a body of another shape is recorded against the
+            # instance, like any transport failure; it must not abort the run.
+            try:
+                content = resp.json()["choices"][0]["message"]["content"]
+            except (ValueError, LookupError, TypeError) as exc:
+                raise TransportError(
+                    f"malformed response body: {exc!r}") from exc
+            if not isinstance(content, str):
+                raise TransportError(
+                    "malformed response body: content is not text")
+            return content
         raise last_error if last_error else TransportError("no attempts made")
 

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import CassetteMiss
 from .gateway import ChatRequest, MockGateway, digest
-from .prompts import (_instances_block, load_analysis, load_asset_text,
+from .prompts import (_instances_block, load_asset_text, load_nl_plan,
                       load_pseudocode, load_taskinfo, render)
 from .tasks import FUNCTION_NAMES, TaskId, TaskInstance, solve
 
@@ -83,7 +83,7 @@ def _instructor(request: ChatRequest) -> str:
         task = _task_by_example_block().get(
             request.user.rsplit("[Example 4]", 1)[-1])
         if task is not None:
-            return load_analysis(task).body
+            return load_nl_plan(task).body
     raise CassetteMiss("mock instructor: no bundled task matches the request")
 
 

@@ -16,18 +16,6 @@ from .gateway import ChatRequest, Gateway
 from .pseudolex import ablate_text, text_features
 from .tasks import FUNCTION_NAMES, TaskId
 
-# PromptAsset.kind values
-PSEUDOCODE = "pseudocode"
-NL_PLAN = "nl_plan"
-ANALYSIS = "analysis"
-META_TEMPLATE = "meta_template"
-
-# PromptAsset.provenance values
-HUMAN_WRITTEN = "human_written"
-MODEL_GENERATED = "model_generated"
-BUILTIN_TEMPLATE = "builtin_template"
-ABLATED_PREFIX = "ablated:"
-
 STRIP_COMMENTS_AND_SEMANTICS = "strip_comments_and_semantics"
 
 _DEF_RE = r"^[ \t]*def[ \t]+{name}[ \t]*\("
@@ -35,19 +23,17 @@ _DEF_RE = r"^[ \t]*def[ \t]+{name}[ \t]*\("
 
 @dataclass(frozen=True)
 class PromptAsset:
-    kind: str
+    """A task-level prompt.  It is a pseudocode prompt exactly when it names
+    its main function, which the body must then define; an analysis or NL
+    plan names none."""
     body: str
     task: TaskId | None = None
     function_name: str | None = None
-    provenance: str = BUILTIN_TEMPLATE
 
     def __post_init__(self) -> None:
         if not self.body:
             raise ValueError("PromptAsset body must be non-empty")
-        if self.kind == PSEUDOCODE:
-            if not self.function_name:
-                raise MissingFunctionName(
-                    "pseudocode asset requires function_name")
+        if self.function_name:
             pattern = _DEF_RE.format(name=re.escape(self.function_name))
             if not re.search(pattern, self.body, re.MULTILINE):
                 raise MalformedPseudocode(
@@ -67,11 +53,6 @@ class PoolEntry:
     info: TaskInfo
     analysis: PromptAsset
     pseudocode: PromptAsset
-
-
-@dataclass(frozen=True)
-class DemoPool:
-    entries: dict[TaskId, PoolEntry]
 
 
 @dataclass(frozen=True)
@@ -101,36 +82,19 @@ def load_asset_text(relpath: str) -> str:
     return text[:-1] if text.endswith("\n") else text
 
 
-def load_template(name: str) -> PromptAsset:
-    return PromptAsset(kind=META_TEMPLATE,
-                       body=load_asset_text(f"meta/{name}.txt"),
-                       provenance=BUILTIN_TEMPLATE)
-
-
 def load_pseudocode(task: TaskId, source: str = "human") -> PromptAsset:
     if source not in ("human", "generated"):
         raise ValueError(f"unknown pseudocode source {source!r}")
-    provenance = HUMAN_WRITTEN if source == "human" else MODEL_GENERATED
-    return PromptAsset(kind=PSEUDOCODE,
-                       body=load_asset_text(f"{source}/{task.value}.txt"),
+    return PromptAsset(body=load_asset_text(f"{source}/{task.value}.txt"),
                        task=task,
-                       function_name=FUNCTION_NAMES[task],
-                       provenance=provenance)
-
-
-def load_analysis(task: TaskId) -> PromptAsset:
-    return PromptAsset(kind=ANALYSIS,
-                       body=load_asset_text(f"analysis/{task.value}.txt"),
-                       task=task,
-                       provenance=MODEL_GENERATED)
+                       function_name=FUNCTION_NAMES[task])
 
 
 def load_nl_plan(task: TaskId) -> PromptAsset:
-    """The bundled NL plans are the per-task analyses re-typed as plans."""
-    return PromptAsset(kind=NL_PLAN,
-                       body=load_asset_text(f"analysis/{task.value}.txt"),
-                       task=task,
-                       provenance=MODEL_GENERATED)
+    """The bundled per-task analysis.  It is both the NL plan of the
+    ``nl_planning`` baseline and the demo analysis of the Think phase."""
+    return PromptAsset(body=load_asset_text(f"analysis/{task.value}.txt"),
+                       task=task)
 
 
 def load_taskinfo(task: TaskId) -> TaskInfo:
@@ -141,14 +105,14 @@ def load_taskinfo(task: TaskId) -> TaskInfo:
                     example_questions=tuple(raw["example_questions"]))
 
 
-def default_demo_pool(pseudocode_source: str = "human") -> DemoPool:
-    entries = {
+def default_demo_pool(pseudocode_source: str = "human"
+                      ) -> dict[TaskId, PoolEntry]:
+    return {
         task: PoolEntry(info=load_taskinfo(task),
-                        analysis=load_analysis(task),
+                        analysis=load_nl_plan(task),
                         pseudocode=load_pseudocode(task, pseudocode_source))
         for task in TaskId
     }
-    return DemoPool(entries=entries)
 
 
 # --- template rendering ------------------------------------------------------
@@ -178,19 +142,19 @@ def escape_instance(text: str) -> str:
 
 # --- demo sampling -----------------------------------------------------------
 
-def sample_demos(demos: DemoPool, seed: int,
+def sample_demos(demos: dict[TaskId, PoolEntry], seed: int,
                  target_task: TaskId | None = None) -> list[PoolEntry]:
     """Pick 3 demo tasks, excluding the target, without replacement.  String
     seeding keeps the draw reproducible across platforms and processes."""
     eligible = sorted(
-        (t for t in demos.entries if t != target_task),
+        (t for t in demos if t != target_task),
         key=lambda t: t.value)
     if len(eligible) < 3:
         raise InsufficientDemos(
             f"need 3 demo tasks, have {len(eligible)}")
     rng = random.Random(f"demos:{seed}")
     chosen = rng.sample(eligible, 3)
-    return [demos.entries[t] for t in chosen]
+    return [demos[t] for t in chosen]
 
 
 def _instances_block(questions: tuple[str, ...] | list[str]) -> str:
@@ -210,12 +174,12 @@ def _usages_block(questions: tuple[str, ...] | list[str],
 # --- meta prompt builders ----------------------------------------------------
 
 def build_analysis_meta_prompt(target_questions: list[str],
-                               demos: DemoPool, seed: int,
+                               demos: dict[TaskId, PoolEntry], seed: int,
                                target_task: TaskId | None = None) -> str:
     if len(target_questions) != 3:
         raise ValueError("exactly 3 target questions required")
     picked = sample_demos(demos, seed, target_task)
-    target_info = demos.entries[target_task].info if target_task else None
+    target_info = demos[target_task].info if target_task else None
     mapping: dict[str, str] = {
         "instances_target": _instances_block(target_questions),
         "format_target": target_info.output_format if target_info
@@ -226,11 +190,11 @@ def build_analysis_meta_prompt(target_questions: list[str],
             entry.info.example_questions)
         mapping[f"format_{i}"] = entry.info.output_format
         mapping[f"analysis_{i}"] = entry.analysis.body
-    return render(load_template("meta_analysis").body, mapping)
+    return render(load_asset_text("meta/meta_analysis.txt"), mapping)
 
 
 def build_code_meta_prompt(target_task: TaskId, analysis: str,
-                           demos: DemoPool, seed: int) -> str:
+                           demos: dict[TaskId, PoolEntry], seed: int) -> str:
     if not analysis:
         raise ValueError("analysis must be non-empty")
     function_name = FUNCTION_NAMES.get(target_task)
@@ -253,16 +217,16 @@ def build_code_meta_prompt(target_task: TaskId, analysis: str,
         mapping[f"format_{i}"] = entry.info.output_format
         mapping[f"analysis_{i}"] = entry.analysis.body
         mapping[f"code_{i}"] = entry.pseudocode.body
-    return render(load_template("meta_code").body, mapping)
+    return render(load_asset_text("meta/meta_code.txt"), mapping)
 
 
 def build_nl_plan_prompt(target_questions: list[str],
-                         demos: DemoPool, seed: int,
+                         demos: dict[TaskId, PoolEntry], seed: int,
                          target_task: TaskId | None = None) -> str:
     if len(target_questions) != 3:
         raise ValueError("exactly 3 target questions required")
     picked = sample_demos(demos, seed, target_task)
-    target_info = demos.entries[target_task].info if target_task else None
+    target_info = demos[target_task].info if target_task else None
     mapping: dict[str, str] = {
         "instances_target": _instances_block(target_questions),
         "format_target": target_info.output_format if target_info
@@ -274,7 +238,7 @@ def build_nl_plan_prompt(target_questions: list[str],
             entry.info.example_questions)
         mapping[f"format_{i}"] = entry.info.output_format
         mapping[f"plan_{i}"] = entry.analysis.body
-    return render(load_template("meta_nlplan").body, mapping)
+    return render(load_asset_text("meta/meta_nlplan.txt"), mapping)
 
 
 # --- Think orchestration -----------------------------------------------------
@@ -298,7 +262,7 @@ def parse_pseudocode_response(response: str, function_name: str) -> str:
 
 
 def run_think(target_task: TaskId, gateway: Gateway, seed: int,
-              demos: DemoPool | None = None,
+              demos: dict[TaskId, PoolEntry] | None = None,
               model_id: str = "mock-model",
               out_dir: Path | None = None
               ) -> tuple[PromptAsset, PromptAsset]:
@@ -312,8 +276,7 @@ def run_think(target_task: TaskId, gateway: Gateway, seed: int,
         questions, demos, seed, target_task)
     analysis_text = gateway.complete(ChatRequest(
         role_tag="instructor", user=analysis_prompt, model_id=model_id))
-    analysis = PromptAsset(kind=ANALYSIS, body=analysis_text,
-                           task=target_task, provenance=MODEL_GENERATED)
+    analysis = PromptAsset(body=analysis_text, task=target_task)
 
     code_prompt = build_code_meta_prompt(
         target_task, analysis_text, demos, seed)
@@ -321,9 +284,8 @@ def run_think(target_task: TaskId, gateway: Gateway, seed: int,
         role_tag="instructor", user=code_prompt, model_id=model_id))
     function_name = FUNCTION_NAMES[target_task]
     body = parse_pseudocode_response(code_response, function_name)
-    pseudocode = PromptAsset(kind=PSEUDOCODE, body=body, task=target_task,
-                             function_name=function_name,
-                             provenance=MODEL_GENERATED)
+    pseudocode = PromptAsset(body=body, task=target_task,
+                             function_name=function_name)
 
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -340,18 +302,17 @@ def run_think(target_task: TaskId, gateway: Gateway, seed: int,
 
 def ablate_prompt(asset: PromptAsset,
                   mode: str = STRIP_COMMENTS_AND_SEMANTICS) -> PromptAsset:
-    if asset.kind != PSEUDOCODE:
+    if not asset.function_name:
         raise ValueError("only pseudocode assets can be ablated")
     if mode != STRIP_COMMENTS_AND_SEMANTICS:
         raise ValueError(f"unknown ablation mode {mode!r}")
     body, mapping = ablate_text(asset.body)
     new_name = mapping.get(asset.function_name, asset.function_name)
-    return replace(asset, body=body, function_name=new_name,
-                   provenance=ABLATED_PREFIX + mode)
+    return replace(asset, body=body, function_name=new_name)
 
 
 def analyze_prompt_features(asset: PromptAsset) -> PromptFeatureReport:
-    if asset.kind != PSEUDOCODE:
+    if not asset.function_name:
         raise ValueError("feature analysis applies to pseudocode assets")
     feats = text_features(asset.body, asset.function_name)
     return PromptFeatureReport(

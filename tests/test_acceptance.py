@@ -107,14 +107,12 @@ def test_prompt_fidelity_golden_files(assets_dir):
             f"golden mismatch: {name}"
         assert anchor in text, f"anchor missing in {name}"
 
-    from pseudoexec.prompts import load_analysis
-
     check("analysis_meta_web_of_lies_seed0.txt",
           build_analysis_meta_prompt(questions, pool, 0, target),
           "Generate an explanation, analyzation, and plan to generate code "
           "prompt for the last task")
     check("code_meta_web_of_lies_seed0.txt",
-          build_code_meta_prompt(target, load_analysis(target).body, pool, 0),
+          build_code_meta_prompt(target, load_nl_plan(target).body, pool, 0),
           "Generate the code prompt for the last task using the similar "
           "style of the example codes.")
     check("nl_plan_web_of_lies_seed0.txt",

@@ -1,0 +1,64 @@
+"""The names and call shapes the benchmark under ``perfbench/`` uses.
+
+The benchmark drives the program from outside: it wraps the functions
+listed in ``perfbench/tracer.TRACED`` and builds its requests and configs
+with the program's public functions.  These tests only read ``perfbench/``;
+a rename that would break a benchmark run fails here first.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from pseudoexec.config import load_config
+from pseudoexec.gateway import digest
+from pseudoexec.tasks import TaskId
+from pseudoexec.tasks.generate import generate_instance
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
+
+
+def test_traced_names_resolve():
+    for span, (module_name, attr) in _load("tracer").TRACED.items():
+        target = importlib.import_module(module_name)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), span
+
+
+def test_requests_build_for_every_method(workloads):
+    instances = [generate_instance(task, 0, 5) for task in TaskId]
+    for method in workloads.PROJECT_METHODS:
+        assets = workloads.method_assets(method)
+        requests = [workloads.reasoner_request(method, inst, assets)
+                    for inst in instances]
+        assert len({digest(r) for r in requests}) == len(TaskId), method
+
+
+def test_workload_config_loads(workloads, tmp_path):
+    small = workloads.Workload("small", "mock",
+                               workloads.MethodId.THINK_AND_EXECUTE,
+                               per_cell=1)
+    prepared = workloads.prepare(small, 1, tmp_path)
+    config = load_config(None, prepared.config)
+    assert config.max_parallel == 2
+    assert len(prepared.corpus) == len(TaskId) * len(workloads.SIZES)

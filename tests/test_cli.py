@@ -134,6 +134,5 @@ def test_seed_flag_overrides_config(tmp_path):
     from pseudoexec.cli import _load_effective_config
     import argparse
 
-    args = argparse.Namespace(config=str(config), seed=9, mode=None,
-                              keep_sandbox=None)
+    args = argparse.Namespace(config=str(config), seed=9, mode=None)
     assert _load_effective_config(args).seed == 9

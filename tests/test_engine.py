@@ -94,7 +94,7 @@ def test_run_instance_think_and_execute_mock():
     gateway = MockGateway(responders={
         "reasoner": lambda r: "step\nFinal answer: Yes"})
     pred = run_instance(MethodId.THINK_AND_EXECUTE, inst,
-                        {"pseudocode": load_pseudocode(TaskId.NAVIGATE)},
+                        load_pseudocode(TaskId.NAVIGATE),
                         gateway)
     assert pred.final_answer == "Yes"
 
@@ -103,7 +103,7 @@ def test_run_instance_records_missing_marker_as_failure():
     inst = generate_instance(TaskId.NAVIGATE, 3, 4)
     gateway = MockGateway(responders={"reasoner": lambda r: "no marker"})
     pred = run_instance(MethodId.THINK_AND_EXECUTE, inst,
-                        {"pseudocode": load_pseudocode(TaskId.NAVIGATE)},
+                        load_pseudocode(TaskId.NAVIGATE),
                         gateway)
     assert pred.final_answer is None
     assert pred.failure == "no_final_answer"
@@ -112,7 +112,7 @@ def test_run_instance_records_missing_marker_as_failure():
 def test_run_instance_records_gateway_failure():
     inst = generate_instance(TaskId.NAVIGATE, 3, 4)
     pred = run_instance(MethodId.THINK_AND_EXECUTE, inst,
-                        {"pseudocode": load_pseudocode(TaskId.NAVIGATE)},
+                        load_pseudocode(TaskId.NAVIGATE),
                         MockGateway())
     assert pred.failure is not None
     assert pred.failure.startswith("gateway_error")
@@ -121,7 +121,7 @@ def test_run_instance_records_gateway_failure():
 def test_run_instance_missing_asset_raises():
     inst = generate_instance(TaskId.NAVIGATE, 3, 4)
     with pytest.raises(MissingAsset):
-        run_instance(MethodId.THINK_AND_EXECUTE, inst, {}, MockGateway())
+        run_instance(MethodId.THINK_AND_EXECUTE, inst, None, MockGateway())
 
 
 def test_run_instance_direct_lowercase_answer():
@@ -133,14 +133,14 @@ def test_run_instance_direct_lowercase_answer():
         "Yes")
     gateway = MockGateway(responders={
         "reasoner": lambda r: "Final answer: no"})
-    pred = run_instance(MethodId.DIRECT, inst, {}, gateway)
+    pred = run_instance(MethodId.DIRECT, inst, None, gateway)
     assert pred.final_answer == "no"
 
 
 def test_run_instance_deterministic_under_mock():
     inst = generate_instance(TaskId.WEB_OF_LIES, 5, 5)
     gateway = mock_gateway([inst], 0.3)
-    assets = {"pseudocode": load_pseudocode(TaskId.WEB_OF_LIES)}
-    a = run_instance(MethodId.THINK_AND_EXECUTE, inst, assets, gateway)
-    b = run_instance(MethodId.THINK_AND_EXECUTE, inst, assets, gateway)
+    asset = load_pseudocode(TaskId.WEB_OF_LIES)
+    a = run_instance(MethodId.THINK_AND_EXECUTE, inst, asset, gateway)
+    b = run_instance(MethodId.THINK_AND_EXECUTE, inst, asset, gateway)
     assert a == b

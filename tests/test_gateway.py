@@ -116,3 +116,72 @@ def test_live_requires_credential_env(monkeypatch):
     live = LiveGateway("https://example.invalid/v1", "TEST_CRED")
     with pytest.raises(ConfigError):
         live.complete(_req())
+
+
+def _http_200(body: bytes):
+    import requests
+
+    resp = requests.Response()
+    resp.status_code = 200
+    resp._content = body
+    resp.encoding = "utf-8"
+    return resp
+
+
+def _offline_live(monkeypatch, respond):
+    """A LiveGateway whose HTTP posts are answered by ``respond(json_body)``;
+    any socket use fails the test."""
+    import requests
+
+    from pseudoexec.gateway import LiveGateway
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("socket opened by a patched live gateway")
+
+    monkeypatch.setattr(socket, "socket", forbidden)
+    monkeypatch.setattr(socket, "create_connection", forbidden)
+    monkeypatch.setattr(requests, "post",
+                        lambda url, json, **kw: _http_200(respond(json)))
+    monkeypatch.setenv("TEST_CRED", "not-a-real-key")
+    return LiveGateway("http://127.0.0.1:9/v1/chat/completions",
+                       "TEST_CRED", max_attempts=1)
+
+
+MALFORMED_BODIES = [b"<html>not json</html>", b"{}", b'{"choices": []}',
+                    b'{"choices": [{"message": {"content": null}}]}']
+
+
+@pytest.mark.parametrize("body", MALFORMED_BODIES)
+def test_live_malformed_body_is_transport_error(monkeypatch, body):
+    from pseudoexec.errors import TransportError
+
+    live = _offline_live(monkeypatch, lambda request: body)
+    with pytest.raises(TransportError, match="malformed response body"):
+        live.complete(_req())
+
+
+def test_live_malformed_body_does_not_abort_run(monkeypatch):
+    import json
+
+    from pseudoexec.baselines import MethodId
+    from pseudoexec.evaluator import evaluate_run
+    from pseudoexec.tasks import TaskId
+    from pseudoexec.tasks.generate import generate_instance
+
+    good, bad = (generate_instance(TaskId.NAVIGATE, seed, 3)
+                 for seed in (1, 2))
+
+    def respond(request):
+        if bad.input_text in request["messages"][-1]["content"]:
+            return b'{"choices": []}'
+        return json.dumps({"choices": [{"message": {
+            "content": f"Final answer: {good.target}"}}]}).encode()
+
+    predictions = {}
+    report = evaluate_run(
+        MethodId.DIRECT, [good, bad], _offline_live(monkeypatch, respond),
+        on_prediction=lambda i, inst, pred, ok: predictions.update({i: pred}))
+    assert report.per_task[TaskId.NAVIGATE].total == 2
+    assert report.per_task[TaskId.NAVIGATE].correct == 1
+    assert predictions[0].final_answer == good.target
+    assert predictions[1].failure.startswith("gateway_error: ")

@@ -69,7 +69,7 @@ def test_mock_run_pot_runs_the_sandbox(tmp_path, capsys):
 def test_unknown_question_is_a_recorded_gateway_error():
     known = generate_instance(TaskId.NAVIGATE, 1, 3)
     unknown = generate_instance(TaskId.NAVIGATE, 2, 3)
-    pred = run_instance(MethodId.DIRECT, unknown, {}, mock_gateway([known]))
+    pred = run_instance(MethodId.DIRECT, unknown, None, mock_gateway([known]))
     assert pred.final_answer is None
     assert pred.failure.startswith("gateway_error")
     with pytest.raises(CassetteMiss):

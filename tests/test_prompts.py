@@ -7,7 +7,7 @@ import pytest
 from pseudoexec.errors import (CassetteMiss, InsufficientDemos,
                                MalformedPseudocode)
 from pseudoexec.gateway import MockGateway
-from pseudoexec.prompts import (DemoPool, build_analysis_meta_prompt,
+from pseudoexec.prompts import (PoolEntry, build_analysis_meta_prompt,
                                 build_code_meta_prompt, build_nl_plan_prompt,
                                 default_demo_pool, load_pseudocode,
                                 load_taskinfo, parse_pseudocode_response,
@@ -17,7 +17,7 @@ from pseudoexec.tasks import TaskId
 
 
 @pytest.fixture(scope="module")
-def pool() -> DemoPool:
+def pool() -> dict[TaskId, PoolEntry]:
     return default_demo_pool()
 
 
@@ -43,9 +43,9 @@ def test_analysis_meta_excludes_target(pool):
     # demo analyses never come from the target task: the navigate analysis
     # asset starts with this distinctive phrase
     demo_section = text.rsplit("[Example 4]", 1)[0]
-    from pseudoexec.prompts import load_analysis
+    from pseudoexec.prompts import load_nl_plan
 
-    assert load_analysis(TaskId.NAVIGATE).body not in demo_section
+    assert load_nl_plan(TaskId.NAVIGATE).body not in demo_section
 
 
 def test_sampling_reproducible_and_exclusive(pool):
@@ -57,9 +57,8 @@ def test_sampling_reproducible_and_exclusive(pool):
 
 
 def test_insufficient_demos():
-    small = DemoPool(entries={})
     with pytest.raises(InsufficientDemos):
-        sample_demos(small, 0, None)
+        sample_demos({}, 0, None)
 
 
 def test_code_meta_prompt_contains_function_name(pool):
@@ -121,6 +120,18 @@ def test_parse_pseudocode_response_variants():
         parse_pseudocode_response("no code here", "f")
 
 
+def test_prompt_asset_must_define_the_function_it_names():
+    from pseudoexec.prompts import PromptAsset
+
+    assert PromptAsset(body="def f(input_text):\n    pass",
+                       function_name="f").function_name == "f"
+    assert PromptAsset(body="a plan, no code").function_name is None
+    with pytest.raises(MalformedPseudocode):
+        PromptAsset(body="def g(input_text):\n    pass", function_name="f")
+    with pytest.raises(ValueError):
+        PromptAsset(body="")
+
+
 def test_run_think_replay_matches_bundled_listing(cassette_path):
     from pseudoexec.gateway import ReplayGateway
 
@@ -129,7 +140,6 @@ def test_run_think_replay_matches_bundled_listing(cassette_path):
     assert pseudocode.body == \
         load_pseudocode(TaskId.WEB_OF_LIES, "generated").body
     assert pseudocode.function_name == "evaluate_boolean_word_problem"
-    assert analysis.provenance == "model_generated"
 
 
 def test_run_think_malformed_response():

@@ -20,15 +20,15 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from pseudoexec.baselines import MethodId, build_baseline_prompt  # noqa: E402
+from pseudoexec.cli import write_dataset  # noqa: E402
 from pseudoexec.engine import build_execute_prompt  # noqa: E402
 from pseudoexec.evaluator import evaluate_run  # noqa: E402
 from pseudoexec.gateway import RecordGateway  # noqa: E402
 from pseudoexec.mock import mock_gateway  # noqa: E402
 from pseudoexec.prompts import (build_analysis_meta_prompt,  # noqa: E402
                                 build_code_meta_prompt, build_nl_plan_prompt,
-                                default_demo_pool, load_analysis,
-                                load_nl_plan, load_pseudocode, load_taskinfo,
-                                run_think)
+                                default_demo_pool, load_nl_plan,
+                                load_pseudocode, load_taskinfo, run_think)
 from pseudoexec.tasks import TaskId, TaskInstance, make_instance  # noqa: E402
 from pseudoexec.tasks.generate import generate_instance  # noqa: E402
 
@@ -100,31 +100,21 @@ PAPER_FIXTURES: dict[TaskId, tuple[str, str]] = {
 }
 
 
-def write_jsonl(path: Path, instances: list[TaskInstance]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps({"task": inst.task.value,
-                         "input_text": inst.input_text,
-                         "target": inst.target}, ensure_ascii=False)
-             for inst in instances]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def make_paper_fixtures() -> None:
-    for task, (text, target) in PAPER_FIXTURES.items():
-        inst = make_instance(task, text, target)
-        write_jsonl(ASSETS / "fixtures" / "paper" / f"{task.value}.jsonl",
-                    [inst])
+    write_dataset([make_instance(task, text, target)
+                   for task, (text, target) in PAPER_FIXTURES.items()],
+                  ASSETS / "fixtures" / "paper")
     print("paper fixtures: 7 files")
 
 
 def make_replay_corpus() -> dict[TaskId, list[TaskInstance]]:
     corpus: dict[TaskId, list[TaskInstance]] = {}
     for task in TaskId:
-        items = [generate_instance(task, CORPUS_SEED_BASE + k, (k % 10) + 1)
-                 for k in range(CORPUS_SIZE)]
-        write_jsonl(ASSETS / "fixtures" / "replay" / f"{task.value}.jsonl",
-                    items)
-        corpus[task] = items
+        corpus[task] = [
+            generate_instance(task, CORPUS_SEED_BASE + k, (k % 10) + 1)
+            for k in range(CORPUS_SIZE)]
+    write_dataset([inst for task in TaskId for inst in corpus[task]],
+                  ASSETS / "fixtures" / "replay")
     print(f"replay corpus: {CORPUS_SIZE} instances x 7 tasks")
     return corpus
 
@@ -141,7 +131,7 @@ def record_cassette(corpus: dict[TaskId, list[TaskInstance]]) -> None:
     # Think exchange for web_of_lies (seed 0, default demo pool).
     run_think(TaskId.WEB_OF_LIES, recorder, 0, model_id=MODEL_ID)
 
-    assets = {task: {"pseudocode": load_pseudocode(task)} for task in TaskId}
+    assets = {task: load_pseudocode(task) for task in TaskId}
     report = evaluate_run(MethodId.THINK_AND_EXECUTE, instances, recorder,
                           assets, model_id=MODEL_ID)
     manifest = {
@@ -173,7 +163,7 @@ def make_goldens() -> None:
         "analysis_meta_web_of_lies_seed0.txt":
             build_analysis_meta_prompt(questions, pool, 0, target),
         "code_meta_web_of_lies_seed0.txt":
-            build_code_meta_prompt(target, load_analysis(target).body,
+            build_code_meta_prompt(target, load_nl_plan(target).body,
                                    pool, 0),
         "nl_plan_web_of_lies_seed0.txt":
             build_nl_plan_prompt(questions, pool, 0, target),
