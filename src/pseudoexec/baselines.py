@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import (GatewayError, InterpreterNotConfigured, MissingAsset,
-                     SpawnFailure)
-from .gateway import ChatRequest, Gateway
+from .errors import InterpreterNotConfigured, MissingAsset, SpawnFailure
 from .prompts import (FENCE_RE, PromptAsset, load_asset_text, load_taskinfo,
                       render)
 from .tasks import YES_NO_TASKS, TaskInstance
@@ -185,21 +183,14 @@ def pot_answer(result: SandboxResult, instance: TaskInstance) -> Prediction:
                       failure=failure)
 
 
-def run_pot_instance(instance: TaskInstance, gateway: Gateway,
-                     model_id: str = "mock-model",
-                     interpreter_command=None,
+def run_pot_instance(instance: TaskInstance, response: str,
+                     interpreter_command: list[str] | tuple[str, ...]
+                     = DEFAULT_INTERPRETER,
                      timeout_ms: int = DEFAULT_TIMEOUT_MS,
                      credential_env: str | None = None) -> Prediction:
-    _, user = build_baseline_prompt(MethodId.ZERO_SHOT_POT, instance)
-    request = ChatRequest(role_tag="reasoner", user=user, model_id=model_id)
-    try:
-        response = gateway.complete(request)
-    except GatewayError as exc:
-        return Prediction(transcript="", final_answer=None,
-                          failure=f"{FAIL_GATEWAY}: {exc}")
+    """Extract, run and read the program in a PoT ``response``."""
     program = extract_program(response, pot_seeded_header(instance))
-    result = execute_program(
-        program, timeout_ms=timeout_ms,
-        interpreter_command=interpreter_command or DEFAULT_INTERPRETER,
-        credential_env=credential_env)
+    result = execute_program(program, timeout_ms=timeout_ms,
+                             interpreter_command=interpreter_command,
+                             credential_env=credential_env)
     return pot_answer(result, instance)

@@ -56,6 +56,10 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.max_parallel < 1:
             raise ConfigError("max_parallel must be >= 1")
+        if not self.interpreter_command:
+            raise ConfigError("interpreter_command must be non-empty")
+        if self.sandbox_timeout_ms <= 0:
+            raise ConfigError("sandbox_timeout_ms must be positive")
         if not Path(self.dataset_dir).is_dir():
             raise ConfigError(f"dataset_dir {self.dataset_dir!r} not found")
         if self.mode in ("record", "replay") and not self.cassette_path:

@@ -1,14 +1,14 @@
-"""Execute phase: wrap a pseudocode prompt and an instance in the
-execution-simulation template, obtain the simulated transcript, and extract
-the final answer."""
+"""Execute phase and the one reasoner call of every method: wrap a pseudocode
+prompt and an instance in the execution-simulation template, obtain the
+simulated transcript, and extract the final answer."""
 
 from __future__ import annotations
 
 import re
 
-from .baselines import (DEFAULT_TIMEOUT_MS, FAIL_GATEWAY,
-                        FAIL_NO_FINAL_ANSWER, MethodId, Prediction,
-                        build_baseline_prompt, run_pot_instance)
+from .baselines import (DEFAULT_INTERPRETER, DEFAULT_TIMEOUT_MS,
+                        FAIL_GATEWAY, FAIL_NO_FINAL_ANSWER, MethodId,
+                        Prediction, build_baseline_prompt, run_pot_instance)
 from .errors import (GatewayError, MissingAsset, MissingFunctionName,
                      NoFinalAnswer)
 from .gateway import ChatRequest, Gateway
@@ -41,44 +41,38 @@ def extract_final_answer(transcript: str) -> str:
     return matches[-1].strip()
 
 
-def _prediction_from_transcript(transcript: str) -> Prediction:
-    try:
-        answer = extract_final_answer(transcript)
-    except NoFinalAnswer:
-        return Prediction(transcript=transcript, final_answer=None,
-                          failure=FAIL_NO_FINAL_ANSWER)
-    return Prediction(transcript=transcript, final_answer=answer)
-
-
 def run_instance(method: MethodId, instance: TaskInstance,
                  asset: PromptAsset | None, gateway: Gateway,
                  model_id: str = "mock-model",
-                 interpreter_command: list[str] | None = None,
+                 interpreter_command: list[str] | tuple[str, ...]
+                 = DEFAULT_INTERPRETER,
                  sandbox_timeout_ms: int = DEFAULT_TIMEOUT_MS,
                  credential_env: str | None = None) -> Prediction:
-    """Run one instance under one method.  ``asset`` is the task's prompt:
-    the pseudocode for Think-and-Execute, the plan for NL planning, unused
-    otherwise.  Model-content failures (missing marker, gateway refusals,
-    sandbox crashes) are recorded in the returned Prediction; only
-    configuration errors raise."""
+    """Run one instance under one method with its one reasoner call.
+    ``asset`` is the task's prompt: the pseudocode for Think-and-Execute,
+    the plan for NL planning, unused otherwise.  Model-content failures
+    (missing marker, gateway refusals, sandbox crashes) are recorded in the
+    returned Prediction; only configuration errors raise."""
     if method is MethodId.THINK_AND_EXECUTE:
         if asset is None:
             raise MissingAsset("pseudocode")
         system, user = build_execute_prompt(asset, instance)
-    elif method is MethodId.ZERO_SHOT_POT:
-        return run_pot_instance(
-            instance, gateway, model_id=model_id,
-            interpreter_command=interpreter_command,
-            timeout_ms=sandbox_timeout_ms,
-            credential_env=credential_env)
     else:
         system, user = build_baseline_prompt(method, instance, asset)
 
     request = ChatRequest(role_tag="reasoner", system=system, user=user,
                           model_id=model_id)
     try:
-        transcript = gateway.complete(request)
+        response = gateway.complete(request)
     except GatewayError as exc:
         return Prediction(transcript="", final_answer=None,
                           failure=f"{FAIL_GATEWAY}: {exc}")
-    return _prediction_from_transcript(transcript)
+    if method is MethodId.ZERO_SHOT_POT:
+        return run_pot_instance(instance, response, interpreter_command,
+                                sandbox_timeout_ms, credential_env)
+    try:
+        answer = extract_final_answer(response)
+    except NoFinalAnswer:
+        return Prediction(transcript=response, final_answer=None,
+                          failure=FAIL_NO_FINAL_ANSWER)
+    return Prediction(transcript=response, final_answer=answer)

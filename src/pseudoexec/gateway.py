@@ -40,11 +40,10 @@ class ChatRequest:
             raise ValueError("max_tokens must be positive")
 
 
-def canonical_serialization(request: ChatRequest) -> str:
-    """Fixed-field-order serialization; distinguishes absent from empty
-    system text and preserves user text byte-for-byte."""
-    payload = {
-        "version": CANONICAL_VERSION,
+def _request_fields(request: ChatRequest) -> dict:
+    # Shared by the digest and the cassette line; the order is part of
+    # every recorded digest.
+    return {
         "role_tag": request.role_tag,
         "system": request.system,       # None vs "" survive JSON encoding
         "user": request.user,
@@ -52,6 +51,12 @@ def canonical_serialization(request: ChatRequest) -> str:
         "temperature": request.temperature,
         "max_tokens": request.max_tokens,
     }
+
+
+def canonical_serialization(request: ChatRequest) -> str:
+    """Fixed-field-order serialization; distinguishes absent from empty
+    system text and preserves user text byte-for-byte."""
+    payload = {"version": CANONICAL_VERSION, **_request_fields(request)}
     return json.dumps(payload, sort_keys=False, ensure_ascii=False)
 
 
@@ -70,18 +75,10 @@ class CassetteEntry:
 
 
 def _entry_to_json(entry: CassetteEntry) -> str:
-    req = entry.request
     return json.dumps({
         "version": CANONICAL_VERSION,
         "digest": entry.digest,
-        "request": {
-            "role_tag": req.role_tag,
-            "system": req.system,
-            "user": req.user,
-            "model_id": req.model_id,
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
-        },
+        "request": _request_fields(entry.request),
         "response_text": entry.response_text,
         "recorded_at": entry.recorded_at,
         "backend_label": entry.backend_label,

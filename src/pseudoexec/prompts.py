@@ -16,8 +16,6 @@ from .gateway import ChatRequest, Gateway
 from .pseudolex import ablate_text, text_features
 from .tasks import FUNCTION_NAMES, TaskId
 
-STRIP_COMMENTS_AND_SEMANTICS = "strip_comments_and_semantics"
-
 _DEF_RE = r"^[ \t]*def[ \t]+{name}[ \t]*\("
 
 
@@ -300,12 +298,12 @@ def run_think(target_task: TaskId, gateway: Gateway, seed: int,
 
 # --- ablation and feature analysis -------------------------------------------
 
-def ablate_prompt(asset: PromptAsset,
-                  mode: str = STRIP_COMMENTS_AND_SEMANTICS) -> PromptAsset:
+def ablate_prompt(asset: PromptAsset) -> PromptAsset:
+    """The comment-and-semantics ablation: remove comments and docstrings
+    and rename user identifiers, the main function's name included, to
+    meaningless ones."""
     if not asset.function_name:
         raise ValueError("only pseudocode assets can be ablated")
-    if mode != STRIP_COMMENTS_AND_SEMANTICS:
-        raise ValueError(f"unknown ablation mode {mode!r}")
     body, mapping = ablate_text(asset.body)
     new_name = mapping.get(asset.function_name, asset.function_name)
     return replace(asset, body=body, function_name=new_name)

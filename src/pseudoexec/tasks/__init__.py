@@ -6,6 +6,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..errors import NoMatchingOption
+
 
 class TaskId(Enum):
     DYCK_LANGUAGES = "dyck_languages"
@@ -70,11 +72,12 @@ class TaskInstance:
         if self.task in YES_NO_TASKS and self.target not in ("Yes", "No"):
             raise ValueError(f"{self.task.value}: target must be Yes or No")
 
-    def option_text(self, tag: str) -> str:
-        for t, text in self.options:
-            if t == tag:
-                return text
-        raise KeyError(tag)
+    def tag_of(self, text: str) -> str:
+        """The tag of the option whose text is ``text``."""
+        for tag, option in self.options:
+            if option == text:
+                return tag
+        raise NoMatchingOption(f"{text!r} not among options")
 
 
 def parse_options_block(input_text: str) -> tuple[tuple[str, str], ...]:

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 
 from . import TaskInstance
-from ..errors import NoMatchingOption, ParseUnsupported
+from ..errors import ParseUnsupported
 
 COLORS = (
     "red", "orange", "yellow", "green", "blue", "purple", "magenta",
@@ -141,8 +141,4 @@ def answer_colored(input_text: str) -> str:
 
 
 def solve_colored(instance: TaskInstance) -> str:
-    answer = answer_colored(instance.input_text)
-    for tag, text in instance.options:
-        if text == answer:
-            return tag
-    raise NoMatchingOption(f"answer {answer!r} not among options")
+    return instance.tag_of(answer_colored(instance.input_text))

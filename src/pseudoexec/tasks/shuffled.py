@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from . import TaskInstance
-from ..errors import NoMatchingOption, ParseUnsupported, UnknownParty
+from ..errors import ParseUnsupported, UnknownParty
 
 _INITIAL = re.compile(r"(?P<name>[A-Z][a-z]+) has an? (?P<item>[a-z ]+?)(?=,|\.|$)")
 _SWAP = re.compile(r"(?P<a>[A-Z][a-z]+) and (?P<b>[A-Z][a-z]+) swap (?:balls|books|gifts|places|partners)")
@@ -45,8 +45,4 @@ def solve_shuffled(instance: TaskInstance) -> str:
     name = m.group("name")
     if name not in holdings:
         raise UnknownParty(name)
-    item = holdings[name]
-    for tag, text in instance.options:
-        if text == item:
-            return tag
-    raise NoMatchingOption(f"item {item!r} not among options")
+    return instance.tag_of(holdings[name])

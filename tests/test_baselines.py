@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import time
+from pathlib import Path
 
 import pytest
 
+from pseudoexec import baselines
 from pseudoexec.baselines import (MethodId, build_baseline_prompt,
                                   execute_program, extract_program,
                                   pot_answer, pot_seeded_header,
                                   run_pot_instance)
 from pseudoexec.errors import InterpreterNotConfigured, MissingAsset
-from pseudoexec.gateway import MockGateway
 from pseudoexec.prompts import load_nl_plan
 from pseudoexec.tasks import TaskId, make_instance
 
@@ -161,8 +163,24 @@ def test_pot_answer_failures():
 
 
 def test_run_pot_instance_end_to_end():
-    gateway = MockGateway(responders={
-        "reasoner": lambda r: "```python\ndef solution():\n"
-                              "    return True\n```"})
-    pred = run_pot_instance(_nav(), gateway)
+    pred = run_pot_instance(
+        _nav(), "```python\ndef solution():\n    return True\n```")
     assert pred.final_answer == "Yes"
+
+
+def test_baselines_does_not_import_gateway():
+    """Every reasoner call is made in ``engine.run_instance``; the baselines
+    only build prompts and read responses."""
+    imported = set()
+    tree = ast.parse(Path(baselines.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "pseudoexec" + (f".{base}" if base else "")
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert not {name for name in imported
+                if name.startswith("pseudoexec.gateway")}

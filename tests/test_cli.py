@@ -80,6 +80,16 @@ def test_run_unknown_task_in_config(tmp_path):
     assert main(["run", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("sandbox", [{"interpreter_command": []},
+                                     {"sandbox_timeout_ms": 0}])
+def test_run_rejects_unusable_sandbox_config(tmp_path, capsys, sandbox):
+    config = _write_config(tmp_path, mode="mock", cassette_path=None,
+                           method="zero_shot_pot", tasks=["navigate"],
+                           **sandbox)
+    assert main(["run", "--config", str(config)]) == 2
+    assert "error: ConfigError" in capsys.readouterr().err
+
+
 def test_run_persists_transcripts(tmp_path):
     config = _write_config(tmp_path, tasks=["navigate"])
     assert main(["run", "--config", str(config)]) == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudoexec import baselines
 from pseudoexec.baselines import MethodId
 from pseudoexec.engine import (Prediction, build_execute_prompt,
                                extract_final_answer, run_instance)
@@ -115,6 +116,17 @@ def test_run_instance_records_gateway_failure():
                         load_pseudocode(TaskId.NAVIGATE),
                         MockGateway())
     assert pred.failure is not None
+    assert pred.failure.startswith("gateway_error")
+
+
+def test_run_instance_pot_gateway_failure_skips_sandbox(monkeypatch):
+    def no_sandbox(*args, **kwargs):
+        raise AssertionError("the sandbox ran without a program")
+
+    monkeypatch.setattr(baselines, "execute_program", no_sandbox)
+    inst = generate_instance(TaskId.NAVIGATE, 3, 4)
+    pred = run_instance(MethodId.ZERO_SHOT_POT, inst, None, MockGateway())
+    assert pred.final_answer is None
     assert pred.failure.startswith("gateway_error")
 
 

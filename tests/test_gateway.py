@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import socket
 
@@ -10,6 +11,7 @@ import pytest
 from pseudoexec.errors import CassetteMiss, ConfigError
 from pseudoexec.gateway import (CANONICAL_VERSION, ChatRequest, MockGateway,
                                 RecordGateway, ReplayGateway,
+                                _entry_from_json, _entry_to_json,
                                 canonical_serialization, digest,
                                 load_cassette)
 
@@ -46,6 +48,17 @@ def test_digest_collision_spot_check():
 def test_canonical_serialization_versioned():
     assert f'"version": "{CANONICAL_VERSION}"' in \
         canonical_serialization(_req())
+
+
+def test_serializations_keep_their_bytes(cassette_path):
+    # The key order is part of every recorded digest.
+    assert list(json.loads(canonical_serialization(_req()))) == [
+        "version", "role_tag", "system", "user", "model_id", "temperature",
+        "max_tokens"]
+    lines = cassette_path.read_text(encoding="utf-8").splitlines()
+    assert lines
+    for line in lines:
+        assert _entry_to_json(_entry_from_json(line)) == line
 
 
 def test_request_validation():
