@@ -161,12 +161,13 @@ def cmd_run(args, config: RunConfig) -> int:
     gateway = (None if method is MethodId.ORACLE
                else build_gateway(config, instances))
     counters: dict[TaskId, int] = {}
+    for task in {instance.task for instance in instances}:
+        (run_dir / task.value).mkdir(exist_ok=True)
 
     def persist(index, instance, prediction, correct):
         idx = counters.get(instance.task, 0)
         counters[instance.task] = idx + 1
         task_dir = run_dir / instance.task.value
-        task_dir.mkdir(exist_ok=True)
         verdict = "correct" if correct else "incorrect"
         body = (f"# instance {idx} [{verdict}]"
                 f" target={instance.target!r}"
@@ -178,6 +179,7 @@ def cmd_run(args, config: RunConfig) -> int:
     report = evaluate_run(
         method, instances, gateway, _task_assets(config),
         model_id=config.reasoner_model, on_prediction=persist,
+        max_parallel=config.max_parallel,
         interpreter_command=config.interpreter_command,
         sandbox_timeout_ms=config.sandbox_timeout_ms,
         credential_env=config.credential_env)

@@ -16,6 +16,12 @@ MODES = ("live", "record", "replay", "mock")
 
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 DEFAULT_CREDENTIAL_ENV = "PSEUDOEXEC_API_KEY"
+# One worker thread per concurrent instance; more only queue at the model.
+MAX_PARALLEL_CEILING = 32
+# Fields that cannot change a run's results: how many instances run at once,
+# where runs are written, and the dataset path, whose content the run id
+# carries through the dataset digest.
+_NOT_IN_RUN_ID = ("max_parallel", "runs_dir", "dataset_dir")
 
 
 @dataclass
@@ -54,8 +60,9 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.max_parallel < 1:
-            raise ConfigError("max_parallel must be >= 1")
+        if not 1 <= self.max_parallel <= MAX_PARALLEL_CEILING:
+            raise ConfigError(
+                f"max_parallel must be between 1 and {MAX_PARALLEL_CEILING}")
         if not self.interpreter_command:
             raise ConfigError("interpreter_command must be non-empty")
         if self.sandbox_timeout_ms <= 0:
@@ -99,6 +106,10 @@ def load_config(path: str | Path | None,
 
 def run_id(config: RunConfig, dataset_digest: str) -> str:
     """Content-derived run id: reruns of the same effective config over the
-    same dataset collide on purpose."""
-    blob = config.canonical_json() + "\n" + dataset_digest
+    same dataset content collide on purpose, at any parallelism and from
+    any dataset path."""
+    fields = {name: value for name, value in asdict(config).items()
+              if name not in _NOT_IN_RUN_ID}
+    blob = (json.dumps(fields, sort_keys=True, ensure_ascii=False) + "\n"
+            + dataset_digest)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]

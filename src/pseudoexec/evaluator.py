@@ -12,6 +12,8 @@ from .errors import ParseUnsupported, PseudoexecError
 from .prompts import PromptAsset
 from .tasks import SHORT_CODES, TaskId, TaskInstance, solve
 
+FAIL_PARSE_UNSUPPORTED = "parse_unsupported"
+
 
 @dataclass
 class TaskTally:
@@ -64,38 +66,56 @@ def evaluate_run(method: MethodId, instances: list[TaskInstance], gateway,
                  assets_by_task: dict[TaskId, PromptAsset] | None = None,
                  model_id: str = "mock-model",
                  on_prediction=None,
+                 max_parallel: int = 1,
                  **run_kwargs) -> EvalReport:
     """Score every instance under one method.  Oracle mode routes through
-    the task solvers and needs no gateway.  ``on_prediction(index, instance,
-    prediction, correct)`` is called per item, in input order, for callers
-    that persist transcripts."""
+    the task solvers and needs no gateway.  Up to ``max_parallel``
+    predictions are made at once, in worker threads; tallies and
+    ``on_prediction(index, instance, prediction, correct)`` follow input
+    order on the calling thread, so what callers persist does not depend on
+    the parallelism."""
     if not instances:
         raise ValueError("instances must be non-empty")
+    if method is MethodId.ORACLE:
+        predict = _oracle_prediction
+    else:
+        assets = assets_by_task or {}
+
+        def predict(instance: TaskInstance) -> Prediction:
+            return run_instance(method, instance, assets.get(instance.task),
+                                gateway, model_id=model_id, **run_kwargs)
+
+    # Imported here, like ``requests`` in the live gateway: commands that
+    # never evaluate do not pay for it (it pulls in ``logging``).
+    from concurrent.futures import ThreadPoolExecutor
+
     report = EvalReport(method=method, model_id=model_id)
-    for index, instance in enumerate(instances):
-        tally = report.per_task.setdefault(instance.task, TaskTally())
-        tally.total += 1
-        if method is MethodId.ORACLE:
-            prediction = _oracle_prediction(instance, tally)
-        else:
-            asset = (assets_by_task or {}).get(instance.task)
-            prediction = run_instance(method, instance, asset, gateway,
-                                      model_id=model_id, **run_kwargs)
-        correct = score_prediction(prediction, instance)
-        if correct:
-            tally.correct += 1
-        if on_prediction is not None:
-            on_prediction(index, instance, prediction, correct)
+    pool = ThreadPoolExecutor(max_workers=min(max_parallel, len(instances)))
+    try:
+        futures = [pool.submit(predict, instance) for instance in instances]
+        for index, (instance, future) in enumerate(zip(instances, futures)):
+            prediction = future.result()
+            tally = report.per_task.setdefault(instance.task, TaskTally())
+            tally.total += 1
+            if (prediction.failure or "").startswith(FAIL_PARSE_UNSUPPORTED):
+                tally.parse_unsupported += 1
+            correct = score_prediction(prediction, instance)
+            if correct:
+                tally.correct += 1
+            if on_prediction is not None:
+                on_prediction(index, instance, prediction, correct)
+    finally:
+        # After an abort, queued instances must not reach the model.
+        pool.shutdown(cancel_futures=True)
     return report
 
 
-def _oracle_prediction(instance: TaskInstance, tally: TaskTally) -> Prediction:
+def _oracle_prediction(instance: TaskInstance) -> Prediction:
     try:
         answer = solve(instance.task, instance)
     except ParseUnsupported as exc:
-        tally.parse_unsupported += 1
         return Prediction(transcript=str(exc), final_answer=None,
-                          failure=f"parse_unsupported: {exc}")
+                          failure=f"{FAIL_PARSE_UNSUPPORTED}: {exc}")
     except PseudoexecError as exc:
         return Prediction(transcript=str(exc), final_answer=None,
                           failure=f"solver_error: {exc}")

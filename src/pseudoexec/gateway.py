@@ -162,8 +162,11 @@ class ReplayGateway(Gateway):
 
 
 class RecordGateway(Gateway):
-    """Wraps another backend and appends every exchange to a cassette.
-    Appends are serialized through a lock so the file stays line-consistent."""
+    """Read-through cassette over another backend: a digest already in the
+    cassette is answered from it, and only a miss reaches the inner backend
+    and is appended.  Appends are serialized through a lock so the file
+    stays line-consistent; under concurrent calls they land in completion
+    order."""
 
     label = "record"
 
@@ -171,13 +174,17 @@ class RecordGateway(Gateway):
         self._inner = inner
         self._path = Path(cassette_path)
         self._lock = threading.Lock()
-        self._seen: set[str] = set()
+        self._responses: dict[str, str] = {}
         if self._path.exists():
-            self._seen = set(load_cassette(self._path))
+            self._responses = {key: entry.response_text for key, entry
+                               in load_cassette(self._path).items()}
 
     def complete(self, request: ChatRequest) -> str:
-        response = self._inner.complete(request)
         key = digest(request)
+        recorded = self._responses.get(key)
+        if recorded is not None:
+            return recorded
+        response = self._inner.complete(request)
         entry = CassetteEntry(
             digest=key,
             request=request,
@@ -186,11 +193,14 @@ class RecordGateway(Gateway):
             backend_label=self._inner.label,
         )
         with self._lock:
-            if key not in self._seen:
+            # Two concurrent misses on one digest both pay; the first to
+            # land is recorded and answers both, as a replay would.
+            recorded = self._responses.get(key)
+            if recorded is None:
                 with open(self._path, "a", encoding="utf-8") as fh:
                     fh.write(_entry_to_json(entry) + "\n")
-                self._seen.add(key)
-        return response
+                recorded = self._responses[key] = response
+        return recorded
 
 
 class LiveGateway(Gateway):

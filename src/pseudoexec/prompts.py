@@ -3,6 +3,7 @@ the comment/semantics ablation, and structural feature analysis."""
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -69,9 +70,10 @@ def _assets_root():
     return resources.files("pseudoexec") / "assets"
 
 
+@functools.cache
 def load_asset_text(relpath: str) -> str:
-    """Read a bundled asset; files end with one newline which is not part of
-    the asset body."""
+    """Read a bundled asset, once per process; files end with one newline
+    which is not part of the asset body."""
     path = _assets_root() / relpath
     try:
         text = path.read_text(encoding="utf-8")

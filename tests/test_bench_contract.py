@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from pseudoexec import cli
 from pseudoexec.config import load_config
 from pseudoexec.gateway import digest
 from pseudoexec.tasks import TaskId
@@ -62,3 +64,28 @@ def test_workload_config_loads(workloads, tmp_path):
     config = load_config(None, prepared.config)
     assert config.max_parallel == 2
     assert len(prepared.corpus) == len(TaskId) * len(workloads.SIZES)
+
+
+def test_run_hands_workload_parallelism_to_evaluate_run(workloads, tmp_path,
+                                                        monkeypatch):
+    small = workloads.Workload("small", "mock",
+                               workloads.MethodId.THINK_AND_EXECUTE,
+                               per_cell=1)
+    prepared = workloads.prepare(small, 1, tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {**prepared.config, "runs_dir": str(tmp_path / "runs")}),
+        encoding="utf-8")
+    calls = []
+
+    class Stop(Exception):
+        pass
+
+    def capture(*args, **kwargs):
+        calls.append(kwargs)
+        raise Stop
+
+    monkeypatch.setattr(cli, "evaluate_run", capture)
+    with pytest.raises(Stop):
+        cli.main(["run", "--config", str(config)])
+    assert [call["max_parallel"] for call in calls] == [2]

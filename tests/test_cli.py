@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from pseudoexec.cli import main
+from pseudoexec.config import MAX_PARALLEL_CEILING, RunConfig
+from pseudoexec.errors import ConfigError
 from pseudoexec.tasks import TaskId
 from pseudoexec.tasks.generate import generate_instance
 
@@ -96,6 +99,40 @@ def test_run_persists_transcripts(tmp_path):
     run_dir = next(d for d in (tmp_path / "runs").iterdir() if d.is_dir())
     transcripts = sorted((run_dir / "navigate").glob("*.txt"))
     assert len(transcripts) == 20
+
+
+def _run_outputs(tmp_path: Path, name: str, **extra) -> tuple[str, dict]:
+    """Run id and output bytes (reports and transcripts) of one run."""
+    work = tmp_path / name
+    work.mkdir()
+    config = _write_config(work, **extra)
+    assert main(["run", "--config", str(config)]) == 0
+    (run_dir,) = (work / "runs").iterdir()
+    files = [run_dir / "report.md", run_dir / "report.csv",
+             *sorted(run_dir.glob("*/*.txt"))]
+    return run_dir.name, {str(f.relative_to(run_dir)): f.read_bytes()
+                          for f in files}
+
+
+def test_run_id_and_outputs_ignore_parallelism_and_paths(tmp_path, capsys):
+    serial = _run_outputs(tmp_path, "serial", max_parallel=1)
+    assert len(serial[1]) == 2 + 140
+    assert _run_outputs(tmp_path, "parallel", max_parallel=2) == serial
+    copy = tmp_path / "dataset copy"
+    shutil.copytree(Path("src/pseudoexec/assets/fixtures/replay"), copy)
+    assert _run_outputs(tmp_path, "copied", dataset_dir=str(copy)) == serial
+    capsys.readouterr()
+
+
+def test_max_parallel_has_a_ceiling(tmp_path, capsys):
+    RunConfig(max_parallel=MAX_PARALLEL_CEILING).validate()
+    for bad in (0, MAX_PARALLEL_CEILING + 1):
+        with pytest.raises(ConfigError, match="max_parallel"):
+            RunConfig(max_parallel=bad).validate()
+    config = _write_config(tmp_path, max_parallel=10_000)
+    assert main(["run", "--config", str(config)]) == 2
+    assert "max_parallel" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_oracle_command_all_100(tmp_path, capsys):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import io
+import threading
+import time
 
 import pytest
 
@@ -11,6 +13,7 @@ from pseudoexec.baselines import MethodId
 from pseudoexec.engine import Prediction
 from pseudoexec.evaluator import (EvalReport, TaskTally, evaluate_run,
                                   render_report, score_prediction)
+from pseudoexec.gateway import Gateway
 from pseudoexec.tasks import TaskId, make_instance
 from pseudoexec.tasks.generate import generate_instance
 
@@ -114,11 +117,13 @@ def test_evaluate_run_counts_parse_unsupported_as_incorrect():
                         "do you return to the starting point? Moonwalk.",
                         "Yes")
     good = generate_instance(TaskId.NAVIGATE, 1, 3)
-    report = evaluate_run(MethodId.ORACLE, [bad, good], None)
-    tally = report.per_task[TaskId.NAVIGATE]
-    assert tally.total == 2
-    assert tally.correct == 1
-    assert tally.parse_unsupported == 1
+    for max_parallel in (1, 2):
+        report = evaluate_run(MethodId.ORACLE, [bad, good], None,
+                              max_parallel=max_parallel)
+        tally = report.per_task[TaskId.NAVIGATE]
+        assert tally.total == 2
+        assert tally.correct == 1
+        assert tally.parse_unsupported == 1
 
 
 def test_average_is_unweighted_across_tasks():
@@ -156,3 +161,68 @@ def test_percentages_have_one_decimal():
     report = EvalReport(method=MethodId.DIRECT, model_id="m", per_task={
         TaskId.NAVIGATE: TaskTally(correct=1, total=3)})
     assert "33.3" in render_report(report, "csv")
+
+
+class _SlowGateway(Gateway):
+    """Answers the Direct prompt of each instance after ``delay_s(index)``,
+    every odd instance wrongly, and logs the order answers finish in."""
+
+    def __init__(self, instances, delay_s=lambda index: 0.0):
+        self._instances = instances
+        self._delay_s = delay_s
+        self._lock = threading.Lock()
+        self.finished: list[int] = []
+
+    def complete(self, request):
+        index = next(i for i, inst in enumerate(self._instances)
+                     if inst.input_text in request.user)
+        time.sleep(self._delay_s(index))
+        with self._lock:
+            self.finished.append(index)
+        answer = self._instances[index].target if index % 2 == 0 else "?"
+        return f"Final answer: {answer}"
+
+
+def _task_mix(n: int):
+    tasks = list(TaskId)
+    return [generate_instance(tasks[i % len(tasks)], i, 3) for i in range(n)]
+
+
+def _record(max_parallel: int, instances, gateway):
+    seen = []
+    report = evaluate_run(
+        MethodId.DIRECT, instances, gateway, max_parallel=max_parallel,
+        on_prediction=lambda i, inst, pred, ok: seen.append(
+            (i, inst.input_text, pred.transcript, pred.final_answer, ok)))
+    return report, seen
+
+
+def test_parallel_run_keeps_input_order():
+    instances = _task_mix(8)
+
+    def later_first(index):
+        return 0.01 * (len(instances) - index)
+
+    serial_gateway = _SlowGateway(instances, later_first)
+    serial, serial_seen = _record(1, instances, serial_gateway)
+    parallel_gateway = _SlowGateway(instances, later_first)
+    parallel, parallel_seen = _record(4, instances, parallel_gateway)
+    assert serial_gateway.finished == list(range(len(instances)))
+    assert parallel_gateway.finished != list(range(len(instances)))
+    assert parallel_seen == serial_seen
+    assert [i for i, *_ in serial_seen] == list(range(len(instances)))
+    assert parallel.per_task == serial.per_task
+    assert sum(t.correct for t in serial.per_task.values()) == 4
+
+
+def test_abort_stops_queued_model_calls():
+    instances = _task_mix(50)
+    gateway = _SlowGateway(instances, lambda index: 0.05)
+
+    def disk_full(index, instance, prediction, correct):
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space left"):
+        evaluate_run(MethodId.DIRECT, instances, gateway, max_parallel=2,
+                     on_prediction=disk_full)
+    assert len(gateway.finished) <= 2 + 2

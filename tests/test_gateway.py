@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 import random
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
@@ -72,14 +75,25 @@ def test_temperature_defaults_to_zero():
     assert _req().temperature == 0.0
 
 
+class _CountingEcho(MockGateway):
+    def __init__(self):
+        super().__init__(responders={"reasoner": self._echo})
+        self.calls: list[str] = []
+
+    def _echo(self, request: ChatRequest) -> str:
+        self.calls.append(request.user)
+        return f"echo: {request.user}"
+
+
 def test_record_then_replay_roundtrip(tmp_path):
     cassette = tmp_path / "c.jsonl"
-    mock = MockGateway(responders={"reasoner": lambda r: f"echo: {r.user}"})
+    mock = _CountingEcho()
     recorder = RecordGateway(mock, cassette)
     first = recorder.complete(_req("alpha"))
     again = recorder.complete(_req("alpha"))     # replayed answer, one entry
     recorder.complete(_req("beta"))
     assert first == again == "echo: alpha"
+    assert mock.calls == ["alpha", "beta"]       # once per distinct request
     index = load_cassette(cassette)
     assert len(index) == 2
 
@@ -88,6 +102,70 @@ def test_record_then_replay_roundtrip(tmp_path):
     assert replay.complete(_req("beta")) == "echo: beta"
     with pytest.raises(CassetteMiss):
         replay.complete(_req("gamma"))
+
+
+def test_record_reads_through_reopened_cassette(tmp_path):
+    cassette = tmp_path / "c.jsonl"
+    RecordGateway(_CountingEcho(), cassette).complete(_req("alpha"))
+    recorded = cassette.read_bytes()
+    inner = _CountingEcho()
+    assert RecordGateway(inner, cassette).complete(_req("alpha")) == \
+        "echo: alpha"
+    assert inner.calls == []
+    assert cassette.read_bytes() == recorded
+
+
+def test_record_resume_pays_only_for_misses(tmp_path):
+    cassette = tmp_path / "c.jsonl"
+    words = ["alpha", "beta", "gamma", "delta"]
+    first = RecordGateway(_CountingEcho(), cassette)
+    for word in words[:2]:            # the interrupted session
+        first.complete(_req(word))
+    inner = _CountingEcho()
+    resumed = RecordGateway(inner, cassette)
+    answers = [resumed.complete(_req(word)) for word in words]
+    assert answers == [f"echo: {word}" for word in words]
+    assert inner.calls == words[2:]
+    assert len(cassette.read_text().splitlines()) == len(words)
+    assert len(load_cassette(cassette)) == len(words)
+
+
+def test_record_concurrent_calls_append_each_digest_once(tmp_path):
+    cassette = tmp_path / "c.jsonl"
+
+    def slow_echo(request: ChatRequest) -> str:
+        time.sleep(0.001)       # lets concurrent misses on one digest meet
+        return f"echo: {request.user}"
+
+    recorder = RecordGateway(MockGateway(responders={"reasoner": slow_echo}),
+                             cassette)
+    words = [f"w{i}" for i in range(40)]
+    answers: dict[int, list[str]] = {}
+    start = threading.Barrier(8, timeout=30)
+
+    def worker(n: int) -> None:
+        order = words[n % 2::2] + words[(n + 1) % 2::2]
+        start.wait()
+        answers[n] = [recorder.complete(_req(word)) for word in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(answers) == 8
+    for got in answers.values():
+        assert sorted(got) == sorted(f"echo: {word}" for word in words)
+    lines = cassette.read_text().splitlines()
+    assert len(lines) == len(words)
+    assert len(load_cassette(cassette)) == len(words)
 
 
 def test_replay_rejects_tampered_cassette(tmp_path):
