@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -29,6 +30,8 @@ class MethodId(Enum):
     ORACLE = "oracle"          # routes through the task solvers, no model
 
 DEFAULT_TIMEOUT_MS = 10_000
+# How long a killed sandbox gets to release its output pipes.
+_REAP_GRACE_S = 1.0
 DEFAULT_INTERPRETER = ("python3",)
 
 FAIL_NO_FINAL_ANSWER = "no_final_answer"
@@ -137,20 +140,29 @@ def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
         argv = [*interpreter_command, str(script)]
         started = time.monotonic()
         try:
-            proc = subprocess.run(
+            # Its own session, so the timeout can kill everything it forks.
+            proc = subprocess.Popen(
                 argv, cwd=workdir, env=_sandbox_env(credential_env),
-                capture_output=True, text=True,
-                timeout=timeout_ms / 1000.0)
-        except subprocess.TimeoutExpired as exc:
-            wall_ms = int((time.monotonic() - started) * 1000)
-            return SandboxResult(
-                stdout=_as_text(exc.stdout), stderr=_as_text(exc.stderr),
-                exit_status=-1, timed_out=True,
-                wall_time_ms=max(wall_ms, timeout_ms))
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                start_new_session=True)
         except OSError as exc:
             raise SpawnFailure(str(exc)) from exc
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=timeout_ms / 1000.0)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                try:
+                    stdout, stderr = proc.communicate(timeout=_REAP_GRACE_S)
+                except subprocess.TimeoutExpired as exc:
+                    # A process that left the group still holds the pipes.
+                    stdout, stderr = _as_text(exc.stdout), _as_text(exc.stderr)
+                wall_ms = int((time.monotonic() - started) * 1000)
+                return SandboxResult(
+                    stdout=stdout, stderr=stderr, exit_status=-1,
+                    timed_out=True, wall_time_ms=max(wall_ms, timeout_ms))
         wall_ms = int((time.monotonic() - started) * 1000)
-        return SandboxResult(stdout=proc.stdout, stderr=proc.stderr,
+        return SandboxResult(stdout=stdout, stderr=stderr,
                              exit_status=proc.returncode, timed_out=False,
                              wall_time_ms=wall_ms)
     finally:

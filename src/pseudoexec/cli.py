@@ -87,6 +87,13 @@ def build_gateway(config: RunConfig,
     return live
 
 
+def _cassette_digest(gateway: Gateway | None) -> str | None:
+    """SHA-256 of the bytes the gateway's cassette holds, as loaded plus
+    what it appended; None for a backend that never opens one."""
+    cassette = gateway.cassette if gateway is not None else None
+    return cassette.sha256.hexdigest() if cassette is not None else None
+
+
 # --- commands ----------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
@@ -153,13 +160,12 @@ def cmd_run(args, config: RunConfig) -> int:
     dataset_dir = Path(config.dataset_dir)
     instances = load_dataset(dataset_dir, tasks)
     digest = dataset_digest(dataset_dir, tasks)
-    rid = run_id(config, digest)
-    run_dir = Path(config.runs_dir) / rid
-    run_dir.mkdir(parents=True, exist_ok=True)
-
     method = config.method_id()
     gateway = (None if method is MethodId.ORACLE
                else build_gateway(config, instances))
+    rid = run_id(config, digest, _cassette_digest(gateway))
+    run_dir = Path(config.runs_dir) / rid
+    run_dir.mkdir(parents=True, exist_ok=True)
     counters: dict[TaskId, int] = {}
     for task in {instance.task for instance in instances}:
         (run_dir / task.value).mkdir(exist_ok=True)
@@ -184,16 +190,12 @@ def cmd_run(args, config: RunConfig) -> int:
         sandbox_timeout_ms=config.sandbox_timeout_ms,
         credential_env=config.credential_env)
 
-    cassette_digest = None
-    if config.cassette_path and Path(config.cassette_path).is_file():
-        cassette_digest = hashlib.sha256(
-            Path(config.cassette_path).read_bytes()).hexdigest()
     manifest = {
         "run_id": rid,
         "method": method.value,
         "model_id": config.reasoner_model,
         "dataset_digest": digest,
-        "cassette_digest": cassette_digest,
+        "cassette_digest": _cassette_digest(gateway),
         "config_hash": hashlib.sha256(
             config.canonical_json().encode()).hexdigest(),
         "effective_config": json.loads(config.canonical_json()),

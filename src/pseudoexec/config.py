@@ -104,12 +104,18 @@ def load_config(path: str | Path | None,
     return RunConfig(**data).validate()
 
 
-def run_id(config: RunConfig, dataset_digest: str) -> str:
+def run_id(config: RunConfig, dataset_digest: str,
+           cassette_digest: str | None) -> str:
     """Content-derived run id: reruns of the same effective config over the
     same dataset content collide on purpose, at any parallelism and from
-    any dataset path."""
+    any dataset path.  A replay hashes its cassette's content in place of
+    its path; a record run keeps the path, because its cassette grows
+    during the run and a resumed run must land in the same directory."""
     fields = {name: value for name, value in asdict(config).items()
               if name not in _NOT_IN_RUN_ID}
+    if config.mode == "replay":
+        del fields["cassette_path"]
+        fields["cassette_digest"] = cassette_digest
     blob = (json.dumps(fields, sort_keys=True, ensure_ascii=False) + "\n"
             + dataset_digest)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]

@@ -13,7 +13,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -65,57 +65,85 @@ def digest(request: ChatRequest) -> str:
         canonical_serialization(request).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class CassetteEntry:
-    digest: str
-    request: ChatRequest
-    response_text: str
-    recorded_at: str
-    backend_label: str
-
-
-def _entry_to_json(entry: CassetteEntry) -> str:
+def _entry_line(key: str, request: ChatRequest, response_text: str,
+                recorded_at: str, backend_label: str) -> str:
     return json.dumps({
         "version": CANONICAL_VERSION,
-        "digest": entry.digest,
-        "request": _request_fields(entry.request),
-        "response_text": entry.response_text,
-        "recorded_at": entry.recorded_at,
-        "backend_label": entry.backend_label,
+        "digest": key,
+        "request": _request_fields(request),
+        "response_text": response_text,
+        "recorded_at": recorded_at,
+        "backend_label": backend_label,
     }, ensure_ascii=False)
 
 
-def _entry_from_json(line: str) -> CassetteEntry:
-    obj = json.loads(line)
-    req = ChatRequest(**obj["request"])
-    entry = CassetteEntry(
-        digest=obj["digest"],
-        request=req,
-        response_text=obj["response_text"],
-        recorded_at=obj["recorded_at"],
-        backend_label=obj["backend_label"],
-    )
-    if digest(req) != entry.digest:
-        raise ConfigError(
-            f"cassette entry digest mismatch for {entry.digest[:12]}")
-    return entry
+class Cassette(dict):
+    """A cassette file's lines as ``{digest: (offset, length)}`` byte spans,
+    plus the SHA-256 of every byte loaded or appended.  A line is parsed
+    again only when it is served, and is checked then against the request
+    it answers."""
+
+    def __init__(self, path: Path):
+        super().__init__()
+        self.path = Path(path)
+        self.sha256 = hashlib.sha256()
+        self._size = 0
+        self._newline_due = False       # the file's last line has no "\n"
+
+    def response(self, key: str, request: ChatRequest) -> str:
+        """The recorded response for ``request``, whose digest is ``key``.
+        Its line must hold exactly the request's fields; with the lookup by
+        digest that proves the line's digest, without hashing it again."""
+        offset, length = self[key]
+        with open(self.path, "rb") as fh:
+            fh.seek(offset)
+            entry = json.loads(fh.read(length))
+        response = entry.get("response_text")
+        if (entry.get("version") != CANONICAL_VERSION
+                or entry.get("request") != _request_fields(request)
+                or not isinstance(response, str)):
+            raise ConfigError(f"{self.path}: cassette entry {key[:12]} "
+                              "does not match its digest")
+        return response
+
+    def append(self, key: str, line: str) -> None:
+        """Write one entry line at the end of the file and index it."""
+        prefix = b"\n" if self._newline_due else b""   # never fuse two lines
+        data = line.encode("utf-8") + b"\n"
+        with open(self.path, "ab") as fh:
+            fh.write(prefix + data)
+        self.sha256.update(prefix + data)
+        self._size += len(prefix)
+        self[key] = (self._size, len(data))
+        self._size += len(data)
+        self._newline_due = False
 
 
-def load_cassette(path: Path) -> dict[str, CassetteEntry]:
-    index: dict[str, CassetteEntry] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entry = _entry_from_json(line)
-                index[entry.digest] = entry
-    return index
+def load_cassette(path: Path) -> Cassette:
+    """Index a cassette file in one pass: every byte goes into the running
+    SHA-256 and every line is parsed once, for its digest."""
+    cassette = Cassette(path)
+    line = b"\n"
+    with open(cassette.path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            cassette.sha256.update(line)
+            if line.strip():
+                try:
+                    key = json.loads(line)["digest"]
+                    cassette[key] = (cassette._size, len(line))
+                except (ValueError, LookupError, TypeError) as exc:
+                    raise ConfigError(f"{cassette.path} line {number}: "
+                                      f"not a cassette entry: {exc}") from None
+            cassette._size += len(line)
+    cassette._newline_due = not line.endswith(b"\n")
+    return cassette
 
 
 class Gateway:
     """Base interface: subclasses implement complete()."""
 
     label = "gateway"
+    cassette: Cassette | None = None     # what replay and record serve from
 
     def complete(self, request: ChatRequest) -> str:
         raise NotImplementedError
@@ -134,14 +162,15 @@ class MockGateway(Gateway):
         self._responders = dict(responders or {})
 
     def complete(self, request: ChatRequest) -> str:
-        key = digest(request)
-        if key in self._fixtures:
-            return self._fixtures[key]
+        if self._fixtures:
+            fixture = self._fixtures.get(digest(request))
+            if fixture is not None:
+                return fixture
         responder = self._responders.get(request.role_tag)
         if responder is None:
             raise CassetteMiss(
                 f"no mock fixture or responder for {request.role_tag} "
-                f"request {key[:12]}")
+                f"request {digest(request)[:12]}")
         return responder(request)
 
 
@@ -151,14 +180,13 @@ class ReplayGateway(Gateway):
     label = "replay"
 
     def __init__(self, cassette_path: Path):
-        self._index = load_cassette(Path(cassette_path))
+        self.cassette = load_cassette(Path(cassette_path))
 
     def complete(self, request: ChatRequest) -> str:
         key = digest(request)
-        entry = self._index.get(key)
-        if entry is None:
+        if key not in self.cassette:
             raise CassetteMiss(f"request {key[:12]} not in cassette")
-        return entry.response_text
+        return self.cassette.response(key, request)
 
 
 class RecordGateway(Gateway):
@@ -172,35 +200,23 @@ class RecordGateway(Gateway):
 
     def __init__(self, inner: Gateway, cassette_path: Path):
         self._inner = inner
-        self._path = Path(cassette_path)
+        path = Path(cassette_path)
+        self.cassette = load_cassette(path) if path.exists() \
+            else Cassette(path)
         self._lock = threading.Lock()
-        self._responses: dict[str, str] = {}
-        if self._path.exists():
-            self._responses = {key: entry.response_text for key, entry
-                               in load_cassette(self._path).items()}
 
     def complete(self, request: ChatRequest) -> str:
         key = digest(request)
-        recorded = self._responses.get(key)
-        if recorded is not None:
-            return recorded
-        response = self._inner.complete(request)
-        entry = CassetteEntry(
-            digest=key,
-            request=request,
-            response_text=response,
-            recorded_at=datetime.now(timezone.utc).isoformat(),
-            backend_label=self._inner.label,
-        )
-        with self._lock:
-            # Two concurrent misses on one digest both pay; the first to
-            # land is recorded and answers both, as a replay would.
-            recorded = self._responses.get(key)
-            if recorded is None:
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(_entry_to_json(entry) + "\n")
-                recorded = self._responses[key] = response
-        return recorded
+        if key not in self.cassette:
+            line = _entry_line(key, request, self._inner.complete(request),
+                               datetime.now(timezone.utc).isoformat(),
+                               self._inner.label)
+            with self._lock:
+                # Two concurrent misses on one digest both pay; the first to
+                # land is recorded and answers both, as a replay would.
+                if key not in self.cassette:
+                    self.cassette.append(key, line)
+        return self.cassette.response(key, request)
 
 
 class LiveGateway(Gateway):

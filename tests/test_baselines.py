@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import os
+import signal
 import time
 from pathlib import Path
 
@@ -110,6 +113,52 @@ def test_sandbox_timeout():
     assert result.timed_out
     assert result.wall_time_ms >= 500
     assert result.wall_time_ms <= 500 + 200     # grace bound
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie, whose reaping is its
+    new parent's business."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_sandbox_timeout_kills_what_the_program_forked():
+    result = execute_program(
+        "import os, time\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    time.sleep(30)\n"
+        "    os._exit(0)\n"
+        "print(pid, flush=True)\n"
+        "time.sleep(30)\n", timeout_ms=800)
+    assert result.timed_out
+    child = int(result.stdout.split()[-1])
+    deadline = time.monotonic() + 5
+    while _running(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(child), "the forked child outlived the timeout"
+
+
+def test_sandbox_timeout_returns_when_a_child_left_the_group():
+    # A child in a session of its own escapes the kill and keeps the
+    # output pipes open; the sandbox must not wait for it.
+    started = time.monotonic()
+    result = execute_program(
+        "import os, time\n"
+        "if os.fork() == 0:\n"
+        "    os.setsid()\n"
+        "    print(os.getpid(), flush=True)\n"
+        "    time.sleep(30)\n"
+        "    os._exit(0)\n"
+        "time.sleep(30)\n", timeout_ms=800)
+    elapsed = time.monotonic() - started
+    with contextlib.suppress(ValueError, ProcessLookupError):
+        os.kill(int(result.stdout.split()[-1]), signal.SIGKILL)
+    assert result.timed_out
+    assert elapsed < 0.8 + baselines._REAP_GRACE_S + 1.0
 
 
 def test_sandbox_runs_in_empty_cwd():

@@ -30,14 +30,16 @@ def bbh_dir(tmp_path: Path) -> Path:
     return src
 
 
+BUNDLED_CASSETTE = Path("src/pseudoexec/assets/replay/cassette.jsonl")
+
+
 def _write_config(tmp_path: Path, **extra) -> Path:
     base = {
         "dataset_dir": str(Path("src/pseudoexec/assets/fixtures/replay")
                            .resolve()),
         "runs_dir": str(tmp_path / "runs"),
         "mode": "replay",
-        "cassette_path": str(Path("src/pseudoexec/assets/replay/"
-                                  "cassette.jsonl").resolve()),
+        "cassette_path": str(BUNDLED_CASSETTE.resolve()),
         "method": "think_and_execute",
     }
     base.update(extra)
@@ -121,7 +123,29 @@ def test_run_id_and_outputs_ignore_parallelism_and_paths(tmp_path, capsys):
     copy = tmp_path / "dataset copy"
     shutil.copytree(Path("src/pseudoexec/assets/fixtures/replay"), copy)
     assert _run_outputs(tmp_path, "copied", dataset_dir=str(copy)) == serial
+    # A replay's id hashes the cassette's bytes, not its path.
+    bundled = BUNDLED_CASSETTE.read_bytes()
+    moved = tmp_path / "moved.jsonl"
+    moved.write_bytes(bundled)
+    assert _run_outputs(tmp_path, "moved", cassette_path=str(moved)) == serial
+    at = bundled.index(b'"recorded_at": "2') + len(b'"recorded_at": "')
+    edited = tmp_path / "edited.jsonl"
+    edited.write_bytes(bundled[:at] + b"1" + bundled[at + 1:])
+    rid, outputs = _run_outputs(tmp_path, "edited",
+                                cassette_path=str(edited))
+    assert outputs == serial[1]
+    assert rid != serial[0]
     capsys.readouterr()
+
+
+def test_run_stops_on_a_malformed_cassette_line(tmp_path, capsys):
+    lines = BUNDLED_CASSETTE.read_text(encoding="utf-8").splitlines(True)
+    lines[2] = lines[2][:50] + "\n"
+    torn = tmp_path / "torn.jsonl"
+    torn.write_text("".join(lines), encoding="utf-8")
+    config = _write_config(tmp_path, cassette_path=str(torn))
+    assert main(["run", "--config", str(config)]) == 2
+    assert f"error: ConfigError: {torn} line 3: " in capsys.readouterr().err
 
 
 def test_max_parallel_has_a_ceiling(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import socket
@@ -13,8 +14,7 @@ import pytest
 
 from pseudoexec.errors import CassetteMiss, ConfigError
 from pseudoexec.gateway import (CANONICAL_VERSION, ChatRequest, MockGateway,
-                                RecordGateway, ReplayGateway,
-                                _entry_from_json, _entry_to_json,
+                                RecordGateway, ReplayGateway, _entry_line,
                                 canonical_serialization, digest,
                                 load_cassette)
 
@@ -61,7 +61,46 @@ def test_serializations_keep_their_bytes(cassette_path):
     lines = cassette_path.read_text(encoding="utf-8").splitlines()
     assert lines
     for line in lines:
-        assert _entry_to_json(_entry_from_json(line)) == line
+        entry = json.loads(line)
+        assert _entry_line(entry["digest"], ChatRequest(**entry["request"]),
+                           entry["response_text"], entry["recorded_at"],
+                           entry["backend_label"]) == line
+
+
+def test_bundled_cassette_digests_verify(cassette_path):
+    # Replays check only the entries they serve; every bundled one is
+    # checked here.
+    for line in cassette_path.read_text(encoding="utf-8").splitlines():
+        entry = json.loads(line)
+        assert entry["version"] == CANONICAL_VERSION
+        assert digest(ChatRequest(**entry["request"])) == entry["digest"]
+
+
+def test_load_cassette_indexes_and_hashes_in_one_pass(cassette_path,
+                                                      monkeypatch):
+    from pseudoexec import gateway
+
+    def forbidden(request):
+        raise AssertionError("a loaded entry was hashed")
+
+    monkeypatch.setattr(gateway, "digest", forbidden)
+    cassette = load_cassette(cassette_path)
+    data = cassette_path.read_bytes()
+    assert cassette.sha256.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert len(cassette) == len(data.splitlines())
+    for key, (offset, length) in cassette.items():
+        assert json.loads(data[offset:offset + length])["digest"] == key
+
+
+def test_load_cassette_names_a_malformed_line(tmp_path):
+    cassette = tmp_path / "c.jsonl"
+    RecordGateway(MockGateway(responders={"reasoner": lambda r: "ok"}),
+                  cassette).complete(_req("alpha"))
+    whole = cassette.read_text()
+    for bad in (whole[:50] + "\n", "[1, 2]\n", '{"no": "digest"}\n'):
+        cassette.write_text(whole + bad)
+        with pytest.raises(ConfigError, match=f"{cassette} line 2: "):
+            load_cassette(cassette)
 
 
 def test_request_validation():
@@ -163,9 +202,11 @@ def test_record_concurrent_calls_append_each_digest_once(tmp_path):
     assert len(answers) == 8
     for got in answers.values():
         assert sorted(got) == sorted(f"echo: {word}" for word in words)
-    lines = cassette.read_text().splitlines()
-    assert len(lines) == len(words)
+    data = cassette.read_bytes()
+    assert len(data.splitlines()) == len(words)
     assert len(load_cassette(cassette)) == len(words)
+    assert recorder.cassette.sha256.hexdigest() == \
+        hashlib.sha256(data).hexdigest()
 
 
 def test_replay_rejects_tampered_cassette(tmp_path):
@@ -174,8 +215,38 @@ def test_replay_rejects_tampered_cassette(tmp_path):
     RecordGateway(mock, cassette).complete(_req("alpha"))
     text = cassette.read_text().replace('"user": "alpha"', '"user": "beta"')
     cassette.write_text(text)
+    replay = ReplayGateway(cassette)     # checked when served, not on load
+    with pytest.raises(ConfigError, match="does not match"):
+        replay.complete(_req("alpha"))
+    with pytest.raises(CassetteMiss):
+        replay.complete(_req("beta"))
+
+
+@pytest.mark.parametrize("field, value", [("version", "v0"),
+                                          ("response_text", None)])
+def test_replay_rejects_a_served_entry_of_another_shape(tmp_path, field,
+                                                        value):
+    cassette = tmp_path / "c.jsonl"
+    RecordGateway(MockGateway(responders={"reasoner": lambda r: "ok"}),
+                  cassette).complete(_req("alpha"))
+    entry = json.loads(cassette.read_text())
+    entry[field] = value
+    cassette.write_text(json.dumps(entry) + "\n")
     with pytest.raises(ConfigError):
-        ReplayGateway(cassette)
+        ReplayGateway(cassette).complete(_req("alpha"))
+
+
+def test_record_appends_after_a_last_line_without_newline(tmp_path):
+    cassette = tmp_path / "c.jsonl"
+    RecordGateway(_CountingEcho(), cassette).complete(_req("alpha"))
+    cassette.write_bytes(cassette.read_bytes().rstrip(b"\n"))
+    recorder = RecordGateway(_CountingEcho(), cassette)
+    assert recorder.complete(_req("beta")) == "echo: beta"
+    assert recorder.complete(_req("alpha")) == "echo: alpha"
+    data = cassette.read_bytes()
+    assert len(data.splitlines()) == len(load_cassette(cassette)) == 2
+    assert recorder.cassette.sha256.hexdigest() == \
+        hashlib.sha256(data).hexdigest()
 
 
 def test_replay_never_opens_sockets(tmp_path, monkeypatch):

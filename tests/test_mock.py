@@ -13,20 +13,27 @@ from pseudoexec.baselines import MethodId
 from pseudoexec.cli import load_dataset, main, write_dataset
 from pseudoexec.engine import run_instance
 from pseudoexec.errors import CassetteMiss
-from pseudoexec.gateway import ChatRequest, load_cassette
+from pseudoexec.gateway import ChatRequest
 from pseudoexec.mock import mock_gateway
 from pseudoexec.tasks import TaskId
 from pseudoexec.tasks.generate import generate_instance
+
+
+def _bundled_entries(cassette_path: Path) -> list[dict]:
+    return [json.loads(line) for line
+            in cassette_path.read_text(encoding="utf-8").splitlines()]
 
 
 def test_bundled_cassette_is_the_mock_answer(replay_fixture_dir,
                                              cassette_path):
     gateway = mock_gateway(load_dataset(replay_fixture_dir, list(TaskId)),
                            0.2)
-    entries = load_cassette(cassette_path).values()
-    assert {e.request.role_tag for e in entries} == {"instructor", "reasoner"}
+    entries = _bundled_entries(cassette_path)
+    assert {e["request"]["role_tag"] for e in entries} == \
+        {"instructor", "reasoner"}
     for entry in entries:
-        assert gateway.complete(entry.request) == entry.response_text
+        assert gateway.complete(ChatRequest(**entry["request"])) == \
+            entry["response_text"]
 
 
 def _run_mock(tmp_path: Path, method: MethodId, per_task: int) -> dict:
@@ -66,6 +73,24 @@ def test_mock_run_pot_runs_the_sandbox(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_mock_reasoner_hashes_each_request_once(monkeypatch):
+    from pseudoexec import gateway, mock
+
+    hashed, original = [], gateway.digest
+
+    def counting(request):
+        hashed.append(request)
+        return original(request)
+
+    monkeypatch.setattr(mock, "digest", counting)
+    monkeypatch.setattr(gateway, "digest", counting)
+    instance = generate_instance(TaskId.NAVIGATE, 1, 3)
+    pred = run_instance(MethodId.DIRECT, instance, None,
+                        mock_gateway([instance]))
+    assert pred.final_answer is not None
+    assert len(hashed) == 1
+
+
 def test_unknown_question_is_a_recorded_gateway_error():
     known = generate_instance(TaskId.NAVIGATE, 1, 3)
     unknown = generate_instance(TaskId.NAVIGATE, 2, 3)
@@ -79,8 +104,8 @@ def test_unknown_question_is_a_recorded_gateway_error():
 
 def test_mock_think_reproduces_bundled_exchange(tmp_path, capsys,
                                                 cassette_path):
-    responses = [e.response_text for e in load_cassette(cassette_path).values()
-                 if e.request.role_tag == "instructor"]
+    responses = [e["response_text"] for e in _bundled_entries(cassette_path)
+                 if e["request"]["role_tag"] == "instructor"]
     assert main(["think", "--task", "web_of_lies", "--mode", "mock",
                  "--out", str(tmp_path)]) == 0
     analysis = (tmp_path / "web_of_lies.analysis.txt").read_text("utf-8")
