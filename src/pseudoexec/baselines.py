@@ -1,14 +1,18 @@
 """Baseline prompting methods (Direct, zero-shot CoT, Plan-and-Solve, NL
-planning, zero-shot PoT), the subprocess sandbox that runs PoT programs, and
-the Prediction every method returns."""
+planning, zero-shot PoT), the sandbox that runs PoT programs, and the
+Prediction every method returns."""
 
 from __future__ import annotations
 
+import contextlib
+import json
 import os
+import select
 import shutil
 import signal
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -30,8 +34,10 @@ class MethodId(Enum):
     ORACLE = "oracle"          # routes through the task solvers, no model
 
 DEFAULT_TIMEOUT_MS = 10_000
-# How long a killed sandbox gets to release its output pipes.
+# How long past the timeout the sandbox server gets to reply before it is
+# killed and replaced.
 _REAP_GRACE_S = 1.0
+_SERVER_SCRIPT = Path(__file__).with_name("sandbox_server.py")
 DEFAULT_INTERPRETER = ("python3",)
 
 FAIL_NO_FINAL_ANSWER = "no_final_answer"
@@ -123,56 +129,135 @@ def _sandbox_env(credential_env: str | None) -> dict[str, str]:
     return env
 
 
+class _SandboxServer:
+    """A running ``sandbox_server.py``, in a session of its own with the
+    scrubbed environment.  It runs one program at a time, each in a child
+    it forks."""
+
+    def __init__(self, interpreter_command: list[str] | tuple[str, ...],
+                 env: dict[str, str]) -> None:
+        try:
+            self.proc = subprocess.Popen(
+                [*interpreter_command, str(_SERVER_SCRIPT)], env=env,
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL, bufsize=0, start_new_session=True)
+        except OSError as exc:
+            raise SpawnFailure(str(exc)) from exc
+
+    def run(self, request: dict, wait_s: float) -> dict | None:
+        """Send one request and read its reply; None if the server gave no
+        reply within ``wait_s``."""
+        try:
+            self.proc.stdin.write(json.dumps(request).encode() + b"\n")
+        except OSError:
+            return None
+        if not select.select([self.proc.stdout], [], [], wait_s)[0]:
+            return None
+        # The server writes each reply line in one write of under PIPE_BUF
+        # bytes, so once the pipe is readable the whole line is there.
+        try:
+            return json.loads(self.proc.stdout.readline())
+        except ValueError:                              # EOF: the server died
+            return None
+
+    def discard(self) -> None:
+        # Not reaped until wait(), so the group id cannot be reused first.
+        if self.proc.poll() is None:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(self.proc.pid, signal.SIGKILL)
+        self.proc.stdin.close()
+        self.proc.stdout.close()
+        self.proc.wait()
+
+
+class _ServerPool:
+    """Idle sandbox servers, at most one per concurrent caller.  A run uses
+    one (interpreter_command, env) key; when the key changes, the idle
+    servers of the old key are discarded rather than kept."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._key: tuple | None = None
+        self._idle: list[_SandboxServer] = []
+
+    def take(self, key: tuple,
+             interpreter_command: list[str] | tuple[str, ...],
+             env: dict[str, str]) -> _SandboxServer:
+        stale: list[_SandboxServer] = []
+        with self._lock:
+            if key != self._key:
+                stale, self._idle, self._key = self._idle, [], key
+            server = self._idle.pop() if self._idle else None
+        if server is not None and server.proc.poll() is not None:
+            stale.append(server)                        # died while idle
+            server = None
+        for dead in stale:
+            dead.discard()
+        return server or _SandboxServer(interpreter_command, env)
+
+    def give(self, key: tuple, server: _SandboxServer) -> None:
+        with self._lock:
+            if key == self._key:
+                self._idle.append(server)
+                return
+        server.discard()
+
+
+_POOL = _ServerPool()
+
+
 def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
                     interpreter_command: list[str] | tuple[str, ...] | None
                     = DEFAULT_INTERPRETER,
                     credential_env: str | None = None) -> SandboxResult:
-    """Run a generated program in a subprocess: empty temp working dir,
-    scrubbed environment, hard kill at the timeout."""
+    """Run a generated program in a child forked from a warm sandbox server:
+    empty temp working dir, stdin from /dev/null, scrubbed environment,
+    resource limits, and its process group killed at the timeout."""
     if not interpreter_command:
         raise InterpreterNotConfigured("no interpreter command configured")
     if timeout_ms <= 0:
         raise ValueError("timeout_ms must be positive")
-    workdir = Path(tempfile.mkdtemp(prefix="pseudoexec-sandbox-"))
+    env = _sandbox_env(credential_env)
+    key = (tuple(interpreter_command), tuple(sorted(env.items())))
+    tmp = Path(tempfile.mkdtemp(prefix="pseudoexec-sandbox-"))
     try:
+        # Output goes outside the program's working directory.
+        workdir = tmp / "work"
+        workdir.mkdir()
         script = workdir / "program.py"
         script.write_text(program, encoding="utf-8")
-        argv = [*interpreter_command, str(script)]
+        server = _POOL.take(key, interpreter_command, env)
         started = time.monotonic()
-        try:
-            # Its own session, so the timeout can kill everything it forks.
-            proc = subprocess.Popen(
-                argv, cwd=workdir, env=_sandbox_env(credential_env),
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                start_new_session=True)
-        except OSError as exc:
-            raise SpawnFailure(str(exc)) from exc
-        with proc:
-            try:
-                stdout, stderr = proc.communicate(timeout=timeout_ms / 1000.0)
-            except subprocess.TimeoutExpired:
-                os.killpg(proc.pid, signal.SIGKILL)
-                try:
-                    stdout, stderr = proc.communicate(timeout=_REAP_GRACE_S)
-                except subprocess.TimeoutExpired as exc:
-                    # A process that left the group still holds the pipes.
-                    stdout, stderr = _as_text(exc.stdout), _as_text(exc.stderr)
-                wall_ms = int((time.monotonic() - started) * 1000)
-                return SandboxResult(
-                    stdout=stdout, stderr=stderr, exit_status=-1,
-                    timed_out=True, wall_time_ms=max(wall_ms, timeout_ms))
+        reply = server.run({"script": str(script),
+                            "stdout": str(tmp / "stdout"),
+                            "stderr": str(tmp / "stderr"),
+                            "timeout_s": timeout_ms / 1000.0},
+                           timeout_ms / 1000.0 + _REAP_GRACE_S)
         wall_ms = int((time.monotonic() - started) * 1000)
+        stdout, stderr = _read_output(tmp / "stdout"), _read_output(
+            tmp / "stderr")
+        if reply is None:
+            server.discard()
+            return SandboxResult(
+                stdout=stdout, stderr=stderr + "\nsandbox server gave no reply",
+                exit_status=-1, timed_out=False, wall_time_ms=wall_ms)
+        _POOL.give(key, server)
+        if reply["timed_out"]:
+            return SandboxResult(
+                stdout=stdout, stderr=stderr, exit_status=-1, timed_out=True,
+                wall_time_ms=max(wall_ms, timeout_ms))
         return SandboxResult(stdout=stdout, stderr=stderr,
-                             exit_status=proc.returncode, timed_out=False,
+                             exit_status=reply["status"], timed_out=False,
                              wall_time_ms=wall_ms)
     finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _as_text(data) -> str:
-    if data is None:
+def _read_output(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8", errors="replace")
+    except FileNotFoundError:
         return ""
-    return data.decode("utf-8", "replace") if isinstance(data, bytes) else data
 
 
 def pot_answer(result: SandboxResult, instance: TaskInstance) -> Prediction:

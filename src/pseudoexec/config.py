@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -65,6 +66,10 @@ class RunConfig:
                 f"max_parallel must be between 1 and {MAX_PARALLEL_CEILING}")
         if not self.interpreter_command:
             raise ConfigError("interpreter_command must be non-empty")
+        if (self.method == MethodId.ZERO_SHOT_POT.value
+                and shutil.which(self.interpreter_command[0]) is None):
+            raise ConfigError(
+                f"interpreter {self.interpreter_command[0]!r} not found")
         if self.sandbox_timeout_ms <= 0:
             raise ConfigError("sandbox_timeout_ms must be positive")
         if not Path(self.dataset_dir).is_dir():

@@ -6,12 +6,16 @@ import ast
 import contextlib
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from pseudoexec import baselines
+from pseudoexec import baselines, sandbox_server
 from pseudoexec.baselines import (MethodId, build_baseline_prompt,
                                   execute_program, extract_program,
                                   pot_answer, pot_seeded_header,
@@ -175,6 +179,94 @@ def test_sandbox_scrubs_credentials(monkeypatch):
         "print('FAKE_CRED' in os.environ, 'SOME_API_KEY' in os.environ)",
         credential_env="FAKE_CRED")
     assert result.stdout.strip() == "False False"
+
+
+def _server_pid() -> int:
+    return int(execute_program("import os\nprint(os.getppid())").stdout)
+
+
+def test_sandbox_reuses_its_server():
+    assert _server_pid() == _server_pid() != os.getpid()
+
+
+def test_sandbox_programs_do_not_share_state():
+    execute_program("import builtins\nbuiltins.LEAK = 1")
+    result = execute_program("import builtins\nprint(hasattr(builtins, 'LEAK'))")
+    assert result.stdout == "False\n"
+
+
+def test_sandbox_concurrent_programs_keep_their_own_stdout():
+    def run(tag: str) -> str:
+        return execute_program(
+            f"import time\nfor _ in range(5):\n"
+            f"    print({tag!r}, flush=True)\n    time.sleep(0.05)\n").stdout
+
+    with ThreadPoolExecutor(2) as pool:
+        outputs = list(pool.map(run, ["a", "b"]))
+    assert outputs == ["a\n" * 5, "b\n" * 5]
+
+
+def test_sandbox_stdin_is_empty():
+    result = execute_program(
+        "try:\n    input()\nexcept EOFError:\n    print('eof')",
+        timeout_ms=2000)
+    assert result.stdout == "eof\n" and not result.timed_out
+
+
+def test_sandbox_replaces_a_killed_server():
+    first = _server_pid()
+    os.kill(first, signal.SIGKILL)
+    deadline = time.monotonic() + 5
+    while _running(first) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _server_pid() != first
+
+
+def test_sandbox_program_that_kills_its_parent_spares_the_harness():
+    # Run in a subprocess of its own, so a regression kills that, not pytest.
+    script = textwrap.dedent("""
+        from pseudoexec.baselines import execute_program
+        first = execute_program(
+            "import os, signal\\nos.kill(os.getppid(), signal.SIGKILL)")
+        print(first.exit_status, first.stderr.strip().splitlines()[-1])
+        print(execute_program("print('alive')").stdout.strip())
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(baselines.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["-1 sandbox server gave no reply",
+                                        "alive"]
+
+
+def test_sandbox_sets_resource_limits():
+    result = execute_program(
+        "import resource\n"
+        "for name in ('CPU', 'AS', 'FSIZE', 'NOFILE'):\n"
+        "    print(resource.getrlimit(getattr(resource, 'RLIMIT_' + name)))",
+        timeout_ms=2500)
+    assert result.stdout.splitlines() == [
+        str((n, n)) for n in (sandbox_server.cpu_limit_s(2.5),
+                              sandbox_server.ADDRESS_SPACE_LIMIT,
+                              sandbox_server.FILE_SIZE_LIMIT,
+                              sandbox_server.OPEN_FILES_LIMIT)]
+
+
+def test_sandbox_memory_limit_stops_a_large_allocation():
+    result = execute_program(
+        f"x = bytearray({2 * sandbox_server.ADDRESS_SPACE_LIMIT})")
+    failure = pot_answer(result, _nav()).failure
+    assert failure.startswith("sandbox_error") and "MemoryError" in failure
+
+
+def test_sandbox_file_size_limit_stops_a_large_write():
+    result = execute_program(
+        "with open('big', 'wb') as f:\n"
+        f"    f.write(bytes({sandbox_server.FILE_SIZE_LIMIT}))\n"
+        "    f.write(b'x')\n")
+    assert result.exit_status == 1
+    assert "File too large" in result.stderr
 
 
 def test_sandbox_requires_interpreter():
