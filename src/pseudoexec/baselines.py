@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import InterpreterNotConfigured, MissingAsset, SpawnFailure
+from .errors import MissingAsset, SpawnFailure
 from .prompts import (FENCE_RE, PromptAsset, load_asset_text, load_taskinfo,
                       render)
 from .tasks import YES_NO_TASKS, TaskInstance
@@ -146,15 +146,34 @@ class _SandboxServer:
 
     def run(self, request: dict, wait_s: float) -> dict | None:
         """Send one request and read its reply; None if the server gave no
-        reply within ``wait_s``."""
+        reply within ``wait_s``, in which case the program's process group
+        has been killed."""
+        deadline = time.monotonic() + wait_s
         try:
             self.proc.stdin.write(json.dumps(request).encode() + b"\n")
         except OSError:
             return None
+        started = self._read_line(deadline)
+        if started is None:
+            return None
+        try:
+            pidfd = os.pidfd_open(started["pid"])
+        except ProcessLookupError:          # already reaped: nothing to kill
+            return self._read_line(deadline)
+        try:
+            reply = self._read_line(deadline)
+            if reply is None:
+                _kill_program_group(pidfd, started["pid"])
+            return reply
+        finally:
+            os.close(pidfd)
+
+    def _read_line(self, deadline: float) -> dict | None:
+        wait_s = max(0.0, deadline - time.monotonic())
         if not select.select([self.proc.stdout], [], [], wait_s)[0]:
             return None
-        # The server writes each reply line in one write of under PIPE_BUF
-        # bytes, so once the pipe is readable the whole line is there.
+        # Each line comes in one write of under PIPE_BUF bytes, so once the
+        # pipe is readable the whole line is there.
         try:
             return json.loads(self.proc.stdout.readline())
         except ValueError:                              # EOF: the server died
@@ -168,6 +187,20 @@ class _SandboxServer:
         self.proc.stdin.close()
         self.proc.stdout.close()
         self.proc.wait()
+
+
+def _kill_program_group(pidfd: int, pid: int) -> None:
+    """SIGKILL the process group a program leads (it called setsid, so the
+    group id is its pid) after its server gave no reply.  The server reaps a
+    program only just before it replies, so the pidfd, opened when the pid
+    was reported, names the program; while it is live the pid, and so the
+    group id, cannot have been reused."""
+    try:
+        signal.pidfd_send_signal(pidfd, 0)
+    except ProcessLookupError:
+        return
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(pid, signal.SIGKILL)
 
 
 class _ServerPool:
@@ -214,7 +247,7 @@ def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
     empty temp working dir, stdin from /dev/null, scrubbed environment,
     resource limits, and its process group killed at the timeout."""
     if not interpreter_command:
-        raise InterpreterNotConfigured("no interpreter command configured")
+        raise ValueError("no interpreter command configured")
     if timeout_ms <= 0:
         raise ValueError("timeout_ms must be positive")
     env = _sandbox_env(credential_env)

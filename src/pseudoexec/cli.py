@@ -15,8 +15,9 @@ from .errors import MalformedDataset, PseudoexecError
 from .evaluator import (EvalReport, TaskTally, evaluate_run, render_report)
 from .gateway import Gateway, LiveGateway, RecordGateway, ReplayGateway
 from .mock import mock_gateway
-from .prompts import (PromptAsset, ablate_prompt, default_demo_pool,
-                      load_nl_plan, load_pseudocode, run_think)
+from .prompts import (PSEUDOCODE_SOURCES, PromptAsset, ablate_prompt,
+                      default_demo_pool, load_nl_plan, load_pseudocode,
+                      run_think)
 from .tasks import TaskId, TaskInstance, make_instance
 
 TASK_CHOICES = [t.value for t in TaskId]
@@ -45,7 +46,7 @@ def load_dataset(dataset_dir: Path,
     for task in tasks:
         path = dataset_dir / f"{task.value}.jsonl"
         if not path.is_file():
-            raise MalformedDataset(f"missing dataset file {path}", path=path)
+            raise MalformedDataset(f"missing dataset file {path}")
         for index, line in enumerate(
                 path.read_text(encoding="utf-8").splitlines()):
             if not line.strip():
@@ -56,8 +57,7 @@ def load_dataset(dataset_dir: Path,
                     task, obj["input_text"], obj["target"]))
             except (KeyError, ValueError) as exc:
                 raise MalformedDataset(
-                    f"{path} record {index}: {exc}",
-                    path=path, index=index) from exc
+                    f"{path} record {index}: {exc}") from exc
     return instances
 
 
@@ -107,23 +107,26 @@ def cmd_ingest(args) -> int:
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
-            raise MalformedDataset(f"{path}: {exc}", path=path) from exc
+            raise MalformedDataset(f"{path}: {exc}") from exc
         examples = data.get("examples")
         if not isinstance(examples, list):
-            raise MalformedDataset(f"{path}: no 'examples' array", path=path)
+            raise MalformedDataset(f"{path}: no 'examples' array")
         count = 0
         for index, record in enumerate(examples):
             if not isinstance(record, dict) or \
                     "input" not in record or "target" not in record:
                 raise MalformedDataset(
-                    f"{path} record {index}: needs 'input' and 'target'",
-                    path=path, index=index)
-            instances.append(make_instance(
-                task, record["input"], record["target"]))
+                    f"{path} record {index}: needs 'input' and 'target'")
+            try:
+                instances.append(make_instance(
+                    task, record["input"], record["target"]))
+            except ValueError as exc:
+                raise MalformedDataset(
+                    f"{path} record {index}: {exc}") from exc
             count += 1
         print(f"{task.value}: {count}")
     if not instances:
-        raise MalformedDataset(f"no task files found under {src}", path=src)
+        raise MalformedDataset(f"no task files found under {src}")
     write_dataset(instances, out)
     print(f"normalized fixtures written to {out}")
     return 0
@@ -303,7 +306,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", parents=[common],
                        help="print a prompt with comments/semantics stripped")
     p.add_argument("--task", required=True, choices=TASK_CHOICES)
-    p.add_argument("--source", choices=("human", "generated"),
+    p.add_argument("--source", choices=PSEUDOCODE_SOURCES,
                    default="human")
     p.add_argument("--out")
     return parser

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .baselines import DEFAULT_TIMEOUT_MS, MethodId
 from .errors import ConfigError
+from .prompts import PSEUDOCODE_SOURCES
 from .tasks import TaskId
 
 MODES = ("live", "record", "replay", "mock")
@@ -70,6 +71,9 @@ class RunConfig:
                 and shutil.which(self.interpreter_command[0]) is None):
             raise ConfigError(
                 f"interpreter {self.interpreter_command[0]!r} not found")
+        if self.pseudocode_source not in PSEUDOCODE_SOURCES:
+            raise ConfigError(
+                f"pseudocode_source must be one of {PSEUDOCODE_SOURCES}")
         if self.sandbox_timeout_ms <= 0:
             raise ConfigError("sandbox_timeout_ms must be positive")
         if not Path(self.dataset_dir).is_dir():

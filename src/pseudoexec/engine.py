@@ -9,8 +9,7 @@ import re
 from .baselines import (DEFAULT_INTERPRETER, DEFAULT_TIMEOUT_MS,
                         FAIL_GATEWAY, FAIL_NO_FINAL_ANSWER, MethodId,
                         Prediction, build_baseline_prompt, run_pot_instance)
-from .errors import (GatewayError, MissingAsset, MissingFunctionName,
-                     NoFinalAnswer)
+from .errors import GatewayError, MissingAsset
 from .gateway import ChatRequest, Gateway
 from .prompts import PromptAsset, escape_instance, load_asset_text, render
 from .tasks import TaskInstance
@@ -22,7 +21,7 @@ def build_execute_prompt(pseudocode: PromptAsset,
                          instance: TaskInstance) -> tuple[str, str]:
     """Returns (system, user) for the execution-simulation call."""
     if not pseudocode.function_name:
-        raise MissingFunctionName("execute prompt needs a function name")
+        raise ValueError("execute prompt needs a function name")
     system = load_asset_text("meta/execute_system.txt")
     user = render(load_asset_text("meta/execute.txt"), {
         "prompt": pseudocode.body,
@@ -32,13 +31,12 @@ def build_execute_prompt(pseudocode: PromptAsset,
     return system, user
 
 
-def extract_final_answer(transcript: str) -> str:
-    """Text after the LAST "Final answer:" marker, to end of line, trimmed.
-    Matching is case-sensitive; ":"/":  " spacing variants both work."""
+def extract_final_answer(transcript: str) -> str | None:
+    """Text after the LAST "Final answer:" marker, to end of line, trimmed;
+    None when there is no marker.  Matching is case-sensitive; ":"/":  "
+    spacing variants both work."""
     matches = _MARKER_RE.findall(transcript)
-    if not matches:
-        raise NoFinalAnswer("marker not found in transcript")
-    return matches[-1].strip()
+    return matches[-1].strip() if matches else None
 
 
 def run_instance(method: MethodId, instance: TaskInstance,
@@ -70,9 +68,8 @@ def run_instance(method: MethodId, instance: TaskInstance,
     if method is MethodId.ZERO_SHOT_POT:
         return run_pot_instance(instance, response, interpreter_command,
                                 sandbox_timeout_ms, credential_env)
-    try:
-        answer = extract_final_answer(response)
-    except NoFinalAnswer:
+    answer = extract_final_answer(response)
+    if answer is None:
         return Prediction(transcript=response, final_answer=None,
                           failure=FAIL_NO_FINAL_ANSWER)
     return Prediction(transcript=response, final_answer=answer)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the harness."""
+"""Exception hierarchy shared across the harness.  A class exists when some
+code catches it by type or when ``pseudoexec`` can print it as
+``error: <Name>``; argument checks that no command can reach raise
+``ValueError``."""
 
 
 class PseudoexecError(Exception):
@@ -11,68 +14,18 @@ class ParseUnsupported(PseudoexecError):
     """Instance text falls outside the implemented grammar for its task."""
 
 
-class UnbalancedInput(ParseUnsupported):
-    """A closing bracket arrived with an empty or mismatched stack."""
-
-
-class UnsupportedCommand(ParseUnsupported):
-    """SVG path contains an opcode outside the supported M/L/A set."""
-
-
 class NoMatchingOption(PseudoexecError):
-    """The computed answer does not appear among the listed options."""
-
-
-class NoFreeSlot(PseudoexecError):
-    """Every candidate time slot conflicts with a sighting."""
-
-
-class AmbiguousFreeSlot(PseudoexecError):
-    """More than one candidate time slot is free."""
-
-
-class UnknownParty(ParseUnsupported):
-    """A swap names a party that was never declared."""
-
-
-class ForwardReference(ParseUnsupported):
-    """A statement references a person whose truth value is still unknown."""
-
-
-class MissingQuestion(ParseUnsupported):
-    """No final question was found in the statement chain."""
-
-
-class SizeOutOfRange(PseudoexecError):
-    """Requested instance size is outside the generator's supported range."""
+    """No single listed option matches the computed answer."""
 
 
 # --- prompt assembly ---
-
-class InsufficientDemos(PseudoexecError):
-    """Fewer than three eligible demonstration tasks are available."""
-
-
-class MissingFunctionName(PseudoexecError):
-    """No registered function name is available for the requested task."""
-
 
 class MalformedPseudocode(PseudoexecError):
     """A model response contains no function definition with the expected name."""
 
 
-class LexError(PseudoexecError):
-    """Pseudocode body cannot be tokenized."""
-
-
 class MissingAsset(PseudoexecError):
     """A method requires a task-level asset that was not provided."""
-
-
-# --- execute engine ---
-
-class NoFinalAnswer(PseudoexecError):
-    """Transcript contains no "Final answer:" marker."""
 
 
 # --- gateway ---
@@ -95,10 +48,6 @@ class RateLimited(TransportError):
 
 # --- sandbox ---
 
-class InterpreterNotConfigured(PseudoexecError):
-    """No external interpreter command is configured for program execution."""
-
-
 class SpawnFailure(PseudoexecError):
     """The sandbox subprocess could not be started."""
 
@@ -107,11 +56,6 @@ class SpawnFailure(PseudoexecError):
 
 class MalformedDataset(PseudoexecError):
     """A dataset file is missing required fields."""
-
-    def __init__(self, message, path=None, index=None):
-        super().__init__(message)
-        self.path = path
-        self.index = index
 
 
 class ConfigError(PseudoexecError):

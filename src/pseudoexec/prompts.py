@@ -11,13 +11,14 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import (InsufficientDemos, MalformedPseudocode, MissingAsset,
-                     MissingFunctionName)
+from .errors import MalformedPseudocode, MissingAsset
 from .gateway import ChatRequest, Gateway
 from .pseudolex import ablate_text, text_features
 from .tasks import FUNCTION_NAMES, TaskId
 
 _DEF_RE = r"^[ \t]*def[ \t]+{name}[ \t]*\("
+# The bundled pseudocode prompt sets: assets/<source>/<task>.txt.
+PSEUDOCODE_SOURCES = ("human", "generated")
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def load_asset_text(relpath: str) -> str:
 
 
 def load_pseudocode(task: TaskId, source: str = "human") -> PromptAsset:
-    if source not in ("human", "generated"):
+    if source not in PSEUDOCODE_SOURCES:
         raise ValueError(f"unknown pseudocode source {source!r}")
     return PromptAsset(body=load_asset_text(f"{source}/{task.value}.txt"),
                        task=task,
@@ -150,8 +151,7 @@ def sample_demos(demos: dict[TaskId, PoolEntry], seed: int,
         (t for t in demos if t != target_task),
         key=lambda t: t.value)
     if len(eligible) < 3:
-        raise InsufficientDemos(
-            f"need 3 demo tasks, have {len(eligible)}")
+        raise ValueError(f"need 3 demo tasks, have {len(eligible)}")
     rng = random.Random(f"demos:{seed}")
     chosen = rng.sample(eligible, 3)
     return [demos[t] for t in chosen]
@@ -197,9 +197,7 @@ def build_code_meta_prompt(target_task: TaskId, analysis: str,
                            demos: dict[TaskId, PoolEntry], seed: int) -> str:
     if not analysis:
         raise ValueError("analysis must be non-empty")
-    function_name = FUNCTION_NAMES.get(target_task)
-    if not function_name:
-        raise MissingFunctionName(str(target_task))
+    function_name = FUNCTION_NAMES[target_task]
     picked = sample_demos(demos, seed, target_task)
     target_info = load_taskinfo(target_task)
     mapping: dict[str, str] = {

@@ -14,8 +14,6 @@ import keyword
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import LexError
-
 
 class TokKind(Enum):
     COMMENT = "comment"
@@ -99,7 +97,7 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(TokKind.OP, ch))
             i += 1
         else:
-            raise LexError(f"untokenizable byte {ch!r} at offset {i}")
+            raise ValueError(f"untokenizable byte {ch!r} at offset {i}")
     return tokens
 
 
@@ -226,16 +224,8 @@ def text_features(text: str, main_function: str | None = None) -> dict:
         1 for line in lines
         if any(t.kind is TokKind.COMMENT for t in line)
         or _is_docstring_line(line))
-    variables: list[str] = []
-    prev_sig: Token | None = None
-    for tok in tokens:
-        if (tok.kind is TokKind.NAME and tok.text not in RESERVED_NAMES
-                and tok.text not in defs
-                and not (prev_sig is not None and prev_sig.text == ".")
-                and tok.text not in variables):
-            variables.append(tok.text)
-        if tok.kind not in (TokKind.WS, TokKind.NEWLINE):
-            prev_sig = tok
+    variables = [name for name in rename_identifiers(tokens)[1]
+                 if name not in defs]
     keywords_used = {t.text for t in sig if t.kind is TokKind.NAME}
     return {
         "has_loop": bool(keywords_used & {"for", "while"}),

@@ -3,10 +3,11 @@ per program, so no program pays for interpreter start-up.
 
 Run as ``<interpreter> sandbox_server.py``.  Each line on stdin is a JSON
 request ``{"script", "stdout", "stderr", "timeout_s"}``; the server forks a
-child that runs ``script`` as ``python script`` would, in the script's
-directory, with stdin from /dev/null, stdout and stderr written to the named
-files and resource limits set.  Once the child has ended it replies with one
-line ``{"status", "timed_out"}``.  At ``timeout_s`` it kills the child's
+child that runs ``script`` as ``python script`` would, in a session of its
+own and the script's directory, with stdin from /dev/null, stdout and stderr
+written to the named files and resource limits set.  The child first writes
+one line ``{"pid"}``; once it has ended the server replies with one line
+``{"status", "timed_out"}``.  At ``timeout_s`` it kills the child's
 process group, and it always kills whatever the program left in that group.
 It exits when stdin reaches EOF.
 
@@ -70,9 +71,8 @@ def _exit_status(code) -> int:
 
 def _run_child(script: str, stdout: str, stderr: str,
                timeout_s: float) -> int:
-    """In the forked child: set up like ``python script`` in a fresh
-    session, run the program and return its exit status."""
-    os.setsid()
+    """In the forked child: set up like ``python script``, run the program
+    and return its exit status."""
     _redirect(os.devnull, 0, os.O_RDONLY)
     _redirect(stdout, 1, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
     _redirect(stderr, 2, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
@@ -105,13 +105,19 @@ def _run_child(script: str, stdout: str, stderr: str,
     return status
 
 
-def _serve(request: dict, server_fds: tuple[int, ...]) -> dict:
+def _serve(request: dict, requests_fd: int, replies_fd: int) -> dict:
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            for fd in server_fds:
-                os.close(fd)
+            os.close(requests_fd)
+            os.setsid()
+            # Sent by the group leader before any program code runs, so the
+            # harness can kill the group even if the program kills this
+            # server.  One write of under PIPE_BUF bytes, before the reply.
+            os.write(replies_fd,
+                     (json.dumps({"pid": os.getpid()}) + "\n").encode())
+            os.close(replies_fd)
             status = _run_child(**request)
         finally:
             os._exit(status)
@@ -140,7 +146,7 @@ def main() -> None:
     os.dup2(null, 1)
     os.close(null)
     for line in requests:
-        reply = _serve(json.loads(line), (requests.fileno(), replies))
+        reply = _serve(json.loads(line), requests.fileno(), replies)
         os.write(replies, (json.dumps(reply) + "\n").encode())
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import ParseUnsupported, UnbalancedInput
+from ..errors import ParseUnsupported
 
 PAIRS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 CLOSERS = {v: k for k, v in PAIRS.items()}
@@ -35,8 +35,8 @@ def solve_dyck(input_text: str) -> str:
             stack.append(ch)
         else:
             if not stack:
-                raise UnbalancedInput(f"{ch!r} with empty stack")
+                raise ParseUnsupported(f"{ch!r} with empty stack")
             if PAIRS[stack[-1]] != ch:
-                raise UnbalancedInput(f"{ch!r} does not match open {stack[-1]!r}")
+                raise ParseUnsupported(f"{ch!r} does not match open {stack[-1]!r}")
             stack.pop()
     return " ".join(PAIRS[ch] for ch in reversed(stack))

@@ -13,7 +13,6 @@ from . import TaskId, TaskInstance, make_instance
 from .colored import COLORS, NUMBER_WORDS
 from .dyck import PAIRS
 from .geometric import classify_path, parse_path
-from ..errors import SizeOutOfRange
 
 MAX_SIZE = 200
 
@@ -39,7 +38,7 @@ _ACTIVITIES = ("getting a coffee at the cafe",
 
 def _check_size(size: int) -> None:
     if not 0 <= size <= MAX_SIZE:
-        raise SizeOutOfRange(f"size {size} outside [0, {MAX_SIZE}]")
+        raise ValueError(f"size {size} outside [0, {MAX_SIZE}]")
 
 
 def generate_instance(task: TaskId, seed: int, size: int) -> TaskInstance:

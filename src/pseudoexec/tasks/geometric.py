@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import TaskInstance
-from ..errors import NoMatchingOption, ParseUnsupported, UnsupportedCommand
+from ..errors import NoMatchingOption, ParseUnsupported
 
 # Absolute tolerance for coordinate equality and for right-angle tests on
 # unit-normalized dot products.
@@ -49,7 +49,7 @@ def parse_path(d: str) -> list[PathCommand]:
                 raise ParseUnsupported(f"A expects 7 parameters, got {nums}")
             commands.append(PathCommand(Opcode.ARC, tuple(nums)))
         else:
-            raise UnsupportedCommand(f"unsupported SVG opcode {letter!r}")
+            raise ParseUnsupported(f"unsupported SVG opcode {letter!r}")
     if not commands or commands[0].opcode is not Opcode.MOVE_TO:
         raise ParseUnsupported("path must start with a MoveTo")
     return commands

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from . import TaskInstance
-from ..errors import ParseUnsupported, UnknownParty
+from ..errors import ParseUnsupported
 
 _INITIAL = re.compile(r"(?P<name>[A-Z][a-z]+) has an? (?P<item>[a-z ]+?)(?=,|\.|$)")
 _SWAP = re.compile(r"(?P<a>[A-Z][a-z]+) and (?P<b>[A-Z][a-z]+) swap (?:balls|books|gifts|places|partners)")
@@ -29,9 +29,9 @@ def final_holdings(input_text: str) -> dict[str, str]:
     holdings = parse_holdings(input_text)
     for a, b in parse_swaps(input_text):
         if a not in holdings:
-            raise UnknownParty(a)
+            raise ParseUnsupported(f"unknown party {a!r}")
         if b not in holdings:
-            raise UnknownParty(b)
+            raise ParseUnsupported(f"unknown party {b!r}")
         holdings[a], holdings[b] = holdings[b], holdings[a]
     return holdings
 
@@ -44,5 +44,5 @@ def solve_shuffled(instance: TaskInstance) -> str:
         raise ParseUnsupported("no final query found")
     name = m.group("name")
     if name not in holdings:
-        raise UnknownParty(name)
+        raise ParseUnsupported(f"unknown party {name!r}")
     return instance.tag_of(holdings[name])

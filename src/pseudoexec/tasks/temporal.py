@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 
 from . import TaskInstance
-from ..errors import AmbiguousFreeSlot, NoFreeSlot, ParseUnsupported
+from ..errors import NoMatchingOption, ParseUnsupported
 
 _WAKE = re.compile(r"woke up at (\d{1,2}(?:am|pm))")
 _SIGHTING = re.compile(r"from (\d{1,2}(?:am|pm)) to (\d{1,2}(?:am|pm))")
@@ -20,10 +20,6 @@ class Interval:
 
     start_minute: int
     end_minute: int
-
-    def __post_init__(self):
-        if not (0 <= self.start_minute < self.end_minute <= 1440):
-            raise ValueError(f"bad interval: {self}")
 
     def overlaps(self, other: "Interval") -> bool:
         return self.start_minute < other.end_minute and other.start_minute < self.end_minute
@@ -46,11 +42,19 @@ def parse_clock(text: str) -> int:
     return hour * 60
 
 
+def _clock_span(start: str, end: str) -> Interval:
+    """The interval between two clock times read from instance text."""
+    start_minute, end_minute = parse_clock(start), parse_clock(end)
+    if start_minute >= end_minute:
+        raise ParseUnsupported(f"span ends before it starts: {start} to {end}")
+    return Interval(start_minute, end_minute)
+
+
 def parse_span(text: str) -> Interval:
     m = _SPAN.match(text.strip())
     if not m:
         raise ParseUnsupported(f"bad time span: {text!r}")
-    return Interval(parse_clock(m.group(1)), parse_clock(m.group(2)))
+    return _clock_span(m.group(1), m.group(2))
 
 
 def parse_schedule(input_text: str) -> tuple[Interval, list[Interval]]:
@@ -62,9 +66,8 @@ def parse_schedule(input_text: str) -> tuple[Interval, list[Interval]]:
         raise ParseUnsupported("no wake-up statement found")
     if not closed:
         raise ParseUnsupported("no closing statement found")
-    window = Interval(parse_clock(wake.group(1)), parse_clock(closed.group(1)))
-    busy = [Interval(parse_clock(a), parse_clock(b))
-            for a, b in _SIGHTING.findall(body)]
+    window = _clock_span(wake.group(1), closed.group(1))
+    busy = [_clock_span(a, b) for a, b in _SIGHTING.findall(body)]
     return window, busy
 
 
@@ -77,7 +80,7 @@ def solve_temporal(instance: TaskInstance) -> str:
         if slot.within(window) and not any(slot.overlaps(b) for b in busy):
             free.append(tag)
     if not free:
-        raise NoFreeSlot("every option conflicts with the schedule")
+        raise NoMatchingOption("every option conflicts with the schedule")
     if len(free) > 1:
-        raise AmbiguousFreeSlot(f"multiple free options: {free}")
+        raise NoMatchingOption(f"multiple free options: {free}")
     return free[0]

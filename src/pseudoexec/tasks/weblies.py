@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 
-from ..errors import ForwardReference, MissingQuestion, ParseUnsupported
+from ..errors import ParseUnsupported
 
 _GROUND = re.compile(r"^(?P<name>[A-Z][a-z]+) (?P<verb>tells the truth|lies)$")
 _SAYS = re.compile(
@@ -25,7 +25,7 @@ def parse_chain(input_text: str):
         else:
             statements.append(part)
     if question is None:
-        raise MissingQuestion("no final question found")
+        raise ParseUnsupported("no final question found")
     return statements, question
 
 
@@ -41,7 +41,7 @@ def build_truth_map(statements: list[str]) -> dict[str, bool]:
         if m:
             about = m.group("about")
             if about not in truth:
-                raise ForwardReference(
+                raise ParseUnsupported(
                     f"{m.group('speaker')!r} references {about!r} before grounding")
             claimed = m.group("verb") == "tells the truth"
             truth[m.group("speaker")] = truth[about] == claimed
@@ -54,5 +54,5 @@ def solve_web_of_lies(input_text: str) -> str:
     statements, question = parse_chain(input_text)
     truth = build_truth_map(statements)
     if question not in truth:
-        raise ForwardReference(f"question names unknown person {question!r}")
+        raise ParseUnsupported(f"question names unknown person {question!r}")
     return "Yes" if truth[question] else "No"

@@ -20,7 +20,7 @@ from pseudoexec.baselines import (MethodId, build_baseline_prompt,
                                   execute_program, extract_program,
                                   pot_answer, pot_seeded_header,
                                   run_pot_instance)
-from pseudoexec.errors import InterpreterNotConfigured, MissingAsset
+from pseudoexec.errors import MissingAsset
 from pseudoexec.prompts import load_nl_plan
 from pseudoexec.tasks import TaskId, make_instance
 
@@ -144,6 +144,22 @@ def test_sandbox_timeout_kills_what_the_program_forked():
     while _running(child) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not _running(child), "the forked child outlived the timeout"
+
+
+def test_sandbox_kills_a_program_that_killed_its_server():
+    # The program outlives its server's timeout enforcement; the harness
+    # must kill it when the server gives no reply.
+    result = execute_program(
+        "import os, signal, time\n"
+        "print(os.getpid(), flush=True)\n"
+        "os.kill(os.getppid(), signal.SIGKILL)\n"
+        "time.sleep(30)\n", timeout_ms=1000)
+    assert result.stderr.endswith("sandbox server gave no reply")
+    program = int(result.stdout.split()[0])
+    deadline = time.monotonic() + 2
+    while _running(program) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(program), "the program outlived its server"
 
 
 def test_sandbox_timeout_returns_when_a_child_left_the_group():
@@ -270,7 +286,7 @@ def test_sandbox_file_size_limit_stops_a_large_write():
 
 
 def test_sandbox_requires_interpreter():
-    with pytest.raises(InterpreterNotConfigured):
+    with pytest.raises(ValueError, match="no interpreter command configured"):
         execute_program("print(1)", interpreter_command=[])
 
 

@@ -66,6 +66,19 @@ def test_ingest_rejects_missing_target(tmp_path):
     assert main(["ingest", str(src)]) == 2
 
 
+def test_ingest_rejects_a_target_its_task_rejects(tmp_path, capsys):
+    src = tmp_path / "bbh"
+    src.mkdir()
+    good = generate_instance(TaskId.NAVIGATE, 0, 3)
+    (src / "navigate.json").write_text(json.dumps({"examples": [
+        {"input": good.input_text, "target": good.target},
+        {"input": good.input_text, "target": "Maybe"}]}), encoding="utf-8")
+    assert main(["ingest", str(src)]) == 2
+    assert (f"error: MalformedDataset: {src / 'navigate.json'} record 1: "
+            "navigate: target must be Yes or No") in capsys.readouterr().err
+    assert not (src / "normalized").exists()
+
+
 def test_run_replay_deterministic(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
@@ -87,7 +100,8 @@ def test_run_unknown_task_in_config(tmp_path):
 
 @pytest.mark.parametrize("sandbox", [
     {"interpreter_command": []}, {"sandbox_timeout_ms": 0},
-    {"interpreter_command": ["no-such-python-xyz"]}])
+    {"interpreter_command": ["no-such-python-xyz"]},
+    {"pseudocode_source": "bogus"}])
 def test_run_rejects_unusable_sandbox_config(tmp_path, capsys, sandbox):
     config = _write_config(tmp_path, mode="mock", cassette_path=None,
                            method="zero_shot_pot", tasks=["navigate"],

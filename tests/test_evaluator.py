@@ -126,6 +126,19 @@ def test_evaluate_run_counts_parse_unsupported_as_incorrect():
         assert tally.parse_unsupported == 1
 
 
+def test_oracle_run_records_an_inverted_time_span():
+    good = generate_instance(TaskId.TEMPORAL_SEQUENCES, 1, 3)
+    schedule = good.input_text
+    for inverted in (schedule.replace("from 7am to 2pm", "from 9am to 1am"),
+                     schedule.replace("closed after 5pm", "closed after 4am")):
+        assert inverted != schedule
+        bad = make_instance(TaskId.TEMPORAL_SEQUENCES, inverted, good.target)
+        report = evaluate_run(MethodId.ORACLE, [bad, good], None)
+        tally = report.per_task[TaskId.TEMPORAL_SEQUENCES]
+        assert (tally.total, tally.correct, tally.parse_unsupported) == \
+            (2, 1, 1)
+
+
 def test_average_is_unweighted_across_tasks():
     report = EvalReport(method=MethodId.ORACLE, model_id="m", per_task={
         TaskId.NAVIGATE: TaskTally(correct=1, total=1),        # 100%

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from pseudoexec.errors import (CassetteMiss, InsufficientDemos,
-                               MalformedPseudocode)
+from pseudoexec.errors import CassetteMiss, MalformedPseudocode
 from pseudoexec.gateway import MockGateway
 from pseudoexec.prompts import (PoolEntry, build_analysis_meta_prompt,
                                 build_code_meta_prompt, build_nl_plan_prompt,
@@ -57,7 +56,7 @@ def test_sampling_reproducible_and_exclusive(pool):
 
 
 def test_insufficient_demos():
-    with pytest.raises(InsufficientDemos):
+    with pytest.raises(ValueError, match="need 3 demo tasks, have 0"):
         sample_demos({}, 0, None)
 
 

@@ -29,9 +29,8 @@ def test_tokenize_is_lossless_on_arbitrary_text(text):
 
 
 def test_control_bytes_raise_lex_error():
-    from pseudoexec.errors import LexError
-
-    with pytest.raises(LexError):
+    with pytest.raises(ValueError,
+                       match=r"untokenizable byte '\\x1f' at offset 0"):
         tokenize("\x1f")
 
 
