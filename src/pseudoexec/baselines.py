@@ -4,6 +4,7 @@ Prediction every method returns."""
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import json
 import os
@@ -21,7 +22,7 @@ from pathlib import Path
 from .errors import MissingAsset, SpawnFailure
 from .prompts import (FENCE_RE, PromptAsset, load_asset_text, load_taskinfo,
                       render)
-from .tasks import YES_NO_TASKS, TaskInstance
+from .tasks import TASKS, TaskInstance
 
 
 class MethodId(Enum):
@@ -235,8 +236,16 @@ class _ServerPool:
                 return
         server.discard()
 
+    def discard_idle(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for server in idle:
+            server.discard()
+
 
 _POOL = _ServerPool()
+# Idle servers would otherwise outlive the harness, unwaited for.
+atexit.register(_POOL.discard_idle)
 
 
 def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
@@ -306,7 +315,7 @@ def pot_answer(result: SandboxResult, instance: TaskInstance) -> Prediction:
         failure = f"{FAIL_SANDBOX}: empty stdout"
     else:
         answer = lines[-1].strip()
-        if instance.task in YES_NO_TASKS:
+        if TASKS[instance.task].answers == "yes_no":
             answer = {"True": "Yes", "False": "No"}.get(answer, answer)
         return Prediction(transcript=result.stdout, final_answer=answer)
     return Prediction(transcript=result.stdout, final_answer=None,

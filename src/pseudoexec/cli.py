@@ -53,6 +53,8 @@ def load_dataset(dataset_dir: Path,
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("not a JSON object")
                 instances.append(make_instance(
                     task, obj["input_text"], obj["target"]))
             except (KeyError, ValueError) as exc:
@@ -108,7 +110,7 @@ def cmd_ingest(args) -> int:
             data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise MalformedDataset(f"{path}: {exc}") from exc
-        examples = data.get("examples")
+        examples = data.get("examples") if isinstance(data, dict) else None
         if not isinstance(examples, list):
             raise MalformedDataset(f"{path}: no 'examples' array")
         count = 0

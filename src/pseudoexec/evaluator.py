@@ -10,7 +10,7 @@ from .baselines import MethodId, Prediction
 from .engine import run_instance
 from .errors import ParseUnsupported, PseudoexecError
 from .prompts import PromptAsset
-from .tasks import SHORT_CODES, TaskId, TaskInstance, solve
+from .tasks import TASKS, TaskId, TaskInstance, solve
 
 FAIL_PARSE_UNSUPPORTED = "parse_unsupported"
 
@@ -131,7 +131,7 @@ def render_report(report: EvalReport, format: str = "markdown") -> str:
     cells = [_percent(report.per_task.get(task, TaskTally()).accuracy)
              for task in TaskId]
     cells.append(_percent(report.average_accuracy))
-    headers = [SHORT_CODES[task] for task in TaskId] + ["Avg"]
+    headers = [TASKS[task].short_code for task in TaskId] + ["Avg"]
     method_name = report.method.value
     if format == "markdown":
         lines = [

@@ -18,7 +18,7 @@ from .errors import CassetteMiss
 from .gateway import ChatRequest, MockGateway, digest
 from .prompts import (_instances_block, load_asset_text, load_nl_plan,
                       load_pseudocode, load_taskinfo, render)
-from .tasks import FUNCTION_NAMES, TaskId, TaskInstance, solve
+from .tasks import TASKS, TaskId, TaskInstance, solve
 
 # The question's slot in meta/execute.txt (quotes escaped), in the baseline
 # templates and in meta/pot.txt; the group name says which one matched.
@@ -28,7 +28,7 @@ _QUESTION_RE = re.compile(
     r"|^Q: (?P<pot>.*?)\n\n# solution using Python:",
     re.MULTILINE | re.DOTALL)
 _CODE_META_RE = re.compile(r"The main function name should be '(\w+)'")
-_BY_FUNCTION = {name: task for task, name in FUNCTION_NAMES.items()}
+_BY_FUNCTION = {spec.function_name: task for task, spec in TASKS.items()}
 
 
 def mock_gateway(instances: Iterable[TaskInstance] = (),
@@ -61,8 +61,9 @@ def mock_gateway(instances: Iterable[TaskInstance] = (),
             answer = "unknown"
         if match.lastgroup == "pot":
             return f"```python\ndef solution():\n    return {answer!r}\n```"
+        function_name = TASKS[instance.task].function_name
         return "\n".join([
-            f"Simulating {FUNCTION_NAMES[instance.task]} on the given input.",
+            f"Simulating {function_name} on the given input.",
             f"Parsed input of length {len(question)}.",
             f"Final answer: {answer}",
         ])

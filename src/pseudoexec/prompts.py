@@ -14,7 +14,7 @@ from pathlib import Path
 from .errors import MalformedPseudocode, MissingAsset
 from .gateway import ChatRequest, Gateway
 from .pseudolex import ablate_text, text_features
-from .tasks import FUNCTION_NAMES, TaskId
+from .tasks import TASKS, TaskId
 
 _DEF_RE = r"^[ \t]*def[ \t]+{name}[ \t]*\("
 # The bundled pseudocode prompt sets: assets/<source>/<task>.txt.
@@ -27,7 +27,6 @@ class PromptAsset:
     its main function, which the body must then define; an analysis or NL
     plan names none."""
     body: str
-    task: TaskId | None = None
     function_name: str | None = None
 
     def __post_init__(self) -> None:
@@ -87,15 +86,13 @@ def load_pseudocode(task: TaskId, source: str = "human") -> PromptAsset:
     if source not in PSEUDOCODE_SOURCES:
         raise ValueError(f"unknown pseudocode source {source!r}")
     return PromptAsset(body=load_asset_text(f"{source}/{task.value}.txt"),
-                       task=task,
-                       function_name=FUNCTION_NAMES[task])
+                       function_name=TASKS[task].function_name)
 
 
 def load_nl_plan(task: TaskId) -> PromptAsset:
     """The bundled per-task analysis.  It is both the NL plan of the
     ``nl_planning`` baseline and the demo analysis of the Think phase."""
-    return PromptAsset(body=load_asset_text(f"analysis/{task.value}.txt"),
-                       task=task)
+    return PromptAsset(body=load_asset_text(f"analysis/{task.value}.txt"))
 
 
 def load_taskinfo(task: TaskId) -> TaskInfo:
@@ -175,15 +172,13 @@ def _usages_block(questions: tuple[str, ...] | list[str],
 
 def build_analysis_meta_prompt(target_questions: list[str],
                                demos: dict[TaskId, PoolEntry], seed: int,
-                               target_task: TaskId | None = None) -> str:
+                               target_task: TaskId) -> str:
     if len(target_questions) != 3:
         raise ValueError("exactly 3 target questions required")
     picked = sample_demos(demos, seed, target_task)
-    target_info = demos[target_task].info if target_task else None
     mapping: dict[str, str] = {
         "instances_target": _instances_block(target_questions),
-        "format_target": target_info.output_format if target_info
-        else "The final answer to the task instance.",
+        "format_target": demos[target_task].info.output_format,
     }
     for i, entry in enumerate(picked, start=1):
         mapping[f"instances_{i}"] = _instances_block(
@@ -197,7 +192,7 @@ def build_code_meta_prompt(target_task: TaskId, analysis: str,
                            demos: dict[TaskId, PoolEntry], seed: int) -> str:
     if not analysis:
         raise ValueError("analysis must be non-empty")
-    function_name = FUNCTION_NAMES[target_task]
+    function_name = TASKS[target_task].function_name
     picked = sample_demos(demos, seed, target_task)
     target_info = load_taskinfo(target_task)
     mapping: dict[str, str] = {
@@ -220,15 +215,13 @@ def build_code_meta_prompt(target_task: TaskId, analysis: str,
 
 def build_nl_plan_prompt(target_questions: list[str],
                          demos: dict[TaskId, PoolEntry], seed: int,
-                         target_task: TaskId | None = None) -> str:
+                         target_task: TaskId) -> str:
     if len(target_questions) != 3:
         raise ValueError("exactly 3 target questions required")
     picked = sample_demos(demos, seed, target_task)
-    target_info = demos[target_task].info if target_task else None
     mapping: dict[str, str] = {
         "instances_target": _instances_block(target_questions),
-        "format_target": target_info.output_format if target_info
-        else "The final answer to the task instance.",
+        "format_target": demos[target_task].info.output_format,
     }
     for i, entry in enumerate(picked, start=1):
         mapping[f"description_{i}"] = entry.info.description
@@ -274,16 +267,15 @@ def run_think(target_task: TaskId, gateway: Gateway, seed: int,
         questions, demos, seed, target_task)
     analysis_text = gateway.complete(ChatRequest(
         role_tag="instructor", user=analysis_prompt, model_id=model_id))
-    analysis = PromptAsset(body=analysis_text, task=target_task)
+    analysis = PromptAsset(body=analysis_text)
 
     code_prompt = build_code_meta_prompt(
         target_task, analysis_text, demos, seed)
     code_response = gateway.complete(ChatRequest(
         role_tag="instructor", user=code_prompt, model_id=model_id))
-    function_name = FUNCTION_NAMES[target_task]
+    function_name = TASKS[target_task].function_name
     body = parse_pseudocode_response(code_response, function_name)
-    pseudocode = PromptAsset(body=body, task=target_task,
-                             function_name=function_name)
+    pseudocode = PromptAsset(body=body, function_name=function_name)
 
     if out_dir is not None:
         out_dir = Path(out_dir)

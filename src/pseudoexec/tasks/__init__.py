@@ -1,7 +1,13 @@
-"""Seven BBH algorithmic task families: types, registry, solvers, generators."""
+"""Seven BBH algorithmic task families: the task table and instances.
+
+Each task is one row of ``TASKS`` and one module holding its grammar,
+``solve(instance)`` and ``generate(rng, size)``.  A module is imported only
+when its task is solved or generated.
+"""
 
 from __future__ import annotations
 
+import importlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,36 +25,43 @@ class TaskId(Enum):
     WEB_OF_LIES = "web_of_lies"
 
 
-# Main function name each task-level prompt must define.
-FUNCTION_NAMES = {
-    TaskId.DYCK_LANGUAGES: "complete_dyck_languages",
-    TaskId.GEOMETRIC_SHAPES: "recognize_shape_from_svg",
-    TaskId.NAVIGATE: "ends_up_at_start",
-    TaskId.COLORED_OBJECTS: "solve_colored_objects",
-    TaskId.TEMPORAL_SEQUENCES: "solve_temporal_sequences_quiz",
-    TaskId.SHUFFLED_OBJECTS: "track_swaps",
-    TaskId.WEB_OF_LIES: "evaluate_boolean_word_problem",
+@dataclass(frozen=True)
+class TaskSpec:
+    """``module`` names the task's module; ``function_name`` is the main
+    function each task-level prompt must define; ``short_code`` is the
+    report column; ``answers`` is "choice" (an option tag), "yes_no" or
+    "text".  These live here, not in the task modules, so that loading
+    prompts and rendering reports imports no task module."""
+    module: str
+    function_name: str
+    short_code: str
+    answers: str
+
+
+TASKS: dict[TaskId, TaskSpec] = {
+    TaskId.DYCK_LANGUAGES:
+        TaskSpec("dyck", "complete_dyck_languages", "DL", "text"),
+    TaskId.GEOMETRIC_SHAPES:
+        TaskSpec("geometric", "recognize_shape_from_svg", "GS", "choice"),
+    TaskId.NAVIGATE:
+        TaskSpec("navigate", "ends_up_at_start", "Nav", "yes_no"),
+    TaskId.COLORED_OBJECTS:
+        TaskSpec("colored", "solve_colored_objects", "CO", "choice"),
+    TaskId.TEMPORAL_SEQUENCES:
+        TaskSpec("temporal", "solve_temporal_sequences_quiz", "TS", "choice"),
+    TaskId.SHUFFLED_OBJECTS:
+        TaskSpec("shuffled", "track_swaps", "SO", "choice"),
+    TaskId.WEB_OF_LIES:
+        TaskSpec("weblies", "evaluate_boolean_word_problem", "WL", "yes_no"),
 }
 
-# Column labels used in reports, in canonical order.
-SHORT_CODES = {
-    TaskId.DYCK_LANGUAGES: "DL",
-    TaskId.GEOMETRIC_SHAPES: "GS",
-    TaskId.NAVIGATE: "Nav",
-    TaskId.COLORED_OBJECTS: "CO",
-    TaskId.TEMPORAL_SEQUENCES: "TS",
-    TaskId.SHUFFLED_OBJECTS: "SO",
-    TaskId.WEB_OF_LIES: "WL",
-}
+# Derived from TASKS only because perfbench/workloads.py imports these names.
+FUNCTION_NAMES = {task: spec.function_name for task, spec in TASKS.items()}
+MULTIPLE_CHOICE_TASKS = frozenset(
+    task for task, spec in TASKS.items() if spec.answers == "choice")
+YES_NO_TASKS = frozenset(
+    task for task, spec in TASKS.items() if spec.answers == "yes_no")
 
-MULTIPLE_CHOICE_TASKS = frozenset({
-    TaskId.GEOMETRIC_SHAPES,
-    TaskId.COLORED_OBJECTS,
-    TaskId.TEMPORAL_SEQUENCES,
-    TaskId.SHUFFLED_OBJECTS,
-})
-
-YES_NO_TASKS = frozenset({TaskId.NAVIGATE, TaskId.WEB_OF_LIES})
 
 @dataclass(frozen=True)
 class TaskInstance:
@@ -62,14 +75,15 @@ class TaskInstance:
     def __post_init__(self):
         if not self.target:
             raise ValueError("target must be non-empty")
-        if self.task in MULTIPLE_CHOICE_TASKS:
+        answers = TASKS[self.task].answers
+        if answers == "choice":
             tags = [tag for tag, _ in self.options]
             if not tags:
                 raise ValueError(f"{self.task.value}: options must be non-empty")
             if self.target not in tags:
                 raise ValueError(
                     f"{self.task.value}: target {self.target!r} not among option tags")
-        if self.task in YES_NO_TASKS and self.target not in ("Yes", "No"):
+        if answers == "yes_no" and self.target not in ("Yes", "No"):
             raise ValueError(f"{self.task.value}: target must be Yes or No")
 
     def tag_of(self, text: str) -> str:
@@ -97,8 +111,15 @@ def parse_options_block(input_text: str) -> tuple[tuple[str, str], ...]:
 
 def make_instance(task: TaskId, input_text: str, target: str) -> TaskInstance:
     """Build a TaskInstance, parsing the options block out of the input text."""
+    if not isinstance(input_text, str) or not isinstance(target, str):
+        raise ValueError("input text and target must be strings")
     return TaskInstance(task=task, input_text=input_text, target=target,
                         options=parse_options_block(input_text))
+
+
+def task_module(task: TaskId):
+    """The module holding *task*'s grammar, ``solve`` and ``generate``."""
+    return importlib.import_module(f"{__name__}.{TASKS[task].module}")
 
 
 def solve(task: TaskId, instance: TaskInstance) -> str:
@@ -108,20 +129,4 @@ def solve(task: TaskId, instance: TaskInstance) -> str:
     tasks, "Yes"/"No" for boolean tasks, and the closing-bracket sequence
     for Dyck completion.
     """
-    from . import colored, dyck, geometric, navigate, shuffled, temporal, weblies
-
-    if task is TaskId.DYCK_LANGUAGES:
-        return dyck.solve_dyck(instance.input_text)
-    if task is TaskId.GEOMETRIC_SHAPES:
-        return geometric.solve_geometric(instance)
-    if task is TaskId.NAVIGATE:
-        return navigate.solve_navigate(instance.input_text)
-    if task is TaskId.COLORED_OBJECTS:
-        return colored.solve_colored(instance)
-    if task is TaskId.TEMPORAL_SEQUENCES:
-        return temporal.solve_temporal(instance)
-    if task is TaskId.SHUFFLED_OBJECTS:
-        return shuffled.solve_shuffled(instance)
-    if task is TaskId.WEB_OF_LIES:
-        return weblies.solve_web_of_lies(instance.input_text)
-    raise ValueError(f"unknown task: {task}")
+    return task_module(task).solve(instance)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 
-from . import TaskInstance
+from . import TaskId, TaskInstance, make_instance
 from ..errors import ParseUnsupported
+from .generate import render_options
 
 COLORS = (
     "red", "orange", "yellow", "green", "blue", "purple", "magenta",
@@ -20,6 +22,9 @@ NUMBER_WORDS = (
     "sixteen",
 )
 _WORD_TO_NUMBER = {w: i for i, w in enumerate(NUMBER_WORDS)}
+
+# The colors generated instances use.
+COLOR_POOL = tuple(c for c in COLORS if c != "gray")
 
 
 @dataclass(frozen=True)
@@ -140,5 +145,79 @@ def answer_colored(input_text: str) -> str:
     raise ParseUnsupported(f"unsupported scene layout: {scene!r}")
 
 
-def solve_colored(instance: TaskInstance) -> str:
+def solve(instance: TaskInstance) -> str:
     return instance.tag_of(answer_colored(instance.input_text))
+
+
+_NOUNS = ("cat toy", "notebook", "pen", "mug", "crayon", "puzzle",
+          "textbook", "paperclip", "keychain", "booklet")
+
+
+def _item_phrase(count: int, color: str, noun: str) -> str:
+    plural = noun + "s" if count != 1 else noun
+    return f"{NUMBER_WORDS[count]} {color} {plural}"
+
+
+def _listing(phrases: list[str]) -> str:
+    if len(phrases) == 1:
+        return phrases[0]
+    return ", ".join(phrases[:-1]) + ", and " + phrases[-1]
+
+
+def generate(rng: random.Random, size: int) -> TaskInstance:
+    kind = rng.choice(["remove_count", "identify", "row_neighbor", "row_extreme"])
+    n_items = max(2, min(2 + size, 8))
+
+    if kind in ("row_neighbor", "row_extreme"):
+        nouns = rng.sample(_NOUNS, n_items)
+        colors = rng.sample(COLOR_POOL, n_items)
+        phrases = [f"a {c} {n}" for c, n in zip(colors, nouns)]
+        scene = ("On the desk, you see a set of things arranged in a row: "
+                 + _listing(phrases) + ".")
+        if kind == "row_neighbor":
+            index = rng.randrange(1, n_items) if rng.random() < 0.5 else rng.randrange(n_items - 1)
+            side = "left" if index >= 1 and rng.random() < 0.5 else "right"
+            if side == "right" and index == n_items - 1:
+                side = "left"
+            if side == "left" and index == 0:
+                side = "right"
+            question = (f"What is the color of the thing directly to the "
+                        f"{side} of the {nouns[index]}?")
+            answer = colors[index - 1] if side == "left" else colors[index + 1]
+        else:
+            side = rng.choice(["leftmost", "rightmost"])
+            question = f"What is the color of the {side} thing?"
+            answer = colors[0] if side == "leftmost" else colors[-1]
+        option_texts = sorted(colors)
+    elif kind == "identify":
+        nouns = rng.sample(_NOUNS, n_items)
+        colors = [rng.choice(COLOR_POOL) for _ in range(n_items)]
+        counts = [rng.randint(1, 3) for _ in range(n_items)]
+        phrases = [_item_phrase(k, c, n) for k, c, n in zip(counts, colors, nouns)]
+        scene = "On the floor, there is " + _listing(phrases) + "."
+        index = rng.randrange(n_items)
+        question = f"What color is the {nouns[index]}?"
+        answer = colors[index]
+        option_texts = sorted(set(colors) | set(rng.sample(COLOR_POOL, 3)))
+    else:
+        nouns = rng.sample(_NOUNS, min(4, n_items))
+        items = []
+        for _ in range(n_items):
+            # counts capped at 2 so totals stay within the number-word range
+            items.append((rng.randint(1, 2), rng.choice(COLOR_POOL),
+                          rng.choice(nouns)))
+        phrases = [_item_phrase(*it) for it in items]
+        scene = "On the floor, there is " + _listing(phrases) + "."
+        removed = rng.choice(nouns)
+        query_color = rng.choice([c for _, c, _ in items])
+        kept_total = sum(k for k, c, n in items
+                         if n != removed and c == query_color)
+        question = (f"If I remove all the {removed}s from the floor, "
+                    f"how many {query_color} objects remain on it?")
+        answer = NUMBER_WORDS[kept_total]
+        option_texts = list(NUMBER_WORDS)
+
+    block, tags = render_options(option_texts)
+    target = tags[option_texts.index(answer)]
+    text = f"{scene} {question} {block}"
+    return make_instance(TaskId.COLORED_OBJECTS, text, target)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+from . import TaskId, TaskInstance, make_instance
 from ..errors import ParseUnsupported
 
 PAIRS = {"(": ")", "[": "]", "{": "}", "<": ">"}
@@ -24,13 +27,13 @@ def extract_sequence(input_text: str) -> list[str]:
     return chars
 
 
-def solve_dyck(input_text: str) -> str:
+def solve(instance: TaskInstance) -> str:
     """Return the shortest closing sequence that balances the input.
 
     The result is space-separated; an already balanced input yields "".
     """
     stack = []
-    for ch in extract_sequence(input_text):
+    for ch in extract_sequence(instance.input_text):
         if ch in PAIRS:
             stack.append(ch)
         else:
@@ -40,3 +43,24 @@ def solve_dyck(input_text: str) -> str:
                 raise ParseUnsupported(f"{ch!r} does not match open {stack[-1]!r}")
             stack.pop()
     return " ".join(PAIRS[ch] for ch in reversed(stack))
+
+
+def generate(rng: random.Random, size: int) -> TaskInstance:
+    n_ops = max(1, size)
+    stack: list[str] = []
+    tokens: list[str] = []
+    for _ in range(n_ops):
+        if stack and rng.random() < 0.4:
+            tokens.append(PAIRS[stack.pop()])
+        else:
+            opener = rng.choice(list(PAIRS))
+            stack.append(opener)
+            tokens.append(opener)
+    if not stack:
+        opener = rng.choice(list(PAIRS))
+        stack.append(opener)
+        tokens.append(opener)
+    target = " ".join(PAIRS[ch] for ch in reversed(stack))
+    text = ("Complete the rest of the sequence, making sure that the "
+            "parentheses are closed properly. Input: " + " ".join(tokens))
+    return make_instance(TaskId.DYCK_LANGUAGES, text, target)

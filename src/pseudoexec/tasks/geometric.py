@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 from dataclasses import dataclass
 from enum import Enum
 
-from . import TaskInstance
+from . import TaskId, TaskInstance, make_instance
 from ..errors import NoMatchingOption, ParseUnsupported
+from .generate import render_options
 
 # Absolute tolerance for coordinate equality and for right-angle tests on
 # unit-normalized dot products.
@@ -138,7 +140,7 @@ def classify_path(commands: list[PathCommand]) -> str | list[str]:
     raise ParseUnsupported(f"no shape name for {n} vertices")
 
 
-def solve_geometric(instance: TaskInstance) -> str:
+def solve(instance: TaskInstance) -> str:
     """Classify the path in the instance and return the matching option tag."""
     m = _D_ATTR.search(instance.input_text)
     if not m:
@@ -150,3 +152,76 @@ def solve_geometric(instance: TaskInstance) -> str:
             if text == name:
                 return tag
     raise NoMatchingOption(f"shape {candidates} not among options")
+
+
+_GEOMETRIC_OPTIONS = ("circle", "heptagon", "hexagon", "kite", "line",
+                      "octagon", "pentagon", "rectangle", "sector", "triangle")
+
+
+def _fmt_point(p: tuple[float, float]) -> str:
+    return f"{p[0]:.2f},{p[1]:.2f}"
+
+
+def _polygon_path(rng: random.Random, n: int) -> str:
+    cx, cy = rng.uniform(30, 70), rng.uniform(30, 70)
+    radius = rng.uniform(12, 30)
+    rotation = rng.uniform(0, 2 * math.pi)
+    points = [(cx + radius * math.cos(rotation + 2 * math.pi * i / n),
+               cy + radius * math.sin(rotation + 2 * math.pi * i / n))
+              for i in range(n)]
+    points.append(points[0])
+    return "M " + " L ".join(_fmt_point(p) for p in points)
+
+
+def _shape_path(rng: random.Random, shape: str) -> str:
+    if shape == "line":
+        a = (rng.uniform(0, 80), rng.uniform(0, 80))
+        b = (a[0] + rng.uniform(5, 40), a[1] + rng.uniform(5, 40))
+        return f"M {_fmt_point(a)} L {_fmt_point(b)}"
+    if shape == "rectangle":
+        x, y = rng.randint(0, 50), rng.randint(0, 50)
+        w, h = rng.randint(3, 40), rng.randint(3, 40)
+        pts = [(x, y), (x + w, y), (x + w, y + h), (x, y + h), (x, y)]
+        return "M " + " L ".join(_fmt_point(p) for p in pts)
+    if shape == "kite":
+        cx, cy = rng.randint(20, 60), rng.randint(20, 60)
+        a, b = rng.randint(5, 15), rng.randint(5, 15)
+        c = a + rng.randint(3, 12)
+        pts = [(cx, cy - a), (cx + b, cy), (cx, cy + c), (cx - b, cy),
+               (cx, cy - a)]
+        return "M " + " L ".join(_fmt_point(p) for p in pts)
+    if shape == "circle":
+        cx, cy = rng.uniform(30, 60), rng.uniform(30, 60)
+        r = rng.uniform(5, 20)
+        a = (cx - r, cy)
+        b = (cx + r, cy)
+        return (f"M {_fmt_point(a)} A {r:.2f},{r:.2f} 0 1 0 {_fmt_point(b)} "
+                f"A {r:.2f},{r:.2f} 0 1 0 {_fmt_point(a)}")
+    if shape == "sector":
+        cx, cy = rng.uniform(30, 60), rng.uniform(30, 60)
+        r = rng.uniform(10, 25)
+        t1 = rng.uniform(0, math.pi)
+        t2 = t1 + rng.uniform(0.5, 2.0)
+        p1 = (cx + r * math.cos(t1), cy + r * math.sin(t1))
+        p2 = (cx + r * math.cos(t2), cy + r * math.sin(t2))
+        return (f"M {_fmt_point((cx, cy))} L {_fmt_point(p1)} "
+                f"A {r:.2f},{r:.2f} 0 0 1 {_fmt_point(p2)} "
+                f"L {_fmt_point((cx, cy))}")
+    if shape == "triangle":
+        sides = {"triangle": 3}
+    else:
+        sides = {"pentagon": 5, "hexagon": 6, "heptagon": 7, "octagon": 8}
+    return _polygon_path(rng, sides[shape])
+
+
+def generate(rng: random.Random, size: int) -> TaskInstance:
+    shape = _GEOMETRIC_OPTIONS[(size + rng.randrange(len(_GEOMETRIC_OPTIONS)))
+                               % len(_GEOMETRIC_OPTIONS)]
+    while True:
+        d = _shape_path(rng, shape)
+        if classify_path(parse_path(d)) == shape:
+            break
+    block, tags = render_options(list(_GEOMETRIC_OPTIONS))
+    target = tags[_GEOMETRIC_OPTIONS.index(shape)]
+    text = f'This SVG path element <path d="{d}"/> draws a\n{block}'
+    return make_instance(TaskId.GEOMETRIC_SHAPES, text, target)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 
-from . import TaskInstance
+from . import TaskId, TaskInstance, make_instance
 from ..errors import NoMatchingOption, ParseUnsupported
+from .generate import NAMES, render_options
 
 _WAKE = re.compile(r"woke up at (\d{1,2}(?:am|pm))")
 _SIGHTING = re.compile(r"from (\d{1,2}(?:am|pm)) to (\d{1,2}(?:am|pm))")
@@ -71,7 +73,7 @@ def parse_schedule(input_text: str) -> tuple[Interval, list[Interval]]:
     return window, busy
 
 
-def solve_temporal(instance: TaskInstance) -> str:
+def solve(instance: TaskInstance) -> str:
     """Return the tag of the unique option interval that is free."""
     window, busy = parse_schedule(instance.input_text)
     free = []
@@ -84,3 +86,46 @@ def solve_temporal(instance: TaskInstance) -> str:
     if len(free) > 1:
         raise NoMatchingOption(f"multiple free options: {free}")
     return free[0]
+
+
+_PLACES = ("movies", "bakery", "museum", "library", "market")
+_ACTIVITIES = ("getting a coffee at the cafe",
+               "walking in the park",
+               "reading at the library",
+               "buying a phone at the electronics store",
+               "playing tennis at the court")
+
+
+def _clock(hour: int) -> str:
+    suffix = "am" if hour < 12 else "pm"
+    display = hour % 12 or 12
+    return f"{display}{suffix}"
+
+
+def generate(rng: random.Random, size: int) -> TaskInstance:
+    person = rng.choice(NAMES)
+    place = rng.choice(_PLACES)
+    bounds = sorted(rng.sample(range(5, 23), 5))
+    slots = [(bounds[i], bounds[i + 1]) for i in range(4)]
+    free_index = rng.randrange(4)
+    sightings = []
+    for i, (start, end) in enumerate(slots):
+        if i == free_index:
+            continue
+        witness = rng.choice([n for n in NAMES if n != person])
+        activity = rng.choice(_ACTIVITIES)
+        sightings.append(f"{witness} saw {person} {activity} "
+                         f"from {_clock(start)} to {_clock(end)}.")
+    option_texts = [f"{_clock(a)} to {_clock(b)}" for a, b in slots]
+    order = list(range(4))
+    rng.shuffle(order)
+    shuffled_texts = [option_texts[i] for i in order]
+    block, tags = render_options(shuffled_texts)
+    target = tags[order.index(free_index)]
+    text = (f"Today, {person} went to the {place}. Between what times could "
+            f"they have gone? We know that: {person} woke up at "
+            f"{_clock(bounds[0])}. " + " ".join(sightings) +
+            f" The {place} was closed after {_clock(bounds[4])}. "
+            f"Between what times could {person} have gone to the {place}?\n"
+            + block)
+    return make_instance(TaskId.TEMPORAL_SEQUENCES, text, target)

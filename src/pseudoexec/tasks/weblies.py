@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
 import re
 
+from . import TaskId, TaskInstance, make_instance
 from ..errors import ParseUnsupported
+from .generate import NAMES
 
 _GROUND = re.compile(r"^(?P<name>[A-Z][a-z]+) (?P<verb>tells the truth|lies)$")
 _SAYS = re.compile(
@@ -50,9 +53,28 @@ def build_truth_map(statements: list[str]) -> dict[str, bool]:
     return truth
 
 
-def solve_web_of_lies(input_text: str) -> str:
-    statements, question = parse_chain(input_text)
+def solve(instance: TaskInstance) -> str:
+    statements, question = parse_chain(instance.input_text)
     truth = build_truth_map(statements)
     if question not in truth:
         raise ParseUnsupported(f"question names unknown person {question!r}")
     return "Yes" if truth[question] else "No"
+
+
+def generate(rng: random.Random, size: int) -> TaskInstance:
+    n = max(1, min(size, 10))
+    persons = rng.sample(NAMES, n)
+    truth = {persons[0]: rng.random() < 0.5}
+    statements = [f"{persons[0]} {'tells the truth' if truth[persons[0]] else 'lies'}."]
+    for i in range(1, n):
+        speaker = persons[i]
+        about = rng.choice(persons[:i])
+        value = rng.random() < 0.5
+        truth[speaker] = value
+        claimed = truth[about] if value else not truth[about]
+        verb = "tells the truth" if claimed else "lies"
+        statements.append(f"{speaker} says {about} {verb}.")
+    queried = rng.choice(persons)
+    target = "Yes" if truth[queried] else "No"
+    text = " ".join(statements) + f" Does {queried} tell the truth?"
+    return make_instance(TaskId.WEB_OF_LIES, text, target)

@@ -256,6 +256,17 @@ def test_sandbox_program_that_kills_its_parent_spares_the_harness():
                                         "alive"]
 
 
+def test_sandbox_servers_are_discarded_at_exit():
+    script = "from pseudoexec.baselines import execute_program\n" \
+             "assert execute_program('print(1)').stdout == '1\\n'\n"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(baselines.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-c", script],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+
 def test_sandbox_sets_resource_limits():
     result = execute_program(
         "import resource\n"

@@ -79,6 +79,35 @@ def test_ingest_rejects_a_target_its_task_rejects(tmp_path, capsys):
     assert not (src / "normalized").exists()
 
 
+@pytest.mark.parametrize("command, name, content", [
+    ("ingest", "navigate.json", "[]"),
+    ("ingest", "navigate.json",
+     json.dumps({"examples": [{"input": 5, "target": "Yes"}]})),
+    ("oracle", "navigate.jsonl", "[1]\n"),
+    ("oracle", "navigate.jsonl",
+     json.dumps({"input_text": 5, "target": "Yes"}) + "\n"),
+    ("oracle", "dyck_languages.jsonl",
+     json.dumps({"input_text": "Input: ( [", "target": 5}) + "\n"),
+], ids=["ingest-root-list", "ingest-input-int", "oracle-line-list",
+        "oracle-input-int", "oracle-target-int"])
+def test_a_record_of_the_wrong_shape_is_a_malformed_dataset(
+        tmp_path, capsys, command, name, content):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / name).write_text(content, encoding="utf-8")
+    if command == "ingest":
+        argv = ["ingest", str(data)]
+    else:
+        config = _write_config(tmp_path, dataset_dir=str(data), mode="mock",
+                               cassette_path=None,
+                               tasks=[name.removesuffix(".jsonl")])
+        argv = ["oracle", "--config", str(config)]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert "error: MalformedDataset" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_run_replay_deterministic(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0

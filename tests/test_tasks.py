@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from pseudoexec.cli import load_dataset
+from pseudoexec.cli import load_dataset, write_dataset
 from pseudoexec.errors import NoMatchingOption, ParseUnsupported
-from pseudoexec.tasks import (MULTIPLE_CHOICE_TASKS, TaskId, make_instance,
+from pseudoexec.tasks import (TASKS, TaskId, make_instance,
                               parse_options_block, solve)
-from pseudoexec.tasks.dyck import solve_dyck
 from pseudoexec.tasks.generate import MAX_SIZE, generate_instance
 from pseudoexec.tasks.geometric import classify_path, parse_path
-from pseudoexec.tasks.navigate import solve_navigate
-from pseudoexec.tasks.weblies import solve_web_of_lies
+
+
+def _solve_text(task: TaskId, text: str) -> str:
+    return solve(task, make_instance(task, text, "No"))
 
 
 def test_paper_fixtures_solve_to_attested_targets(paper_fixture_dir):
@@ -41,13 +42,14 @@ def test_instance_invariants():
 
 
 def test_dyck_solver_and_unbalanced():
-    assert solve_dyck("Input: ( { { } }") == ")"
-    assert solve_dyck("Input: < [ (") == ") ] >"
+    dyck = TaskId.DYCK_LANGUAGES
+    assert _solve_text(dyck, "Input: ( { { } }") == ")"
+    assert _solve_text(dyck, "Input: < [ (") == ") ] >"
     with pytest.raises(ParseUnsupported,
                        match=r"']' does not match open '\('"):
-        solve_dyck("Input: ( ]")
+        _solve_text(dyck, "Input: ( ]")
     with pytest.raises(ParseUnsupported, match=r"'\)' with empty stack"):
-        solve_dyck("Input: )")
+        _solve_text(dyck, "Input: )")
 
 
 def test_geometric_classify_paper_octagon():
@@ -66,17 +68,18 @@ def test_navigate_paper_example():
     text = ("If you follow these instructions, do you return to the "
             "starting point? Take 3 steps. Turn around. Take 5 steps. "
             "Turn right. Turn right. Take 1 step. Take 1 step.")
-    assert solve_navigate(text) == "Yes"
+    assert _solve_text(TaskId.NAVIGATE, text) == "Yes"
 
 
 def test_navigate_unknown_command():
     with pytest.raises(ParseUnsupported):
-        solve_navigate("do you return to the starting point? Jump twice.")
+        _solve_text(TaskId.NAVIGATE,
+                    "do you return to the starting point? Jump twice.")
 
 
 def test_web_of_lies_chain():
-    assert solve_web_of_lies(
-        "Vina tells the truth. Helene says Vina lies. "
+    assert _solve_text(
+        TaskId.WEB_OF_LIES, "Vina tells the truth. Helene says Vina lies. "
         "Does Helene tell the truth?") == "No"
 
 
@@ -131,6 +134,16 @@ def test_generator_size_zero_navigate():
 
 
 def test_multiple_choice_targets_are_tags():
-    for task in MULTIPLE_CHOICE_TASKS:
+    for task in (t for t, spec in TASKS.items() if spec.answers == "choice"):
         inst = generate_instance(task, 3, 4)
         assert inst.target in [tag for tag, _ in inst.options]
+
+
+def test_generators_reproduce_the_bundled_corpus(replay_fixture_dir, tmp_path):
+    # tools/make_bundled_data.py writes the corpus with this same call.
+    write_dataset([generate_instance(task, 2000 + k, k % 10 + 1)
+                   for task in TaskId for k in range(20)], tmp_path)
+    for task in TaskId:
+        name = f"{task.value}.jsonl"
+        assert (tmp_path / name).read_bytes() == \
+            (replay_fixture_dir / name).read_bytes(), name
