@@ -5,19 +5,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
 
 from .baselines import MethodId
 from .config import MODES, RunConfig, load_config, run_id
-from .errors import MalformedDataset, PseudoexecError
+from .errors import ConfigError, MalformedDataset, PseudoexecError
 from .evaluator import (EvalReport, TaskTally, evaluate_run, render_report)
 from .gateway import Gateway, LiveGateway, RecordGateway, ReplayGateway
 from .mock import mock_gateway
 from .prompts import (PSEUDOCODE_SOURCES, PromptAsset, ablate_prompt,
-                      default_demo_pool, load_nl_plan, load_pseudocode,
-                      run_think)
+                      load_nl_plan, load_pseudocode, run_think)
 from .tasks import TaskId, TaskInstance, make_instance
 
 TASK_CHOICES = [t.value for t in TaskId]
@@ -47,6 +47,7 @@ def load_dataset(dataset_dir: Path,
         path = dataset_dir / f"{task.value}.jsonl"
         if not path.is_file():
             raise MalformedDataset(f"missing dataset file {path}")
+        count = len(instances)
         for index, line in enumerate(
                 path.read_text(encoding="utf-8").splitlines()):
             if not line.strip():
@@ -60,6 +61,8 @@ def load_dataset(dataset_dir: Path,
             except (KeyError, ValueError) as exc:
                 raise MalformedDataset(
                     f"{path} record {index}: {exc}") from exc
+        if len(instances) == count:
+            raise MalformedDataset(f"{path} holds no instances")
     return instances
 
 
@@ -83,6 +86,9 @@ def build_gateway(config: RunConfig,
         return mock_gateway(instances, config.mock_corrupt_fraction)
     if config.mode == "replay":
         return ReplayGateway(Path(config.cassette_path))
+    if config.mode == "live" and not os.environ.get(config.credential_env):
+        raise ConfigError(
+            f"credential env var {config.credential_env!r} not set")
     live = LiveGateway(config.endpoint, config.credential_env)
     if config.mode == "record":
         return RecordGateway(live, Path(config.cassette_path))
@@ -140,8 +146,7 @@ def cmd_think(args, config: RunConfig) -> int:
     out_dir = Path(args.out) if args.out else \
         Path(config.runs_dir) / "think"
     analysis, pseudocode = run_think(
-        task, gateway, config.seed,
-        demos=default_demo_pool(config.pseudocode_source),
+        task, gateway, config.seed, source=config.pseudocode_source,
         model_id=config.instructor_model, out_dir=out_dir)
     print(f"analysis: {out_dir / (task.value + '.analysis.txt')}")
     print(f"pseudocode ({pseudocode.function_name}): "

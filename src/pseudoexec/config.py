@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .baselines import DEFAULT_TIMEOUT_MS, MethodId
@@ -24,6 +24,9 @@ MAX_PARALLEL_CEILING = 32
 # where runs are written, and the dataset path, whose content the run id
 # carries through the dataset digest.
 _NOT_IN_RUN_ID = ("max_parallel", "runs_dir", "dataset_dir")
+# The JSON value types each field annotation accepts; bool is not an int.
+_JSON_TYPES = {"str": (str,), "str | None": (str, type(None)), "int": (int,),
+               "float": (int, float), "list[str]": (list,)}
 
 
 @dataclass
@@ -83,6 +86,8 @@ class RunConfig:
         if self.mode == "replay" and not Path(self.cassette_path).is_file():
             raise ConfigError(
                 f"cassette {self.cassette_path!r} not found")
+        if not self.tasks:
+            raise ConfigError("tasks must be non-empty")
         self.method_id()
         self.task_ids()
         return self
@@ -110,6 +115,14 @@ def load_config(path: str | Path | None,
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for spec in fields(RunConfig):
+        value = data.get(spec.name)
+        if spec.name in data and (
+                type(value) not in _JSON_TYPES[spec.type]
+                or (type(value) is list
+                    and not all(type(item) is str for item in value))):
+            raise ConfigError(f"{spec.name} must be a JSON {spec.type}, "
+                              f"not {type(value).__name__}")
     return RunConfig(**data).validate()
 
 

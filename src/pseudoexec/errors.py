@@ -21,7 +21,8 @@ class NoMatchingOption(PseudoexecError):
 # --- prompt assembly ---
 
 class MalformedPseudocode(PseudoexecError):
-    """A model response contains no function definition with the expected name."""
+    """An Instructor response Think cannot use, or a pseudocode prompt that
+    does not define the function it names."""
 
 
 class MissingAsset(PseudoexecError):

@@ -16,8 +16,7 @@ from typing import Iterable
 
 from .errors import CassetteMiss
 from .gateway import ChatRequest, MockGateway, digest
-from .prompts import (_instances_block, load_asset_text, load_nl_plan,
-                      load_pseudocode, load_taskinfo, render)
+from .prompts import build_meta_prompt, load_nl_plan, load_pseudocode
 from .tasks import TASKS, TaskId, TaskInstance, solve
 
 # The question's slot in meta/execute.txt (quotes escaped), in the baseline
@@ -90,15 +89,7 @@ def _instructor(request: ChatRequest) -> str:
 
 @functools.cache
 def _task_by_example_block() -> dict[str, TaskId]:
-    """Each task's ``[Example 4]`` block of the analysis meta prompt, built
-    from its bundled taskinfo."""
-    block = load_asset_text("meta/meta_analysis.txt").rsplit(
-        "[Example 4]", 1)[1]
-    table = {}
-    for task in TaskId:
-        info = load_taskinfo(task)
-        table[render(block, {
-            "instances_target": _instances_block(info.example_questions),
-            "format_target": info.output_format,
-        })] = task
-    return table
+    """Each task's ``[Example 4]`` block of the analysis meta prompt, which
+    depends on the target task alone."""
+    return {build_meta_prompt("meta_analysis", task, 0).rsplit(
+        "[Example 4]", 1)[1]: task for task in TaskId}

@@ -41,17 +41,9 @@ class PromptAsset:
 
 @dataclass(frozen=True)
 class TaskInfo:
-    task: TaskId
     description: str
     output_format: str
     example_questions: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PoolEntry:
-    info: TaskInfo
-    analysis: PromptAsset
-    pseudocode: PromptAsset
 
 
 @dataclass(frozen=True)
@@ -97,20 +89,9 @@ def load_nl_plan(task: TaskId) -> PromptAsset:
 
 def load_taskinfo(task: TaskId) -> TaskInfo:
     raw = json.loads(load_asset_text(f"taskinfo/{task.value}.json") + "\n")
-    return TaskInfo(task=task,
-                    description=raw["description"],
+    return TaskInfo(description=raw["description"],
                     output_format=raw["output_format"],
                     example_questions=tuple(raw["example_questions"]))
-
-
-def default_demo_pool(pseudocode_source: str = "human"
-                      ) -> dict[TaskId, PoolEntry]:
-    return {
-        task: PoolEntry(info=load_taskinfo(task),
-                        analysis=load_nl_plan(task),
-                        pseudocode=load_pseudocode(task, pseudocode_source))
-        for task in TaskId
-    }
 
 
 # --- template rendering ------------------------------------------------------
@@ -138,98 +119,47 @@ def escape_instance(text: str) -> str:
     return text.replace('"', '\\"')
 
 
-# --- demo sampling -----------------------------------------------------------
+# --- Think meta prompts ------------------------------------------------------
 
-def sample_demos(demos: dict[TaskId, PoolEntry], seed: int,
-                 target_task: TaskId | None = None) -> list[PoolEntry]:
-    """Pick 3 demo tasks, excluding the target, without replacement.  String
+def sample_demos(seed: int, target_task: TaskId) -> list[TaskId]:
+    """Pick 3 demo tasks from the other six, without replacement.  String
     seeding keeps the draw reproducible across platforms and processes."""
-    eligible = sorted(
-        (t for t in demos if t != target_task),
-        key=lambda t: t.value)
-    if len(eligible) < 3:
-        raise ValueError(f"need 3 demo tasks, have {len(eligible)}")
-    rng = random.Random(f"demos:{seed}")
-    chosen = rng.sample(eligible, 3)
-    return [demos[t] for t in chosen]
+    eligible = sorted((t for t in TaskId if t != target_task),
+                      key=lambda t: t.value)
+    return random.Random(f"demos:{seed}").sample(eligible, 3)
 
 
-def _instances_block(questions: tuple[str, ...] | list[str]) -> str:
-    return "\n\n".join(questions)
-
-
-def _usages_block(questions: tuple[str, ...] | list[str],
-                  function_name: str) -> str:
-    parts = [
-        f'input_text = "{escape_instance(q)}"\n'
-        f"final_answer = {function_name}(input_text)"
-        for q in questions
-    ]
-    return "\n\n".join(parts)
-
-
-# --- meta prompt builders ----------------------------------------------------
-
-def build_analysis_meta_prompt(target_questions: list[str],
-                               demos: dict[TaskId, PoolEntry], seed: int,
-                               target_task: TaskId) -> str:
-    if len(target_questions) != 3:
-        raise ValueError("exactly 3 target questions required")
-    picked = sample_demos(demos, seed, target_task)
-    mapping: dict[str, str] = {
-        "instances_target": _instances_block(target_questions),
-        "format_target": demos[target_task].info.output_format,
+def _task_slots(task: TaskId, suffix: str) -> dict[str, str]:
+    """A task's slots in a meta prompt: its description, its example
+    questions as plain instances and as calls of its main function, and
+    its output format."""
+    info = load_taskinfo(task)
+    function_name = TASKS[task].function_name
+    return {
+        f"description_{suffix}": info.description,
+        f"instances_{suffix}": "\n\n".join(info.example_questions),
+        f"usages_{suffix}": "\n\n".join(
+            f'input_text = "{escape_instance(q)}"\n'
+            f"final_answer = {function_name}(input_text)"
+            for q in info.example_questions),
+        f"format_{suffix}": info.output_format,
     }
-    for i, entry in enumerate(picked, start=1):
-        mapping[f"instances_{i}"] = _instances_block(
-            entry.info.example_questions)
-        mapping[f"format_{i}"] = entry.info.output_format
-        mapping[f"analysis_{i}"] = entry.analysis.body
-    return render(load_asset_text("meta/meta_analysis.txt"), mapping)
 
 
-def build_code_meta_prompt(target_task: TaskId, analysis: str,
-                           demos: dict[TaskId, PoolEntry], seed: int) -> str:
-    if not analysis:
-        raise ValueError("analysis must be non-empty")
-    function_name = TASKS[target_task].function_name
-    picked = sample_demos(demos, seed, target_task)
-    target_info = load_taskinfo(target_task)
-    mapping: dict[str, str] = {
-        "function_name": function_name,
-        "description_target": target_info.description,
-        "usages_target": _usages_block(target_info.example_questions,
-                                       function_name),
-        "format_target": target_info.output_format,
-        "analysis_target": analysis,
-    }
-    for i, entry in enumerate(picked, start=1):
-        mapping[f"description_{i}"] = entry.info.description
-        mapping[f"usages_{i}"] = _usages_block(
-            entry.info.example_questions, entry.pseudocode.function_name)
-        mapping[f"format_{i}"] = entry.info.output_format
-        mapping[f"analysis_{i}"] = entry.analysis.body
-        mapping[f"code_{i}"] = entry.pseudocode.body
-    return render(load_asset_text("meta/meta_code.txt"), mapping)
-
-
-def build_nl_plan_prompt(target_questions: list[str],
-                         demos: dict[TaskId, PoolEntry], seed: int,
-                         target_task: TaskId) -> str:
-    if len(target_questions) != 3:
-        raise ValueError("exactly 3 target questions required")
-    picked = sample_demos(demos, seed, target_task)
-    mapping: dict[str, str] = {
-        "instances_target": _instances_block(target_questions),
-        "format_target": demos[target_task].info.output_format,
-    }
-    for i, entry in enumerate(picked, start=1):
-        mapping[f"description_{i}"] = entry.info.description
-        mapping[f"instances_{i}"] = _instances_block(
-            entry.info.example_questions)
-        mapping[f"format_{i}"] = entry.info.output_format
-        mapping[f"plan_{i}"] = entry.analysis.body
-    return render(load_asset_text("meta/meta_nlplan.txt"), mapping)
+def build_meta_prompt(name: str, target_task: TaskId, seed: int,
+                      source: str = "human", analysis: str = "") -> str:
+    """Render the Think meta prompt ``meta/<name>.txt``: three demo tasks
+    drawn by ``seed`` from the other six, each with its bundled analysis
+    and its ``source`` pseudocode, then the target task with ``analysis``.
+    Each template reads the slots it names and ignores the rest."""
+    mapping = _task_slots(target_task, "target")
+    mapping["function_name"] = TASKS[target_task].function_name
+    mapping["analysis_target"] = analysis
+    for i, demo in enumerate(sample_demos(seed, target_task), start=1):
+        mapping.update(_task_slots(demo, str(i)))
+        mapping[f"analysis_{i}"] = load_nl_plan(demo).body
+        mapping[f"code_{i}"] = load_pseudocode(demo, source).body
+    return render(load_asset_text(f"meta/{name}.txt"), mapping)
 
 
 # --- Think orchestration -----------------------------------------------------
@@ -253,24 +183,21 @@ def parse_pseudocode_response(response: str, function_name: str) -> str:
 
 
 def run_think(target_task: TaskId, gateway: Gateway, seed: int,
-              demos: dict[TaskId, PoolEntry] | None = None,
-              model_id: str = "mock-model",
+              source: str = "human", model_id: str = "mock-model",
               out_dir: Path | None = None
               ) -> tuple[PromptAsset, PromptAsset]:
     """The Think phase: one Instructor call for the analysis, one for the
-    pseudocode prompt.  No system message is sent for either call."""
-    demos = demos if demos is not None else default_demo_pool()
-    info = load_taskinfo(target_task)
-    questions = list(info.example_questions)
-
-    analysis_prompt = build_analysis_meta_prompt(
-        questions, demos, seed, target_task)
+    pseudocode prompt, whose demos show ``source`` pseudocode.  No system
+    message is sent for either call."""
     analysis_text = gateway.complete(ChatRequest(
-        role_tag="instructor", user=analysis_prompt, model_id=model_id))
+        role_tag="instructor", model_id=model_id,
+        user=build_meta_prompt("meta_analysis", target_task, seed, source)))
+    if not analysis_text.strip():
+        raise MalformedPseudocode("empty analysis in Instructor response")
     analysis = PromptAsset(body=analysis_text)
 
-    code_prompt = build_code_meta_prompt(
-        target_task, analysis_text, demos, seed)
+    code_prompt = build_meta_prompt("meta_code", target_task, seed, source,
+                                    analysis_text)
     code_response = gateway.complete(ChatRequest(
         role_tag="instructor", user=code_prompt, model_id=model_id))
     function_name = TASKS[target_task].function_name

@@ -20,10 +20,8 @@ from pseudoexec.cli import load_dataset, main
 from pseudoexec.engine import build_execute_prompt, extract_final_answer
 from pseudoexec.evaluator import evaluate_run, score_prediction
 from pseudoexec.prompts import (ablate_prompt, analyze_prompt_features,
-                                build_analysis_meta_prompt,
-                                build_code_meta_prompt, build_nl_plan_prompt,
-                                default_demo_pool, load_nl_plan,
-                                load_pseudocode, load_taskinfo)
+                                build_meta_prompt, load_nl_plan,
+                                load_pseudocode)
 from pseudoexec.pseudolex import RESERVED_NAMES, TokKind, tokenize
 from pseudoexec.tasks import TaskId, make_instance, solve
 from pseudoexec.tasks.generate import generate_instance
@@ -96,9 +94,7 @@ def test_independent_oracle_agreement():
 
 def test_prompt_fidelity_golden_files(assets_dir):
     golden = assets_dir / "golden"
-    pool = default_demo_pool()
     target = TaskId.WEB_OF_LIES
-    questions = list(load_taskinfo(target).example_questions)
     paper = load_dataset(assets_dir / "fixtures" / "paper", list(TaskId))
     by_task = {inst.task: inst for inst in paper}
 
@@ -108,15 +104,16 @@ def test_prompt_fidelity_golden_files(assets_dir):
         assert anchor in text, f"anchor missing in {name}"
 
     check("analysis_meta_web_of_lies_seed0.txt",
-          build_analysis_meta_prompt(questions, pool, 0, target),
+          build_meta_prompt("meta_analysis", target, 0),
           "Generate an explanation, analyzation, and plan to generate code "
           "prompt for the last task")
     check("code_meta_web_of_lies_seed0.txt",
-          build_code_meta_prompt(target, load_nl_plan(target).body, pool, 0),
+          build_meta_prompt("meta_code", target, 0,
+                            analysis=load_nl_plan(target).body),
           "Generate the code prompt for the last task using the similar "
           "style of the example codes.")
     check("nl_plan_web_of_lies_seed0.txt",
-          build_nl_plan_prompt(questions, pool, 0, target),
+          build_meta_prompt("meta_nlplan", target, 0),
           "Generate a plan for the last task")
     system, user = build_execute_prompt(
         load_pseudocode(TaskId.DYCK_LANGUAGES),

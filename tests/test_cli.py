@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pseudoexec.cli import main
-from pseudoexec.config import MAX_PARALLEL_CEILING, RunConfig
+from pseudoexec.config import MAX_PARALLEL_CEILING, RunConfig, load_config
 from pseudoexec.errors import ConfigError
 from pseudoexec.tasks import TaskId
 from pseudoexec.tasks.generate import generate_instance
@@ -138,6 +138,57 @@ def test_run_rejects_unusable_sandbox_config(tmp_path, capsys, sandbox):
     assert main(["run", "--config", str(config)]) == 2
     assert "error: ConfigError" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_live_run_without_its_credential_makes_no_run_dir(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PSEUDOEXEC_TEST_UNSET_KEY", raising=False)
+    config = _write_config(
+        tmp_path, mode="live", method="direct", cassette_path=None,
+        credential_env="PSEUDOEXEC_TEST_UNSET_KEY",
+        dataset_dir=str(Path("src/pseudoexec/assets/fixtures/paper")
+                        .resolve()))
+    assert main(["run", "--config", str(config)]) == 2
+    assert "error: ConfigError: credential env var " \
+        "'PSEUDOEXEC_TEST_UNSET_KEY' not set" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("tasks, error", [
+    (["navigate"], "MalformedDataset"), ([], "ConfigError")],
+    ids=["empty-file", "no-tasks"])
+def test_an_empty_dataset_makes_no_run_dir(tmp_path, capsys, command,
+                                           tasks, error):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "navigate.jsonl").write_text("\n", encoding="utf-8")
+    config = _write_config(tmp_path, dataset_dir=str(data), mode="mock",
+                           cassette_path=None, tasks=tasks)
+    assert main([command, "--config", str(config)]) == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_parallel", "2"), ("sandbox_timeout_ms", "5"), ("seed", True),
+    ("tasks", 5), ("tasks", ["navigate", 5]), ("mock_corrupt_fraction", "x"),
+    ("cassette_path", 5), ("method", None)])
+def test_a_config_value_of_the_wrong_json_type_is_a_config_error(
+        tmp_path, capsys, field, value):
+    config = _write_config(tmp_path, **{"mode": "mock", "cassette_path": None,
+                                        field: value})
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: ConfigError: {field} must be a JSON " in err
+    assert len(err) < 200
+    assert not (tmp_path / "runs").exists()
+
+
+def test_an_int_is_a_valid_float_config_value(tmp_path):
+    config = _write_config(tmp_path, mode="mock", cassette_path=None,
+                           mock_corrupt_fraction=0)
+    assert load_config(config).mock_corrupt_fraction == 0
 
 
 def test_run_persists_transcripts(tmp_path):

@@ -112,3 +112,16 @@ def test_mock_think_reproduces_bundled_exchange(tmp_path, capsys,
     pseudocode = (tmp_path / "web_of_lies.txt").read_text("utf-8")
     assert sorted(responses) == sorted([analysis[:-1], pseudocode[:-1]])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("task", list(TaskId), ids=lambda t: t.value)
+def test_mock_think_writes_the_bundled_prompts(tmp_path, capsys, assets_dir,
+                                               task):
+    assert main(["think", "--task", task.value, "--mode", "mock",
+                 "--out", str(tmp_path)]) == 0
+    name = f"{task.value}.txt"
+    assert (tmp_path / name).read_bytes() == \
+        (assets_dir / "generated" / name).read_bytes()
+    assert (tmp_path / f"{task.value}.analysis.txt").read_bytes() == \
+        (assets_dir / "analysis" / name).read_bytes()
+    capsys.readouterr()

@@ -1,33 +1,23 @@
-"""Prompt-forge tests: meta prompt builders, demo sampling, Think flow."""
+"""Prompt-forge tests: the meta prompt builder, demo sampling, Think flow."""
 
 from __future__ import annotations
 
 import pytest
 
+from pseudoexec import cli
 from pseudoexec.errors import CassetteMiss, MalformedPseudocode
 from pseudoexec.gateway import MockGateway
-from pseudoexec.prompts import (PoolEntry, build_analysis_meta_prompt,
-                                build_code_meta_prompt, build_nl_plan_prompt,
-                                default_demo_pool, load_pseudocode,
-                                load_taskinfo, parse_pseudocode_response,
+from pseudoexec.prompts import (build_meta_prompt, load_nl_plan,
+                                load_pseudocode, parse_pseudocode_response,
                                 render, run_think, sample_demos,
                                 template_placeholders)
 from pseudoexec.tasks import TaskId
 
-
-@pytest.fixture(scope="module")
-def pool() -> dict[TaskId, PoolEntry]:
-    return default_demo_pool()
+TEMPLATES = ("meta_analysis", "meta_code", "meta_nlplan")
 
 
-@pytest.fixture(scope="module")
-def wol_questions(pool) -> list[str]:
-    return list(load_taskinfo(TaskId.WEB_OF_LIES).example_questions)
-
-
-def test_analysis_meta_prompt_shape(pool, wol_questions):
-    text = build_analysis_meta_prompt(wol_questions, pool, 0,
-                                      TaskId.WEB_OF_LIES)
+def test_analysis_meta_prompt_shape():
+    text = build_meta_prompt("meta_analysis", TaskId.WEB_OF_LIES, 0)
     assert text.startswith(
         "Generate an explanation, analyzation, and plan to generate code "
         "prompt for the last task")
@@ -36,63 +26,55 @@ def test_analysis_meta_prompt_shape(pool, wol_questions):
         assert f"[Example {i}]" in text
 
 
-def test_analysis_meta_excludes_target(pool):
-    questions = list(load_taskinfo(TaskId.NAVIGATE).example_questions)
-    text = build_analysis_meta_prompt(questions, pool, 0, TaskId.NAVIGATE)
+def test_analysis_meta_excludes_target():
+    text = build_meta_prompt("meta_analysis", TaskId.NAVIGATE, 0)
     # demo analyses never come from the target task: the navigate analysis
     # asset starts with this distinctive phrase
     demo_section = text.rsplit("[Example 4]", 1)[0]
-    from pseudoexec.prompts import load_nl_plan
-
     assert load_nl_plan(TaskId.NAVIGATE).body not in demo_section
 
 
-def test_sampling_reproducible_and_exclusive(pool):
-    a = sample_demos(pool, 7, TaskId.DYCK_LANGUAGES)
-    b = sample_demos(pool, 7, TaskId.DYCK_LANGUAGES)
-    assert [e.info.task for e in a] == [e.info.task for e in b]
-    assert TaskId.DYCK_LANGUAGES not in [e.info.task for e in a]
-    assert len({e.info.task for e in a}) == 3
+def test_sampling_reproducible_and_exclusive():
+    a = sample_demos(7, TaskId.DYCK_LANGUAGES)
+    assert a == sample_demos(7, TaskId.DYCK_LANGUAGES)
+    assert TaskId.DYCK_LANGUAGES not in a
+    assert len(set(a)) == 3
 
 
-def test_insufficient_demos():
-    with pytest.raises(ValueError, match="need 3 demo tasks, have 0"):
-        sample_demos({}, 0, None)
-
-
-def test_code_meta_prompt_contains_function_name(pool):
-    text = build_code_meta_prompt(TaskId.WEB_OF_LIES, "analysis body",
-                                  pool, 0)
+def test_code_meta_prompt_contains_function_name():
+    text = build_meta_prompt("meta_code", TaskId.WEB_OF_LIES, 0,
+                             analysis="analysis body")
     assert ("The main function name should be "
             "'evaluate_boolean_word_problem'") in text
     assert text.endswith("Code prompt:")
 
 
-def test_code_meta_prompt_rejects_empty_analysis(pool):
-    with pytest.raises(ValueError):
-        build_code_meta_prompt(TaskId.WEB_OF_LIES, "", pool, 0)
+def test_think_rejects_an_empty_analysis(tmp_path, capsys, monkeypatch):
+    gateway = MockGateway(responders={"instructor": lambda request: ""})
+    monkeypatch.setattr(cli, "build_gateway", lambda config: gateway)
+    assert cli.main(["think", "--task", "web_of_lies", "--mode", "mock",
+                     "--out", str(tmp_path / "think")]) == 2
+    assert "error: MalformedPseudocode: empty analysis" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "think").exists()
 
 
-def test_nl_plan_prompt_shape(pool, wol_questions):
-    text = build_nl_plan_prompt(wol_questions, pool, 0, TaskId.WEB_OF_LIES)
+def test_nl_plan_prompt_shape():
+    text = build_meta_prompt("meta_nlplan", TaskId.WEB_OF_LIES, 0)
     assert text.startswith("Generate a plan for the last task")
     assert text.endswith("Plan:")
 
 
-def test_no_unreplaced_placeholders_in_any_builder(pool, wol_questions):
+def test_no_unreplaced_placeholders_in_any_builder():
     import re
 
-    builders = [
-        build_analysis_meta_prompt(wol_questions, pool, 0,
-                                   TaskId.WEB_OF_LIES),
-        build_code_meta_prompt(TaskId.WEB_OF_LIES, "analysis", pool, 0),
-        build_nl_plan_prompt(wol_questions, pool, 0, TaskId.WEB_OF_LIES),
-    ]
     slots = re.compile(
         r"\{(instances|format|analysis|plan|description|usages|code)_"
         r"(\d|target)\}|\{function_name\}")
-    for text in builders:
-        assert not slots.search(text)
+    for name in TEMPLATES:
+        for task in TaskId:
+            text = build_meta_prompt(name, task, 0, analysis="analysis")
+            assert not slots.search(text), (name, task)
 
 
 def test_render_rejects_missing_placeholder():

@@ -25,10 +25,8 @@ from pseudoexec.engine import build_execute_prompt  # noqa: E402
 from pseudoexec.evaluator import evaluate_run  # noqa: E402
 from pseudoexec.gateway import RecordGateway  # noqa: E402
 from pseudoexec.mock import mock_gateway  # noqa: E402
-from pseudoexec.prompts import (build_analysis_meta_prompt,  # noqa: E402
-                                build_code_meta_prompt, build_nl_plan_prompt,
-                                default_demo_pool, load_nl_plan,
-                                load_pseudocode, load_taskinfo, run_think)
+from pseudoexec.prompts import (build_meta_prompt, load_nl_plan,  # noqa: E402
+                                load_pseudocode, run_think)
 from pseudoexec.tasks import TaskId, TaskInstance, make_instance  # noqa: E402
 from pseudoexec.tasks.generate import generate_instance  # noqa: E402
 
@@ -128,7 +126,7 @@ def record_cassette(corpus: dict[TaskId, list[TaskInstance]]) -> None:
     recorder = RecordGateway(mock_gateway(instances, CORRUPT_FRACTION),
                              cassette)
 
-    # Think exchange for web_of_lies (seed 0, default demo pool).
+    # Think exchange for web_of_lies (seed 0, human demo pseudocode).
     run_think(TaskId.WEB_OF_LIES, recorder, 0, model_id=MODEL_ID)
 
     assets = {task: load_pseudocode(task) for task in TaskId}
@@ -155,18 +153,15 @@ def record_cassette(corpus: dict[TaskId, list[TaskInstance]]) -> None:
 def make_goldens() -> None:
     golden = ASSETS / "golden"
     golden.mkdir(parents=True, exist_ok=True)
-    pool = default_demo_pool()
     target = TaskId.WEB_OF_LIES
-    questions = list(load_taskinfo(target).example_questions)
-
     files = {
         "analysis_meta_web_of_lies_seed0.txt":
-            build_analysis_meta_prompt(questions, pool, 0, target),
+            build_meta_prompt("meta_analysis", target, 0),
         "code_meta_web_of_lies_seed0.txt":
-            build_code_meta_prompt(target, load_nl_plan(target).body,
-                                   pool, 0),
+            build_meta_prompt("meta_code", target, 0,
+                              analysis=load_nl_plan(target).body),
         "nl_plan_web_of_lies_seed0.txt":
-            build_nl_plan_prompt(questions, pool, 0, target),
+            build_meta_prompt("meta_nlplan", target, 0),
     }
     dyck_inst = make_instance(TaskId.DYCK_LANGUAGES,
                               *PAPER_FIXTURES[TaskId.DYCK_LANGUAGES])
