@@ -1,6 +1,6 @@
-"""Baseline prompting methods (Direct, zero-shot CoT, Plan-and-Solve, NL
-planning, zero-shot PoT), the sandbox that runs PoT programs, and the
-Prediction every method returns."""
+"""The reasoner request of Think-and-Execute and of the baselines (Direct,
+zero-shot CoT, Plan-and-Solve, NL planning, zero-shot PoT), the sandbox that
+runs PoT programs, and the Prediction every method returns."""
 
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import MissingAsset, SpawnFailure
-from .prompts import (FENCE_RE, PromptAsset, load_asset_text, load_taskinfo,
-                      render)
+from .prompts import (FENCE_RE, PromptAsset, escape_instance, load_asset_text,
+                      load_taskinfo, render)
 from .tasks import TASKS, TaskInstance
 
 
@@ -45,12 +45,19 @@ FAIL_NO_FINAL_ANSWER = "no_final_answer"
 FAIL_GATEWAY = "gateway_error"
 FAIL_SANDBOX = "sandbox_error"
 
+# The template of each model-backed method's one reasoner request.  Its
+# {prompt} slot takes the method's task-level asset, named here, or else the
+# task description; meta/pot.txt has no such slot.
 _TEMPLATE_BY_METHOD = {
     MethodId.DIRECT: "direct",
     MethodId.ZERO_SHOT_COT: "cot",
     MethodId.PLAN_AND_SOLVE: "plan_and_solve",
     MethodId.NL_PLANNING: "direct",
+    MethodId.ZERO_SHOT_POT: "pot",
+    MethodId.THINK_AND_EXECUTE: "execute",
 }
+_ASSET_BY_METHOD = {MethodId.NL_PLANNING: "nl_plan",
+                    MethodId.THINK_AND_EXECUTE: "pseudocode"}
 
 
 @dataclass(frozen=True)
@@ -77,25 +84,25 @@ class SandboxResult:
 def build_baseline_prompt(method: MethodId, instance: TaskInstance,
                           asset: PromptAsset | None = None
                           ) -> tuple[str | None, str]:
-    """Returns (system, user); no baseline sends a system message."""
-    if method is MethodId.ZERO_SHOT_POT:
-        user = render(load_asset_text("meta/pot.txt"),
-                      {"question": instance.input_text})
-        return None, user
+    """Returns (system, user) for ``method``'s reasoner request.  Only
+    Think-and-Execute sends a system message; it embeds the instance as an
+    escaped string literal and calls the pseudocode's main function."""
     template = _TEMPLATE_BY_METHOD.get(method)
     if template is None:
-        raise ValueError(f"no baseline template for {method}")
-    if method is MethodId.NL_PLANNING:
-        if asset is None:
-            raise MissingAsset("nl_plan")
-        task_prompt = asset.body
-    else:
-        task_prompt = load_taskinfo(instance.task).description
-    user = render(load_asset_text(f"meta/{template}.txt"), {
-        "prompt": task_prompt,
-        "input_text": instance.input_text,
-    })
-    return None, user
+        raise ValueError(f"no request template for {method}")
+    system, mapping = None, {"input_text": instance.input_text}
+    if method in _ASSET_BY_METHOD:
+        if asset is None or (method is MethodId.THINK_AND_EXECUTE
+                             and not asset.function_name):
+            raise MissingAsset(_ASSET_BY_METHOD[method])
+        mapping["prompt"] = asset.body
+    elif method is not MethodId.ZERO_SHOT_POT:
+        mapping["prompt"] = load_taskinfo(instance.task).description
+    if method is MethodId.THINK_AND_EXECUTE:
+        system = load_asset_text("meta/execute_system.txt")
+        mapping["input_text"] = escape_instance(instance.input_text)
+        mapping["function_name"] = asset.function_name
+    return system, render(load_asset_text(f"meta/{template}.txt"), mapping)
 
 
 def pot_seeded_header(instance: TaskInstance) -> str:

@@ -230,8 +230,7 @@ def cmd_run(args, config: RunConfig) -> int:
 
 
 def cmd_oracle(args, config: RunConfig) -> int:
-    tasks = [TaskId(t) for t in args.tasks.split(",")] if args.tasks \
-        else config.task_ids()
+    tasks = config.task_ids()
     instances = load_dataset(Path(config.dataset_dir), tasks)
     report = evaluate_run(MethodId.ORACLE, instances, None)
     for task in tasks:
@@ -300,9 +299,8 @@ def _make_parser() -> argparse.ArgumentParser:
     sub.add_parser("run", parents=[common],
                    help="evaluate the configured method over the dataset")
 
-    p = sub.add_parser("oracle", parents=[common],
-                       help="oracle-solve the dataset and report accuracy")
-    p.add_argument("--tasks", help="comma-separated task subset")
+    sub.add_parser("oracle", parents=[common],
+                   help="oracle-solve the dataset and report accuracy")
 
     p = sub.add_parser("report", parents=[common],
                        help="re-render a stored run report")

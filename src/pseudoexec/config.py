@@ -79,6 +79,8 @@ class RunConfig:
                 f"pseudocode_source must be one of {PSEUDOCODE_SOURCES}")
         if self.sandbox_timeout_ms <= 0:
             raise ConfigError("sandbox_timeout_ms must be positive")
+        if not 0 <= self.mock_corrupt_fraction <= 1:
+            raise ConfigError("mock_corrupt_fraction must be between 0 and 1")
         if not Path(self.dataset_dir).is_dir():
             raise ConfigError(f"dataset_dir {self.dataset_dir!r} not found")
         if self.mode in ("record", "replay") and not self.cassette_path:

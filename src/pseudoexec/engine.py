@@ -1,6 +1,5 @@
-"""Execute phase and the one reasoner call of every method: wrap a pseudocode
-prompt and an instance in the execution-simulation template, obtain the
-simulated transcript, and extract the final answer."""
+"""The one reasoner call of every method: build its request, obtain the
+response, and extract the final answer (for PoT, run the program)."""
 
 from __future__ import annotations
 
@@ -9,9 +8,9 @@ import re
 from .baselines import (DEFAULT_INTERPRETER, DEFAULT_TIMEOUT_MS,
                         FAIL_GATEWAY, FAIL_NO_FINAL_ANSWER, MethodId,
                         Prediction, build_baseline_prompt, run_pot_instance)
-from .errors import GatewayError, MissingAsset
+from .errors import GatewayError
 from .gateway import ChatRequest, Gateway
-from .prompts import PromptAsset, escape_instance, load_asset_text, render
+from .prompts import PromptAsset
 from .tasks import TaskInstance
 
 _MARKER_RE = re.compile(r"Final answer:[ \t]*(.*)")
@@ -19,16 +18,10 @@ _MARKER_RE = re.compile(r"Final answer:[ \t]*(.*)")
 
 def build_execute_prompt(pseudocode: PromptAsset,
                          instance: TaskInstance) -> tuple[str, str]:
-    """Returns (system, user) for the execution-simulation call."""
-    if not pseudocode.function_name:
-        raise ValueError("execute prompt needs a function name")
-    system = load_asset_text("meta/execute_system.txt")
-    user = render(load_asset_text("meta/execute.txt"), {
-        "prompt": pseudocode.body,
-        "input_text": escape_instance(instance.input_text),
-        "function_name": pseudocode.function_name,
-    })
-    return system, user
+    """Returns (system, user) for the execution-simulation call; the
+    benchmark under ``perfbench/`` builds and traces it by this name."""
+    return build_baseline_prompt(MethodId.THINK_AND_EXECUTE, instance,
+                                 pseudocode)
 
 
 def extract_final_answer(transcript: str) -> str | None:
@@ -51,13 +44,7 @@ def run_instance(method: MethodId, instance: TaskInstance,
     the plan for NL planning, unused otherwise.  Model-content failures
     (missing marker, gateway refusals, sandbox crashes) are recorded in the
     returned Prediction; only configuration errors raise."""
-    if method is MethodId.THINK_AND_EXECUTE:
-        if asset is None:
-            raise MissingAsset("pseudocode")
-        system, user = build_execute_prompt(asset, instance)
-    else:
-        system, user = build_baseline_prompt(method, instance, asset)
-
+    system, user = build_baseline_prompt(method, instance, asset)
     request = ChatRequest(role_tag="reasoner", system=system, user=user,
                           model_id=model_id)
     try:

@@ -26,8 +26,6 @@ _QUESTION_RE = re.compile(
     r"|^text for the task: (?P<baseline>.*?)\nFinal answer should be"
     r"|^Q: (?P<pot>.*?)\n\n# solution using Python:",
     re.MULTILINE | re.DOTALL)
-_CODE_META_RE = re.compile(r"The main function name should be '(\w+)'")
-_BY_FUNCTION = {spec.function_name: task for task, spec in TASKS.items()}
 
 
 def mock_gateway(instances: Iterable[TaskInstance] = (),
@@ -72,24 +70,25 @@ def mock_gateway(instances: Iterable[TaskInstance] = (),
 
 
 def _instructor(request: ChatRequest) -> str:
-    """The code meta prompt names its function; the analysis meta prompt
-    ends with the target task's example block."""
-    match = _CODE_META_RE.search(request.user)
-    if match:
-        task = _BY_FUNCTION.get(match[1])
-        if task is not None:
-            return load_pseudocode(task, "generated").body
-    else:
-        task = _task_by_example_block().get(
-            request.user.rsplit("[Example 4]", 1)[-1])
-        if task is not None:
-            return load_nl_plan(task).body
+    answer = _answer_by_example_block().get(
+        request.user.rsplit("[Example 4]", 1)[-1])
+    if answer is not None:
+        return answer
     raise CassetteMiss("mock instructor: no bundled task matches the request")
 
 
 @functools.cache
-def _task_by_example_block() -> dict[str, TaskId]:
-    """Each task's ``[Example 4]`` block of the analysis meta prompt, which
-    depends on the target task alone."""
-    return {build_meta_prompt("meta_analysis", task, 0).rsplit(
-        "[Example 4]", 1)[1]: task for task in TaskId}
+def _answer_by_example_block() -> dict[str, str]:
+    """The bundled answer to each task's two Think meta prompts, keyed by
+    the ``[Example 4]`` block that ends the prompt.  That block names only
+    the target task, and in the code meta prompt it also holds the
+    analysis, which is the one this Instructor answers with."""
+    table = {}
+    for task in TaskId:
+        analysis = load_nl_plan(task).body
+        for name, answer in (
+                ("meta_analysis", analysis),
+                ("meta_code", load_pseudocode(task, "generated").body)):
+            prompt = build_meta_prompt(name, task, 0, analysis=analysis)
+            table[prompt.rsplit("[Example 4]", 1)[1]] = answer
+    return table

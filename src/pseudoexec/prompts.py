@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import MalformedPseudocode, MissingAsset
 from .gateway import ChatRequest, Gateway
-from .pseudolex import ablate_text, text_features
+from .pseudolex import PromptFeatureReport, ablate_text, text_features
 from .tasks import TASKS, TaskId
 
 _DEF_RE = r"^[ \t]*def[ \t]+{name}[ \t]*\("
@@ -44,16 +44,6 @@ class TaskInfo:
     description: str
     output_format: str
     example_questions: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PromptFeatureReport:
-    has_loop: bool
-    has_conditional: bool
-    print_count: int
-    comment_line_count: int
-    helper_functions: tuple[str, ...]
-    variable_names: tuple[str, ...]
 
 
 # --- asset loading -----------------------------------------------------------
@@ -231,12 +221,4 @@ def ablate_prompt(asset: PromptAsset) -> PromptAsset:
 def analyze_prompt_features(asset: PromptAsset) -> PromptFeatureReport:
     if not asset.function_name:
         raise ValueError("feature analysis applies to pseudocode assets")
-    feats = text_features(asset.body, asset.function_name)
-    return PromptFeatureReport(
-        has_loop=feats["has_loop"],
-        has_conditional=feats["has_conditional"],
-        print_count=feats["print_count"],
-        comment_line_count=feats["comment_line_count"],
-        helper_functions=tuple(feats["helper_functions"]),
-        variable_names=tuple(feats["variable_names"]),
-    )
+    return text_features(asset.body, asset.function_name)

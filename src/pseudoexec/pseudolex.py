@@ -31,6 +31,16 @@ class Token:
     text: str
 
 
+@dataclass(frozen=True)
+class PromptFeatureReport:
+    has_loop: bool
+    has_conditional: bool
+    print_count: int
+    comment_line_count: int
+    helper_functions: tuple[str, ...]
+    variable_names: tuple[str, ...]
+
+
 _STRING_PREFIXES = {"f", "r", "b", "u", "fr", "rf", "br", "rb"}
 
 # Names that are never renamed by the ablation: language keywords, builtins
@@ -207,7 +217,8 @@ def _def_names(tokens: list[Token]) -> list[str]:
     return names
 
 
-def text_features(text: str, main_function: str | None = None) -> dict:
+def text_features(text: str,
+                  main_function: str | None = None) -> PromptFeatureReport:
     """Count the structural features of a pseudocode body."""
     tokens = tokenize(text)
     lines = _split_lines(tokens)
@@ -224,14 +235,12 @@ def text_features(text: str, main_function: str | None = None) -> dict:
         1 for line in lines
         if any(t.kind is TokKind.COMMENT for t in line)
         or _is_docstring_line(line))
-    variables = [name for name in rename_identifiers(tokens)[1]
-                 if name not in defs]
     keywords_used = {t.text for t in sig if t.kind is TokKind.NAME}
-    return {
-        "has_loop": bool(keywords_used & {"for", "while"}),
-        "has_conditional": bool(keywords_used & {"if", "elif", "else"}),
-        "print_count": print_count,
-        "comment_line_count": comment_lines,
-        "helper_functions": [d for d in defs if d != main],
-        "variable_names": variables,
-    }
+    return PromptFeatureReport(
+        has_loop=bool(keywords_used & {"for", "while"}),
+        has_conditional=bool(keywords_used & {"if", "elif", "else"}),
+        print_count=print_count,
+        comment_line_count=comment_lines,
+        helper_functions=tuple(d for d in defs if d != main),
+        variable_names=tuple(name for name in rename_identifiers(tokens)[1]
+                             if name not in defs))

@@ -66,9 +66,12 @@ def test_nl_planning_requires_asset():
     assert user.startswith(plan.body)
 
 
-def test_think_and_execute_rejected_here():
-    with pytest.raises(ValueError):
+def test_think_and_execute_requires_pseudocode():
+    with pytest.raises(MissingAsset):
         build_baseline_prompt(MethodId.THINK_AND_EXECUTE, _nav())
+    with pytest.raises(MissingAsset):       # a plan is not pseudocode
+        build_baseline_prompt(MethodId.THINK_AND_EXECUTE, _nav(),
+                              load_nl_plan(TaskId.NAVIGATE))
 
 
 def test_extract_program_fenced_block():

@@ -130,7 +130,8 @@ def test_run_unknown_task_in_config(tmp_path):
 @pytest.mark.parametrize("sandbox", [
     {"interpreter_command": []}, {"sandbox_timeout_ms": 0},
     {"interpreter_command": ["no-such-python-xyz"]},
-    {"pseudocode_source": "bogus"}])
+    {"pseudocode_source": "bogus"}, {"mock_corrupt_fraction": 7.5},
+    {"mock_corrupt_fraction": -0.1}])
 def test_run_rejects_unusable_sandbox_config(tmp_path, capsys, sandbox):
     config = _write_config(tmp_path, mode="mock", cassette_path=None,
                            method="zero_shot_pot", tasks=["navigate"],

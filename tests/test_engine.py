@@ -1,7 +1,9 @@
-"""Execute-engine tests: template instantiation, marker extraction,
-run_instance failure handling."""
+"""Execute-engine tests: template instantiation, the request bytes of every
+method, marker extraction, run_instance failure handling."""
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,13 @@ from hypothesis import strategies as st
 
 from pseudoexec import baselines
 from pseudoexec.baselines import MethodId
+from pseudoexec.cli import load_dataset
 from pseudoexec.engine import (Prediction, build_execute_prompt,
                                extract_final_answer, run_instance)
-from pseudoexec.errors import MissingAsset
-from pseudoexec.gateway import MockGateway
+from pseudoexec.errors import CassetteMiss, MissingAsset
+from pseudoexec.gateway import Gateway, MockGateway, digest
 from pseudoexec.mock import mock_gateway
-from pseudoexec.prompts import PromptAsset, load_pseudocode
+from pseudoexec.prompts import load_nl_plan, load_pseudocode
 from pseudoexec.tasks import TaskId, make_instance
 from pseudoexec.tasks.generate import generate_instance
 
@@ -155,3 +158,37 @@ def test_run_instance_deterministic_under_mock():
     a = run_instance(MethodId.THINK_AND_EXECUTE, inst, asset, gateway)
     b = run_instance(MethodId.THINK_AND_EXECUTE, inst, asset, gateway)
     assert a == b
+
+
+# SHA-256 over the request digests of every model-backed method for the 147
+# bundled instances, Think-and-Execute under both prompt sets.  A changed
+# byte in any request changes it, and with it every recorded cassette key.
+REQUESTS_SHA256 = \
+    "fce6d150c57f50b7352eacda827cc088b1a700a23bac865285608c22fad0d258"
+
+
+def test_every_method_sends_the_pinned_requests(paper_fixture_dir,
+                                                replay_fixture_dir):
+    sent = []
+
+    class Capture(Gateway):
+        def complete(self, request):
+            sent.append(digest(request))
+            raise CassetteMiss("captured")
+
+    instances = (load_dataset(replay_fixture_dir, list(TaskId))
+                 + load_dataset(paper_fixture_dir, list(TaskId)))
+    runs = [(method, {}) for method in (
+        MethodId.DIRECT, MethodId.ZERO_SHOT_COT, MethodId.PLAN_AND_SOLVE,
+        MethodId.ZERO_SHOT_POT)]
+    runs.append((MethodId.NL_PLANNING,
+                 {task: load_nl_plan(task) for task in TaskId}))
+    runs += [(MethodId.THINK_AND_EXECUTE,
+              {task: load_pseudocode(task, source) for task in TaskId})
+             for source in ("human", "generated")]
+    for method, assets in runs:
+        for inst in instances:
+            run_instance(method, inst, assets.get(inst.task), Capture())
+    assert len(sent) == 7 * 147
+    assert hashlib.sha256("\n".join(sent).encode()).hexdigest() == \
+        REQUESTS_SHA256

@@ -113,10 +113,10 @@ def test_features_human_dyck_prompt():
 
 def test_features_empty_text_all_zero():
     feats = text_features("")
-    assert feats["print_count"] == 0
-    assert feats["comment_line_count"] == 0
-    assert not feats["has_loop"] and not feats["has_conditional"]
-    assert feats["helper_functions"] == [] and feats["variable_names"] == []
+    assert feats.print_count == 0
+    assert feats.comment_line_count == 0
+    assert not feats.has_loop and not feats.has_conditional
+    assert feats.helper_functions == () and feats.variable_names == ()
 
 
 def test_features_generated_web_of_lies_has_no_helpers():
@@ -129,7 +129,7 @@ def test_features_counts_helper_functions():
     feats = text_features(
         "def helper(x):\n    return x\n\ndef main(y):\n    return helper(y)\n",
         main_function="main")
-    assert feats["helper_functions"] == ["helper"]
+    assert feats.helper_functions == ("helper",)
 
 
 def test_features_after_ablation_zero_comments():
