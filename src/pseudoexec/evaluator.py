@@ -85,8 +85,8 @@ def evaluate_run(method: MethodId, instances: list[TaskInstance], gateway,
             return run_instance(method, instance, assets.get(instance.task),
                                 gateway, model_id=model_id, **run_kwargs)
 
-    # Imported here, like ``requests`` in the live gateway: commands that
-    # never evaluate do not pay for it (it pulls in ``logging``).
+    # Imported here, like the HTTP client in the live gateway: commands
+    # that never evaluate do not pay for it (it pulls in ``logging``).
     from concurrent.futures import ThreadPoolExecutor
 
     report = EvalReport(method=method, model_id=model_id)

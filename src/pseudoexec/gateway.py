@@ -233,7 +233,8 @@ class LiveGateway(Gateway):
         self._backoff_base_s = backoff_base_s
 
     def complete(self, request: ChatRequest) -> str:
-        import requests
+        from http.client import HTTPException
+        from urllib.request import HTTPError, Request, urlopen
 
         api_key = os.environ.get(self._credential_env)
         if not api_key:
@@ -243,39 +244,45 @@ class LiveGateway(Gateway):
         if request.system is not None:
             messages.append({"role": "system", "content": request.system})
         messages.append({"role": "user", "content": request.user})
-        body = {
+        data = json.dumps({
             "model": request.model_id,
             "messages": messages,
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
-        }
+        }, allow_nan=False).encode()
         last_error: Exception | None = None
         for attempt in range(self._max_attempts):
             if attempt:
                 time.sleep(min(self._backoff_base_s * 2 ** (attempt - 1), 30))
+            # One connection per call: urllib sends ``Connection: close``.
+            # The key is not carried over to a redirect's target.
             try:
-                resp = requests.post(
-                    self._endpoint,
-                    json=body,
-                    headers={"Authorization": f"Bearer {api_key}"},
-                    timeout=120,
-                )
-            except requests.RequestException as exc:
+                post = Request(self._endpoint, data,
+                               {"Content-Type": "application/json"})
+                post.add_unredirected_header("Authorization",
+                                             f"Bearer {api_key}")
+                try:
+                    resp = urlopen(post, timeout=120)
+                except HTTPError as exc:     # a non-2xx reply
+                    resp = exc
+                with resp:
+                    status, text = resp.status, resp.read()
+            except (OSError, HTTPException, ValueError) as exc:
                 last_error = TransportError(str(exc))
                 continue
-            if resp.status_code == 429:
+            if status == 429:
                 last_error = RateLimited(f"429 after attempt {attempt + 1}")
                 continue
-            if resp.status_code >= 500:
-                last_error = TransportError(f"server error {resp.status_code}")
+            if status >= 500:
+                last_error = TransportError(f"server error {status}")
                 continue
-            if resp.status_code != 200:
+            if status != 200:
                 raise TransportError(
-                    f"HTTP {resp.status_code}: {resp.text[:200]}")
+                    f"HTTP {status}: {text.decode(errors='replace')[:200]}")
             # A 200 with a body of another shape is recorded against the
             # instance, like any transport failure; it must not abort the run.
             try:
-                content = resp.json()["choices"][0]["message"]["content"]
+                content = json.loads(text)["choices"][0]["message"]["content"]
             except (ValueError, LookupError, TypeError) as exc:
                 raise TransportError(
                     f"malformed response body: {exc!r}") from exc

@@ -15,15 +15,16 @@ Standard library only: the server imports nothing from pseudoexec.
 """
 
 import atexit
+import builtins
 import contextlib
 import json
 import math
 import os
 import resource
-import runpy
 import select
 import signal
 import sys
+import types
 
 # The server's own VmSize is about 17 MB (Python 3.11); 1 GiB leaves a
 # program ample room while one runaway allocation fails with MemoryError.
@@ -82,14 +83,25 @@ def _run_child(script: str, stdout: str, stderr: str,
     if _SCRIPT_DIR_ON_PATH:
         sys.path[0] = workdir
     _set_limits(timeout_s)
+    # A fresh ``__main__``, with the names ``runpy.run_path`` sets; unlike
+    # run_path this imports nothing before the program's own code.
+    main = types.ModuleType("__main__")
+    main.__file__ = script
+    main.__cached__ = None
+    main.__builtins__ = builtins
+    sys.modules["__main__"] = main
     try:
-        runpy.run_path(script, run_name="__main__")
+        with open(script, "rb") as source:
+            code = compile(source.read(), script, "exec")
+        exec(code, main.__dict__)
         status = 0
     except SystemExit as exc:
         status = _exit_status(exc.code)
     except BaseException as exc:
-        # The traceback starts at runpy, not at this function.
-        sys.excepthook(type(exc), exc, exc.__traceback__.tb_next)
+        # The traceback starts at the program, not at this function, as
+        # under ``python script`` (none for a syntax error).
+        tb = exc.__traceback__.tb_next
+        sys.excepthook(type(exc), exc.with_traceback(tb), tb)
         status = 1
     # What the interpreter does at exit: join non-daemon threads, then run
     # the atexit handlers.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -232,6 +233,51 @@ def test_sandbox_stdin_is_empty():
     assert result.stdout == "eof\n" and not result.timed_out
 
 
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["default", "no_site"])
+def test_sandbox_imports_nothing_before_the_program(flags):
+    result = execute_program(
+        "print(1)",
+        interpreter_command=[sys.executable, *flags, "-X", "importtime"])
+    assert (result.stdout, result.stderr) == ("1\n", "")
+
+
+def _as_python_script(program: str, tmp_path: Path) -> tuple[str, str]:
+    """stdout and stderr of ``python program.py``, as ``execute_program``
+    runs it, with the script's path reduced to its name."""
+    script = tmp_path / "program.py"
+    script.write_text(program, encoding="utf-8")
+    ran = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60)
+    sandboxed = execute_program(program)
+    normalised = [re.sub(r'File "[^"]*program\.py"', 'File "program.py"',
+                         stderr) for stderr in (ran.stderr, sandboxed.stderr)]
+    assert sandboxed.stdout == ran.stdout
+    assert normalised[0] == normalised[1]
+    assert sandboxed.exit_status == ran.returncode
+    return sandboxed.stdout, normalised[1]
+
+
+@pytest.mark.parametrize("program", [
+    "def f(x):\n    return 1 / x\n\nprint('before')\nf(0)\n",
+    "print('never'\n",
+    "raise ValueError('bad')  # a comment\n",
+])
+def test_sandbox_traceback_matches_python_script(program, tmp_path):
+    _, stderr = _as_python_script(program, tmp_path)
+    assert "sandbox_server" not in stderr and "runpy" not in stderr
+
+
+def test_sandbox_program_runs_as_main(tmp_path):
+    stdout, _ = _as_python_script(
+        "import os, pickle, sys\n"
+        "class Point:\n    pass\n"
+        "copy = pickle.loads(pickle.dumps(Point()))\n"
+        "print(__name__, __file__ == sys.argv[0],\n"
+        "      os.path.basename(__file__), type(copy) is Point)\n",
+        tmp_path)
+    assert stdout == "__main__ True program.py True\n"
+
+
 def test_sandbox_replaces_a_killed_server():
     first = _server_pid()
     os.kill(first, signal.SIGKILL)
@@ -339,11 +385,11 @@ def test_run_pot_instance_end_to_end():
     assert pred.final_answer == "Yes"
 
 
-def test_baselines_does_not_import_gateway():
-    """Every reasoner call is made in ``engine.run_instance``; the baselines
-    only build prompts and read responses."""
+def _imported_names(path: Path) -> set[str]:
+    """Every module, and every ``module.name``, that ``path`` imports, with
+    relative imports spelled from ``pseudoexec``."""
     imported = set()
-    tree = ast.parse(Path(baselines.__file__).read_text(encoding="utf-8"))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
@@ -353,5 +399,27 @@ def test_baselines_does_not_import_gateway():
                 base = "pseudoexec" + (f".{base}" if base else "")
             imported.add(base)
             imported.update(f"{base}.{alias.name}" for alias in node.names)
+    return imported
+
+
+def test_baselines_does_not_import_gateway():
+    """Every reasoner call is made in ``engine.run_instance``; the baselines
+    only build prompts and read responses."""
+    imported = _imported_names(Path(baselines.__file__))
     assert not {name for name in imported
                 if name.startswith("pseudoexec.gateway")}
+
+
+def test_package_uses_only_the_standard_library():
+    """``src/`` imports nothing but itself and the standard library, and the
+    package declares no runtime dependency."""
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(baselines.__file__).parent
+    foreign = {(path.name, name) for path in package.rglob("*.py")
+               for name in _imported_names(path)
+               if name.split(".")[0] not in {"pseudoexec",
+                                             *sys.stdlib_module_names}}
+    assert not foreign
+    pyproject = package.parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["dependencies"] == []

@@ -9,6 +9,7 @@ import socket
 import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -280,33 +281,55 @@ def test_live_requires_credential_env(monkeypatch):
         live.complete(_req())
 
 
-def _http_200(body: bytes):
-    import requests
-
-    resp = requests.Response()
-    resp.status_code = 200
-    resp._content = body
-    resp.encoding = "utf-8"
-    return resp
-
-
-def _offline_live(monkeypatch, respond):
-    """A LiveGateway whose HTTP posts are answered by ``respond(json_body)``;
-    any socket use fails the test."""
-    import requests
-
+@pytest.fixture
+def chat_server(monkeypatch):
+    """``serve(respond, **live_kw)`` starts an HTTP server on 127.0.0.1 that
+    answers each POST with ``respond(json_body)``: ``(status, payload)``, or
+    ``(status, payload, content_length)`` to announce another length.  It
+    closes the socket after each reply.  ``serve`` returns a LiveGateway on
+    that server and the list of ``(headers, json_body)`` the server saw."""
     from pseudoexec.gateway import LiveGateway
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("socket opened by a patched live gateway")
-
-    monkeypatch.setattr(socket, "socket", forbidden)
-    monkeypatch.setattr(socket, "create_connection", forbidden)
-    monkeypatch.setattr(requests, "post",
-                        lambda url, json, **kw: _http_200(respond(json)))
     monkeypatch.setenv("TEST_CRED", "not-a-real-key")
-    return LiveGateway("http://127.0.0.1:9/v1/chat/completions",
-                       "TEST_CRED", max_attempts=1)
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    servers = []
+
+    def serve(respond, max_attempts=1, backoff_base_s=0.0):
+        seen = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, format, *args):
+                pass
+
+            def do_POST(self):
+                length = int(self.headers["Content-Length"])
+                body = json.loads(self.rfile.read(length))
+                seen.append((self.headers, body))
+                status, payload, *announced = respond(body)
+                self.send_response(status)
+                self.send_header("Content-Length",
+                                 str(announced[0] if announced
+                                     else len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, args=(0.01,),
+                         daemon=True).start()
+        servers.append(server)
+        endpoint = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+        return LiveGateway(endpoint, "TEST_CRED", max_attempts=max_attempts,
+                           backoff_base_s=backoff_base_s), seen
+
+    yield serve
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _answer(content: str) -> bytes:
+    return json.dumps(
+        {"choices": [{"message": {"content": content}}]}).encode()
 
 
 MALFORMED_BODIES = [b"<html>not json</html>", b"{}", b'{"choices": []}',
@@ -314,15 +337,15 @@ MALFORMED_BODIES = [b"<html>not json</html>", b"{}", b'{"choices": []}',
 
 
 @pytest.mark.parametrize("body", MALFORMED_BODIES)
-def test_live_malformed_body_is_transport_error(monkeypatch, body):
+def test_live_malformed_body_is_transport_error(chat_server, body):
     from pseudoexec.errors import TransportError
 
-    live = _offline_live(monkeypatch, lambda request: body)
+    live, _ = chat_server(lambda request: (200, body))
     with pytest.raises(TransportError, match="malformed response body"):
         live.complete(_req())
 
 
-def test_live_malformed_body_does_not_abort_run(monkeypatch):
+def test_live_malformed_body_does_not_abort_run(chat_server):
     import json
 
     from pseudoexec.baselines import MethodId
@@ -335,15 +358,95 @@ def test_live_malformed_body_does_not_abort_run(monkeypatch):
 
     def respond(request):
         if bad.input_text in request["messages"][-1]["content"]:
-            return b'{"choices": []}'
-        return json.dumps({"choices": [{"message": {
-            "content": f"Final answer: {good.target}"}}]}).encode()
+            return 200, b'{"choices": []}'
+        return 200, _answer(f"Final answer: {good.target}")
 
     predictions = {}
     report = evaluate_run(
-        MethodId.DIRECT, [good, bad], _offline_live(monkeypatch, respond),
+        MethodId.DIRECT, [good, bad], chat_server(respond)[0],
         on_prediction=lambda i, inst, pred, ok: predictions.update({i: pred}))
     assert report.per_task[TaskId.NAVIGATE].total == 2
     assert report.per_task[TaskId.NAVIGATE].correct == 1
     assert predictions[0].final_answer == good.target
     assert predictions[1].failure.startswith("gateway_error: ")
+
+
+def test_live_sends_key_and_json_body(chat_server):
+    live, seen = chat_server(lambda request: (200, _answer("ok")))
+    request = _req("question", system="be brief", model_id="m-1")
+    assert live.complete(request) == "ok"
+    [(headers, body)] = seen
+    assert headers["Authorization"] == "Bearer not-a-real-key"
+    assert headers["Content-Type"] == "application/json"
+    assert body == {"model": "m-1",
+                    "messages": [{"role": "system", "content": "be brief"},
+                                 {"role": "user", "content": "question"}],
+                    "temperature": 0.0, "max_tokens": request.max_tokens}
+
+
+def test_live_retries_a_429_then_answers(chat_server):
+    statuses = iter([429, 200])
+    live, seen = chat_server(
+        lambda request: (next(statuses), _answer("after retry")),
+        max_attempts=2)
+    assert live.complete(_req()) == "after retry"
+    assert len(seen) == 2
+
+
+def test_live_5xx_on_every_attempt_is_transport_error(chat_server):
+    from pseudoexec.errors import RateLimited, TransportError
+
+    live, seen = chat_server(lambda request: (503, b"busy"), max_attempts=3)
+    with pytest.raises(TransportError, match="server error 503") as caught:
+        live.complete(_req())
+    assert not isinstance(caught.value, RateLimited)
+    assert len(seen) == 3
+
+
+def test_live_4xx_is_transport_error_with_the_body_head(chat_server):
+    from pseudoexec.errors import TransportError
+
+    payload = b"no such model: " + b"x" * 300
+    live, seen = chat_server(lambda request: (404, payload), max_attempts=3)
+    with pytest.raises(TransportError) as caught:
+        live.complete(_req())
+    assert str(caught.value) == f"HTTP 404: {payload[:200].decode()}"
+    assert len(seen) == 1
+
+
+def test_live_cut_short_body_is_a_recorded_gateway_error(chat_server):
+    from pseudoexec.baselines import MethodId
+    from pseudoexec.errors import TransportError
+    from pseudoexec.evaluator import evaluate_run
+    from pseudoexec.tasks import TaskId
+    from pseudoexec.tasks.generate import generate_instance
+
+    live, _ = chat_server(lambda request: (200, b'{"choices"', 100))
+    with pytest.raises(TransportError):
+        live.complete(_req())
+    predictions = {}
+    evaluate_run(
+        MethodId.DIRECT, [generate_instance(TaskId.NAVIGATE, 1, 3)], live,
+        on_prediction=lambda i, inst, pred, ok: predictions.update({i: pred}))
+    assert predictions[0].failure.startswith("gateway_error: ")
+
+
+def _refused_endpoint() -> str:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1/chat/completions"
+
+
+@pytest.mark.parametrize("endpoint", [_refused_endpoint,
+                                      lambda: "127.0.0.1/no-scheme"],
+                         ids=["refused", "malformed_url"])
+def test_live_unreachable_endpoint_is_transport_error(monkeypatch, endpoint):
+    from pseudoexec.errors import TransportError
+    from pseudoexec.gateway import LiveGateway
+
+    monkeypatch.setenv("TEST_CRED", "not-a-real-key")
+    live = LiveGateway(endpoint(), "TEST_CRED", max_attempts=2,
+                       backoff_base_s=0.0)
+    with pytest.raises(TransportError):
+        live.complete(_req())
