@@ -40,16 +40,22 @@ def write_dataset(instances: list[TaskInstance], out_dir: Path) -> None:
             "\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_dataset(dataset_dir: Path,
-                 tasks: list[TaskId]) -> list[TaskInstance]:
+def load_dataset(dataset_dir: Path, tasks: list[TaskId],
+                 files: list[tuple[TaskId, bytes]] | None = None
+                 ) -> list[TaskInstance]:
+    """The instances of ``tasks``, in order.  Each file is read once; with
+    ``files`` given, its task and bytes are appended there, so the digest
+    covers the bytes that were parsed."""
     instances: list[TaskInstance] = []
     for task in tasks:
         path = dataset_dir / f"{task.value}.jsonl"
         if not path.is_file():
             raise MalformedDataset(f"missing dataset file {path}")
+        data = path.read_bytes()
+        if files is not None:
+            files.append((task, data))
         count = len(instances)
-        for index, line in enumerate(
-                path.read_text(encoding="utf-8").splitlines()):
+        for index, line in enumerate(data.decode("utf-8").splitlines()):
             if not line.strip():
                 continue
             try:
@@ -66,13 +72,11 @@ def load_dataset(dataset_dir: Path,
     return instances
 
 
-def dataset_digest(dataset_dir: Path, tasks: list[TaskId]) -> str:
+def dataset_digest(files: list[tuple[TaskId, bytes]]) -> str:
     hasher = hashlib.sha256()
-    for task in tasks:
-        path = dataset_dir / f"{task.value}.jsonl"
+    for task, data in files:
         hasher.update(task.value.encode())
-        if path.is_file():
-            hasher.update(path.read_bytes())
+        hasher.update(data)
     return hasher.hexdigest()
 
 
@@ -100,6 +104,54 @@ def _cassette_digest(gateway: Gateway | None) -> str | None:
     what it appended; None for a backend that never opens one."""
     cassette = gateway.cassette if gateway is not None else None
     return cassette.sha256.hexdigest() if cassette is not None else None
+
+
+# --- transcript writers ------------------------------------------------------
+
+def _write_file(path: str, data: bytes) -> None:
+    """Leave ``data`` in ``path`` as ``Path.write_bytes`` would."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+class _WriterLanes:
+    """One writer thread per lane; each lane writes what ``put`` hands it in
+    the order it arrives.  ``put`` re-raises the first failed write, and
+    ``close`` returns it once every lane has drained."""
+
+    def __init__(self, count: int):
+        import queue
+        import threading
+        self._errors: list[Exception] = []
+        self._queues = [queue.SimpleQueue() for _ in range(count)]
+        self._threads = [threading.Thread(target=self._drain, args=(jobs,))
+                         for jobs in self._queues]
+        for thread in self._threads:
+            thread.start()
+
+    def _drain(self, jobs) -> None:
+        while (job := jobs.get()) is not None:
+            try:
+                _write_file(*job)
+            except Exception as exc:   # kept; the calling thread raises it
+                self._errors.append(exc)
+
+    def put(self, lane: int, path: str, data: bytes) -> None:
+        if self._errors:
+            raise self._errors[0]
+        self._queues[lane].put((path, data))
+
+    def close(self) -> Exception | None:
+        for jobs in self._queues:
+            jobs.put(None)
+        for thread in self._threads:
+            thread.join()
+        return self._errors[0] if self._errors else None
 
 
 # --- commands ----------------------------------------------------------------
@@ -168,37 +220,57 @@ def _task_assets(config: RunConfig) -> dict[TaskId, PromptAsset]:
 def cmd_run(args, config: RunConfig) -> int:
     tasks = config.task_ids()
     dataset_dir = Path(config.dataset_dir)
-    instances = load_dataset(dataset_dir, tasks)
-    digest = dataset_digest(dataset_dir, tasks)
+    files: list[tuple[TaskId, bytes]] = []
+    instances = load_dataset(dataset_dir, tasks, files)
+    digest = dataset_digest(files)
     method = config.method_id()
     gateway = (None if method is MethodId.ORACLE
                else build_gateway(config, instances))
     rid = run_id(config, digest, _cassette_digest(gateway))
     run_dir = Path(config.runs_dir) / rid
     run_dir.mkdir(parents=True, exist_ok=True)
-    counters: dict[TaskId, int] = {}
-    for task in {instance.task for instance in instances}:
+    # Task k of the run is written by lane k mod L, so no two lanes ever
+    # create files in the same directory.
+    run_tasks = list(dict.fromkeys(instance.task for instance in instances))
+    lane_count = min(config.max_parallel, len(run_tasks))
+    lane_of = {task: k % lane_count for k, task in enumerate(run_tasks)}
+    for task in run_tasks:
         (run_dir / task.value).mkdir(exist_ok=True)
+    slots = []   # per instance: its number within its task, path and lane
+    numbered = dict.fromkeys(run_tasks, 0)
+    for instance in instances:
+        idx = numbered[instance.task]
+        numbered[instance.task] = idx + 1
+        slots.append((idx, f"{run_dir}/{instance.task.value}/{idx}.txt",
+                      lane_of[instance.task]))
+    lanes = None
 
     def persist(index, instance, prediction, correct):
-        idx = counters.get(instance.task, 0)
-        counters[instance.task] = idx + 1
-        task_dir = run_dir / instance.task.value
+        nonlocal lanes
+        if lanes is None:   # here, so the set-up starts no thread
+            lanes = _WriterLanes(lane_count)
+        idx, path, lane = slots[index]
         verdict = "correct" if correct else "incorrect"
         body = (f"# instance {idx} [{verdict}]"
                 f" target={instance.target!r}"
                 f" answer={prediction.final_answer!r}"
                 f" failure={prediction.failure!r}\n"
                 + prediction.transcript + "\n")
-        (task_dir / f"{idx}.txt").write_text(body, encoding="utf-8")
+        lanes.put(lane, path, body.encode("utf-8"))
 
-    report = evaluate_run(
-        method, instances, gateway, _task_assets(config),
-        model_id=config.reasoner_model, on_prediction=persist,
-        max_parallel=config.max_parallel,
-        interpreter_command=config.interpreter_command,
-        sandbox_timeout_ms=config.sandbox_timeout_ms,
-        credential_env=config.credential_env)
+    try:
+        report = evaluate_run(
+            method, instances, gateway, _task_assets(config),
+            model_id=config.reasoner_model, on_prediction=persist,
+            max_parallel=config.max_parallel,
+            interpreter_command=config.interpreter_command,
+            sandbox_timeout_ms=config.sandbox_timeout_ms,
+            credential_env=config.credential_env)
+    finally:
+        # On any abort too, every transcript handed over reaches the disk.
+        failed = lanes.close() if lanes is not None else None
+    if failed is not None:
+        raise failed
 
     manifest = {
         "run_id": rid,

@@ -90,6 +90,7 @@ def _run_child(script: str, stdout: str, stderr: str,
     main.__cached__ = None
     main.__builtins__ = builtins
     sys.modules["__main__"] = main
+    interrupted = False
     try:
         with open(script, "rb") as source:
             code = compile(source.read(), script, "exec")
@@ -103,6 +104,7 @@ def _run_child(script: str, stdout: str, stderr: str,
         tb = exc.__traceback__.tb_next
         sys.excepthook(type(exc), exc.with_traceback(tb), tb)
         status = 1
+        interrupted = isinstance(exc, KeyboardInterrupt)
     # What the interpreter does at exit: join non-daemon threads, then run
     # the atexit handlers.
     threading = sys.modules.get("threading")
@@ -114,6 +116,11 @@ def _run_child(script: str, stdout: str, stderr: str,
             stream.flush()
         except Exception:
             status = status or 120   # as the interpreter does on exit
+    if interrupted:
+        # Die of SIGINT, as the interpreter does after an unhandled
+        # KeyboardInterrupt, so the caller sees the program was interrupted.
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
     return status
 
 

@@ -261,6 +261,8 @@ def _as_python_script(program: str, tmp_path: Path) -> tuple[str, str]:
     "def f(x):\n    return 1 / x\n\nprint('before')\nf(0)\n",
     "print('never'\n",
     "raise ValueError('bad')  # a comment\n",
+    # ``python program.py`` dies of SIGINT (exit -2) after this one.
+    "print('before')\nraise KeyboardInterrupt\n",
 ])
 def test_sandbox_traceback_matches_python_script(program, tmp_path):
     _, stderr = _as_python_script(program, tmp_path)

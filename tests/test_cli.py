@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
 
+from pseudoexec import cli
 from pseudoexec.cli import main
 from pseudoexec.config import MAX_PARALLEL_CEILING, RunConfig, load_config
 from pseudoexec.errors import ConfigError
+from pseudoexec.gateway import MockGateway
 from pseudoexec.tasks import TaskId
 from pseudoexec.tasks.generate import generate_instance
 
@@ -232,7 +240,137 @@ def test_run_id_and_outputs_ignore_parallelism_and_paths(tmp_path, capsys):
                                 cassette_path=str(edited))
     assert outputs == serial[1]
     assert rid != serial[0]
+    # Four writer lanes, then one lane per task.
+    for max_parallel in (4, 8):
+        assert _run_outputs(tmp_path, f"lanes {max_parallel}",
+                            max_parallel=max_parallel) == serial
     capsys.readouterr()
+
+
+def test_mock_outputs_ignore_the_lane_count(tmp_path, capsys):
+    runs = [_run_outputs(tmp_path, f"mock {n}", mode="mock",
+                         cassette_path=None, max_parallel=n)
+            for n in (1, 2)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # hand over between threads at every turn
+    try:
+        runs.append(_run_outputs(tmp_path, "mock 8", mode="mock",
+                                 cassette_path=None, max_parallel=8))
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(runs[0][1]) == 2 + 140
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+    capsys.readouterr()
+
+
+def test_run_id_hashes_the_dataset_bytes(tmp_path, capsys):
+    dataset = Path("src/pseudoexec/assets/fixtures/replay")
+    expected = hashlib.sha256()
+    for task in TaskId:
+        expected.update(task.value.encode())
+        expected.update((dataset / f"{task.value}.jsonl").read_bytes())
+    config = _write_config(tmp_path, mode="mock", cassette_path=None)
+    assert main(["run", "--config", str(config)]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text("utf-8"))
+    assert manifest["dataset_digest"] == expected.hexdigest()
+    capsys.readouterr()
+
+
+def _navigate_run(tmp_path: Path) -> tuple[Path, Path, dict]:
+    """Config, run directory and transcripts of a mock ``direct`` run over
+    navigate at ``max_parallel`` 2; the run directory is deleted again."""
+    config = _write_config(tmp_path, mode="mock", cassette_path=None,
+                           method="direct", tasks=["navigate"],
+                           max_parallel=2)
+    assert main(["run", "--config", str(config)]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    transcripts = {p.name: p.read_bytes()
+                   for p in (run_dir / "navigate").iterdir()}
+    shutil.rmtree(run_dir)
+    return config, run_dir, transcripts
+
+
+def test_a_failed_transcript_write_stops_the_run(tmp_path, monkeypatch,
+                                                 capsys):
+    config, run_dir, _ = _navigate_run(tmp_path)
+    (run_dir / "navigate" / "3.txt").mkdir(parents=True)
+    reached = []
+    mock_gateway = cli.mock_gateway
+
+    def counting_gateway(instances, corrupt_fraction):
+        inner = mock_gateway(instances, corrupt_fraction)
+
+        def reasoner(request):
+            reached.append(request)
+            time.sleep(0.05)   # the workers, not the writes, set the pace
+            return inner.complete(request)
+        return MockGateway(responders={"reasoner": reasoner})
+
+    monkeypatch.setattr(cli, "mock_gateway", counting_gateway)
+    with pytest.raises(IsADirectoryError):
+        main(["run", "--config", str(config)])
+    assert not (run_dir / "manifest.json").exists()
+    assert sorted(p.name for p in (run_dir / "navigate").iterdir()) == \
+        ["0.txt", "1.txt", "2.txt", "3.txt"]
+    # Writing in input order, the run stops at instance 3 with the two
+    # next instances in flight.  A lane reports the failure at the next
+    # transcript, by when each worker may have taken one more instance.
+    assert len(reached) <= 4 + 2 + 2
+    capsys.readouterr()
+
+
+def test_an_interrupted_run_keeps_the_transcripts_it_reached(
+        tmp_path, monkeypatch, capsys):
+    config, run_dir, complete = _navigate_run(tmp_path)
+    evaluate_run = cli.evaluate_run
+
+    def interrupted_evaluate_run(*args, on_prediction, **kwargs):
+        def persist(index, *rest):
+            if index == 10:   # Ctrl-C lands on the calling thread
+                raise KeyboardInterrupt
+            on_prediction(index, *rest)
+        return evaluate_run(*args, on_prediction=persist, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_run", interrupted_evaluate_run)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", str(config)])
+    assert not (run_dir / "manifest.json").exists()
+    written = {p.name: p.read_bytes()
+               for p in (run_dir / "navigate").iterdir()}
+    assert written == {f"{i}.txt": complete[f"{i}.txt"] for i in range(10)}
+    capsys.readouterr()
+
+
+def test_run_setup_starts_no_thread_and_imports_no_pool(tmp_path):
+    """Up to ``evaluate_run``, a run imports no thread pool, queue or
+    logging and starts no thread: that window is timed as set-up."""
+    config = _write_config(tmp_path, mode="mock", cassette_path=None)
+    script = textwrap.dedent("""
+        import sys, threading
+        from pseudoexec import cli
+
+        class SetupDone(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            loaded = [name for name in ("concurrent.futures", "queue",
+                                        "logging") if name in sys.modules]
+            print(loaded, threading.active_count())
+            raise SetupDone
+
+        cli.evaluate_run = stop
+        try:
+            cli.main(["run", "--config", sys.argv[1]])
+        except SetupDone:
+            pass
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(config)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stdout == "[] 1\n", proc.stderr
 
 
 def test_run_stops_on_a_malformed_cassette_line(tmp_path, capsys):
