@@ -45,16 +45,16 @@ FAIL_NO_FINAL_ANSWER = "no_final_answer"
 FAIL_GATEWAY = "gateway_error"
 FAIL_SANDBOX = "sandbox_error"
 
-# The template of each model-backed method's one reasoner request.  Its
-# {prompt} slot takes the method's task-level asset, named here, or else the
-# task description; meta/pot.txt has no such slot.
-_TEMPLATE_BY_METHOD = {
+# Each model-backed method's reasoner template, in the order the mock
+# Reasoner tries them.  Its {prompt} slot takes the method's task-level
+# asset, named here, or else the task description; pot.txt has no such slot.
+TEMPLATE_BY_METHOD = {
+    MethodId.THINK_AND_EXECUTE: "execute",
     MethodId.DIRECT: "direct",
     MethodId.ZERO_SHOT_COT: "cot",
     MethodId.PLAN_AND_SOLVE: "plan_and_solve",
     MethodId.NL_PLANNING: "direct",
     MethodId.ZERO_SHOT_POT: "pot",
-    MethodId.THINK_AND_EXECUTE: "execute",
 }
 _ASSET_BY_METHOD = {MethodId.NL_PLANNING: "nl_plan",
                     MethodId.THINK_AND_EXECUTE: "pseudocode"}
@@ -87,7 +87,7 @@ def build_baseline_prompt(method: MethodId, instance: TaskInstance,
     """Returns (system, user) for ``method``'s reasoner request.  Only
     Think-and-Execute sends a system message; it embeds the instance as an
     escaped string literal and calls the pseudocode's main function."""
-    template = _TEMPLATE_BY_METHOD.get(method)
+    template = TEMPLATE_BY_METHOD.get(method)
     if template is None:
         raise ValueError(f"no request template for {method}")
     system, mapping = None, {"input_text": instance.input_text}
@@ -97,7 +97,7 @@ def build_baseline_prompt(method: MethodId, instance: TaskInstance,
             raise MissingAsset(_ASSET_BY_METHOD[method])
         mapping["prompt"] = asset.body
     elif method is not MethodId.ZERO_SHOT_POT:
-        mapping["prompt"] = load_taskinfo(instance.task).description
+        mapping["prompt"] = load_taskinfo(instance.task)["description"]
     if method is MethodId.THINK_AND_EXECUTE:
         system = load_asset_text("meta/execute_system.txt")
         mapping["input_text"] = escape_instance(instance.input_text)

@@ -55,7 +55,8 @@ def load_dataset(dataset_dir: Path, tasks: list[TaskId],
         if files is not None:
             files.append((task, data))
         count = len(instances)
-        for index, line in enumerate(data.decode("utf-8").splitlines()):
+        # Split bytes, not text: a U+2028 in a record does not end it.
+        for index, line in enumerate(data.splitlines()):
             if not line.strip():
                 continue
             try:
@@ -166,7 +167,7 @@ def cmd_ingest(args) -> int:
             continue
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise MalformedDataset(f"{path}: {exc}") from exc
         examples = data.get("examples") if isinstance(data, dict) else None
         if not isinstance(examples, list):

@@ -90,6 +90,8 @@ class RunConfig:
                 f"cassette {self.cassette_path!r} not found")
         if not self.tasks:
             raise ConfigError("tasks must be non-empty")
+        if len(set(self.tasks)) < len(self.tasks):
+            raise ConfigError("tasks must not list a task twice")
         self.method_id()
         self.task_ids()
         return self
@@ -106,7 +108,7 @@ def load_config(path: str | Path | None,
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file {path!r} not found") from None
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config file {path}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")

@@ -1,31 +1,23 @@
 """The deterministic model stand-ins behind mock mode.
 
-The Reasoner reads the question from the one slot each prompt template puts
-it in, looks it up exactly in the run's own dataset and answers with the task
-solver.  The Instructor answers the two Think meta prompts with the bundled
-analysis and generated pseudocode of the target task.  Any other request is a
+Each reads a request through the template that rendered it.  The Reasoner
+looks the ``input_text`` slot up in the run's own dataset and answers with
+the task solver; the Instructor answers a task's two Think meta prompts with
+its bundled analysis and generated pseudocode.  Any other request is a
 ``CassetteMiss``, which the engine records as a gateway error.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import re
 from typing import Iterable
 
+from .baselines import TEMPLATE_BY_METHOD
 from .errors import CassetteMiss
 from .gateway import ChatRequest, MockGateway, digest
-from .prompts import build_meta_prompt, load_nl_plan, load_pseudocode
+from .prompts import (load_asset_text, load_nl_plan, load_pseudocode, parse,
+                      task_slots)
 from .tasks import TASKS, TaskId, TaskInstance, solve
-
-# The question's slot in meta/execute.txt (quotes escaped), in the baseline
-# templates and in meta/pot.txt; the group name says which one matched.
-_QUESTION_RE = re.compile(
-    r'^input_text = "(?P<execute>.*)"\nfinal_answer = \w+\(input_text\)$'
-    r"|^text for the task: (?P<baseline>.*?)\nFinal answer should be"
-    r"|^Q: (?P<pot>.*?)\n\n# solution using Python:",
-    re.MULTILINE | re.DOTALL)
 
 
 def mock_gateway(instances: Iterable[TaskInstance] = (),
@@ -36,13 +28,12 @@ def mock_gateway(instances: Iterable[TaskInstance] = (),
     are not all 100%."""
     by_question = {inst.input_text: inst for inst in instances}
     threshold = int(corrupt_fraction * 10_000)
+    templates = _templates(TEMPLATE_BY_METHOD.values())
 
     def reasoner(request: ChatRequest) -> str:
-        match = _QUESTION_RE.search(request.user)
-        if match is None:
-            raise CassetteMiss("mock reasoner: no question slot in request")
-        question = match[match.lastgroup]
-        if match.lastgroup == "execute":
+        name, slots = _parse(templates, request)
+        question = slots["input_text"]
+        if name == "execute":   # the instance is an escaped string literal
             question = question.replace('\\"', '"')
         instance = by_question.get(question)
         if instance is None:
@@ -56,39 +47,39 @@ def mock_gateway(instances: Iterable[TaskInstance] = (),
             answer = "unknown"
         if key % 10_000 < threshold:
             answer = "unknown"
-        if match.lastgroup == "pot":
-            return f"```python\ndef solution():\n    return {answer!r}\n```"
-        function_name = TASKS[instance.task].function_name
-        return "\n".join([
-            f"Simulating {function_name} on the given input.",
-            f"Parsed input of length {len(question)}.",
-            f"Final answer: {answer}",
-        ])
+        if name == "pot":
+            return (f"```python\ndef solution() -> str:\n"
+                    f"    return {answer!r}\n```")
+        return (f"Simulating {TASKS[instance.task].function_name} on the "
+                f"given input.\nParsed input of length {len(question)}.\n"
+                f"Final answer: {answer}")
 
     return MockGateway(responders={"reasoner": reasoner,
                                    "instructor": _instructor})
 
 
+def _templates(names: Iterable[str]) -> dict[str, str]:
+    return {name: load_asset_text(f"meta/{name}.txt") for name in names}
+
+
+def _parse(templates: dict[str, str],
+           request: ChatRequest) -> tuple[str, dict[str, str]]:
+    """The first template that renders the request, and its slot values."""
+    for name, template in templates.items():
+        if (slots := parse(template, request.user)) is not None:
+            return name, slots
+    raise CassetteMiss(f"mock {request.role_tag}: request matches no template")
+
+
 def _instructor(request: ChatRequest) -> str:
-    answer = _answer_by_example_block().get(
-        request.user.rsplit("[Example 4]", 1)[-1])
-    if answer is not None:
-        return answer
-    raise CassetteMiss("mock instructor: no bundled task matches the request")
-
-
-@functools.cache
-def _answer_by_example_block() -> dict[str, str]:
-    """The bundled answer to each task's two Think meta prompts, keyed by
-    the ``[Example 4]`` block that ends the prompt.  That block names only
-    the target task, and in the code meta prompt it also holds the
-    analysis, which is the one this Instructor answers with."""
-    table = {}
+    """The bundled answer for the task, and in the code meta prompt for the
+    bundled analysis, that the request was rendered with."""
+    name, slots = _parse(_templates(("meta_analysis", "meta_code")), request)
     for task in TaskId:
         analysis = load_nl_plan(task).body
-        for name, answer in (
-                ("meta_analysis", analysis),
-                ("meta_code", load_pseudocode(task, "generated").body)):
-            prompt = build_meta_prompt(name, task, 0, analysis=analysis)
-            table[prompt.rsplit("[Example 4]", 1)[1]] = answer
-    return table
+        expected = {**task_slots(task, "target"), "analysis_target": analysis}
+        if all(slots.get(key, value) == value
+               for key, value in expected.items()):
+            return (analysis if name == "meta_analysis"
+                    else load_pseudocode(task, "generated").body)
+    raise CassetteMiss("mock instructor: no bundled task matches the request")

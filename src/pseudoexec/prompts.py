@@ -1,5 +1,5 @@
-"""Think-phase prompt assembly: meta prompts, NL-plan prompts, prompt assets,
-the comment/semantics ablation, and structural feature analysis."""
+"""Prompt assembly: the template codec (``render`` and its inverse ``parse``),
+Think meta prompts, prompt assets, the ablation, and feature analysis."""
 
 from __future__ import annotations
 
@@ -39,13 +39,6 @@ class PromptAsset:
                     f"body does not define {self.function_name!r}")
 
 
-@dataclass(frozen=True)
-class TaskInfo:
-    description: str
-    output_format: str
-    example_questions: tuple[str, ...]
-
-
 # --- asset loading -----------------------------------------------------------
 
 def _assets_root():
@@ -77,11 +70,9 @@ def load_nl_plan(task: TaskId) -> PromptAsset:
     return PromptAsset(body=load_asset_text(f"analysis/{task.value}.txt"))
 
 
-def load_taskinfo(task: TaskId) -> TaskInfo:
-    raw = json.loads(load_asset_text(f"taskinfo/{task.value}.json") + "\n")
-    return TaskInfo(description=raw["description"],
-                    output_format=raw["output_format"],
-                    example_questions=tuple(raw["example_questions"]))
+def load_taskinfo(task: TaskId) -> dict:
+    """A task's description, output format and example questions."""
+    return json.loads(load_asset_text(f"taskinfo/{task.value}.json"))
 
 
 # --- template rendering ------------------------------------------------------
@@ -89,18 +80,33 @@ def load_taskinfo(task: TaskId) -> TaskInfo:
 _PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
 
-def template_placeholders(template: str) -> set[str]:
-    return set(_PLACEHOLDER_RE.findall(template))
+@functools.lru_cache(maxsize=32)
+def _compiled(template: str) -> re.Pattern:
+    """The pattern of ``template``'s renderings: its text literally, with a
+    named group for each slot and a backreference for each repeat."""
+    parts = _PLACEHOLDER_RE.split(template)    # text, slot, ..., slot, text
+    names = parts[1::2]
+    groups = [f"(?P={name})" if name in names[:i] else f"(?P<{name}>.*?)"
+              for i, name in enumerate(names)]
+    return re.compile("".join(re.escape(text) + group for text, group
+                              in zip(parts[::2], groups + [""])), re.DOTALL)
 
 
 def render(template: str, mapping: dict[str, str]) -> str:
     """Single-pass placeholder substitution.  Substituted values are never
     rescanned, so braces inside pseudocode bodies survive untouched.  Every
     placeholder the template advertises must be supplied."""
-    missing = template_placeholders(template) - set(mapping)
+    missing = _compiled(template).groupindex.keys() - mapping.keys()
     if missing:
         raise KeyError(f"unfilled placeholders: {sorted(missing)}")
     return _PLACEHOLDER_RE.sub(lambda m: mapping[m.group(1)], template)
+
+
+def parse(template: str, text: str) -> dict[str, str] | None:
+    """The inverse of ``render``: the slot values that make ``template``
+    render to ``text``, or None when no values do."""
+    match = _compiled(template).fullmatch(text)
+    return match.groupdict() if match else None
 
 
 def escape_instance(text: str) -> str:
@@ -119,20 +125,20 @@ def sample_demos(seed: int, target_task: TaskId) -> list[TaskId]:
     return random.Random(f"demos:{seed}").sample(eligible, 3)
 
 
-def _task_slots(task: TaskId, suffix: str) -> dict[str, str]:
+def task_slots(task: TaskId, suffix: str) -> dict[str, str]:
     """A task's slots in a meta prompt: its description, its example
     questions as plain instances and as calls of its main function, and
     its output format."""
     info = load_taskinfo(task)
     function_name = TASKS[task].function_name
     return {
-        f"description_{suffix}": info.description,
-        f"instances_{suffix}": "\n\n".join(info.example_questions),
+        f"description_{suffix}": info["description"],
+        f"instances_{suffix}": "\n\n".join(info["example_questions"]),
         f"usages_{suffix}": "\n\n".join(
             f'input_text = "{escape_instance(q)}"\n'
             f"final_answer = {function_name}(input_text)"
-            for q in info.example_questions),
-        f"format_{suffix}": info.output_format,
+            for q in info["example_questions"]),
+        f"format_{suffix}": info["output_format"],
     }
 
 
@@ -142,11 +148,11 @@ def build_meta_prompt(name: str, target_task: TaskId, seed: int,
     drawn by ``seed`` from the other six, each with its bundled analysis
     and its ``source`` pseudocode, then the target task with ``analysis``.
     Each template reads the slots it names and ignores the rest."""
-    mapping = _task_slots(target_task, "target")
+    mapping = task_slots(target_task, "target")
     mapping["function_name"] = TASKS[target_task].function_name
     mapping["analysis_target"] = analysis
     for i, demo in enumerate(sample_demos(seed, target_task), start=1):
-        mapping.update(_task_slots(demo, str(i)))
+        mapping.update(task_slots(demo, str(i)))
         mapping[f"analysis_{i}"] = load_nl_plan(demo).body
         mapping[f"code_{i}"] = load_pseudocode(demo, source).body
     return render(load_asset_text(f"meta/{name}.txt"), mapping)

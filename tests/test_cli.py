@@ -19,7 +19,7 @@ from pseudoexec.cli import main
 from pseudoexec.config import MAX_PARALLEL_CEILING, RunConfig, load_config
 from pseudoexec.errors import ConfigError
 from pseudoexec.gateway import MockGateway
-from pseudoexec.tasks import TaskId
+from pseudoexec.tasks import TaskId, make_instance
 from pseudoexec.tasks.generate import generate_instance
 
 
@@ -116,6 +116,15 @@ def test_a_record_of_the_wrong_shape_is_a_malformed_dataset(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_a_record_holding_a_unicode_line_break_round_trips(tmp_path):
+    base = generate_instance(TaskId.NAVIGATE, 0, 3)
+    instance = make_instance(TaskId.NAVIGATE,
+                             base.input_text + "\u2028 \x85 \x0c",
+                             base.target)
+    cli.write_dataset([instance], tmp_path)
+    assert cli.load_dataset(tmp_path, [TaskId.NAVIGATE]) == [instance]
+
+
 def test_run_replay_deterministic(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
@@ -133,6 +142,28 @@ def test_run_replay_deterministic(tmp_path, capsys):
 def test_run_unknown_task_in_config(tmp_path):
     config = _write_config(tmp_path, tasks=["navigate", "unknown_task"])
     assert main(["run", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("command, name, error", [
+    ("run", "config.json", "ConfigError"),
+    ("run", "data/navigate.jsonl", "MalformedDataset"),
+    ("ingest", "data/navigate.json", "MalformedDataset")],
+    ids=["config", "dataset", "ingest"])
+def test_a_file_that_is_not_utf8_is_named_in_its_error(
+        tmp_path, capsys, command, name, error):
+    (tmp_path / "data").mkdir()
+    config = _write_config(tmp_path, mode="mock", cassette_path=None,
+                           dataset_dir=str(tmp_path / "data"),
+                           tasks=["navigate"])
+    bad = tmp_path / name
+    bad.write_bytes(b'{"input_text": "caf\xe9", "examples": []}\n')
+    argv = (["ingest", str(tmp_path / "data")] if command == "ingest"
+            else [command, "--config", str(config)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {error}: " in err and str(bad) in err
+    assert "can't decode byte 0xe9" in err
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("sandbox", [
@@ -165,8 +196,9 @@ def test_live_run_without_its_credential_makes_no_run_dir(
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
 @pytest.mark.parametrize("tasks, error", [
-    (["navigate"], "MalformedDataset"), ([], "ConfigError")],
-    ids=["empty-file", "no-tasks"])
+    (["navigate"], "MalformedDataset"), ([], "ConfigError"),
+    (["navigate", "navigate"], "ConfigError: tasks must not list a task")],
+    ids=["empty-file", "no-tasks", "a-task-twice"])
 def test_an_empty_dataset_makes_no_run_dir(tmp_path, capsys, command,
                                            tasks, error):
     data = tmp_path / "data"

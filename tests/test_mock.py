@@ -4,17 +4,21 @@ gateway errors."""
 
 from __future__ import annotations
 
+import ast
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from pseudoexec.baselines import MethodId
+from pseudoexec import mock, prompts
+from pseudoexec.baselines import TEMPLATE_BY_METHOD, MethodId
 from pseudoexec.cli import load_dataset, main, write_dataset
 from pseudoexec.engine import run_instance
 from pseudoexec.errors import CassetteMiss
 from pseudoexec.gateway import ChatRequest
 from pseudoexec.mock import mock_gateway
+from pseudoexec.prompts import build_meta_prompt, load_nl_plan
 from pseudoexec.tasks import TaskId
 from pseudoexec.tasks.generate import generate_instance
 
@@ -73,6 +77,77 @@ def test_mock_run_pot_runs_the_sandbox(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.fixture()
+def reworded_assets(tmp_path, monkeypatch, assets_dir):
+    """A copy of the assets whose reasoner and meta templates say the same
+    things in other words."""
+    copy = tmp_path / "assets"
+    shutil.copytree(assets_dir, copy)
+    for name, old, new in [
+            ("execute", "\nfinal_answer = ", "\nresult = "),
+            ("direct", "Final answer should be", "The final answer should be"),
+            ("cot", "Final answer should be", "The final answer should be"),
+            ("plan_and_solve", "Final answer should be",
+             "The final answer should be"),
+            ("pot", "# solution using Python:", "# Python solution:"),
+            ("meta_analysis", "[Example 4]", "[Target task]"),
+            ("meta_code", "[Example 4]", "[Target task]")]:
+        path = copy / "meta" / f"{name}.txt"
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+    monkeypatch.setattr(prompts, "_assets_root", lambda: copy)
+    prompts.load_asset_text.cache_clear()
+    yield copy
+    prompts.load_asset_text.cache_clear()
+
+
+@pytest.mark.parametrize("method", list(TEMPLATE_BY_METHOD),
+                         ids=lambda m: m.value)
+def test_mock_follows_a_reworded_template(tmp_path, capsys, reworded_assets,
+                                          method):
+    manifest = _run_mock(tmp_path, method, per_task=1)
+    assert {t: c["total"] for t, c in manifest["per_task"].items()} == \
+        {t.value: 1 for t in TaskId}
+    assert manifest["average_accuracy"] == 1.0
+    capsys.readouterr()
+
+
+def test_mock_think_follows_reworded_meta_templates(tmp_path, capsys,
+                                                    reworded_assets):
+    assert main(["think", "--task", "navigate", "--mode", "mock",
+                 "--out", str(tmp_path / "think")]) == 0
+    assert (tmp_path / "think" / "navigate.txt").read_bytes() == \
+        (reworded_assets / "generated" / "navigate.txt").read_bytes()
+    capsys.readouterr()
+
+
+def test_mock_holds_no_template_text(assets_dir):
+    lines = {line for path in (assets_dir / "meta").glob("*.txt")
+             for line in path.read_text(encoding="utf-8").splitlines()
+             if len(line) >= 12}
+    tree = ast.parse(Path(mock.__file__).read_text(encoding="utf-8"))
+    constants = [node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str)]
+    assert [(line, text) for text in constants for line in lines
+            if line in text] == []
+
+
+def test_mock_instructor_needs_the_bundled_analysis():
+    gateway = mock_gateway()
+    task = TaskId.NAVIGATE
+    for analysis, known in [(load_nl_plan(task).body, True),
+                            ("another analysis", False)]:
+        request = ChatRequest(role_tag="instructor", user=build_meta_prompt(
+            "meta_code", task, 0, analysis=analysis))
+        if known:
+            assert gateway.complete(request).startswith("def ")
+        else:
+            with pytest.raises(CassetteMiss):
+                gateway.complete(request)
+
+
 def test_mock_reasoner_hashes_each_request_once(monkeypatch):
     from pseudoexec import gateway, mock
 
@@ -119,6 +194,22 @@ def test_mock_think_writes_the_bundled_prompts(tmp_path, capsys, assets_dir,
                                                task):
     assert main(["think", "--task", task.value, "--mode", "mock",
                  "--out", str(tmp_path)]) == 0
+    name = f"{task.value}.txt"
+    assert (tmp_path / name).read_bytes() == \
+        (assets_dir / "generated" / name).read_bytes()
+    assert (tmp_path / f"{task.value}.analysis.txt").read_bytes() == \
+        (assets_dir / "analysis" / name).read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("task", list(TaskId), ids=lambda t: t.value)
+def test_mock_think_writes_the_bundled_prompts_from_generated_demos(
+        tmp_path, capsys, assets_dir, task):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pseudocode_source": "generated"}),
+                      encoding="utf-8")
+    assert main(["think", "--task", task.value, "--config", str(config),
+                 "--seed", "3", "--out", str(tmp_path)]) == 0
     name = f"{task.value}.txt"
     assert (tmp_path / name).read_bytes() == \
         (assets_dir / "generated" / name).read_bytes()

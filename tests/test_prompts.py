@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from pseudoexec import cli
+from pseudoexec import baselines, cli, prompts
+from pseudoexec.baselines import TEMPLATE_BY_METHOD, build_baseline_prompt
 from pseudoexec.errors import CassetteMiss, MalformedPseudocode
 from pseudoexec.gateway import MockGateway
-from pseudoexec.prompts import (build_meta_prompt, load_nl_plan,
-                                load_pseudocode, parse_pseudocode_response,
-                                render, run_think, sample_demos,
-                                template_placeholders)
+from pseudoexec.prompts import (build_meta_prompt, load_asset_text,
+                                load_nl_plan, load_pseudocode, parse,
+                                parse_pseudocode_response, render, run_think,
+                                sample_demos)
 from pseudoexec.tasks import TaskId
 
 TEMPLATES = ("meta_analysis", "meta_code", "meta_nlplan")
@@ -88,8 +89,61 @@ def test_render_single_pass():
     assert render("{a} {b}", {"a": "{b}", "b": "2"}) == "{b} 2"
 
 
-def test_template_placeholders():
-    assert template_placeholders("{a} {b} {a}") == {"a", "b"}
+def test_parse_inverts_render():
+    template = "x={a}; y={b}; again {a}."
+    assert parse(template, render(template, {"a": "1", "b": "{a}"})) == \
+        {"a": "1", "b": "{a}"}
+    assert parse(template, "x=1; y=2; again 3.") is None   # {a} repeats
+    assert parse(template, "x=1; y=2; again 1") is None
+
+
+@pytest.fixture(scope="module")
+def rendered(paper_fixture_dir) -> list[tuple[str, dict, str]]:
+    """(template, mapping, text) of every render the request builders make:
+    the six model-backed methods over the paper fixtures, and the Think
+    meta prompts of every task at seeds 0-2."""
+    original, calls = prompts.render, []
+
+    def recording(template, mapping):
+        text = original(template, mapping)
+        calls.append((template, dict(mapping), text))
+        return text
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prompts, "render", recording)
+        patch.setattr(baselines, "render", recording)
+        for instance in cli.load_dataset(paper_fixture_dir, list(TaskId)):
+            assets = {"nl_planning": load_nl_plan(instance.task),
+                      "think_and_execute": load_pseudocode(instance.task)}
+            for method in TEMPLATE_BY_METHOD:
+                build_baseline_prompt(method, instance,
+                                      assets.get(method.value))
+        for task in TaskId:
+            for seed in range(3):
+                for name in TEMPLATES:
+                    build_meta_prompt(name, task, seed, "generated",
+                                      load_nl_plan(task).body)
+    return calls
+
+
+def test_parse_returns_the_mapping_each_builder_rendered(rendered,
+                                                         assets_dir):
+    # meta/execute_system.txt has no slot and is sent as it is.
+    assert {template for template, _, _ in rendered} == {
+        load_asset_text(f"meta/{path.name}")
+        for path in (assets_dir / "meta").glob("*.txt")
+        if path.name != "execute_system.txt"}
+    for template, mapping, text in rendered:
+        slots = parse(template, text)
+        assert slots == {key: mapping[key] for key in slots}
+        assert render(template, slots) == text
+
+
+def test_parse_rejects_another_templates_text(rendered):
+    templates = {template for template, _, _ in rendered}
+    for template, _, text in rendered:
+        for other in templates - {template}:
+            assert parse(other, text) is None
 
 
 def test_parse_pseudocode_response_variants():
