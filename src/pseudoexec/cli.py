@@ -155,6 +155,13 @@ class _WriterLanes:
         return self._errors[0] if self._errors else None
 
 
+def _print_report(text: str) -> None:
+    """Print a rendered report; a character the terminal cannot encode (a
+    not-run task's dash) is escaped rather than ending the command."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding), end="")
+
+
 # --- commands ----------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
@@ -298,7 +305,7 @@ def cmd_run(args, config: RunConfig) -> int:
     (run_dir / "report.csv").write_text(
         render_report(report, "csv"), encoding="utf-8")
     print(f"run {rid} complete")
-    print(render_report(report, "markdown"), end="")
+    _print_report(render_report(report, "markdown"))
     return 0
 
 
@@ -329,7 +336,7 @@ def cmd_report(args, config: RunConfig) -> int:
                                     parse_unsupported=t["parse_unsupported"])
             for name, t in manifest["per_task"].items()
         })
-    print(render_report(report, args.format), end="")
+    _print_report(render_report(report, args.format))
     return 0
 
 

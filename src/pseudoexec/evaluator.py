@@ -127,9 +127,13 @@ def _percent(value: float) -> str:
     return f"{100.0 * value:.1f}"
 
 
+def _cell(tally: TaskTally | None) -> str:
+    """A task's accuracy, or a dash for a task with no instances."""
+    return _percent(tally.accuracy) if tally and tally.total else "—"
+
+
 def render_report(report: EvalReport, format: str = "markdown") -> str:
-    cells = [_percent(report.per_task.get(task, TaskTally()).accuracy)
-             for task in TaskId]
+    cells = [_cell(report.per_task.get(task)) for task in TaskId]
     cells.append(_percent(report.average_accuracy))
     headers = [TASKS[task].short_code for task in TaskId] + ["Avg"]
     method_name = report.method.value

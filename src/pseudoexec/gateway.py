@@ -8,6 +8,7 @@ whole pipeline testable offline.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -97,7 +98,13 @@ class Cassette(dict):
         offset, length = self[key]
         with open(self.path, "rb") as fh:
             fh.seek(offset)
-            entry = json.loads(fh.read(length))
+            line = fh.read(length)
+        try:
+            entry = json.loads(line)
+        except ValueError:     # a span that is not one whole line
+            entry = None
+        if not isinstance(entry, dict):
+            entry = {}         # fails the check below
         response = entry.get("response_text")
         if (entry.get("version") != CANONICAL_VERSION
                 or entry.get("request") != _request_fields(request)
@@ -119,10 +126,24 @@ class Cassette(dict):
         self._newline_due = False
 
 
+# The sidecar index: written beside a cassette after a full parse, and
+# trusted only for the exact bytes that parse read.
+INDEX_FORMAT = "pseudoexec-cassette-index/1"
+_HASH_CHUNK = 1 << 20
+
+
+def index_path(path: Path) -> Path:
+    return path.with_name(path.name + ".idx")
+
+
 def load_cassette(path: Path) -> Cassette:
-    """Index a cassette file in one pass: every byte goes into the running
-    SHA-256 and every line is parsed once, for its digest."""
+    """Index a cassette file.  When its sidecar index matches the file's
+    SHA-256 and size, the entries come from the index; otherwise every byte
+    goes into the running SHA-256 and every line is parsed once, for its
+    digest, and the index is written afresh."""
     cassette = Cassette(path)
+    if _load_index(cassette):
+        return cassette
     line = b"\n"
     with open(cassette.path, "rb") as fh:
         for number, line in enumerate(fh, 1):
@@ -136,7 +157,59 @@ def load_cassette(path: Path) -> Cassette:
                                       f"not a cassette entry: {exc}") from None
             cassette._size += len(line)
     cassette._newline_due = not line.endswith(b"\n")
+    _write_index(cassette)
     return cassette
+
+
+def _load_index(cassette: Cassette) -> bool:
+    """Fill ``cassette`` from its sidecar index if the index was written
+    for the bytes the file holds now; False leaves it untouched."""
+    try:
+        index = json.loads(index_path(cassette.path).read_bytes())
+    except (OSError, ValueError):           # absent, unreadable or garbled
+        return False
+    sha256, size, last = hashlib.sha256(), 0, b"\n"
+    with open(cassette.path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            sha256.update(chunk)
+            size += len(chunk)
+            last = chunk[-1:]
+    try:
+        if (index["format"], index["sha256"], index["size"]) != \
+                (INDEX_FORMAT, sha256.hexdigest(), size):
+            return False
+        entries = {}
+        for key, offset, length in index["entries"]:
+            if not (type(offset) is type(length) is int
+                    and 0 <= offset <= offset + length <= size):
+                return False
+            entries[key] = (offset, length)
+    except (LookupError, TypeError, ValueError):    # another shape
+        return False
+    cassette.update(entries)
+    cassette.sha256, cassette._size = sha256, size
+    cassette._newline_due = last != b"\n"
+    return True
+
+
+def _write_index(cassette: Cassette) -> None:
+    """Write the sidecar index of the bytes just parsed, atomically.  A
+    location that cannot be written only means no index."""
+    target = index_path(cassette.path)
+    data = json.dumps({
+        "format": INDEX_FORMAT,
+        "sha256": cassette.sha256.hexdigest(),
+        "size": cassette._size,
+        "entries": [[key, offset, length]
+                    for key, (offset, length) in cassette.items()],
+    }, separators=(",", ":")).encode()
+    temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, target)
+    except OSError:
+        with contextlib.suppress(OSError):
+            temp.unlink()
 
 
 class Gateway:

@@ -105,8 +105,45 @@ def render(template: str, mapping: dict[str, str]) -> str:
 def parse(template: str, text: str) -> dict[str, str] | None:
     """The inverse of ``render``: the slot values that make ``template``
     render to ``text``, or None when no values do."""
-    match = _compiled(template).fullmatch(text)
-    return match.groupdict() if match else None
+    slots = _parse_leftmost(template, text)
+    if slots is None:
+        match = _compiled(template).fullmatch(text)
+        slots = match.groupdict() if match else None
+    return slots
+
+
+@functools.lru_cache(maxsize=32)
+def _steps(template: str) -> tuple[str, tuple[tuple[str, str], ...]]:
+    """``template`` as its leading text and (slot, text after it) pairs."""
+    parts = _PLACEHOLDER_RE.split(template)
+    return parts[0], tuple(zip(parts[1::2], parts[2::2]))
+
+
+def _parse_leftmost(template: str, text: str) -> dict[str, str] | None:
+    """The first try of ``_compiled(template).fullmatch``: each new slot
+    but the last ends at the leftmost match of the text after it, the last
+    ends where the template's tail begins, and a repeated slot must repeat
+    its value.  When this try succeeds the regex returns the same slots;
+    None only means the regex must search further."""
+    head, steps = _steps(template)
+    if not text.startswith(head):
+        return None
+    slots: dict[str, str] = {}
+    pos, last = len(head), len(steps) - 1
+    for i, (name, literal) in enumerate(steps):
+        if name in slots:
+            end = pos + len(slots[name])
+            if not (text.startswith(slots[name], pos)
+                    and text.startswith(literal, end)):
+                return None
+        else:
+            end = (len(text) - len(literal) if i == last
+                   else text.find(literal, pos))
+            if end < pos or not text.startswith(literal, end):
+                return None
+            slots[name] = text[pos:end]
+        pos = end + len(literal)
+    return slots if pos == len(text) else None
 
 
 def escape_instance(text: str) -> str:
@@ -125,18 +162,30 @@ def sample_demos(seed: int, target_task: TaskId) -> list[TaskId]:
     return random.Random(f"demos:{seed}").sample(eligible, 3)
 
 
+def _call_lines() -> str:
+    """The lines of ``meta/execute.txt`` that call the task's main function
+    on the instance: from the one holding ``{input_text}`` to the one
+    holding ``{function_name}``."""
+    lines = load_asset_text("meta/execute.txt").splitlines()
+    first = next(i for i, line in enumerate(lines) if "{input_text}" in line)
+    last = next(i for i, line in enumerate(lines)
+                if "{function_name}" in line)
+    return "\n".join(lines[first:last + 1])
+
+
 def task_slots(task: TaskId, suffix: str) -> dict[str, str]:
     """A task's slots in a meta prompt: its description, its example
-    questions as plain instances and as calls of its main function, and
-    its output format."""
+    questions as plain instances and as calls of its main function (the
+    Execute request's own call lines), and its output format."""
     info = load_taskinfo(task)
+    calls = _call_lines()
     function_name = TASKS[task].function_name
     return {
         f"description_{suffix}": info["description"],
         f"instances_{suffix}": "\n\n".join(info["example_questions"]),
         f"usages_{suffix}": "\n\n".join(
-            f'input_text = "{escape_instance(q)}"\n'
-            f"final_answer = {function_name}(input_text)"
+            render(calls, {"input_text": escape_instance(q),
+                           "function_name": function_name})
             for q in info["example_questions"]),
         f"format_{suffix}": info["output_format"],
     }

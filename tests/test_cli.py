@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from pseudoexec.cli import main
 from pseudoexec.config import MAX_PARALLEL_CEILING, RunConfig, load_config
 from pseudoexec.errors import ConfigError
 from pseudoexec.gateway import MockGateway
+from pseudoexec.prompts import load_asset_text, parse
 from pseudoexec.tasks import TaskId, make_instance
 from pseudoexec.tasks.generate import generate_instance
 
@@ -324,23 +327,66 @@ def _navigate_run(tmp_path: Path) -> tuple[Path, Path, dict]:
     return config, run_dir, transcripts
 
 
+def test_a_partial_report_prints_on_an_ascii_terminal(tmp_path,
+                                                      monkeypatch):
+    config = _write_config(tmp_path, mode="mock", cassette_path=None,
+                           method="direct", tasks=["navigate"])
+    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["run", "--config", str(config)]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert main(["report", run_dir.name, "--config", str(config)]) == 0
+    out.flush()
+    row = r"| direct | \u2014 | \u2014 | 75.0 | \u2014 |"
+    assert out.buffer.getvalue().decode("ascii").count(row) == 2
+    assert row.replace(r"\u2014", "\u2014") in \
+        (run_dir / "report.md").read_text(encoding="utf-8")
+
+
 def test_a_failed_transcript_write_stops_the_run(tmp_path, monkeypatch,
                                                  capsys):
     config, run_dir, _ = _navigate_run(tmp_path)
     (run_dir / "navigate" / "3.txt").mkdir(parents=True)
     reached = []
-    mock_gateway = cli.mock_gateway
+    mock_gateway, write_file, put = (cli.mock_gateway, cli._write_file,
+                                     cli._WriterLanes.put)
+    failed, stopped = threading.Event(), threading.Event()
 
     def counting_gateway(instances, corrupt_fraction):
         inner = mock_gateway(instances, corrupt_fraction)
+        number = {instance.input_text: i
+                  for i, instance in enumerate(instances)}
+        template = load_asset_text("meta/direct.txt")
 
         def reasoner(request):
             reached.append(request)
+            # However far the calling thread lags behind the workers,
+            # instances 4 and 5 are answered once 3's write has failed and
+            # later ones once the calling thread has seen it.
+            index = number[parse(template, request.user)["input_text"]]
+            if index >= 4:
+                assert (failed if index < 6 else stopped).wait(timeout=30)
             time.sleep(0.05)   # the workers, not the writes, set the pace
             return inner.complete(request)
         return MockGateway(responders={"reasoner": reasoner})
 
+    def watched_write(path, data):
+        try:
+            write_file(path, data)
+        except OSError:
+            failed.set()
+            raise
+
+    def watched_put(lanes, *job):
+        try:
+            put(lanes, *job)
+        except OSError:
+            stopped.set()
+            raise
+
     monkeypatch.setattr(cli, "mock_gateway", counting_gateway)
+    monkeypatch.setattr(cli, "_write_file", watched_write)
+    monkeypatch.setattr(cli._WriterLanes, "put", watched_put)
     with pytest.raises(IsADirectoryError):
         main(["run", "--config", str(config)])
     assert not (run_dir / "manifest.json").exists()

@@ -151,7 +151,17 @@ def test_render_markdown_columns():
     report = EvalReport(method=MethodId.DIRECT, model_id="m")
     text = render_report(report, "markdown")
     assert "| Method | DL | GS | Nav | CO | TS | SO | WL | Avg |" in text
-    assert "| direct | " + " | ".join(["0.0"] * 8) + " |" in text
+    assert "| direct | " + " | ".join(["—"] * 7 + ["0.0"]) + " |" in text
+
+
+def test_render_marks_the_tasks_that_did_not_run():
+    report = EvalReport(method=MethodId.DIRECT, model_id="m", per_task={
+        TaskId.NAVIGATE: TaskTally(correct=4, total=5),
+        TaskId.WEB_OF_LIES: TaskTally(correct=0, total=2)})
+    assert "| direct | — | — | 80.0 | — | — | — | 0.0 | 40.0 |" in \
+        render_report(report, "markdown")
+    assert render_report(report, "csv").splitlines()[1] == \
+        "direct,—,—,80.0,—,—,—,0.0,40.0"
 
 
 def test_render_csv_round_trips_with_9_columns():

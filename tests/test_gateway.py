@@ -13,11 +13,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from pseudoexec import gateway
 from pseudoexec.errors import CassetteMiss, ConfigError
-from pseudoexec.gateway import (CANONICAL_VERSION, ChatRequest, MockGateway,
-                                RecordGateway, ReplayGateway, _entry_line,
-                                canonical_serialization, digest,
-                                load_cassette)
+from pseudoexec.gateway import (CANONICAL_VERSION, INDEX_FORMAT, ChatRequest,
+                                MockGateway, RecordGateway, ReplayGateway,
+                                _entry_line, canonical_serialization, digest,
+                                index_path, load_cassette)
 
 
 def _req(user: str = "hello", **kw) -> ChatRequest:
@@ -79,8 +80,6 @@ def test_bundled_cassette_digests_verify(cassette_path):
 
 def test_load_cassette_indexes_and_hashes_in_one_pass(cassette_path,
                                                       monkeypatch):
-    from pseudoexec import gateway
-
     def forbidden(request):
         raise AssertionError("a loaded entry was hashed")
 
@@ -102,6 +101,122 @@ def test_load_cassette_names_a_malformed_line(tmp_path):
         cassette.write_text(whole + bad)
         with pytest.raises(ConfigError, match=f"{cassette} line 2: "):
             load_cassette(cassette)
+
+
+def _recorded(tmp_path, words=("alpha", "beta", "gamma")):
+    cassette = tmp_path / "c.jsonl"
+    recorder = RecordGateway(_CountingEcho(), cassette)
+    for word in words:
+        recorder.complete(_req(word))
+    return cassette
+
+
+def _state(cassette) -> tuple:
+    return (list(cassette.items()), cassette.sha256.hexdigest(),
+            cassette._size, cassette._newline_due)
+
+
+def _loads_seen(monkeypatch) -> list:
+    """Every text ``json.loads`` is given from now on."""
+    seen, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text, *args, **kwargs:
+                        seen.append(text) or loads(text, *args, **kwargs))
+    return seen
+
+
+@pytest.mark.parametrize("strip", [False, True],
+                         ids=["bundled", "no-final-newline"])
+def test_an_index_hit_loads_what_the_full_parse_loaded(
+        tmp_path, monkeypatch, cassette_path, strip):
+    cassette = tmp_path / "c.jsonl"
+    data = cassette_path.read_bytes()
+    cassette.write_bytes(data.rstrip(b"\n") if strip else data)
+    parsed = load_cassette(cassette)        # no index yet: the full parse
+    assert parsed._newline_due is strip
+    loads = _loads_seen(monkeypatch)
+    indexed = load_cassette(cassette)
+    assert loads == [index_path(cassette).read_bytes()]   # no cassette line
+    assert _state(indexed) == _state(parsed)
+    # A record-mode append after an index hit keeps the running SHA-256.
+    recorder = RecordGateway(_CountingEcho(), cassette)
+    assert recorder.complete(_req("not recorded yet")) == \
+        "echo: not recorded yet"
+    assert recorder.cassette.sha256.hexdigest() == \
+        hashlib.sha256(cassette.read_bytes()).hexdigest()
+    assert len(load_cassette(cassette)) == len(parsed) + 1
+
+
+def test_a_changed_byte_under_an_index_is_parsed_and_named(tmp_path):
+    cassette = _recorded(tmp_path)
+    load_cassette(cassette)                 # writes the index
+    data = bytearray(cassette.read_bytes())
+    data[data.index(b"\n") + 1] ^= 1        # line 2's "{" becomes "z"
+    cassette.write_bytes(bytes(data))
+    with pytest.raises(ConfigError, match=f"{cassette} line 2: "):
+        load_cassette(cassette)
+
+
+@pytest.mark.parametrize("kind", ["stale", "garbled", "foreign",
+                                  "entries of another shape",
+                                  "a span outside the file"])
+def test_an_index_that_does_not_fit_is_ignored_and_rewritten(tmp_path,
+                                                             kind):
+    cassette = _recorded(tmp_path, ["alpha"])
+    load_cassette(cassette)
+    index = index_path(cassette)
+    written = json.loads(index.read_bytes())
+    if kind == "stale":                     # the file grew under it
+        RecordGateway(_CountingEcho(), cassette).complete(_req("beta"))
+    elif kind == "garbled":
+        index.write_bytes(index.read_bytes()[:-9])
+    elif kind == "foreign":
+        index.write_text(json.dumps(
+            {**written, "format": "another-index/1", "entries": []}))
+    elif kind == "entries of another shape":
+        index.write_text(json.dumps({**written, "entries": [[1, 2]]}))
+    else:
+        (key, _, length), = written["entries"]
+        index.write_text(json.dumps({**written,
+                                     "entries": [[key, -5, length]]}))
+    loaded = load_cassette(cassette)
+    data = cassette.read_bytes()
+    assert len(loaded) == len(data.splitlines())
+    assert loaded.sha256.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert json.loads(index.read_bytes()) == {
+        "format": INDEX_FORMAT, "sha256": hashlib.sha256(data).hexdigest(),
+        "size": len(data),
+        "entries": [[key, *span] for key, span in loaded.items()]}
+
+
+@pytest.mark.parametrize("blocker", ["directory", "failing replace"])
+def test_an_unwritable_index_location_is_not_an_error(tmp_path, monkeypatch,
+                                                      blocker):
+    cassette = _recorded(tmp_path, ["alpha"])
+    if blocker == "directory":
+        index_path(cassette).mkdir()
+    else:
+        def failing_replace(src, dst):
+            raise PermissionError(f"read-only: {dst}")
+        monkeypatch.setattr(gateway.os, "replace", failing_replace)
+    assert list(load_cassette(cassette)) == [digest(_req("alpha"))]
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["c.jsonl"] + (["c.jsonl.idx"] if blocker == "directory" else [])
+
+
+@pytest.mark.parametrize("span", [
+    lambda line: (5, len(line) - 5),                   # mid-line
+    lambda line: (line.index(b"0.0"), 3)],             # a number
+    ids=["mid-line", "not-an-object"])
+def test_a_served_span_that_is_no_entry_is_a_config_error(tmp_path, span):
+    cassette = _recorded(tmp_path, ["alpha"])
+    load_cassette(cassette)
+    index = index_path(cassette)
+    written = json.loads(index.read_bytes())
+    (key, _, _), = written["entries"]
+    written["entries"] = [[key, *span(cassette.read_bytes())]]
+    index.write_text(json.dumps(written))   # its SHA-256 still matches
+    with pytest.raises(ConfigError, match="does not match its digest"):
+        ReplayGateway(cassette).complete(_req("alpha"))
 
 
 def test_request_validation():

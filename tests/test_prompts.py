@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from pseudoexec import baselines, cli, prompts
-from pseudoexec.baselines import TEMPLATE_BY_METHOD, build_baseline_prompt
+from pseudoexec.baselines import (TEMPLATE_BY_METHOD, MethodId,
+                                  build_baseline_prompt)
 from pseudoexec.errors import CassetteMiss, MalformedPseudocode
 from pseudoexec.gateway import MockGateway
 from pseudoexec.prompts import (build_meta_prompt, load_asset_text,
                                 load_nl_plan, load_pseudocode, parse,
                                 parse_pseudocode_response, render, run_think,
                                 sample_demos)
-from pseudoexec.tasks import TaskId
+from pseudoexec.tasks import TASKS, TaskId
 
 TEMPLATES = ("meta_analysis", "meta_code", "meta_nlplan")
 
@@ -128,15 +131,69 @@ def rendered(paper_fixture_dir) -> list[tuple[str, dict, str]]:
 
 def test_parse_returns_the_mapping_each_builder_rendered(rendered,
                                                          assets_dir):
-    # meta/execute_system.txt has no slot and is sent as it is.
+    # meta/execute_system.txt has no slot and is sent as it is; the Think
+    # demos' usages render execute.txt's call lines on their own.
     assert {template for template, _, _ in rendered} == {
         load_asset_text(f"meta/{path.name}")
         for path in (assets_dir / "meta").glob("*.txt")
-        if path.name != "execute_system.txt"}
+        if path.name != "execute_system.txt"} | {prompts._call_lines()}
     for template, mapping, text in rendered:
         slots = parse(template, text)
         assert slots == {key: mapping[key] for key in slots}
         assert render(template, slots) == text
+
+
+def test_the_leftmost_parse_is_the_regexs_on_every_rendering(rendered):
+    for template, _, text in rendered:
+        assert prompts._parse_leftmost(template, text) == \
+            prompts._compiled(template).fullmatch(text).groupdict()
+
+
+@pytest.mark.parametrize("template, text, leftmost, slots", [
+    # {a}'s value holds the text after it; the first try splits as the
+    # regex does.
+    ("A{a}B{b}C{c}", "AxByBzCw", {"a": "x", "b": "yBz", "c": "w"},
+     {"a": "x", "b": "yBz", "c": "w"}),
+    # The leftmost {a} is not repeated at the end, so the regex searches on.
+    ("{a}-{b}-{a}", "p-q-r-p-q", None, {"a": "p-q", "b": "r"}),
+    ("{a}-{b}-{a}", "p-q-r-p-x", None, None),
+    ("x={a}; again {a}.", "x=1; again 2.", None, None),
+    ("x={a}; y={b}", "x=1; y=", {"a": "1", "b": ""}, {"a": "1", "b": ""}),
+    ("head {a}", "hea", None, None),
+])
+def test_parse_agrees_with_the_regex_on_ambiguous_texts(template, text,
+                                                        leftmost, slots):
+    match = prompts._compiled(template).fullmatch(text)
+    assert (match.groupdict() if match else None) == slots
+    assert prompts._parse_leftmost(template, text) == leftmost
+    assert parse(template, text) == slots
+
+
+@pytest.mark.parametrize("assignment", ["final_answer = ", "result = "])
+def test_think_demos_call_the_function_as_the_execute_request_does(
+        tmp_path, monkeypatch, assets_dir, paper_fixture_dir, assignment):
+    copy = tmp_path / "assets"
+    shutil.copytree(assets_dir, copy)
+    execute = copy / "meta" / "execute.txt"
+    text = execute.read_text(encoding="utf-8")
+    execute.write_text(text.replace("\nfinal_answer = ", "\n" + assignment),
+                       encoding="utf-8")
+    monkeypatch.setattr(prompts, "_assets_root", lambda: copy)
+    prompts.load_asset_text.cache_clear()
+    try:
+        instance, = cli.load_dataset(paper_fixture_dir, [TaskId.NAVIGATE])[:1]
+        _, request = build_baseline_prompt(
+            MethodId.THINK_AND_EXECUTE, instance,
+            load_pseudocode(TaskId.NAVIGATE))
+        meta = build_meta_prompt("meta_code", TaskId.NAVIGATE, 0)
+    finally:
+        prompts.load_asset_text.cache_clear()
+    call = "\n{}{}(input_text)\n"
+    assert call.format(assignment, TASKS[TaskId.NAVIGATE].function_name) in \
+        request
+    for task in [TaskId.NAVIGATE, *sample_demos(0, TaskId.NAVIGATE)]:
+        assert call.format(assignment, TASKS[task].function_name) in meta
+    assert ("final_answer" in meta) == (assignment == "final_answer = ")
 
 
 def test_parse_rejects_another_templates_text(rendered):
