@@ -6,12 +6,14 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
 from .baselines import MethodId
-from .config import MODES, RunConfig, load_config, run_id
+from .config import MODES, RunConfig, load_config, run_id, run_id_fields
 from .errors import ConfigError, MalformedDataset, PseudoexecError
 from .evaluator import (EvalReport, TaskTally, evaluate_run, render_report)
 from .gateway import Gateway, LiveGateway, RecordGateway, ReplayGateway
@@ -40,15 +42,32 @@ def write_dataset(instances: list[TaskInstance], out_dir: Path) -> None:
             "\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_dataset(dataset_dir: Path, tasks: list[TaskId],
+def _record_instance(task: TaskId, path: Path, index: int, record,
+                     input_key: str) -> TaskInstance:
+    """Record ``index`` of ``path`` (a JSON Lines record as its bytes) as an
+    instance, or a MalformedDataset naming the record."""
+    try:
+        if isinstance(record, bytes):
+            record = json.loads(record)
+        if not isinstance(record, dict) or \
+                input_key not in record or "target" not in record:
+            raise ValueError(f"needs {input_key!r} and 'target'")
+        return make_instance(task, record[input_key], record["target"])
+    except ValueError as exc:
+        raise MalformedDataset(f"{path} record {index}: {exc}") from exc
+
+
+def load_dataset(dataset_dir: str | Path, tasks: list[TaskId],
                  files: list[tuple[TaskId, bytes]] | None = None
                  ) -> list[TaskInstance]:
     """The instances of ``tasks``, in order.  Each file is read once; with
     ``files`` given, its task and bytes are appended there, so the digest
     covers the bytes that were parsed."""
+    if not Path(dataset_dir).is_dir():
+        raise ConfigError(f"dataset_dir {str(dataset_dir)!r} not found")
     instances: list[TaskInstance] = []
     for task in tasks:
-        path = dataset_dir / f"{task.value}.jsonl"
+        path = Path(dataset_dir) / f"{task.value}.jsonl"
         if not path.is_file():
             raise MalformedDataset(f"missing dataset file {path}")
         data = path.read_bytes()
@@ -56,18 +75,9 @@ def load_dataset(dataset_dir: Path, tasks: list[TaskId],
             files.append((task, data))
         count = len(instances)
         # Split bytes, not text: a U+2028 in a record does not end it.
-        for index, line in enumerate(data.splitlines()):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("not a JSON object")
-                instances.append(make_instance(
-                    task, obj["input_text"], obj["target"]))
-            except (KeyError, ValueError) as exc:
-                raise MalformedDataset(
-                    f"{path} record {index}: {exc}") from exc
+        instances.extend(
+            _record_instance(task, path, index, line, "input_text")
+            for index, line in enumerate(data.splitlines()) if line.strip())
         if len(instances) == count:
             raise MalformedDataset(f"{path} holds no instances")
     return instances
@@ -89,7 +99,11 @@ def build_gateway(config: RunConfig,
     ``instances``."""
     if config.mode == "mock":
         return mock_gateway(instances, config.mock_corrupt_fraction)
+    if config.mode in ("record", "replay") and not config.cassette_path:
+        raise ConfigError(f"mode {config.mode!r} requires cassette_path")
     if config.mode == "replay":
+        if not Path(config.cassette_path).is_file():
+            raise ConfigError(f"cassette {config.cassette_path!r} not found")
         return ReplayGateway(Path(config.cassette_path))
     if config.mode == "live" and not os.environ.get(config.credential_env):
         raise ConfigError(
@@ -179,20 +193,9 @@ def cmd_ingest(args) -> int:
         examples = data.get("examples") if isinstance(data, dict) else None
         if not isinstance(examples, list):
             raise MalformedDataset(f"{path}: no 'examples' array")
-        count = 0
-        for index, record in enumerate(examples):
-            if not isinstance(record, dict) or \
-                    "input" not in record or "target" not in record:
-                raise MalformedDataset(
-                    f"{path} record {index}: needs 'input' and 'target'")
-            try:
-                instances.append(make_instance(
-                    task, record["input"], record["target"]))
-            except ValueError as exc:
-                raise MalformedDataset(
-                    f"{path} record {index}: {exc}") from exc
-            count += 1
-        print(f"{task.value}: {count}")
+        instances.extend(_record_instance(task, path, index, record, "input")
+                         for index, record in enumerate(examples))
+        print(f"{task.value}: {len(examples)}")
     if not instances:
         raise MalformedDataset(f"no task files found under {src}")
     write_dataset(instances, out)
@@ -226,15 +229,18 @@ def _task_assets(config: RunConfig) -> dict[TaskId, PromptAsset]:
 
 
 def cmd_run(args, config: RunConfig) -> int:
-    tasks = config.task_ids()
-    dataset_dir = Path(config.dataset_dir)
-    files: list[tuple[TaskId, bytes]] = []
-    instances = load_dataset(dataset_dir, tasks, files)
-    digest = dataset_digest(files)
     method = config.method_id()
+    if (method is MethodId.ZERO_SHOT_POT
+            and shutil.which(config.interpreter_command[0]) is None):
+        raise ConfigError(
+            f"interpreter {config.interpreter_command[0]!r} not found")
+    files: list[tuple[TaskId, bytes]] = []
+    instances = load_dataset(config.dataset_dir, config.task_ids(), files)
+    digest = dataset_digest(files)
     gateway = (None if method is MethodId.ORACLE
                else build_gateway(config, instances))
-    rid = run_id(config, digest, _cassette_digest(gateway))
+    hashed = run_id_fields(config, _cassette_digest(gateway))
+    rid = run_id(hashed, digest)
     run_dir = Path(config.runs_dir) / rid
     run_dir.mkdir(parents=True, exist_ok=True)
     # Task k of the run is written by lane k mod L, so no two lanes ever
@@ -286,9 +292,8 @@ def cmd_run(args, config: RunConfig) -> int:
         "model_id": config.reasoner_model,
         "dataset_digest": digest,
         "cassette_digest": _cassette_digest(gateway),
-        "config_hash": hashlib.sha256(
-            config.canonical_json().encode()).hexdigest(),
-        "effective_config": json.loads(config.canonical_json()),
+        "run_id_fields": hashed,
+        "effective_config": asdict(config),
         "per_task": {
             task.value: {"correct": tally.correct, "total": tally.total,
                          "parse_unsupported": tally.parse_unsupported}
@@ -311,7 +316,7 @@ def cmd_run(args, config: RunConfig) -> int:
 
 def cmd_oracle(args, config: RunConfig) -> int:
     tasks = config.task_ids()
-    instances = load_dataset(Path(config.dataset_dir), tasks)
+    instances = load_dataset(config.dataset_dir, tasks)
     report = evaluate_run(MethodId.ORACLE, instances, None)
     for task in tasks:
         tally = report.per_task.get(task, TaskTally())
@@ -354,11 +359,8 @@ def cmd_ablate(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 def _make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a JSON run config")
-    common.add_argument("--seed", type=int, help="override config seed")
-    common.add_argument("--mode", choices=MODES,
-                        help="override gateway mode")
+    with_config = argparse.ArgumentParser(add_help=False)
+    with_config.add_argument("--config", help="path to a JSON run config")
 
     parser = argparse.ArgumentParser(
         prog="pseudoexec",
@@ -366,62 +368,57 @@ def _make_parser() -> argparse.ArgumentParser:
                     "for seven algorithmic reasoning tasks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common],
+    p = sub.add_parser("ingest",
                        help="normalize a BBH-format dataset directory")
     p.add_argument("dataset_dir")
     p.add_argument("--out")
+    p.set_defaults(handler=cmd_ingest)
 
-    p = sub.add_parser("think", parents=[common],
+    p = sub.add_parser("think", parents=[with_config],
                        help="generate analysis + pseudocode for one task")
+    p.add_argument("--mode", choices=MODES, help="override gateway mode")
+    p.add_argument("--seed", type=int, help="override config seed")
     p.add_argument("--task", required=True, choices=TASK_CHOICES)
     p.add_argument("--out")
+    p.set_defaults(handler=cmd_think)
 
-    sub.add_parser("run", parents=[common],
-                   help="evaluate the configured method over the dataset")
+    p = sub.add_parser("run", parents=[with_config],
+                       help="evaluate the configured method over the dataset")
+    p.add_argument("--mode", choices=MODES, help="override gateway mode")
+    p.set_defaults(handler=cmd_run)
 
-    sub.add_parser("oracle", parents=[common],
-                   help="oracle-solve the dataset and report accuracy")
+    sub.add_parser("oracle", parents=[with_config],
+                   help="oracle-solve the dataset and report accuracy"
+                   ).set_defaults(handler=cmd_oracle)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[with_config],
                        help="re-render a stored run report")
     p.add_argument("run_id")
     p.add_argument("--format", choices=("markdown", "csv"),
                    default="markdown")
+    p.set_defaults(handler=cmd_report)
 
-    p = sub.add_parser("ablate", parents=[common],
+    p = sub.add_parser("ablate",
                        help="print a prompt with comments/semantics stripped")
     p.add_argument("--task", required=True, choices=TASK_CHOICES)
     p.add_argument("--source", choices=PSEUDOCODE_SOURCES,
                    default="human")
     p.add_argument("--out")
+    p.set_defaults(handler=cmd_ablate)
     return parser
 
 
 def _load_effective_config(args) -> RunConfig:
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "mode": getattr(args, "mode", None),
-    }
-    return load_config(args.config, overrides)
+    return load_config(args.config, {"seed": getattr(args, "seed", None),
+                                     "mode": getattr(args, "mode", None)})
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        if args.command == "ingest":
-            return cmd_ingest(args)
-        if args.command == "ablate":
-            return cmd_ablate(args)
-        config = _load_effective_config(args)
-        if args.command == "think":
-            return cmd_think(args, config)
-        if args.command == "run":
-            return cmd_run(args, config)
-        if args.command == "oracle":
-            return cmd_oracle(args, config)
-        if args.command == "report":
-            return cmd_report(args, config)
-        raise PseudoexecError(f"unknown command {args.command!r}")
+        if "config" not in args:   # a command that reads no settings
+            return args.handler(args)
+        return args.handler(args, _load_effective_config(args))
     except PseudoexecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

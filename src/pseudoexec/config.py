@@ -1,11 +1,10 @@
-"""Run configuration: JSON file with a flat schema, flag overrides, and a
-canonical serialization used for content-derived run ids."""
+"""Run configuration: JSON file with a flat schema, flag overrides, and the
+fields a content-derived run id hashes."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import shutil
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -20,10 +19,6 @@ DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 DEFAULT_CREDENTIAL_ENV = "PSEUDOEXEC_API_KEY"
 # One worker thread per concurrent instance; more only queue at the model.
 MAX_PARALLEL_CEILING = 32
-# Fields that cannot change a run's results: how many instances run at once,
-# where runs are written, and the dataset path, whose content the run id
-# carries through the dataset digest.
-_NOT_IN_RUN_ID = ("max_parallel", "runs_dir", "dataset_dir")
 # The JSON value types each field annotation accepts; bool is not an int.
 _JSON_TYPES = {"str": (str,), "str | None": (str, type(None)), "int": (int,),
                "float": (int, float), "list[str]": (list,)}
@@ -70,10 +65,6 @@ class RunConfig:
                 f"max_parallel must be between 1 and {MAX_PARALLEL_CEILING}")
         if not self.interpreter_command:
             raise ConfigError("interpreter_command must be non-empty")
-        if (self.method == MethodId.ZERO_SHOT_POT.value
-                and shutil.which(self.interpreter_command[0]) is None):
-            raise ConfigError(
-                f"interpreter {self.interpreter_command[0]!r} not found")
         if self.pseudocode_source not in PSEUDOCODE_SOURCES:
             raise ConfigError(
                 f"pseudocode_source must be one of {PSEUDOCODE_SOURCES}")
@@ -81,13 +72,6 @@ class RunConfig:
             raise ConfigError("sandbox_timeout_ms must be positive")
         if not 0 <= self.mock_corrupt_fraction <= 1:
             raise ConfigError("mock_corrupt_fraction must be between 0 and 1")
-        if not Path(self.dataset_dir).is_dir():
-            raise ConfigError(f"dataset_dir {self.dataset_dir!r} not found")
-        if self.mode in ("record", "replay") and not self.cassette_path:
-            raise ConfigError(f"mode {self.mode!r} requires cassette_path")
-        if self.mode == "replay" and not Path(self.cassette_path).is_file():
-            raise ConfigError(
-                f"cassette {self.cassette_path!r} not found")
         if not self.tasks:
             raise ConfigError("tasks must be non-empty")
         if len(set(self.tasks)) < len(self.tasks):
@@ -95,9 +79,6 @@ class RunConfig:
         self.method_id()
         self.task_ids()
         return self
-
-    def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
 
 
 def load_config(path: str | Path | None,
@@ -130,18 +111,35 @@ def load_config(path: str | Path | None,
     return RunConfig(**data).validate()
 
 
-def run_id(config: RunConfig, dataset_digest: str,
-           cassette_digest: str | None) -> str:
-    """Content-derived run id: reruns of the same effective config over the
-    same dataset content collide on purpose, at any parallelism and from
-    any dataset path.  A replay hashes its cassette's content in place of
-    its path; a record run keeps the path, because its cassette grows
-    during the run and a resumed run must land in the same directory."""
+def run_id_fields(config: RunConfig, cassette_digest: str | None) -> dict:
+    """What a run's id hashes: each config field the run's method and mode
+    read; a field not named below stays in, so a new field splits runs.  A
+    replay hashes its cassette's content; a record run hashes the path of
+    the cassette it grows, so a resumed run lands in the same directory."""
+    method, mode = config.method_id(), config.mode
+    pot = method is MethodId.ZERO_SHOT_POT
+    model_call = mode in ("record", "live")
+    read = {
+        # Only Think reads these two.
+        "seed": False, "instructor_model": False,
+        # Parallelism and paths; the dataset's content is hashed instead.
+        "max_parallel": False, "runs_dir": False, "dataset_dir": False,
+        "pseudocode_source": method is MethodId.THINK_AND_EXECUTE,
+        "interpreter_command": pot, "sandbox_timeout_ms": pot,
+        "mock_corrupt_fraction": mode == "mock", "endpoint": model_call,
+        # The sandbox scrubs the credential from its environment.
+        "credential_env": model_call or pot,
+        "cassette_path": mode == "record"}
     fields = {name: value for name, value in asdict(config).items()
-              if name not in _NOT_IN_RUN_ID}
-    if config.mode == "replay":
-        del fields["cassette_path"]
+              if read.get(name, True)}
+    if mode == "replay":
         fields["cassette_digest"] = cassette_digest
+    return fields
+
+
+def run_id(fields: dict, dataset_digest: str) -> str:
+    """Content-derived run id: reruns that read the same settings and data
+    collide on purpose, at any parallelism and from any dataset path."""
     blob = (json.dumps(fields, sort_keys=True, ensure_ascii=False) + "\n"
             + dataset_digest)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]

@@ -16,7 +16,7 @@ from .baselines import TEMPLATE_BY_METHOD
 from .errors import CassetteMiss
 from .gateway import ChatRequest, MockGateway, digest
 from .prompts import (load_asset_text, load_nl_plan, load_pseudocode, parse,
-                      task_slots)
+                      task_slots, unescape_instance)
 from .tasks import TASKS, TaskId, TaskInstance, solve
 
 
@@ -34,7 +34,7 @@ def mock_gateway(instances: Iterable[TaskInstance] = (),
         name, slots = _parse(templates, request)
         question = slots["input_text"]
         if name == "execute":   # the instance is an escaped string literal
-            question = question.replace('\\"', '"')
+            question = unescape_instance(question)
         instance = by_question.get(question)
         if instance is None:
             raise CassetteMiss("mock reasoner: question not in the dataset: "

@@ -152,6 +152,11 @@ def escape_instance(text: str) -> str:
     return text.replace('"', '\\"')
 
 
+def unescape_instance(literal: str) -> str:
+    """The inverse of ``escape_instance``."""
+    return literal.replace('\\"', '"')
+
+
 # --- Think meta prompts ------------------------------------------------------
 
 def sample_demos(seed: int, target_task: TaskId) -> list[TaskId]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,7 +20,8 @@ import pytest
 
 from pseudoexec import cli
 from pseudoexec.cli import main
-from pseudoexec.config import MAX_PARALLEL_CEILING, RunConfig, load_config
+from pseudoexec.config import (MAX_PARALLEL_CEILING, RunConfig, load_config,
+                               run_id, run_id_fields)
 from pseudoexec.errors import ConfigError
 from pseudoexec.gateway import MockGateway
 from pseudoexec.prompts import load_asset_text, parse
@@ -325,6 +328,127 @@ def _navigate_run(tmp_path: Path) -> tuple[Path, Path, dict]:
                    for p in (run_dir / "navigate").iterdir()}
     shutil.rmtree(run_dir)
     return config, run_dir, transcripts
+
+
+_NAVIGATE_DIRECT = {"mode": "mock", "cassette_path": None, "method": "direct",
+                    "tasks": ["navigate"]}
+
+
+def test_fields_a_run_never_reads_leave_its_id(tmp_path, capsys):
+    first = _run_outputs(tmp_path, "first", **_NAVIGATE_DIRECT)
+    for field, value in [
+            ("seed", 1), ("instructor_model", "other-model"),
+            ("pseudocode_source", "generated"),
+            ("interpreter_command", ["no-such-python-xyz"]),
+            ("sandbox_timeout_ms", 5), ("endpoint", "http://127.0.0.1:9/"),
+            ("credential_env", "PSEUDOEXEC_OTHER_KEY"),
+            ("cassette_path", str(tmp_path / "absent.jsonl"))]:
+        assert _run_outputs(tmp_path, field,
+                            **{**_NAVIGATE_DIRECT, field: value}) == first
+    capsys.readouterr()
+
+
+def test_fields_a_run_reads_split_its_id(tmp_path, capsys):
+    def rid(name, **extra):
+        return _run_outputs(tmp_path, name, **{**_NAVIGATE_DIRECT, **extra})[0]
+
+    assert rid("human", method="think_and_execute") != \
+        rid("generated", method="think_and_execute",
+            pseudocode_source="generated")
+    assert rid("pot", method="zero_shot_pot") != \
+        rid("pot slow", method="zero_shot_pot", sandbox_timeout_ms=20_000)
+    base = rid("base")
+    assert rid("corrupt", mock_corrupt_fraction=0.5) != base
+    assert rid("reasoner", reasoner_model="other-model") != base
+    # No record run can be made offline; its id is the same function's.
+    record = RunConfig(mode="record", cassette_path="a.jsonl")
+    ids = {run_id(run_id_fields(config, None), "digest") for config in (
+        record, dataclasses.replace(record, cassette_path="b.jsonl"),
+        dataclasses.replace(record, endpoint="http://127.0.0.1:9/"))}
+    assert len(ids) == 3
+    capsys.readouterr()
+
+
+def test_a_config_field_the_rule_does_not_name_is_hashed():
+    @dataclasses.dataclass
+    class Grown(RunConfig):
+        new_knob: int = 0
+
+    assert run_id_fields(Grown(), None)["new_knob"] == 0
+
+
+@pytest.mark.parametrize("mode", ["mock", "replay"])
+def test_the_manifest_alone_gives_the_run_id(tmp_path, capsys, mode):
+    extra = {"cassette_path": None} if mode == "mock" else {}
+    config = _write_config(tmp_path, mode=mode, tasks=["navigate"], **extra)
+    assert main(["run", "--config", str(config)]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text("utf-8"))
+    blob = (json.dumps(manifest["run_id_fields"], sort_keys=True,
+                       ensure_ascii=False)
+            + "\n" + manifest["dataset_digest"])
+    assert hashlib.sha256(blob.encode()).hexdigest()[:12] == \
+        manifest["run_id"] == run_dir.name
+    assert ("cassette_digest" in manifest["run_id_fields"]) == \
+        (mode == "replay")
+    assert "config_hash" not in manifest
+    capsys.readouterr()
+
+
+def test_a_command_does_not_check_a_resource_it_never_uses(tmp_path, capsys):
+    config = _write_config(tmp_path, **_NAVIGATE_DIRECT)
+    assert main(["run", "--config", str(config)]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    # A PoT interpreter that is not on PATH, and a cassette that moved.
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    config = _write_config(bad, runs_dir=str(tmp_path / "runs"),
+                           method="zero_shot_pot", tasks=["navigate"],
+                           interpreter_command=["no-such-python-xyz"],
+                           cassette_path=str(tmp_path / "moved.jsonl"))
+    capsys.readouterr()
+    assert main(["oracle", "--config", str(config)]) == 0
+    assert main(["report", run_dir.name, "--config", str(config)]) == 0
+    assert main(["think", "--task", "navigate", "--config", str(config),
+                 "--mode", "mock", "--out", str(tmp_path / "think")]) == 0
+    assert capsys.readouterr().err == ""
+    # The commands that do use them still stop on them.
+    assert main(["think", "--task", "navigate", "--config", str(config),
+                 "--out", str(tmp_path / "think")]) == 2
+    assert "ConfigError: cassette " in capsys.readouterr().err
+    assert main(["run", "--config", str(config)]) == 2
+    assert "ConfigError: interpreter 'no-such-python-xyz' not found" in \
+        capsys.readouterr().err
+    assert list((tmp_path / "runs").iterdir()) == [run_dir]
+
+
+def test_each_command_takes_only_the_settings_it_reads(capsys):
+    parser = cli._make_parser()
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {
+        name: {action.option_strings[0] if action.option_strings
+               else action.dest
+               for action in command._actions
+               if not isinstance(action, argparse._HelpAction)}
+        for name, command in commands.choices.items()}
+    assert options == {
+        "ingest": {"dataset_dir", "--out"},
+        "think": {"--config", "--mode", "--seed", "--task", "--out"},
+        "run": {"--config", "--mode"},
+        "oracle": {"--config"},
+        "report": {"--config", "run_id", "--format"},
+        "ablate": {"--task", "--source", "--out"}}
+    assert sum(map(len, options.values())) == 16
+    for argv in (["run", "--seed", "1"], ["oracle", "--mode", "mock"],
+                 ["ingest", "DIR", "--config", "x"],
+                 ["ablate", "--task", "navigate", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(argv)
+        assert exit_.value.code == 2
+    assert parser.parse_args(["think", "--task", "navigate",
+                              "--seed", "3"]).seed == 3
+    capsys.readouterr()
 
 
 def test_a_partial_report_prints_on_an_ascii_terminal(tmp_path,

@@ -3,6 +3,7 @@ method, marker extraction, run_instance failure handling."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -17,7 +18,8 @@ from pseudoexec.engine import (Prediction, build_execute_prompt,
 from pseudoexec.errors import CassetteMiss, MissingAsset
 from pseudoexec.gateway import Gateway, MockGateway, digest
 from pseudoexec.mock import mock_gateway
-from pseudoexec.prompts import load_nl_plan, load_pseudocode
+from pseudoexec.prompts import (load_asset_text, load_nl_plan,
+                                load_pseudocode, parse, unescape_instance)
 from pseudoexec.tasks import TaskId, make_instance
 from pseudoexec.tasks.generate import generate_instance
 
@@ -58,7 +60,25 @@ def test_execute_prompt_escapes_double_quotes():
     # unescape round-trips to the original text
     embedded = user.split('input_text = "', 1)[1].split(
         '"\nfinal_answer', 1)[0]
-    assert embedded.replace('\\"', '"') == text
+    assert unescape_instance(embedded) == text
+
+
+@settings(max_examples=300)
+@given(text=st.lists(st.sampled_from(
+    ['"', "\\", '\\"', "\n", "\u2028", "a", " ",
+     '<path d="M 31,29 L 34,76"/>']), max_size=24).map("".join))
+def test_the_execute_instance_literal_round_trips(text):
+    """What Execute embeds in its request, read back through the template
+    that wrote it and unescaped, is the instance text; a geometric_shapes
+    instance quotes its SVG path data."""
+    shapes = generate_instance(TaskId.GEOMETRIC_SHAPES, 0, 3)
+    text += shapes.input_text
+    instance = dataclasses.replace(shapes, input_text=text)
+    _, user = baselines.build_baseline_prompt(
+        MethodId.THINK_AND_EXECUTE, instance,
+        load_pseudocode(TaskId.GEOMETRIC_SHAPES))
+    slots = parse(load_asset_text("meta/execute.txt"), user)
+    assert unescape_instance(slots["input_text"]) == text
 
 
 def test_extract_last_marker():
