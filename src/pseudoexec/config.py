@@ -8,7 +8,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .baselines import DEFAULT_TIMEOUT_MS, MethodId
+from .baselines import DEFAULT_INTERPRETER, DEFAULT_TIMEOUT_MS, MethodId
 from .errors import ConfigError
 from .prompts import PSEUDOCODE_SOURCES
 from .tasks import TaskId
@@ -41,7 +41,7 @@ class RunConfig:
     max_parallel: int = 1
     pseudocode_source: str = "human"
     interpreter_command: list[str] = field(
-        default_factory=lambda: ["python3"])
+        default_factory=lambda: list(DEFAULT_INTERPRETER))
     sandbox_timeout_ms: int = DEFAULT_TIMEOUT_MS
     mock_corrupt_fraction: float = 0.2
 
@@ -115,8 +115,10 @@ def run_id_fields(config: RunConfig, cassette_digest: str | None) -> dict:
     """What a run's id hashes: each config field the run's method and mode
     read; a field not named below stays in, so a new field splits runs.  A
     replay hashes its cassette's content; a record run hashes the path of
-    the cassette it grows, so a resumed run lands in the same directory."""
-    method, mode = config.method_id(), config.mode
+    the cassette it grows, so a resumed run lands in the same directory.
+    The oracle opens no gateway, so it reads no gateway setting."""
+    method = config.method_id()
+    mode = config.mode if method is not MethodId.ORACLE else None
     pot = method is MethodId.ZERO_SHOT_POT
     model_call = mode in ("record", "live")
     read = {
@@ -124,6 +126,7 @@ def run_id_fields(config: RunConfig, cassette_digest: str | None) -> dict:
         "seed": False, "instructor_model": False,
         # Parallelism and paths; the dataset's content is hashed instead.
         "max_parallel": False, "runs_dir": False, "dataset_dir": False,
+        "mode": mode is not None,
         "pseudocode_source": method is MethodId.THINK_AND_EXECUTE,
         "interpreter_command": pot, "sandbox_timeout_ms": pot,
         "mock_corrupt_fraction": mode == "mock", "endpoint": model_call,

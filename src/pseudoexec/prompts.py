@@ -16,7 +16,6 @@ from .gateway import ChatRequest, Gateway
 from .pseudolex import PromptFeatureReport, ablate_text, text_features
 from .tasks import TASKS, TaskId
 
-_DEF_RE = r"^[ \t]*def[ \t]+{name}[ \t]*\("
 # The bundled pseudocode prompt sets: assets/<source>/<task>.txt.
 PSEUDOCODE_SOURCES = ("human", "generated")
 
@@ -32,11 +31,15 @@ class PromptAsset:
     def __post_init__(self) -> None:
         if not self.body:
             raise ValueError("PromptAsset body must be non-empty")
-        if self.function_name:
-            pattern = _DEF_RE.format(name=re.escape(self.function_name))
-            if not re.search(pattern, self.body, re.MULTILINE):
-                raise MalformedPseudocode(
-                    f"body does not define {self.function_name!r}")
+        if self.function_name and not _defines(self.body, self.function_name):
+            raise MalformedPseudocode(
+                f"body does not define {self.function_name!r}")
+
+
+def _defines(text: str, function_name: str) -> bool:
+    """Whether a line of ``text`` opens the definition of the function."""
+    return re.search(rf"^[ \t]*def[ \t]+{re.escape(function_name)}[ \t]*\(",
+                     text, re.MULTILINE) is not None
 
 
 # --- asset loading -----------------------------------------------------------
@@ -81,69 +84,58 @@ _PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
 
 @functools.lru_cache(maxsize=32)
-def _compiled(template: str) -> re.Pattern:
-    """The pattern of ``template``'s renderings: its text literally, with a
-    named group for each slot and a backreference for each repeat."""
-    parts = _PLACEHOLDER_RE.split(template)    # text, slot, ..., slot, text
-    names = parts[1::2]
-    groups = [f"(?P={name})" if name in names[:i] else f"(?P<{name}>.*?)"
-              for i, name in enumerate(names)]
-    return re.compile("".join(re.escape(text) + group for text, group
-                              in zip(parts[::2], groups + [""])), re.DOTALL)
-
-
-def render(template: str, mapping: dict[str, str]) -> str:
-    """Single-pass placeholder substitution.  Substituted values are never
-    rescanned, so braces inside pseudocode bodies survive untouched.  Every
-    placeholder the template advertises must be supplied."""
-    missing = _compiled(template).groupindex.keys() - mapping.keys()
-    if missing:
-        raise KeyError(f"unfilled placeholders: {sorted(missing)}")
-    return _PLACEHOLDER_RE.sub(lambda m: mapping[m.group(1)], template)
-
-
-def parse(template: str, text: str) -> dict[str, str] | None:
-    """The inverse of ``render``: the slot values that make ``template``
-    render to ``text``, or None when no values do."""
-    slots = _parse_leftmost(template, text)
-    if slots is None:
-        match = _compiled(template).fullmatch(text)
-        slots = match.groupdict() if match else None
-    return slots
-
-
-@functools.lru_cache(maxsize=32)
 def _steps(template: str) -> tuple[str, tuple[tuple[str, str], ...]]:
     """``template`` as its leading text and (slot, text after it) pairs."""
     parts = _PLACEHOLDER_RE.split(template)
     return parts[0], tuple(zip(parts[1::2], parts[2::2]))
 
 
-def _parse_leftmost(template: str, text: str) -> dict[str, str] | None:
-    """The first try of ``_compiled(template).fullmatch``: each new slot
-    but the last ends at the leftmost match of the text after it, the last
-    ends where the template's tail begins, and a repeated slot must repeat
-    its value.  When this try succeeds the regex returns the same slots;
-    None only means the regex must search further."""
+def render(template: str, mapping: dict[str, str]) -> str:
+    """Single-pass placeholder substitution.  Substituted values are never
+    rescanned, so braces inside pseudocode bodies survive untouched.  Every
+    placeholder the template advertises must be supplied."""
     head, steps = _steps(template)
-    if not text.startswith(head):
-        return None
+    missing = {name for name, _ in steps} - mapping.keys()
+    if missing:
+        raise KeyError(f"unfilled placeholders: {sorted(missing)}")
+    return head + "".join(mapping[name] + text for name, text in steps)
+
+
+def parse(template: str, text: str) -> dict[str, str] | None:
+    """The inverse of ``render``: the slot values that make ``template``
+    render to ``text``, or None when no values do."""
+    head, steps = _steps(template)
     slots: dict[str, str] = {}
-    pos, last = len(head), len(steps) - 1
-    for i, (name, literal) in enumerate(steps):
-        if name in slots:
-            end = pos + len(slots[name])
-            if not (text.startswith(slots[name], pos)
-                    and text.startswith(literal, end)):
-                return None
-        else:
-            end = (len(text) - len(literal) if i == last
-                   else text.find(literal, pos))
-            if end < pos or not text.startswith(literal, end):
-                return None
-            slots[name] = text[pos:end]
-        pos = end + len(literal)
-    return slots if pos == len(text) else None
+    if text.startswith(head) and _fill(steps, text, 0, len(head), slots):
+        return slots
+    return None
+
+
+def _fill(steps: tuple[tuple[str, str], ...], text: str, i: int, pos: int,
+          slots: dict[str, str]) -> bool:
+    """Whether ``steps[i:]`` render ``text[pos:]`` given ``slots``, which
+    it then completes.  A depth-first search: a new slot ends at each
+    occurrence of the text after it, leftmost first, the last slot where
+    the template's tail begins, and a repeated slot must repeat its value.
+    That is the order in which a lazy regex of the template backtracks, so
+    the first split found is the regex's match."""
+    if i == len(steps):
+        return pos == len(text)
+    name, literal = steps[i]
+    if name in slots:
+        end = pos + len(slots[name])
+        return (text.startswith(slots[name], pos)
+                and text.startswith(literal, end)
+                and _fill(steps, text, i + 1, end + len(literal), slots))
+    last = i == len(steps) - 1
+    end = len(text) - len(literal) if last else text.find(literal, pos)
+    while end >= pos and text.startswith(literal, end):
+        slots[name] = text[pos:end]
+        if _fill(steps, text, i + 1, end + len(literal), slots):
+            return True
+        end = -1 if last else text.find(literal, end + 1)
+    slots.pop(name, None)
+    return False
 
 
 def escape_instance(text: str) -> str:
@@ -221,12 +213,11 @@ def parse_pseudocode_response(response: str, function_name: str) -> str:
     """Pull the pseudocode body out of an Instructor response.  Fenced code
     blocks win; otherwise the raw response is accepted as-is so long as it
     defines the expected function."""
-    pattern = _DEF_RE.format(name=re.escape(function_name))
     for match in FENCE_RE.finditer(response):
         block = match.group(1)
-        if re.search(pattern, block, re.MULTILINE):
+        if _defines(block, function_name):
             return block
-    if re.search(pattern, response, re.MULTILINE):
+    if _defines(response, function_name):
         return response
     raise MalformedPseudocode(
         f"no definition of {function_name!r} in Instructor response")

@@ -369,6 +369,25 @@ def test_fields_a_run_reads_split_its_id(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_oracle_run_reads_no_gateway_setting(tmp_path, capsys):
+    oracle = {"method": "oracle", "tasks": ["navigate"]}
+    mock = {**oracle, "mode": "mock", "cassette_path": None}
+    first = _run_outputs(tmp_path, "mock", **mock)
+    assert _run_outputs(tmp_path, "replay", **oracle) == first
+    for field, value in [("mock_corrupt_fraction", 0.5),
+                         ("endpoint", "http://127.0.0.1:9/"),
+                         ("credential_env", "PSEUDOEXEC_OTHER_KEY")]:
+        assert _run_outputs(tmp_path, field, **{**mock, field: value}) == \
+            first
+    assert _run_outputs(tmp_path, "record", **oracle, mode="record",
+                        cassette_path=str(tmp_path / "absent.jsonl")) == first
+    assert not (tmp_path / "absent.jsonl").exists()
+    # The report prints the model, so the id still hashes it.
+    assert _run_outputs(tmp_path, "model", **mock,
+                        reasoner_model="other-model")[0] != first[0]
+    capsys.readouterr()
+
+
 def test_a_config_field_the_rule_does_not_name_is_hashed():
     @dataclasses.dataclass
     class Grown(RunConfig):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoexec import baselines, cli, prompts
 from pseudoexec.baselines import (TEMPLATE_BY_METHOD, MethodId,
@@ -70,8 +73,6 @@ def test_nl_plan_prompt_shape():
 
 
 def test_no_unreplaced_placeholders_in_any_builder():
-    import re
-
     slots = re.compile(
         r"\{(instances|format|analysis|plan|description|usages|code)_"
         r"(\d|target)\}|\{function_name\}")
@@ -143,30 +144,64 @@ def test_parse_returns_the_mapping_each_builder_rendered(rendered,
         assert render(template, slots) == text
 
 
+def _regex_parse(template: str, text: str) -> dict[str, str] | None:
+    """The reference for ``parse``: a regex of ``template``'s text, with a
+    lazy named group for each slot and a backreference for each repeat."""
+    parts = prompts._PLACEHOLDER_RE.split(template)   # text, slot, ..., text
+    names = parts[1::2]
+    groups = [f"(?P={name})" if name in names[:i] else f"(?P<{name}>.*?)"
+              for i, name in enumerate(names)]
+    match = re.fullmatch("".join(re.escape(literal) + group for literal, group
+                                 in zip(parts[::2], groups + [""])),
+                         text, re.DOTALL)
+    return match.groupdict() if match else None
+
+
 def test_the_leftmost_parse_is_the_regexs_on_every_rendering(rendered):
     for template, _, text in rendered:
-        assert prompts._parse_leftmost(template, text) == \
-            prompts._compiled(template).fullmatch(text).groupdict()
+        assert parse(template, text) == _regex_parse(template, text)
 
 
-@pytest.mark.parametrize("template, text, leftmost, slots", [
-    # {a}'s value holds the text after it; the first try splits as the
-    # regex does.
-    ("A{a}B{b}C{c}", "AxByBzCw", {"a": "x", "b": "yBz", "c": "w"},
-     {"a": "x", "b": "yBz", "c": "w"}),
-    # The leftmost {a} is not repeated at the end, so the regex searches on.
-    ("{a}-{b}-{a}", "p-q-r-p-q", None, {"a": "p-q", "b": "r"}),
-    ("{a}-{b}-{a}", "p-q-r-p-x", None, None),
-    ("x={a}; again {a}.", "x=1; again 2.", None, None),
-    ("x={a}; y={b}", "x=1; y=", {"a": "1", "b": ""}, {"a": "1", "b": ""}),
-    ("head {a}", "hea", None, None),
+@pytest.mark.parametrize("template, text, slots", [
+    # {b}'s value holds the text after {a}; the leftmost split is the
+    # regex's.
+    ("A{a}B{b}C{c}", "AxByBzCw", {"a": "x", "b": "yBz", "c": "w"}),
+    # The leftmost {a} is not repeated at the end, so the search goes on.
+    ("{a}-{b}-{a}", "p-q-r-p-q", {"a": "p-q", "b": "r"}),
+    ("{a}-{b}-{a}", "p-q-r-p-x", None),
+    ("x={a}; again {a}.", "x=1; again 2.", None),
+    ("x={a}; y={b}", "x=1; y=", {"a": "1", "b": ""}),
+    ("head {a}", "hea", None),
 ])
 def test_parse_agrees_with_the_regex_on_ambiguous_texts(template, text,
-                                                        leftmost, slots):
-    match = prompts._compiled(template).fullmatch(text)
-    assert (match.groupdict() if match else None) == slots
-    assert prompts._parse_leftmost(template, text) == leftmost
+                                                        slots):
+    assert _regex_parse(template, text) == slots
     assert parse(template, text) == slots
+
+
+_TEXT = st.text("ab-", max_size=2)
+
+
+@settings(max_examples=500)
+@given(head=_TEXT, steps=st.lists(st.tuples(st.sampled_from("xyz"), _TEXT),
+                                  min_size=1, max_size=5),
+       values=st.fixed_dictionaries(
+           {name: st.text("ab-{}", max_size=3) for name in "xyz"}),
+       text=st.text("ab-{}", max_size=10))
+def test_parse_and_render_are_the_regexs_on_random_templates(head, steps,
+                                                             values, text):
+    # Repeated, adjacent and empty-bordered slots, and braces in values.
+    template = head + "".join(f"{{{name}}}{literal}"
+                              for name, literal in steps)
+    rendering = render(template, values)
+    assert rendering == prompts._PLACEHOLDER_RE.sub(
+        lambda match: values[match.group(1)], template)
+    assert parse(template, rendering) is not None
+    for candidate in (rendering, text):
+        slots = parse(template, candidate)
+        assert slots == _regex_parse(template, candidate)
+        if slots is not None:
+            assert render(template, slots) == candidate
 
 
 @pytest.mark.parametrize("assignment", ["final_answer = ", "result = "])
