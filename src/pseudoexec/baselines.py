@@ -18,11 +18,15 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import MissingAsset, SpawnFailure
 from .prompts import (FENCE_RE, PromptAsset, escape_instance, load_asset_text,
                       load_taskinfo, render)
 from .tasks import TASKS, TaskInstance
+
+if TYPE_CHECKING:
+    import socket
 
 
 class MethodId(Enum):
@@ -127,30 +131,33 @@ def extract_program(response: str, seeded_header: str) -> str:
 def _sandbox_env(credential_env: str | None) -> dict[str, str]:
     """Environment for the sandboxed interpreter: the parent environment
     minus the configured credential variable and obvious secret-bearing
-    names."""
+    names, with string-hash seed 0 unless the parent sets one."""
     env = dict(os.environ)
     for name in list(env):
         upper = name.upper()
         if name == credential_env or any(
                 tag in upper for tag in ("API_KEY", "TOKEN", "SECRET")):
             env.pop(name)
+    env.setdefault("PYTHONHASHSEED", "0")
     return env
 
 
-class _SandboxServer:
-    """A running ``sandbox_server.py``, in a session of its own with the
-    scrubbed environment.  It runs one program at a time, each in a child
-    it forks."""
+def _sandbox_key(interpreter_command: list[str] | tuple[str, ...],
+                 env: dict[str, str]) -> tuple:
+    return tuple(interpreter_command), tuple(sorted(env.items()))
 
-    def __init__(self, interpreter_command: list[str] | tuple[str, ...],
-                 env: dict[str, str]) -> None:
-        try:
-            self.proc = subprocess.Popen(
-                [*interpreter_command, str(_SERVER_SCRIPT)], env=env,
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL, bufsize=0, start_new_session=True)
-        except OSError as exc:
-            raise SpawnFailure(str(exc)) from exc
+
+class _SandboxServer:
+    """A sandbox server forked from a zygote: our end of its socket pair
+    and a pidfd of the server.  It runs one program at a time, each in a
+    child it forks."""
+
+    def __init__(self, sock: socket.socket, pidfd: int) -> None:
+        self.sock, self.pidfd = sock, pidfd
+        self._received = b""
+
+    def alive(self) -> bool:
+        return not select.select([self.pidfd], [], [], 0)[0]
 
     def run(self, request: dict, wait_s: float) -> dict | None:
         """Send one request and read its reply; None if the server gave no
@@ -158,7 +165,7 @@ class _SandboxServer:
         has been killed."""
         deadline = time.monotonic() + wait_s
         try:
-            self.proc.stdin.write(json.dumps(request).encode() + b"\n")
+            self.sock.sendall(json.dumps(request).encode() + b"\n")
         except OSError:
             return None
         started = self._read_line(deadline)
@@ -177,23 +184,67 @@ class _SandboxServer:
             os.close(pidfd)
 
     def _read_line(self, deadline: float) -> dict | None:
-        wait_s = max(0.0, deadline - time.monotonic())
-        if not select.select([self.proc.stdout], [], [], wait_s)[0]:
-            return None
-        # Each line comes in one write of under PIPE_BUF bytes, so once the
-        # pipe is readable the whole line is there.
-        try:
-            return json.loads(self.proc.stdout.readline())
-        except ValueError:                              # EOF: the server died
-            return None
+        while b"\n" not in self._received:
+            wait_s = max(0.0, deadline - time.monotonic())
+            if not select.select([self.sock], [], [], wait_s)[0]:
+                return None
+            try:
+                chunk = self.sock.recv(4096)
+            except OSError:
+                return None
+            if not chunk:                               # EOF: the server died
+                return None
+            self._received += chunk
+        line, self._received = self._received.split(b"\n", 1)
+        return json.loads(line)
 
     def discard(self) -> None:
-        # Not reaped until wait(), so the group id cannot be reused first.
-        if self.proc.poll() is None:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(self.proc.pid, signal.SIGKILL)
-        self.proc.stdin.close()
-        self.proc.stdout.close()
+        # Its zygote reaps it.
+        with contextlib.suppress(ProcessLookupError):
+            signal.pidfd_send_signal(self.pidfd, signal.SIGKILL)
+        os.close(self.pidfd)
+        self.sock.close()
+
+
+class _Zygote:
+    """A running ``sandbox_server.py``, in a session of its own with the
+    scrubbed environment, that forks a sandbox server on request."""
+
+    def __init__(self, interpreter_command: list[str] | tuple[str, ...],
+                 env: dict[str, str]) -> None:
+        # Imported here: it costs every command about 4 ms, and only a run
+        # that runs programs needs it.
+        import socket
+        self.control, theirs = socket.socketpair()
+        try:
+            self.proc = subprocess.Popen(
+                [*interpreter_command, str(_SERVER_SCRIPT)], env=env,
+                stdin=theirs, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, start_new_session=True)
+        except OSError as exc:
+            self.control.close()
+            raise SpawnFailure(str(exc)) from exc
+        finally:
+            theirs.close()
+        self._lock = threading.Lock()
+
+    def clone(self) -> _SandboxServer | None:
+        """A newly forked server; None if the zygote has died."""
+        import socket
+        with self._lock:
+            try:
+                self.control.sendall(b"\n")
+                _, fds, _, _ = socket.recv_fds(self.control, 1, 2,
+                                               socket.MSG_CMSG_CLOEXEC)
+            except OSError:
+                return None
+        if not fds:                                     # EOF: it died
+            return None
+        return _SandboxServer(socket.socket(fileno=fds[0]), fds[1])
+
+    def discard(self) -> None:
+        # At EOF it kills and reaps whatever servers it has left.
+        self.control.close()
         self.proc.wait()
 
 
@@ -212,29 +263,63 @@ def _kill_program_group(pidfd: int, pid: int) -> None:
 
 
 class _ServerPool:
-    """Idle sandbox servers, at most one per concurrent caller.  A run uses
-    one (interpreter_command, env) key; when the key changes, the idle
-    servers of the old key are discarded rather than kept."""
+    """The zygote of one (interpreter_command, env) key and the idle servers
+    forked from it, at most one per concurrent caller.  When the key
+    changes, the old key's zygote and idle servers are discarded rather
+    than kept."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._key: tuple | None = None
+        self._zygote: _Zygote | None = None
         self._idle: list[_SandboxServer] = []
+
+    def _switch(self, key: tuple) -> list:
+        """Under the lock: make ``key`` current, returning what the old key
+        left behind, to be discarded."""
+        if key == self._key:
+            return []
+        stale = [*self._idle, *filter(None, [self._zygote])]
+        self._key, self._zygote, self._idle = key, None, []
+        return stale
+
+    def start(self, key: tuple,
+              interpreter_command: list[str] | tuple[str, ...],
+              env: dict[str, str], dead: _Zygote | None = None) -> _Zygote:
+        """The zygote of ``key``, booted now if there is none or it is
+        ``dead``."""
+        with self._lock:
+            stale = self._switch(key)
+            if self._zygote is not None and self._zygote is dead:
+                stale.append(dead)
+                self._zygote = None
+            if self._zygote is None:
+                self._zygote = _Zygote(interpreter_command, env)
+            zygote = self._zygote
+        for old in stale:
+            old.discard()
+        return zygote
 
     def take(self, key: tuple,
              interpreter_command: list[str] | tuple[str, ...],
              env: dict[str, str]) -> _SandboxServer:
-        stale: list[_SandboxServer] = []
+        """An idle server of ``key``, or one forked now.  A zygote that has
+        died is replaced, once."""
         with self._lock:
-            if key != self._key:
-                stale, self._idle, self._key = self._idle, [], key
+            stale = self._switch(key)
             server = self._idle.pop() if self._idle else None
-        if server is not None and server.proc.poll() is not None:
+        if server is not None and not server.alive():
             stale.append(server)                        # died while idle
             server = None
-        for dead in stale:
-            dead.discard()
-        return server or _SandboxServer(interpreter_command, env)
+        for old in stale:
+            old.discard()
+        if server is None:
+            zygote = self.start(key, interpreter_command, env)
+            server = zygote.clone() or self.start(
+                key, interpreter_command, env, dead=zygote).clone()
+        if server is None:
+            raise SpawnFailure("a new sandbox zygote forked no server")
+        return server
 
     def give(self, key: tuple, server: _SandboxServer) -> None:
         with self._lock:
@@ -243,16 +328,26 @@ class _ServerPool:
                 return
         server.discard()
 
-    def discard_idle(self) -> None:
+    def discard(self) -> None:
+        """Discard the idle servers and the zygote."""
         with self._lock:
-            idle, self._idle = self._idle, []
-        for server in idle:
-            server.discard()
+            stale = self._switch(None)
+        for old in stale:
+            old.discard()
 
 
 _POOL = _ServerPool()
-# Idle servers would otherwise outlive the harness, unwaited for.
-atexit.register(_POOL.discard_idle)
+# The zygote and idle servers would otherwise outlive the harness.
+atexit.register(_POOL.discard)
+
+
+def start_sandbox(interpreter_command: list[str] | tuple[str, ...],
+                  credential_env: str | None = None) -> None:
+    """Boot the zygote that ``execute_program`` forks servers from for these
+    settings, so its start-up overlaps the caller's own."""
+    env = _sandbox_env(credential_env)
+    _POOL.start(_sandbox_key(interpreter_command, env), interpreter_command,
+                env)
 
 
 def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
@@ -267,7 +362,7 @@ def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
     if timeout_ms <= 0:
         raise ValueError("timeout_ms must be positive")
     env = _sandbox_env(credential_env)
-    key = (tuple(interpreter_command), tuple(sorted(env.items())))
+    key = _sandbox_key(interpreter_command, env)
     tmp = Path(tempfile.mkdtemp(prefix="pseudoexec-sandbox-"))
     try:
         # Output goes outside the program's working directory.

@@ -12,7 +12,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
-from .baselines import MethodId
+from .baselines import MethodId, start_sandbox
 from .config import MODES, RunConfig, load_config, run_id, run_id_fields
 from .errors import ConfigError, MalformedDataset, PseudoexecError
 from .evaluator import (EvalReport, TaskTally, evaluate_run, render_report)
@@ -230,10 +230,12 @@ def _task_assets(config: RunConfig) -> dict[TaskId, PromptAsset]:
 
 def cmd_run(args, config: RunConfig) -> int:
     method = config.method_id()
-    if (method is MethodId.ZERO_SHOT_POT
-            and shutil.which(config.interpreter_command[0]) is None):
-        raise ConfigError(
-            f"interpreter {config.interpreter_command[0]!r} not found")
+    if method is MethodId.ZERO_SHOT_POT:
+        if shutil.which(config.interpreter_command[0]) is None:
+            raise ConfigError(
+                f"interpreter {config.interpreter_command[0]!r} not found")
+        # Booted now, its start-up overlaps the set-up below.
+        start_sandbox(config.interpreter_command, config.credential_env)
     files: list[tuple[TaskId, bytes]] = []
     instances = load_dataset(config.dataset_dir, config.task_ids(), files)
     digest = dataset_digest(files)

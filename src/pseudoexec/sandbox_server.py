@@ -1,17 +1,28 @@
-"""Sandbox server for PoT programs: a warm interpreter that forks one child
-per program, so no program pays for interpreter start-up.
+"""Sandbox zygote and servers for PoT programs: one warm interpreter per
+run forks the servers, and each server forks one child per program, so no
+server and no program pays for interpreter start-up.
 
-Run as ``<interpreter> sandbox_server.py``.  Each line on stdin is a JSON
-request ``{"script", "stdout", "stderr", "timeout_s"}``; the server forks a
-child that runs ``script`` as ``python script`` would, in a session of its
-own and the script's directory, with stdin from /dev/null, stdout and stderr
+Run as ``<interpreter> sandbox_server.py`` with stdin a Unix stream socket,
+the control socket.  That process is the zygote and never runs a program.
+Each byte it reads there asks for a server: it makes a fresh
+``socket.socketpair()``, forks a server into a session of its own that keeps
+one end, and hands the caller the other end and a pidfd of the server, two
+descriptors sent with one byte (``socket.send_fds``).  It reaps its servers
+as they exit.  At EOF on the control socket it gives the servers
+``EXIT_GRACE_S`` to exit, kills and reaps any that are left, and exits.
+
+A server reads requests on its end of the pair.  Each is one JSON line
+``{"script", "stdout", "stderr", "timeout_s"}``; the server forks a child
+that runs ``script`` as ``python script`` would, in a session of its own
+and the script's directory, with stdin from /dev/null, stdout and stderr
 written to the named files and resource limits set.  The child first writes
 one line ``{"pid"}``; once it has ended the server replies with one line
-``{"status", "timed_out"}``.  At ``timeout_s`` it kills the child's
-process group, and it always kills whatever the program left in that group.
-It exits when stdin reaches EOF.
+``{"status", "timed_out"}``.  At ``timeout_s`` it kills the child's process
+group, and it always kills whatever the program left in that group.  At EOF
+it exits; if the caller goes while a program runs (its socket turns
+readable), the server kills the program's group and exits.
 
-Standard library only: the server imports nothing from pseudoexec.
+Standard library only: the zygote imports nothing from pseudoexec.
 """
 
 import atexit
@@ -23,7 +34,9 @@ import os
 import resource
 import select
 import signal
+import socket
 import sys
+import time
 import types
 
 # The server's own VmSize is about 17 MB (Python 3.11); 1 GiB leaves a
@@ -33,6 +46,8 @@ FILE_SIZE_LIMIT = 16 << 20          # also caps stdout and stderr
 OPEN_FILES_LIMIT = 64
 # CPU seconds beyond the wall-clock timeout; the timeout normally acts first.
 CPU_GRACE_S = 1
+# How long the zygote waits, at EOF, for its servers to see EOF too and exit.
+EXIT_GRACE_S = 1.0
 
 # Whether ``python script`` would put the script's directory first on
 # sys.path (-P and -I leave it out).
@@ -124,27 +139,27 @@ def _run_child(script: str, stdout: str, stderr: str,
     return status
 
 
-def _serve(request: dict, requests_fd: int, replies_fd: int) -> dict:
+def _serve(request: dict, sock: int) -> dict | None:
+    """Run one program; its reply, or None if the caller has gone."""
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            os.close(requests_fd)
             os.setsid()
             # Sent by the group leader before any program code runs, so the
             # harness can kill the group even if the program kills this
-            # server.  One write of under PIPE_BUF bytes, before the reply.
-            os.write(replies_fd,
-                     (json.dumps({"pid": os.getpid()}) + "\n").encode())
-            os.close(replies_fd)
+            # server.  One write of a few bytes, before the reply.
+            os.write(sock, (json.dumps({"pid": os.getpid()}) + "\n").encode())
+            os.close(sock)
             status = _run_child(**request)
         finally:
             os._exit(status)
     pidfd = os.pidfd_open(pid)
     try:
-        ended = bool(select.select([pidfd], [], [], request["timeout_s"])[0])
+        ready = select.select([pidfd, sock], [], [], request["timeout_s"])[0]
     finally:
         os.close(pidfd)
+    ended = pidfd in ready
     # The child is not reaped yet, so its pid (and group id) cannot be
     # reused before these kills.
     if not ended:
@@ -152,21 +167,72 @@ def _serve(request: dict, requests_fd: int, replies_fd: int) -> dict:
     with contextlib.suppress(ProcessLookupError):
         os.killpg(pid, signal.SIGKILL)
     _, wait_status = os.waitpid(pid, 0)
+    if sock in ready:     # the caller sends nothing while a program runs
+        return None
     return {"status": os.waitstatus_to_exitcode(wait_status),
             "timed_out": not ended}
 
 
+def _run_server(sock: socket.socket) -> None:
+    with contextlib.suppress(OSError):
+        for line in sock.makefile("rb"):
+            reply = _serve(json.loads(line), sock.fileno())
+            if reply is None:
+                return
+            sock.sendall((json.dumps(reply) + "\n").encode())
+
+
+def _reap(servers: set[int], wait_s: float = 0.0) -> None:
+    """Reap the servers that have exited, waiting up to ``wait_s`` for the
+    rest."""
+    deadline = time.monotonic() + wait_s
+    while servers:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+        if pid:
+            servers.discard(pid)
+        elif time.monotonic() < deadline:
+            time.sleep(0.01)
+        else:
+            return
+
+
 def main() -> None:
-    # Requests and replies move off fds 0 and 1, which children take over.
-    requests = os.fdopen(os.dup(0), "rb")
-    replies = os.dup(1)
+    # The control socket moves off fd 0, and fds 0 and 1, which programs
+    # take over, point at /dev/null.
+    control = socket.socket(fileno=os.dup(0))
     null = os.open(os.devnull, os.O_RDWR)
     os.dup2(null, 0)
     os.dup2(null, 1)
     os.close(null)
-    for line in requests:
-        reply = _serve(json.loads(line), requests.fileno(), replies)
-        os.write(replies, (json.dumps(reply) + "\n").encode())
+    servers: set[int] = set()
+    # EOF, a caller gone mid-request or a failed fork ends the loop.
+    with contextlib.suppress(OSError):
+        while control.recv(1):
+            kept, handed = socket.socketpair()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    control.close()
+                    handed.close()
+                    os.setsid()
+                    _run_server(kept)
+                finally:
+                    os._exit(0)
+            servers.add(pid)
+            kept.close()
+            # Not reaped yet, so the pid names the server.
+            pidfd = os.pidfd_open(pid)
+            try:
+                socket.send_fds(control, [b"\n"], [handed.fileno(), pidfd])
+            finally:
+                os.close(pidfd)
+                handed.close()
+            _reap(servers)
+    _reap(servers, EXIT_GRACE_S)
+    for pid in servers:               # unreaped, so still theirs
+        os.kill(pid, signal.SIGKILL)
+    for pid in servers:
+        os.waitpid(pid, 0)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from pseudoexec.baselines import (MethodId, build_baseline_prompt,
                                   execute_program, extract_program,
                                   pot_answer, pot_seeded_header,
                                   run_pot_instance)
-from pseudoexec.errors import MissingAsset
+from pseudoexec.errors import MissingAsset, SpawnFailure
 from pseudoexec.prompts import load_nl_plan
 from pseudoexec.tasks import TaskId, make_instance
 
@@ -289,6 +289,84 @@ def test_sandbox_replaces_a_killed_server():
     assert _server_pid() != first
 
 
+def _parent_of(pid: int) -> int:
+    return int(Path(f"/proc/{pid}/stat").read_text()
+               .rsplit(")", 1)[1].split()[1])
+
+
+def _zygote_pid() -> int:
+    return _parent_of(_server_pid())
+
+
+def _wait_gone(pid: int) -> None:
+    deadline = time.monotonic() + 5
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(pid)
+
+
+def test_sandbox_forks_a_new_server_from_the_same_zygote():
+    zygote, server = _zygote_pid(), _server_pid()
+    result = execute_program(
+        "import os, signal\nos.kill(os.getppid(), signal.SIGKILL)")
+    assert result.stderr.endswith("sandbox server gave no reply")
+    assert _zygote_pid() == zygote != os.getpid()
+    assert _server_pid() != server
+
+
+def test_sandbox_replaces_a_killed_zygote():
+    zygote = _zygote_pid()
+    assert zygote != os.getpid()
+    os.kill(zygote, signal.SIGKILL)
+    _wait_gone(zygote)
+    # The idle server still runs the next program ...
+    assert execute_program("print('alive')").stdout == "alive\n"
+    # ... and once it is gone, a new zygote forks the next one.
+    execute_program("import os, signal\nos.kill(os.getppid(), signal.SIGKILL)")
+    assert execute_program("print('alive')").stdout == "alive\n"
+    assert _zygote_pid() not in (zygote, os.getpid(), 1)
+
+
+def test_sandbox_concurrent_servers_share_one_zygote():
+    def server(_) -> int:
+        return int(execute_program(
+            "import os, time\nprint(os.getppid())\ntime.sleep(0.3)").stdout)
+
+    with ThreadPoolExecutor(2) as pool:
+        servers = set(pool.map(server, range(2)))
+    assert len(servers) == 2
+    (zygote,) = {_parent_of(pid) for pid in servers}
+    assert zygote != os.getpid()
+
+
+def test_sandbox_string_hash_seed_is_the_same_on_every_run(monkeypatch):
+    # Each harness run prints the server pid and the set order seen by two
+    # programs on each of two concurrent workers.
+    monkeypatch.delenv("PYTHONHASHSEED", raising=False)
+    script = textwrap.dedent("""
+        from concurrent.futures import ThreadPoolExecutor
+        from pseudoexec.baselines import execute_program
+        program = ("import os, time\\n"
+                   "print(os.getppid())\\n"
+                   "print(set('item%d' % i for i in range(20)))\\n"
+                   "time.sleep(0.2)\\n")
+        with ThreadPoolExecutor(2) as pool:
+            for result in pool.map(execute_program, [program] * 4):
+                print(result.stdout, end="")
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(baselines.__file__).parents[1]))
+    orders = set()
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(set(lines[0::2])) == 2      # two servers
+        orders.update(lines[1::2])
+    assert len(orders) == 1, orders
+
+
 def test_sandbox_program_that_kills_its_parent_spares_the_harness():
     # Run in a subprocess of its own, so a regression kills that, not pytest.
     script = textwrap.dedent("""
@@ -350,6 +428,12 @@ def test_sandbox_file_size_limit_stops_a_large_write():
 def test_sandbox_requires_interpreter():
     with pytest.raises(ValueError, match="no interpreter command configured"):
         execute_program("print(1)", interpreter_command=[])
+
+
+def test_sandbox_interpreter_that_runs_no_zygote_is_a_spawn_failure():
+    # ``true`` starts and exits: no zygote, so no program can run.
+    with pytest.raises(SpawnFailure, match="forked no server"):
+        execute_program("print(1)", interpreter_command=["true"])
 
 
 def test_pot_answer_boolean_mapping():

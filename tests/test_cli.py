@@ -9,21 +9,24 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+import uuid
 from pathlib import Path
 
 import pytest
 
 from pseudoexec import cli
+from pseudoexec.baselines import MethodId, build_baseline_prompt
 from pseudoexec.cli import main
 from pseudoexec.config import (MAX_PARALLEL_CEILING, RunConfig, load_config,
                                run_id, run_id_fields)
 from pseudoexec.errors import ConfigError
-from pseudoexec.gateway import MockGateway
+from pseudoexec.gateway import ChatRequest, MockGateway, RecordGateway
 from pseudoexec.prompts import load_asset_text, parse
 from pseudoexec.tasks import TaskId, make_instance
 from pseudoexec.tasks.generate import generate_instance
@@ -654,6 +657,106 @@ def test_replay_mode_requires_cassette(tmp_path):
     config = _write_config(tmp_path,
                            cassette_path=str(tmp_path / "missing.jsonl"))
     assert main(["run", "--config", str(config)]) == 2
+
+
+_MARKER = "PSEUDOEXEC_TEST_MARKER"
+
+
+def _marked(value: str) -> list[int]:
+    """The live processes whose environment holds ``_MARKER=value``."""
+    needle = f"\0{_MARKER}={value}\0".encode()
+    pids = []
+    for entry in Path("/proc").iterdir():
+        try:
+            if entry.name.isdigit() and \
+                    needle in b"\0" + (entry / "environ").read_bytes():
+                pids.append(int(entry.name))
+        except OSError:              # gone, or not ours
+            pass
+    return pids
+
+
+def _kill_marked(value: str) -> None:
+    for pid in _marked(value):
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def _pot_cassette(path: Path, body: str) -> Path:
+    """A replay cassette answering the PoT request of each navigate fixture
+    with a ``solution`` of ``body``."""
+    response = f"```python\ndef solution():\n{textwrap.indent(body, '    ')}```"
+    gateway = RecordGateway(
+        MockGateway(responders={"reasoner": lambda _: response}), path)
+    fixtures = Path("src/pseudoexec/assets/fixtures/replay")
+    for instance in cli.load_dataset(fixtures, [TaskId.NAVIGATE]):
+        system, user = build_baseline_prompt(MethodId.ZERO_SHOT_POT, instance)
+        gateway.complete(ChatRequest(role_tag="reasoner", system=system,
+                                     user=user))
+    return path
+
+
+def _start_marked_run(tmp_path: Path, value: str,
+                      cassette: Path) -> subprocess.Popen:
+    """``pseudoexec run`` of zero-shot PoT over the navigate fixtures, in a
+    subprocess whose environment carries the marker."""
+    config = _write_config(tmp_path, method="zero_shot_pot",
+                           tasks=["navigate"], cassette_path=str(cassette),
+                           max_parallel=2, sandbox_timeout_ms=60_000)
+    env = dict(os.environ, **{_MARKER: value},
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "pseudoexec.cli", "run", "--config",
+         str(config)], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("outcome", ["completes", "stops_in_set_up"])
+def test_no_sandbox_process_outlives_a_run(tmp_path, outcome):
+    value = uuid.uuid4().hex
+    cassette = tmp_path / "pot.jsonl"
+    if outcome == "completes":
+        _pot_cassette(cassette, "return True\n")
+    proc = _start_marked_run(tmp_path, value, cassette)
+    try:
+        _, err = proc.communicate(timeout=60)
+        assert _marked(value) == []
+    finally:
+        _kill_marked(value)
+    if outcome == "completes":
+        assert proc.returncode == 0, err
+    else:      # the zygote has started when the missing cassette shows
+        assert proc.returncode == 2
+        assert "error: ConfigError: cassette " in err
+
+
+def test_no_sandbox_process_outlives_a_killed_run(tmp_path):
+    value = uuid.uuid4().hex
+    started = tmp_path / "started"
+    started.mkdir()
+    cassette = _pot_cassette(tmp_path / "pot.jsonl", (
+        "import os, time\n"
+        f"open(os.path.join({str(started)!r}, str(os.getpid())), 'w').close()\n"
+        "time.sleep(60)\n"))
+    proc = _start_marked_run(tmp_path, value, cassette)
+    try:
+        deadline = time.monotonic() + 30
+        while len(list(started.iterdir())) < 2 and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(list(started.iterdir())) == 2      # one per worker
+        proc.kill()
+        proc.communicate(timeout=10)
+        # Zygote, servers and programs all see EOF and exit.
+        deadline = time.monotonic() + 2
+        while _marked(value) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _marked(value) == []
+    finally:
+        proc.kill()
+        _kill_marked(value)
 
 
 def test_seed_flag_overrides_config(tmp_path):
