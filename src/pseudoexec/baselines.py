@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import MissingAsset, SpawnFailure
+from .errors import ConfigError, MissingAsset, SpawnFailure
 from .prompts import (FENCE_RE, PromptAsset, escape_instance, load_asset_text,
                       load_taskinfo, render)
 from .tasks import TASKS, TaskInstance
@@ -142,11 +142,6 @@ def _sandbox_env(credential_env: str | None) -> dict[str, str]:
     return env
 
 
-def _sandbox_key(interpreter_command: list[str] | tuple[str, ...],
-                 env: dict[str, str]) -> tuple:
-    return tuple(interpreter_command), tuple(sorted(env.items()))
-
-
 class _SandboxServer:
     """A sandbox server forked from a zygote: our end of its socket pair
     and a pidfd of the server.  It runs one program at a time, each in a
@@ -208,36 +203,56 @@ class _SandboxServer:
 
 class _Zygote:
     """A running ``sandbox_server.py``, in a session of its own with the
-    scrubbed environment, that forks a sandbox server on request."""
+    environment scrubbed when it started, that forks a sandbox server on
+    request."""
 
-    def __init__(self, interpreter_command: list[str] | tuple[str, ...],
-                 env: dict[str, str]) -> None:
+    def __init__(self, interpreter_command: tuple[str, ...],
+                 credential_env: str | None) -> None:
+        self._command = [*interpreter_command, str(_SERVER_SCRIPT)]
+        self._credential_env = credential_env
+        self._lock = threading.Lock()
+        self._start()
+
+    def _start(self) -> None:
         # Imported here: it costs every command about 4 ms, and only a run
         # that runs programs needs it.
         import socket
         self.control, theirs = socket.socketpair()
         try:
             self.proc = subprocess.Popen(
-                [*interpreter_command, str(_SERVER_SCRIPT)], env=env,
+                self._command, env=_sandbox_env(self._credential_env),
                 stdin=theirs, stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL, start_new_session=True)
         except OSError as exc:
             self.control.close()
+            if isinstance(exc, FileNotFoundError):
+                raise ConfigError(
+                    f"interpreter {self._command[0]!r} not found") from None
             raise SpawnFailure(str(exc)) from exc
         finally:
             theirs.close()
-        self._lock = threading.Lock()
 
-    def clone(self) -> _SandboxServer | None:
-        """A newly forked server; None if the zygote has died."""
-        import socket
+    def clone(self) -> _SandboxServer:
+        """A newly forked server.  A zygote found dead is started again,
+        once."""
         with self._lock:
-            try:
-                self.control.sendall(b"\n")
-                _, fds, _, _ = socket.recv_fds(self.control, 1, 2,
-                                               socket.MSG_CMSG_CLOEXEC)
-            except OSError:
-                return None
+            server = self._fork()
+            if server is None:
+                self.discard()
+                self._start()
+                server = self._fork()
+        if server is None:
+            raise SpawnFailure("a new sandbox zygote forked no server")
+        return server
+
+    def _fork(self) -> _SandboxServer | None:
+        import socket
+        try:
+            self.control.sendall(b"\n")
+            _, fds, _, _ = socket.recv_fds(self.control, 1, 2,
+                                           socket.MSG_CMSG_CLOEXEC)
+        except OSError:
+            return None
         if not fds:                                     # EOF: it died
             return None
         return _SandboxServer(socket.socket(fileno=fds[0]), fds[1])
@@ -263,10 +278,10 @@ def _kill_program_group(pidfd: int, pid: int) -> None:
 
 
 class _ServerPool:
-    """The zygote of one (interpreter_command, env) key and the idle servers
-    forked from it, at most one per concurrent caller.  When the key
-    changes, the old key's zygote and idle servers are discarded rather
-    than kept."""
+    """The zygote of one (interpreter_command, credential_env) key and the
+    idle servers forked from it, at most one per concurrent caller.  When
+    the key changes, the old key's zygote and idle servers are discarded
+    before the new key's zygote starts."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -274,52 +289,32 @@ class _ServerPool:
         self._zygote: _Zygote | None = None
         self._idle: list[_SandboxServer] = []
 
-    def _switch(self, key: tuple) -> list:
-        """Under the lock: make ``key`` current, returning what the old key
-        left behind, to be discarded."""
-        if key == self._key:
-            return []
-        stale = [*self._idle, *filter(None, [self._zygote])]
-        self._key, self._zygote, self._idle = key, None, []
-        return stale
+    def _switch(self, key: tuple | None) -> _Zygote | None:
+        """Under the lock: the zygote of ``key``, started now if the key
+        has changed."""
+        if key != self._key:
+            stale = [*self._idle, *filter(None, [self._zygote])]
+            self._key, self._zygote, self._idle = None, None, []
+            for old in stale:
+                old.discard()
+            if key is not None:
+                self._zygote, self._key = _Zygote(*key), key
+        return self._zygote
 
-    def start(self, key: tuple,
-              interpreter_command: list[str] | tuple[str, ...],
-              env: dict[str, str], dead: _Zygote | None = None) -> _Zygote:
-        """The zygote of ``key``, booted now if there is none or it is
-        ``dead``."""
+    def start(self, key: tuple) -> None:
         with self._lock:
-            stale = self._switch(key)
-            if self._zygote is not None and self._zygote is dead:
-                stale.append(dead)
-                self._zygote = None
-            if self._zygote is None:
-                self._zygote = _Zygote(interpreter_command, env)
-            zygote = self._zygote
-        for old in stale:
-            old.discard()
-        return zygote
+            self._switch(key)
 
-    def take(self, key: tuple,
-             interpreter_command: list[str] | tuple[str, ...],
-             env: dict[str, str]) -> _SandboxServer:
-        """An idle server of ``key``, or one forked now.  A zygote that has
-        died is replaced, once."""
+    def take(self, key: tuple) -> _SandboxServer:
+        """An idle server of ``key``, or one forked now."""
         with self._lock:
-            stale = self._switch(key)
+            zygote = self._switch(key)
             server = self._idle.pop() if self._idle else None
-        if server is not None and not server.alive():
-            stale.append(server)                        # died while idle
-            server = None
-        for old in stale:
-            old.discard()
-        if server is None:
-            zygote = self.start(key, interpreter_command, env)
-            server = zygote.clone() or self.start(
-                key, interpreter_command, env, dead=zygote).clone()
-        if server is None:
-            raise SpawnFailure("a new sandbox zygote forked no server")
-        return server
+        if server is not None:
+            if server.alive():
+                return server
+            server.discard()                            # died while idle
+        return zygote.clone()
 
     def give(self, key: tuple, server: _SandboxServer) -> None:
         with self._lock:
@@ -331,9 +326,7 @@ class _ServerPool:
     def discard(self) -> None:
         """Discard the idle servers and the zygote."""
         with self._lock:
-            stale = self._switch(None)
-        for old in stale:
-            old.discard()
+            self._switch(None)
 
 
 _POOL = _ServerPool()
@@ -343,11 +336,10 @@ atexit.register(_POOL.discard)
 
 def start_sandbox(interpreter_command: list[str] | tuple[str, ...],
                   credential_env: str | None = None) -> None:
-    """Boot the zygote that ``execute_program`` forks servers from for these
-    settings, so its start-up overlaps the caller's own."""
-    env = _sandbox_env(credential_env)
-    _POOL.start(_sandbox_key(interpreter_command, env), interpreter_command,
-                env)
+    """Start the zygote that ``execute_program`` forks servers from for
+    these settings, so its start-up overlaps the caller's own.  A missing
+    interpreter is a ConfigError."""
+    _POOL.start((tuple(interpreter_command), credential_env))
 
 
 def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
@@ -361,8 +353,7 @@ def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
         raise ValueError("no interpreter command configured")
     if timeout_ms <= 0:
         raise ValueError("timeout_ms must be positive")
-    env = _sandbox_env(credential_env)
-    key = _sandbox_key(interpreter_command, env)
+    key = (tuple(interpreter_command), credential_env)
     tmp = Path(tempfile.mkdtemp(prefix="pseudoexec-sandbox-"))
     try:
         # Output goes outside the program's working directory.
@@ -370,7 +361,7 @@ def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
         workdir.mkdir()
         script = workdir / "program.py"
         script.write_text(program, encoding="utf-8")
-        server = _POOL.take(key, interpreter_command, env)
+        server = _POOL.take(key)
         started = time.monotonic()
         reply = server.run({"script": str(script),
                             "stdout": str(tmp / "stdout"),

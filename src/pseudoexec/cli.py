@@ -6,7 +6,6 @@ import argparse
 import hashlib
 import json
 import os
-import shutil
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -231,10 +230,7 @@ def _task_assets(config: RunConfig) -> dict[TaskId, PromptAsset]:
 def cmd_run(args, config: RunConfig) -> int:
     method = config.method_id()
     if method is MethodId.ZERO_SHOT_POT:
-        if shutil.which(config.interpreter_command[0]) is None:
-            raise ConfigError(
-                f"interpreter {config.interpreter_command[0]!r} not found")
-        # Booted now, its start-up overlaps the set-up below.
+        # Started now, its start-up overlaps the set-up below.
         start_sandbox(config.interpreter_command, config.credential_env)
     files: list[tuple[TaskId, bytes]] = []
     instances = load_dataset(config.dataset_dir, config.task_ids(), files)
@@ -334,15 +330,20 @@ def cmd_report(args, config: RunConfig) -> int:
     manifest_path = Path(config.runs_dir) / args.run_id / "manifest.json"
     if not manifest_path.is_file():
         raise PseudoexecError(f"no manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    report = EvalReport(
-        method=MethodId(manifest["method"]),
-        model_id=manifest["model_id"],
-        per_task={
-            TaskId(name): TaskTally(correct=t["correct"], total=t["total"],
-                                    parse_unsupported=t["parse_unsupported"])
-            for name, t in manifest["per_task"].items()
-        })
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        report = EvalReport(
+            method=MethodId(manifest["method"]),
+            model_id=manifest["model_id"],
+            per_task={
+                TaskId(name): TaskTally(
+                    correct=t["correct"], total=t["total"],
+                    parse_unsupported=t["parse_unsupported"])
+                for name, t in manifest["per_task"].items()
+            })
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PseudoexecError(f"{manifest_path} is not a run manifest: "
+                              f"{type(exc).__name__}: {exc}") from None
     _print_report(render_report(report, args.format))
     return 0
 
@@ -351,7 +352,9 @@ def cmd_ablate(args) -> int:
     asset = load_pseudocode(TaskId(args.task), args.source)
     ablated = ablate_prompt(asset)
     if args.out:
-        Path(args.out).write_text(ablated.body + "\n", encoding="utf-8")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(ablated.body + "\n", encoding="utf-8")
         print(f"ablated prompt written to {args.out}")
     else:
         print(ablated.body)

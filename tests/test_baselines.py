@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import gc
 import os
 import re
 import signal
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from pseudoexec.baselines import (MethodId, build_baseline_prompt,
                                   execute_program, extract_program,
                                   pot_answer, pot_seeded_header,
                                   run_pot_instance)
-from pseudoexec.errors import MissingAsset, SpawnFailure
+from pseudoexec.errors import ConfigError, MissingAsset, SpawnFailure
 from pseudoexec.prompts import load_nl_plan
 from pseudoexec.tasks import TaskId, make_instance
 
@@ -434,6 +436,57 @@ def test_sandbox_interpreter_that_runs_no_zygote_is_a_spawn_failure():
     # ``true`` starts and exits: no zygote, so no program can run.
     with pytest.raises(SpawnFailure, match="forked no server"):
         execute_program("print(1)", interpreter_command=["true"])
+
+
+def test_sandbox_environment_is_scrubbed_once_per_zygote(monkeypatch):
+    calls = []
+    scrub = baselines._sandbox_env
+
+    def counted(credential_env):
+        calls.append(credential_env)
+        return scrub(credential_env)
+
+    monkeypatch.setattr(baselines, "_sandbox_env", counted)
+    # A setting no other test uses, so its zygote starts here.
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(
+            lambda i: execute_program(f"print({i})",
+                                      credential_env="PSEUDOEXEC_ONCE"),
+            range(20)))
+    assert [r.stdout for r in results] == [f"{i}\n" for i in range(20)]
+    assert calls == ["PSEUDOEXEC_ONCE"]
+
+
+def test_sandbox_environment_is_the_one_its_zygote_started_with(monkeypatch):
+    program = ("import os\n"
+               "print(*(name in os.environ for name in "
+               "('PSEUDOEXEC_EARLY', 'PSEUDOEXEC_LATE')))")
+    monkeypatch.setenv("PSEUDOEXEC_EARLY", "1")
+    assert execute_program(program, credential_env="PSEUDOEXEC_FIRST"
+                           ).stdout == "True False\n"
+    monkeypatch.setenv("PSEUDOEXEC_LATE", "1")
+    assert execute_program(program, credential_env="PSEUDOEXEC_FIRST"
+                           ).stdout == "True False\n"
+    # A new setting gets a zygote scrubbed from the environment of now.
+    assert execute_program(program, credential_env="PSEUDOEXEC_EARLY"
+                           ).stdout == "False True\n"
+
+
+def test_a_missing_interpreter_discards_the_previous_setting():
+    server = _server_pid()
+    zygote = _parent_of(server)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError,
+                           match="interpreter 'no-such-python-xyz' not found"):
+            baselines.start_sandbox(["no-such-python-xyz"])
+        gc.collect()
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
+    _wait_gone(server)
+    _wait_gone(zygote)
+    # The next program starts a zygote of its own setting.
+    assert execute_program("print('alive')").stdout == "alive\n"
 
 
 def test_pot_answer_boolean_mapping():

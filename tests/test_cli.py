@@ -641,16 +641,34 @@ def test_report_rerenders_stored_run(tmp_path, capsys):
     assert capsys.readouterr().out == stored_csv
 
 
-def test_report_unknown_run_id(tmp_path):
+def test_report_unknown_run_id(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert main(["report", "deadbeef", "--config", str(config)]) == 2
+    assert "error: PseudoexecError: no manifest at " in capsys.readouterr().err
+    # A manifest that is not a run manifest is a typed error too.
+    tally = {"correct": 1, "total": 1, "parse_unsupported": 0}
+    for name, body in [
+            ("not_json", "{not json"), ("no_model", '{"method": "direct"}'),
+            ("a_list", "[1]"),
+            ("unknown_task", json.dumps({"method": "direct", "model_id": "m",
+                                         "per_task": {"bogus": tally}}))]:
+        (tmp_path / "runs" / name).mkdir(parents=True)
+        (tmp_path / "runs" / name / "manifest.json").write_text(
+            body, encoding="utf-8")
+        assert main(["report", name, "--config", str(config)]) == 2, name
+        assert "is not a run manifest" in capsys.readouterr().err, name
 
 
-def test_ablate_command(capsys):
+def test_ablate_command(tmp_path, capsys):
     assert main(["ablate", "--task", "dyck_languages"]) == 0
     out = capsys.readouterr().out
     assert "X1" in out
     assert "#" not in out
+    # --out creates the directory it names, as think --out does.
+    out_file = tmp_path / "new" / "dir" / "dyck.txt"
+    assert main(["ablate", "--task", "dyck_languages",
+                 "--out", str(out_file)]) == 0
+    assert out_file.read_text(encoding="utf-8") == out
 
 
 def test_replay_mode_requires_cassette(tmp_path):
