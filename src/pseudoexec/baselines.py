@@ -45,10 +45,6 @@ _REAP_GRACE_S = 1.0
 _SERVER_SCRIPT = Path(__file__).with_name("sandbox_server.py")
 DEFAULT_INTERPRETER = ("python3",)
 
-FAIL_NO_FINAL_ANSWER = "no_final_answer"
-FAIL_GATEWAY = "gateway_error"
-FAIL_SANDBOX = "sandbox_error"
-
 # Each model-backed method's reasoner template, in the order the mock
 # Reasoner tries them.  Its {prompt} slot takes the method's task-level
 # asset, named here, or else the task description; pot.txt has no such slot.
@@ -64,16 +60,36 @@ _ASSET_BY_METHOD = {MethodId.NL_PLANNING: "nl_plan",
                     MethodId.THINK_AND_EXECUTE: "pseudocode"}
 
 
+class FailureKind(Enum):
+    """Why an instance has no final answer."""
+    NO_FINAL_ANSWER = "no_final_answer"      # the response has no marker
+    GATEWAY_ERROR = "gateway_error"          # the model call failed
+    SANDBOX_ERROR = "sandbox_error"          # the PoT program gave no answer
+    PARSE_UNSUPPORTED = "parse_unsupported"  # the oracle cannot parse it
+    SOLVER_ERROR = "solver_error"            # the oracle failed otherwise
+
+
 @dataclass(frozen=True)
 class Prediction:
     transcript: str
     final_answer: str | None
-    failure: str | None = None
+    kind: FailureKind | None = None
+    detail: str | None = None
 
     def __post_init__(self) -> None:
-        if (self.final_answer is None) == (self.failure is None):
+        if (self.final_answer is None) == (self.kind is None):
             raise ValueError(
-                "exactly one of final_answer and failure must be set")
+                "exactly one of final_answer and kind must be set")
+
+    @property
+    def failure(self) -> str | None:
+        """The failure as the transcript header prints it: the kind, then
+        ": " and the detail if there is one."""
+        if self.kind is None:
+            return None
+        if self.detail is None:
+            return self.kind.value
+        return f"{self.kind.value}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -400,19 +416,19 @@ def pot_answer(result: SandboxResult, instance: TaskInstance) -> Prediction:
     is the answer; booleans become Yes/No only for the Yes/No tasks."""
     lines = [ln for ln in result.stdout.splitlines() if ln.strip()]
     if result.timed_out:
-        failure = f"{FAIL_SANDBOX}: timed out after {result.wall_time_ms}ms"
+        detail = f"timed out after {result.wall_time_ms}ms"
     elif result.exit_status != 0:
-        failure = (f"{FAIL_SANDBOX}: exit {result.exit_status}: "
-                   f"{result.stderr.strip().splitlines()[-1] if result.stderr.strip() else 'no stderr'}")
+        detail = (f"exit {result.exit_status}: "
+                  f"{result.stderr.strip().splitlines()[-1] if result.stderr.strip() else 'no stderr'}")
     elif not lines:
-        failure = f"{FAIL_SANDBOX}: empty stdout"
+        detail = "empty stdout"
     else:
         answer = lines[-1].strip()
         if TASKS[instance.task].answers == "yes_no":
             answer = {"True": "Yes", "False": "No"}.get(answer, answer)
         return Prediction(transcript=result.stdout, final_answer=answer)
     return Prediction(transcript=result.stdout, final_answer=None,
-                      failure=failure)
+                      kind=FailureKind.SANDBOX_ERROR, detail=detail)
 
 
 def run_pot_instance(instance: TaskInstance, response: str,

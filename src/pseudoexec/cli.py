@@ -15,7 +15,8 @@ from .baselines import MethodId, start_sandbox
 from .config import MODES, RunConfig, load_config, run_id, run_id_fields
 from .errors import ConfigError, MalformedDataset, PseudoexecError
 from .evaluator import (EvalReport, TaskTally, evaluate_run, render_report)
-from .gateway import Gateway, LiveGateway, RecordGateway, ReplayGateway
+from .gateway import (Gateway, LiveGateway, RecordGateway, ReplayGateway,
+                      write_atomic)
 from .mock import mock_gateway
 from .prompts import (PSEUDOCODE_SOURCES, PromptAsset, ablate_prompt,
                       load_nl_plan, load_pseudocode, run_think)
@@ -286,29 +287,21 @@ def cmd_run(args, config: RunConfig) -> int:
 
     manifest = {
         "run_id": rid,
-        "method": method.value,
-        "model_id": config.reasoner_model,
         "dataset_digest": digest,
         "cassette_digest": _cassette_digest(gateway),
         "run_id_fields": hashed,
         "effective_config": asdict(config),
-        "per_task": {
-            task.value: {"correct": tally.correct, "total": tally.total,
-                         "parse_unsupported": tally.parse_unsupported}
-            for task, tally in sorted(report.per_task.items(),
-                                      key=lambda kv: kv[0].value)
-        },
-        "average_accuracy": report.average_accuracy,
+        **report.to_manifest(),
     }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    (run_dir / "report.md").write_text(
-        render_report(report, "markdown"), encoding="utf-8")
-    (run_dir / "report.csv").write_text(
-        render_report(report, "csv"), encoding="utf-8")
+    markdown = render_report(report, "markdown")
+    # The manifest goes last, so it exists only for a run that completed.
+    write_atomic(run_dir / "report.md", markdown.encode("utf-8"))
+    write_atomic(run_dir / "report.csv",
+                 render_report(report, "csv").encode("utf-8"))
+    write_atomic(run_dir / "manifest.json", json.dumps(
+        manifest, indent=2, sort_keys=True).encode("utf-8") + b"\n")
     print(f"run {rid} complete")
-    _print_report(render_report(report, "markdown"))
+    _print_report(markdown)
     return 0
 
 
@@ -331,19 +324,11 @@ def cmd_report(args, config: RunConfig) -> int:
     if not manifest_path.is_file():
         raise PseudoexecError(f"no manifest at {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        report = EvalReport(
-            method=MethodId(manifest["method"]),
-            model_id=manifest["model_id"],
-            per_task={
-                TaskId(name): TaskTally(
-                    correct=t["correct"], total=t["total"],
-                    parse_unsupported=t["parse_unsupported"])
-                for name, t in manifest["per_task"].items()
-            })
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise PseudoexecError(f"{manifest_path} is not a run manifest: "
-                              f"{type(exc).__name__}: {exc}") from None
+        report = EvalReport.from_manifest(
+            json.loads(manifest_path.read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise PseudoexecError(
+            f"{manifest_path} is not a run manifest: {exc}") from None
     _print_report(render_report(report, args.format))
     return 0
 

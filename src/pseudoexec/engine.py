@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import re
 
-from .baselines import (DEFAULT_INTERPRETER, DEFAULT_TIMEOUT_MS,
-                        FAIL_GATEWAY, FAIL_NO_FINAL_ANSWER, MethodId,
-                        Prediction, build_baseline_prompt, run_pot_instance)
+from .baselines import (DEFAULT_INTERPRETER, DEFAULT_TIMEOUT_MS, FailureKind,
+                        MethodId, Prediction, build_baseline_prompt,
+                        run_pot_instance)
 from .errors import GatewayError
 from .gateway import ChatRequest, Gateway
 from .prompts import PromptAsset
@@ -51,12 +51,12 @@ def run_instance(method: MethodId, instance: TaskInstance,
         response = gateway.complete(request)
     except GatewayError as exc:
         return Prediction(transcript="", final_answer=None,
-                          failure=f"{FAIL_GATEWAY}: {exc}")
+                          kind=FailureKind.GATEWAY_ERROR, detail=str(exc))
     if method is MethodId.ZERO_SHOT_POT:
         return run_pot_instance(instance, response, interpreter_command,
                                 sandbox_timeout_ms, credential_env)
     answer = extract_final_answer(response)
     if answer is None:
         return Prediction(transcript=response, final_answer=None,
-                          failure=FAIL_NO_FINAL_ANSWER)
+                          kind=FailureKind.NO_FINAL_ANSWER)
     return Prediction(transcript=response, final_answer=answer)

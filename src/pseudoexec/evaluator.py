@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
-from .baselines import MethodId, Prediction
+from .baselines import FailureKind, MethodId, Prediction
 from .engine import run_instance
 from .errors import ParseUnsupported, PseudoexecError
 from .prompts import PromptAsset
 from .tasks import TASKS, TaskId, TaskInstance, solve
-
-FAIL_PARSE_UNSUPPORTED = "parse_unsupported"
 
 
 @dataclass
@@ -38,6 +36,47 @@ class EvalReport:
         if not populated:
             return 0.0
         return sum(t.accuracy for t in populated) / len(populated)
+
+    def to_manifest(self) -> dict:
+        """The report's fields of ``manifest.json``."""
+        return {
+            "method": self.method.value,
+            "model_id": self.model_id,
+            "per_task": {task.value: asdict(tally)
+                         for task, tally in self.per_task.items()},
+            "average_accuracy": self.average_accuracy,
+        }
+
+    @classmethod
+    def from_manifest(cls, data) -> EvalReport:
+        """The report a parsed ``manifest.json`` holds.  Fields other than
+        ``method``, ``model_id`` and ``per_task`` are not read.  A
+        ValueError names the first thing that is not as ``to_manifest``
+        writes it: a JSON type, a method or task name, or a tally outside
+        0 <= correct, parse_unsupported <= total."""
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        if not isinstance(data.get("model_id"), str):
+            raise ValueError("model_id is not a string")
+        if not isinstance(data.get("per_task"), dict):
+            raise ValueError("per_task is not an object")
+        report = cls(method=MethodId(data.get("method")),
+                     model_id=data["model_id"])
+        for name, counts in data["per_task"].items():
+            task = TaskId(name)
+            if not isinstance(counts, dict):
+                raise ValueError(f"per_task {name!r} is not an object")
+            values = [counts.get(f.name) for f in fields(TaskTally)]
+            if any(type(value) is not int for value in values):
+                raise ValueError(f"per_task {name!r}: a tally is not an "
+                                 "integer")
+            tally = TaskTally(*values)
+            if not (0 <= tally.correct <= tally.total
+                    and 0 <= tally.parse_unsupported <= tally.total):
+                raise ValueError(f"per_task {name!r}: a tally is out of "
+                                 "range")
+            report.per_task[task] = tally
+        return report
 
 
 def _normalize(text: str) -> str:
@@ -97,7 +136,7 @@ def evaluate_run(method: MethodId, instances: list[TaskInstance], gateway,
             prediction = future.result()
             tally = report.per_task.setdefault(instance.task, TaskTally())
             tally.total += 1
-            if (prediction.failure or "").startswith(FAIL_PARSE_UNSUPPORTED):
+            if prediction.kind is FailureKind.PARSE_UNSUPPORTED:
                 tally.parse_unsupported += 1
             correct = score_prediction(prediction, instance)
             if correct:
@@ -115,10 +154,10 @@ def _oracle_prediction(instance: TaskInstance) -> Prediction:
         answer = solve(instance.task, instance)
     except ParseUnsupported as exc:
         return Prediction(transcript=str(exc), final_answer=None,
-                          failure=f"{FAIL_PARSE_UNSUPPORTED}: {exc}")
+                          kind=FailureKind.PARSE_UNSUPPORTED, detail=str(exc))
     except PseudoexecError as exc:
         return Prediction(transcript=str(exc), final_answer=None,
-                          failure=f"solver_error: {exc}")
+                          kind=FailureKind.SOLVER_ERROR, detail=str(exc))
     return Prediction(transcript=f"Final answer: {answer}",
                       final_answer=answer)
 

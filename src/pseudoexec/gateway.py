@@ -195,7 +195,6 @@ def _load_index(cassette: Cassette) -> bool:
 def _write_index(cassette: Cassette) -> None:
     """Write the sidecar index of the bytes just parsed, atomically.  A
     location that cannot be written only means no index."""
-    target = index_path(cassette.path)
     data = json.dumps({
         "format": INDEX_FORMAT,
         "sha256": cassette.sha256.hexdigest(),
@@ -203,13 +202,22 @@ def _write_index(cassette: Cassette) -> None:
         "entries": [[key, offset, length]
                     for key, (offset, length) in cassette.items()],
     }, separators=(",", ":")).encode()
-    temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    with contextlib.suppress(OSError):
+        write_atomic(index_path(cassette.path), data)
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Leave ``data`` in ``path`` whole or not at all: it is written to a
+    temporary file beside ``path`` and renamed over it.  A failed write
+    removes the temporary file and raises."""
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         temp.write_bytes(data)
-        os.replace(temp, target)
+        os.replace(temp, path)
     except OSError:
         with contextlib.suppress(OSError):
             temp.unlink()
+        raise
 
 
 class Gateway:

@@ -1,5 +1,5 @@
 """Prompt assembly: the template codec (``render`` and its inverse ``parse``),
-Think meta prompts, prompt assets, the ablation, and feature analysis."""
+Think meta prompts, prompt assets and the ablation."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import MalformedPseudocode, MissingAsset
 from .gateway import ChatRequest, Gateway
-from .pseudolex import PromptFeatureReport, ablate_text, text_features
+from .pseudolex import ablate_text
 from .tasks import TASKS, TaskId
 
 # The bundled pseudocode prompt sets: assets/<source>/<task>.txt.
@@ -256,7 +256,7 @@ def run_think(target_task: TaskId, gateway: Gateway, seed: int,
     return analysis, pseudocode
 
 
-# --- ablation and feature analysis -------------------------------------------
+# --- ablation ----------------------------------------------------------------
 
 def ablate_prompt(asset: PromptAsset) -> PromptAsset:
     """The comment-and-semantics ablation: remove comments and docstrings
@@ -268,8 +268,3 @@ def ablate_prompt(asset: PromptAsset) -> PromptAsset:
     new_name = mapping.get(asset.function_name, asset.function_name)
     return replace(asset, body=body, function_name=new_name)
 
-
-def analyze_prompt_features(asset: PromptAsset) -> PromptFeatureReport:
-    if not asset.function_name:
-        raise ValueError("feature analysis applies to pseudocode assets")
-    return text_features(asset.body, asset.function_name)

@@ -31,16 +31,6 @@ class Token:
     text: str
 
 
-@dataclass(frozen=True)
-class PromptFeatureReport:
-    has_loop: bool
-    has_conditional: bool
-    print_count: int
-    comment_line_count: int
-    helper_functions: tuple[str, ...]
-    variable_names: tuple[str, ...]
-
-
 _STRING_PREFIXES = {"f", "r", "b", "u", "fr", "rf", "br", "rb"}
 
 # Names that are never renamed by the ablation: language keywords, builtins
@@ -206,41 +196,3 @@ def ablate_text(text: str) -> tuple[str, dict[str, str]]:
     tokenize(result)                       # must still lex cleanly
     return result, mapping
 
-
-def _def_names(tokens: list[Token]) -> list[str]:
-    names: list[str] = []
-    sig = [t for t in tokens if t.kind not in (TokKind.WS, TokKind.NEWLINE)]
-    for prev, tok in zip(sig, sig[1:]):
-        if prev.kind is TokKind.NAME and prev.text == "def" \
-                and tok.kind is TokKind.NAME:
-            names.append(tok.text)
-    return names
-
-
-def text_features(text: str,
-                  main_function: str | None = None) -> PromptFeatureReport:
-    """Count the structural features of a pseudocode body."""
-    tokens = tokenize(text)
-    lines = _split_lines(tokens)
-    sig = [t for t in tokens if t.kind not in (TokKind.WS, TokKind.NEWLINE)]
-    defs = _def_names(tokens)
-    main = main_function if main_function is not None else \
-        (defs[0] if defs else None)
-
-    print_count = sum(
-        1 for prev, tok in zip(sig, sig[1:])
-        if prev.kind is TokKind.NAME and prev.text == "print"
-        and tok.text == "(")
-    comment_lines = sum(
-        1 for line in lines
-        if any(t.kind is TokKind.COMMENT for t in line)
-        or _is_docstring_line(line))
-    keywords_used = {t.text for t in sig if t.kind is TokKind.NAME}
-    return PromptFeatureReport(
-        has_loop=bool(keywords_used & {"for", "while"}),
-        has_conditional=bool(keywords_used & {"if", "elif", "else"}),
-        print_count=print_count,
-        comment_line_count=comment_lines,
-        helper_functions=tuple(d for d in defs if d != main),
-        variable_names=tuple(name for name in rename_identifiers(tokens)[1]
-                             if name not in defs))

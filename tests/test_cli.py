@@ -639,6 +639,35 @@ def test_report_rerenders_stored_run(tmp_path, capsys):
     assert main(["report", run_dir.name, "--config", str(config),
                  "--format", "csv"]) == 0
     assert capsys.readouterr().out == stored_csv
+    # A manifest written before run ids hashed only what a run reads has
+    # config_hash in place of run_id_fields; report reads neither.
+    manifest = json.loads((run_dir / "manifest.json").read_text("utf-8"))
+    del manifest["run_id_fields"]
+    manifest["config_hash"] = hashlib.sha256(b"old config").hexdigest()
+    old_run = tmp_path / "runs" / "0123456789ab"
+    old_run.mkdir()
+    (old_run / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
+    assert main(["report", old_run.name, "--config", str(config),
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out == stored_csv
+
+
+def test_a_failed_artifact_write_leaves_no_manifest(tmp_path, capsys):
+    config = _write_config(tmp_path, tasks=["navigate"])
+    assert main(["run", "--config", str(config)]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    for name in ("manifest.json", "report.md", "report.csv"):
+        (run_dir / name).unlink()
+    # A directory in its place makes the report.csv rename fail.
+    (run_dir / "report.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        main(["run", "--config", str(config)])
+    assert (run_dir / "report.md").is_file()
+    assert not (run_dir / "manifest.json").exists()
+    assert not list(run_dir.glob("*.tmp"))
+    capsys.readouterr()
 
 
 def test_report_unknown_run_id(tmp_path, capsys):
@@ -647,16 +676,33 @@ def test_report_unknown_run_id(tmp_path, capsys):
     assert "error: PseudoexecError: no manifest at " in capsys.readouterr().err
     # A manifest that is not a run manifest is a typed error too.
     tally = {"correct": 1, "total": 1, "parse_unsupported": 0}
+
+    def manifest(per_task=None, model_id="m", **counts):
+        return json.dumps({"method": "direct", "model_id": model_id,
+                           "per_task": per_task if per_task is not None
+                           else {"navigate": {**tally, **counts}}})
+
     for name, body in [
             ("not_json", "{not json"), ("no_model", '{"method": "direct"}'),
             ("a_list", "[1]"),
-            ("unknown_task", json.dumps({"method": "direct", "model_id": "m",
-                                         "per_task": {"bogus": tally}}))]:
+            ("unknown_task", manifest(per_task={"bogus": tally})),
+            ("tally_text", manifest(correct="x")),
+            ("tally_bool", manifest(correct=True)),
+            ("tally_float", manifest(total=1.5)),
+            ("tally_null", manifest(parse_unsupported=None)),
+            ("total_negative", manifest(total=-2)),
+            ("correct_over_total", manifest(correct=5)),
+            ("parse_unsupported_over_total", manifest(parse_unsupported=2)),
+            ("per_task_list", manifest(per_task=[tally])),
+            ("model_id_number", manifest(model_id=7))]:
         (tmp_path / "runs" / name).mkdir(parents=True)
         (tmp_path / "runs" / name / "manifest.json").write_text(
             body, encoding="utf-8")
         assert main(["report", name, "--config", str(config)]) == 2, name
-        assert "is not a run manifest" in capsys.readouterr().err, name
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: PseudoexecError: "), name
+        assert "is not a run manifest" in captured.err, name
+        assert captured.out == "", name
 
 
 def test_ablate_command(tmp_path, capsys):

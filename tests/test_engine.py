@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoexec import baselines
-from pseudoexec.baselines import MethodId
+from pseudoexec.baselines import (FailureKind, MethodId, SandboxResult,
+                                  build_baseline_prompt, pot_answer)
 from pseudoexec.cli import load_dataset
 from pseudoexec.engine import (Prediction, build_execute_prompt,
                                extract_final_answer, run_instance)
 from pseudoexec.errors import CassetteMiss, MissingAsset
-from pseudoexec.gateway import Gateway, MockGateway, digest
+from pseudoexec.evaluator import evaluate_run
+from pseudoexec.gateway import (ChatRequest, Gateway, MockGateway,
+                                ReplayGateway, digest)
 from pseudoexec.mock import mock_gateway
 from pseudoexec.prompts import (load_asset_text, load_nl_plan,
                                 load_pseudocode, parse, unescape_instance)
@@ -107,7 +110,8 @@ def test_extract_single_marker_property(prefix, answer):
 
 def test_prediction_invariant():
     with pytest.raises(ValueError):
-        Prediction(transcript="", final_answer="x", failure="also set")
+        Prediction(transcript="", final_answer="x",
+                   kind=FailureKind.NO_FINAL_ANSWER)
     with pytest.raises(ValueError):
         Prediction(transcript="", final_answer=None)
 
@@ -150,6 +154,49 @@ def test_run_instance_pot_gateway_failure_skips_sandbox(monkeypatch):
     pred = run_instance(MethodId.ZERO_SHOT_POT, inst, None, MockGateway())
     assert pred.final_answer is None
     assert pred.failure.startswith("gateway_error")
+
+
+def test_failure_text_of_every_kind(tmp_path):
+    """The exact text each failure kind leaves in a transcript header's
+    ``failure=``; perfbench classifies runs by the part before ":"."""
+    nav = generate_instance(TaskId.NAVIGATE, 3, 4)
+    (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+    _, user = build_baseline_prompt(MethodId.DIRECT, nav)
+    key = digest(ChatRequest(role_tag="reasoner", user=user))
+
+    def sandbox(stdout="", stderr="", exit_status=0, timed_out=False):
+        return pot_answer(SandboxResult(stdout, stderr, exit_status,
+                                        timed_out, wall_time_ms=700), nav)
+
+    oracle = []
+    evaluate_run(MethodId.ORACLE, [
+        make_instance(TaskId.DYCK_LANGUAGES, "Input: ( ]", ")"),
+        make_instance(TaskId.COLORED_OBJECTS,
+                      "On the floor, there is one grey textbook. What color "
+                      "is the textbook? Options:\n(A) burgundy\n(B) green",
+                      "(A)")], None,
+                 on_prediction=lambda i, inst, pred, ok: oracle.append(pred))
+    cases = [
+        (run_instance(MethodId.THINK_AND_EXECUTE, nav,
+                      load_pseudocode(TaskId.NAVIGATE),
+                      MockGateway(responders={"reasoner": lambda r: "no"})),
+         "no_final_answer"),
+        (run_instance(MethodId.DIRECT, nav, None,
+                      ReplayGateway(tmp_path / "empty.jsonl")),
+         f"gateway_error: request {key[:12]} not in cassette"),
+        (sandbox(exit_status=-1, timed_out=True),
+         "sandbox_error: timed out after 700ms"),
+        (sandbox(stderr="Traceback:\nValueError: boom\n", exit_status=1),
+         "sandbox_error: exit 1: ValueError: boom"),
+        (sandbox(exit_status=3), "sandbox_error: exit 3: no stderr"),
+        (sandbox(stdout="\n"), "sandbox_error: empty stdout"),
+        (oracle[0], "parse_unsupported: ']' does not match open '('"),
+        (oracle[1], "solver_error: 'grey' not among options"),
+    ]
+    for prediction, text in cases:
+        assert prediction.final_answer is None
+        assert prediction.failure == text
+    assert {prediction.kind for prediction, _ in cases} == set(FailureKind)
 
 
 def test_run_instance_missing_asset_raises():

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from pseudoexec.baselines import MethodId
+from pseudoexec.baselines import FailureKind, MethodId
 from pseudoexec.engine import Prediction
 from pseudoexec.evaluator import (EvalReport, TaskTally, evaluate_run,
                                   render_report, score_prediction)
@@ -18,10 +18,10 @@ from pseudoexec.tasks import TaskId, make_instance
 from pseudoexec.tasks.generate import generate_instance
 
 
-def _pred(answer: str | None, failure: str | None = None) -> Prediction:
+def _pred(answer: str | None) -> Prediction:
     if answer is None:
         return Prediction(transcript="", final_answer=None,
-                          failure=failure or "no_final_answer")
+                          kind=FailureKind.NO_FINAL_ANSWER)
     return Prediction(transcript=f"Final answer: {answer}",
                       final_answer=answer)
 

@@ -1,4 +1,4 @@
-"""Lexer, ablation, and feature-analysis tests."""
+"""Lexer and ablation tests."""
 
 from __future__ import annotations
 
@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudoexec.prompts import (ablate_prompt, analyze_prompt_features,
-                                load_pseudocode)
-from pseudoexec.pseudolex import (TokKind, ablate_text, detokenize,
-                                  text_features, tokenize)
+from pseudoexec.prompts import ablate_prompt, load_pseudocode
+from pseudoexec.pseudolex import TokKind, ablate_text, detokenize, tokenize
 from pseudoexec.tasks import TaskId
 
 
@@ -101,38 +99,3 @@ def test_ablate_prompt_rejects_non_pseudocode():
 
     with pytest.raises(ValueError):
         ablate_prompt(PromptAsset(body="text"))
-
-
-def test_features_human_dyck_prompt():
-    report = analyze_prompt_features(load_pseudocode(TaskId.DYCK_LANGUAGES))
-    assert report.has_loop
-    assert report.has_conditional
-    assert report.print_count >= 4
-    assert report.comment_line_count > 0
-
-
-def test_features_empty_text_all_zero():
-    feats = text_features("")
-    assert feats.print_count == 0
-    assert feats.comment_line_count == 0
-    assert not feats.has_loop and not feats.has_conditional
-    assert feats.helper_functions == () and feats.variable_names == ()
-
-
-def test_features_generated_web_of_lies_has_no_helpers():
-    report = analyze_prompt_features(
-        load_pseudocode(TaskId.WEB_OF_LIES, "generated"))
-    assert report.helper_functions == ()
-
-
-def test_features_counts_helper_functions():
-    feats = text_features(
-        "def helper(x):\n    return x\n\ndef main(y):\n    return helper(y)\n",
-        main_function="main")
-    assert feats.helper_functions == ("helper",)
-
-
-def test_features_after_ablation_zero_comments():
-    for task in TaskId:
-        ablated = ablate_prompt(load_pseudocode(task))
-        assert analyze_prompt_features(ablated).comment_line_count == 0
