@@ -1,10 +1,10 @@
 """The reasoner request of Think-and-Execute and of the baselines (Direct,
-zero-shot CoT, Plan-and-Solve, NL planning, zero-shot PoT), the sandbox that
-runs PoT programs, and the Prediction every method returns."""
+zero-shot CoT, Plan-and-Solve, NL planning, zero-shot PoT), the Sandbox a
+PoT run opens once for all its programs, and the Prediction every method
+returns."""
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import json
 import os
@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigError, MissingAsset, SpawnFailure
 from .prompts import (FENCE_RE, PromptAsset, escape_instance, load_asset_text,
@@ -146,12 +146,14 @@ def extract_program(response: str, seeded_header: str) -> str:
 
 def _sandbox_env(credential_env: str | None) -> dict[str, str]:
     """Environment for the sandboxed interpreter: the parent environment
-    minus the configured credential variable and obvious secret-bearing
-    names, with string-hash seed 0 unless the parent sets one."""
+    minus the configured credential variable, obvious secret-bearing names
+    and every ``PYTHON*`` variable but the string-hash seed, which is 0
+    unless the parent sets one."""
     env = dict(os.environ)
     for name in list(env):
         upper = name.upper()
-        if name == credential_env or any(
+        python = name.startswith("PYTHON") and name != "PYTHONHASHSEED"
+        if python or name == credential_env or any(
                 tag in upper for tag in ("API_KEY", "TOKEN", "SECRET")):
             env.pop(name)
     env.setdefault("PYTHONHASHSEED", "0")
@@ -217,30 +219,46 @@ class _SandboxServer:
         self.sock.close()
 
 
-class _Zygote:
-    """A running ``sandbox_server.py``, in a session of its own with the
-    environment scrubbed when it started, that forks a sandbox server on
-    request."""
+class Sandbox:
+    """The PoT sandbox of one run: the zygote, a ``sandbox_server.py``
+    started when the Sandbox is built, in a session of its own and with the
+    environment scrubbed then, and the idle servers forked from it, at most
+    one per concurrent caller.  ``close``, or the end of a ``with`` block,
+    discards them all."""
 
-    def __init__(self, interpreter_command: tuple[str, ...],
-                 credential_env: str | None) -> None:
+    def __init__(self, interpreter_command: Sequence[str]
+                 = DEFAULT_INTERPRETER, credential_env: str | None = None,
+                 timeout_ms: int = DEFAULT_TIMEOUT_MS) -> None:
+        if not interpreter_command:
+            raise ValueError("no interpreter command configured")
+        if timeout_ms <= 0:
+            raise ValueError("timeout_ms must be positive")
+        self.timeout_ms = timeout_ms
         self._command = [*interpreter_command, str(_SERVER_SCRIPT)]
-        self._credential_env = credential_env
+        self._env = _sandbox_env(credential_env)
         self._lock = threading.Lock()
+        self._idle: list[_SandboxServer] = []
         self._start()
+
+    def __enter__(self) -> Sandbox:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _start(self) -> None:
         # Imported here: it costs every command about 4 ms, and only a run
         # that runs programs needs it.
         import socket
-        self.control, theirs = socket.socketpair()
+        self._control, theirs = socket.socketpair()
+        self._forked = False
         try:
-            self.proc = subprocess.Popen(
-                self._command, env=_sandbox_env(self._credential_env),
-                stdin=theirs, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL, start_new_session=True)
+            self._proc = subprocess.Popen(
+                self._command, env=self._env, stdin=theirs,
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                start_new_session=True)
         except OSError as exc:
-            self.control.close()
+            self._control.close()
             if isinstance(exc, FileNotFoundError):
                 raise ConfigError(
                     f"interpreter {self._command[0]!r} not found") from None
@@ -248,24 +266,21 @@ class _Zygote:
         finally:
             theirs.close()
 
-    def clone(self) -> _SandboxServer:
-        """A newly forked server.  A zygote found dead is started again,
-        once."""
-        with self._lock:
-            server = self._fork()
-            if server is None:
-                self.discard()
-                self._start()
-                server = self._fork()
-        if server is None:
-            raise SpawnFailure("a new sandbox zygote forked no server")
-        return server
+    def _stop(self) -> None:
+        """Stop the zygote.  At EOF it kills and reaps whatever servers it
+        has left; one that has forked none has nothing to orphan, and is
+        killed rather than left to finish its start-up."""
+        self._control.close()
+        if not self._forked:
+            self._proc.kill()
+        self._proc.wait()
 
     def _fork(self) -> _SandboxServer | None:
         import socket
+        self._forked = True
         try:
-            self.control.sendall(b"\n")
-            _, fds, _, _ = socket.recv_fds(self.control, 1, 2,
+            self._control.sendall(b"\n")
+            _, fds, _, _ = socket.recv_fds(self._control, 1, 2,
                                            socket.MSG_CMSG_CLOEXEC)
         except OSError:
             return None
@@ -273,10 +288,43 @@ class _Zygote:
             return None
         return _SandboxServer(socket.socket(fileno=fds[0]), fds[1])
 
-    def discard(self) -> None:
-        # At EOF it kills and reaps whatever servers it has left.
-        self.control.close()
-        self.proc.wait()
+    def _take(self) -> _SandboxServer:
+        """An idle server, or one forked now.  A zygote found dead is
+        started again, once."""
+        with self._lock:
+            if self._proc is None:
+                raise SpawnFailure("the sandbox is closed")
+            while self._idle:
+                server = self._idle.pop()
+                if server.alive():
+                    return server
+                server.discard()                        # died while idle
+            server = self._fork()
+            if server is None:
+                self._stop()
+                self._start()
+                server = self._fork()
+        if server is None:
+            raise SpawnFailure("a new sandbox zygote forked no server")
+        return server
+
+    def _give(self, server: _SandboxServer) -> None:
+        with self._lock:
+            if self._proc is not None:
+                self._idle.append(server)
+                return
+        server.discard()
+
+    def close(self) -> None:
+        """Discard the idle servers and stop the zygote."""
+        with self._lock:
+            if self._proc is None:
+                return
+            for server in self._idle:
+                server.discard()
+            self._idle = []
+            self._stop()
+            self._proc = None
 
 
 def _kill_program_group(pidfd: int, pid: int) -> None:
@@ -293,83 +341,12 @@ def _kill_program_group(pidfd: int, pid: int) -> None:
         os.killpg(pid, signal.SIGKILL)
 
 
-class _ServerPool:
-    """The zygote of one (interpreter_command, credential_env) key and the
-    idle servers forked from it, at most one per concurrent caller.  When
-    the key changes, the old key's zygote and idle servers are discarded
-    before the new key's zygote starts."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._key: tuple | None = None
-        self._zygote: _Zygote | None = None
-        self._idle: list[_SandboxServer] = []
-
-    def _switch(self, key: tuple | None) -> _Zygote | None:
-        """Under the lock: the zygote of ``key``, started now if the key
-        has changed."""
-        if key != self._key:
-            stale = [*self._idle, *filter(None, [self._zygote])]
-            self._key, self._zygote, self._idle = None, None, []
-            for old in stale:
-                old.discard()
-            if key is not None:
-                self._zygote, self._key = _Zygote(*key), key
-        return self._zygote
-
-    def start(self, key: tuple) -> None:
-        with self._lock:
-            self._switch(key)
-
-    def take(self, key: tuple) -> _SandboxServer:
-        """An idle server of ``key``, or one forked now."""
-        with self._lock:
-            zygote = self._switch(key)
-            server = self._idle.pop() if self._idle else None
-        if server is not None:
-            if server.alive():
-                return server
-            server.discard()                            # died while idle
-        return zygote.clone()
-
-    def give(self, key: tuple, server: _SandboxServer) -> None:
-        with self._lock:
-            if key == self._key:
-                self._idle.append(server)
-                return
-        server.discard()
-
-    def discard(self) -> None:
-        """Discard the idle servers and the zygote."""
-        with self._lock:
-            self._switch(None)
-
-
-_POOL = _ServerPool()
-# The zygote and idle servers would otherwise outlive the harness.
-atexit.register(_POOL.discard)
-
-
-def start_sandbox(interpreter_command: list[str] | tuple[str, ...],
-                  credential_env: str | None = None) -> None:
-    """Start the zygote that ``execute_program`` forks servers from for
-    these settings, so its start-up overlaps the caller's own.  A missing
-    interpreter is a ConfigError."""
-    _POOL.start((tuple(interpreter_command), credential_env))
-
-
-def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
-                    interpreter_command: list[str] | tuple[str, ...] | None
-                    = DEFAULT_INTERPRETER,
-                    credential_env: str | None = None) -> SandboxResult:
-    """Run a generated program in a child forked from a warm sandbox server:
-    empty temp working dir, stdin from /dev/null, scrubbed environment,
-    resource limits, and its process group killed at the timeout."""
-    if not interpreter_command:
-        raise ValueError("no interpreter command configured")
-    if timeout_ms <= 0:
-        raise ValueError("timeout_ms must be positive")
-    key = (tuple(interpreter_command), credential_env)
+def execute_program(program: str, sandbox: Sandbox) -> SandboxResult:
+    """Run a generated program in a child forked from a warm server of
+    ``sandbox``: empty temp working dir, stdin from /dev/null, scrubbed
+    environment, resource limits, and its process group killed at the
+    sandbox's timeout."""
+    timeout_ms = sandbox.timeout_ms
     tmp = Path(tempfile.mkdtemp(prefix="pseudoexec-sandbox-"))
     try:
         # Output goes outside the program's working directory.
@@ -377,7 +354,7 @@ def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
         workdir.mkdir()
         script = workdir / "program.py"
         script.write_text(program, encoding="utf-8")
-        server = _POOL.take(key)
+        server = sandbox._take()
         started = time.monotonic()
         reply = server.run({"script": str(script),
                             "stdout": str(tmp / "stdout"),
@@ -392,7 +369,7 @@ def execute_program(program: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
             return SandboxResult(
                 stdout=stdout, stderr=stderr + "\nsandbox server gave no reply",
                 exit_status=-1, timed_out=False, wall_time_ms=wall_ms)
-        _POOL.give(key, server)
+        sandbox._give(server)
         if reply["timed_out"]:
             return SandboxResult(
                 stdout=stdout, stderr=stderr, exit_status=-1, timed_out=True,
@@ -432,13 +409,7 @@ def pot_answer(result: SandboxResult, instance: TaskInstance) -> Prediction:
 
 
 def run_pot_instance(instance: TaskInstance, response: str,
-                     interpreter_command: list[str] | tuple[str, ...]
-                     = DEFAULT_INTERPRETER,
-                     timeout_ms: int = DEFAULT_TIMEOUT_MS,
-                     credential_env: str | None = None) -> Prediction:
+                     sandbox: Sandbox) -> Prediction:
     """Extract, run and read the program in a PoT ``response``."""
     program = extract_program(response, pot_seeded_header(instance))
-    result = execute_program(program, timeout_ms=timeout_ms,
-                             interpreter_command=interpreter_command,
-                             credential_env=credential_env)
-    return pot_answer(result, instance)
+    return pot_answer(execute_program(program, sandbox), instance)

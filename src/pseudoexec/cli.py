@@ -11,7 +11,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
-from .baselines import MethodId, start_sandbox
+from .baselines import MethodId, Sandbox
 from .config import MODES, RunConfig, load_config, run_id, run_id_fields
 from .errors import ConfigError, MalformedDataset, PseudoexecError
 from .evaluator import (EvalReport, TaskTally, evaluate_run, render_report)
@@ -229,10 +229,17 @@ def _task_assets(config: RunConfig) -> dict[TaskId, PromptAsset]:
 
 
 def cmd_run(args, config: RunConfig) -> int:
+    if config.method_id() is not MethodId.ZERO_SHOT_POT:
+        return _run(config, None)
+    # Opened first, so its start-up overlaps the run's set-up; closed before
+    # the command returns, however the run ends.
+    with Sandbox(config.interpreter_command, config.credential_env,
+                 config.sandbox_timeout_ms) as sandbox:
+        return _run(config, sandbox)
+
+
+def _run(config: RunConfig, sandbox: Sandbox | None) -> int:
     method = config.method_id()
-    if method is MethodId.ZERO_SHOT_POT:
-        # Started now, its start-up overlaps the set-up below.
-        start_sandbox(config.interpreter_command, config.credential_env)
     files: list[tuple[TaskId, bytes]] = []
     instances = load_dataset(config.dataset_dir, config.task_ids(), files)
     digest = dataset_digest(files)
@@ -275,10 +282,7 @@ def cmd_run(args, config: RunConfig) -> int:
         report = evaluate_run(
             method, instances, gateway, _task_assets(config),
             model_id=config.reasoner_model, on_prediction=persist,
-            max_parallel=config.max_parallel,
-            interpreter_command=config.interpreter_command,
-            sandbox_timeout_ms=config.sandbox_timeout_ms,
-            credential_env=config.credential_env)
+            max_parallel=config.max_parallel, sandbox=sandbox)
     finally:
         # On any abort too, every transcript handed over reaches the disk.
         failed = lanes.close() if lanes is not None else None
@@ -409,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
         if "config" not in args:   # a command that reads no settings
             return args.handler(args)
         return args.handler(args, _load_effective_config(args))
-    except PseudoexecError as exc:
+    except (PseudoexecError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

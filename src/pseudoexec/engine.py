@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import re
 
-from .baselines import (DEFAULT_INTERPRETER, DEFAULT_TIMEOUT_MS, FailureKind,
-                        MethodId, Prediction, build_baseline_prompt,
-                        run_pot_instance)
+from .baselines import (FailureKind, MethodId, Prediction, Sandbox,
+                        build_baseline_prompt, run_pot_instance)
 from .errors import GatewayError
 from .gateway import ChatRequest, Gateway
 from .prompts import PromptAsset
@@ -35,15 +34,13 @@ def extract_final_answer(transcript: str) -> str | None:
 def run_instance(method: MethodId, instance: TaskInstance,
                  asset: PromptAsset | None, gateway: Gateway,
                  model_id: str = "mock-model",
-                 interpreter_command: list[str] | tuple[str, ...]
-                 = DEFAULT_INTERPRETER,
-                 sandbox_timeout_ms: int = DEFAULT_TIMEOUT_MS,
-                 credential_env: str | None = None) -> Prediction:
+                 sandbox: Sandbox | None = None) -> Prediction:
     """Run one instance under one method with its one reasoner call.
     ``asset`` is the task's prompt: the pseudocode for Think-and-Execute,
-    the plan for NL planning, unused otherwise.  Model-content failures
-    (missing marker, gateway refusals, sandbox crashes) are recorded in the
-    returned Prediction; only configuration errors raise."""
+    the plan for NL planning, unused otherwise.  PoT runs its program in
+    ``sandbox``.  Model-content failures (missing marker, gateway refusals,
+    sandbox crashes) are recorded in the returned Prediction; only
+    configuration errors raise."""
     system, user = build_baseline_prompt(method, instance, asset)
     request = ChatRequest(role_tag="reasoner", system=system, user=user,
                           model_id=model_id)
@@ -53,8 +50,7 @@ def run_instance(method: MethodId, instance: TaskInstance,
         return Prediction(transcript="", final_answer=None,
                           kind=FailureKind.GATEWAY_ERROR, detail=str(exc))
     if method is MethodId.ZERO_SHOT_POT:
-        return run_pot_instance(instance, response, interpreter_command,
-                                sandbox_timeout_ms, credential_env)
+        return run_pot_instance(instance, response, sandbox)
     answer = extract_final_answer(response)
     if answer is None:
         return Prediction(transcript=response, final_answer=None,

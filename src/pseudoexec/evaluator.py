@@ -6,7 +6,7 @@ import csv
 import io
 from dataclasses import asdict, dataclass, field, fields
 
-from .baselines import FailureKind, MethodId, Prediction
+from .baselines import FailureKind, MethodId, Prediction, Sandbox
 from .engine import run_instance
 from .errors import ParseUnsupported, PseudoexecError
 from .prompts import PromptAsset
@@ -106,13 +106,13 @@ def evaluate_run(method: MethodId, instances: list[TaskInstance], gateway,
                  model_id: str = "mock-model",
                  on_prediction=None,
                  max_parallel: int = 1,
-                 **run_kwargs) -> EvalReport:
+                 sandbox: Sandbox | None = None) -> EvalReport:
     """Score every instance under one method.  Oracle mode routes through
-    the task solvers and needs no gateway.  Up to ``max_parallel``
-    predictions are made at once, in worker threads; tallies and
-    ``on_prediction(index, instance, prediction, correct)`` follow input
-    order on the calling thread, so what callers persist does not depend on
-    the parallelism."""
+    the task solvers and needs no gateway; PoT runs its programs in
+    ``sandbox``.  Up to ``max_parallel`` predictions are made at once, in
+    worker threads; tallies and ``on_prediction(index, instance,
+    prediction, correct)`` follow input order on the calling thread, so
+    what callers persist does not depend on the parallelism."""
     if not instances:
         raise ValueError("instances must be non-empty")
     if method is MethodId.ORACLE:
@@ -122,7 +122,7 @@ def evaluate_run(method: MethodId, instances: list[TaskInstance], gateway,
 
         def predict(instance: TaskInstance) -> Prediction:
             return run_instance(method, instance, assets.get(instance.task),
-                                gateway, model_id=model_id, **run_kwargs)
+                                gateway, model_id=model_id, sandbox=sandbox)
 
     # Imported here, like the HTTP client in the live gateway: commands
     # that never evaluate do not pay for it (it pulls in ``logging``).

@@ -1,6 +1,7 @@
 """Sandbox zygote and servers for PoT programs: one warm interpreter per
-run forks the servers, and each server forks one child per program, so no
-server and no program pays for interpreter start-up.
+run, started when the run opens its ``baselines.Sandbox`` and stopped when
+it closes it, forks the servers, and each server forks one child per
+program, so no server and no program pays for interpreter start-up.
 
 Run as ``<interpreter> sandbox_server.py`` with stdin a Unix stream socket,
 the control socket.  That process is the zygote and never runs a program.
@@ -9,7 +10,9 @@ Each byte it reads there asks for a server: it makes a fresh
 one end, and hands the caller the other end and a pidfd of the server, two
 descriptors sent with one byte (``socket.send_fds``).  It reaps its servers
 as they exit.  At EOF on the control socket it gives the servers
-``EXIT_GRACE_S`` to exit, kills and reaps any that are left, and exits.
+``EXIT_GRACE_S`` to exit, kills and reaps any that are left, and exits at
+once, with no interpreter teardown.  A zygote that has forked no server is
+killed by the harness instead.
 
 A server reads requests on its end of the pair.  Each is one JSON line
 ``{"script", "stdout", "stderr", "timeout_s"}``; the server forks a child
@@ -191,7 +194,7 @@ def _reap(servers: set[int], wait_s: float = 0.0) -> None:
         if pid:
             servers.discard(pid)
         elif time.monotonic() < deadline:
-            time.sleep(0.01)
+            time.sleep(0.001)
         else:
             return
 
@@ -233,6 +236,9 @@ def main() -> None:
         os.kill(pid, signal.SIGKILL)
     for pid in servers:
         os.waitpid(pid, 0)
+    # Nothing is left to clean up, so skip the interpreter's teardown: the
+    # harness waits for this exit before its run returns.
+    os._exit(0)
 
 
 if __name__ == "__main__":

@@ -26,3 +26,13 @@ def replay_fixture_dir() -> Path:
 @pytest.fixture(scope="session")
 def cassette_path() -> Path:
     return ASSETS / "replay" / "cassette.jsonl"
+
+
+@pytest.fixture(scope="session")
+def sandbox():
+    """One default PoT sandbox for every test that needs no setting of its
+    own, so its zygote boots once per session."""
+    from pseudoexec.baselines import Sandbox
+
+    with Sandbox() as opened:
+        yield opened

@@ -14,8 +14,8 @@ import pytest
 
 from oracles import (dyck_completion_valid, navigate_answer, shuffled_answer,
                      temporal_feasible_options, web_of_lies_answers)
-from pseudoexec.baselines import MethodId, build_baseline_prompt, \
-    execute_program
+from pseudoexec.baselines import (MethodId, Sandbox, build_baseline_prompt,
+                                  execute_program)
 from pseudoexec.cli import load_dataset, main
 from pseudoexec.engine import build_execute_prompt, extract_final_answer
 from pseudoexec.evaluator import evaluate_run, score_prediction
@@ -243,20 +243,21 @@ def test_end_to_end_replay_determinism(tmp_path, monkeypatch, assets_dir,
         f"accuracies match, no network, {elapsed:.1f}s")
 
 
-def test_sandbox_criteria(monkeypatch):
+def test_sandbox_criteria(monkeypatch, sandbox):
     started = time.monotonic()
-    echo = execute_program("print('hi')")
+    echo = execute_program("print('hi')", sandbox)
     assert echo.stdout == "hi\n" and echo.exit_status == 0
     assert time.monotonic() - started < 1.0
 
-    loop = execute_program("while True:\n    pass", timeout_ms=500)
+    with Sandbox(timeout_ms=500) as short:
+        loop = execute_program("while True:\n    pass", short)
     assert loop.timed_out
     assert 500 <= loop.wall_time_ms <= 700
 
     monkeypatch.setenv("ACCEPT_CRED", "secret")
-    scrub = execute_program(
-        "import os\nprint('ACCEPT_CRED' in os.environ)",
-        credential_env="ACCEPT_CRED")
+    with Sandbox(credential_env="ACCEPT_CRED") as scrubbed:
+        scrub = execute_program(
+            "import os\nprint('ACCEPT_CRED' in os.environ)", scrubbed)
     assert scrub.stdout.strip() == "False"
     _ok("sandbox: echo < 1s, 500ms timeout within grace, credential "
         "scrubbed")

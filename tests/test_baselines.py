@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from pseudoexec import baselines, sandbox_server
-from pseudoexec.baselines import (MethodId, build_baseline_prompt,
+from pseudoexec.baselines import (MethodId, Sandbox, build_baseline_prompt,
                                   execute_program, extract_program,
                                   pot_answer, pot_seeded_header,
                                   run_pot_instance)
@@ -77,49 +77,50 @@ def test_think_and_execute_requires_pseudocode():
                               load_nl_plan(TaskId.NAVIGATE))
 
 
-def test_extract_program_fenced_block():
+def test_extract_program_fenced_block(sandbox):
     program = extract_program(
         "```python\ndef solution():\n    return 1\n```", "def solution():")
     assert program.endswith("print(solution())\n")
-    result = execute_program(program)
+    result = execute_program(program, sandbox)
     assert result.stdout.strip() == "1"
 
 
-def test_extract_program_unfenced_continuation():
+def test_extract_program_unfenced_continuation(sandbox):
     header = pot_seeded_header(_nav())
     program = extract_program("\n    return 2 + 2", header)
     assert program.startswith("def solution():")
-    result = execute_program(program)
+    result = execute_program(program, sandbox)
     assert result.stdout.strip() == "4"
 
 
-def test_extract_program_empty_response_yields_none_answer():
+def test_extract_program_empty_response_yields_none_answer(sandbox):
     # the seeded header alone is a docstring-only function: it runs, returns
     # None, and the resulting answer can never score correct
     program = extract_program("", pot_seeded_header(_nav()))
-    result = execute_program(program)
+    result = execute_program(program, sandbox)
     assert result.exit_status == 0
     assert pot_answer(result, _nav()).final_answer == "None"
 
 
-def test_extract_program_last_definition_wins():
+def test_extract_program_last_definition_wins(sandbox):
     program = extract_program(
         "```python\ndef solution():\n    return 'first'\n\n"
         "def solution():\n    return 'second'\n```",
         "def solution():")
-    result = execute_program(program)
+    result = execute_program(program, sandbox)
     assert result.stdout.strip() == "second"
 
 
-def test_sandbox_echo():
-    result = execute_program("print('hi')")
+def test_sandbox_echo(sandbox):
+    result = execute_program("print('hi')", sandbox)
     assert result.stdout == "hi\n"
     assert result.exit_status == 0
     assert not result.timed_out
 
 
 def test_sandbox_timeout():
-    result = execute_program("while True:\n    pass", timeout_ms=500)
+    with Sandbox(timeout_ms=500) as short:
+        result = execute_program("while True:\n    pass", short)
     assert result.timed_out
     assert result.wall_time_ms >= 500
     assert result.wall_time_ms <= 500 + 200     # grace bound
@@ -136,14 +137,15 @@ def _running(pid: int) -> bool:
 
 
 def test_sandbox_timeout_kills_what_the_program_forked():
-    result = execute_program(
-        "import os, time\n"
-        "pid = os.fork()\n"
-        "if pid == 0:\n"
-        "    time.sleep(30)\n"
-        "    os._exit(0)\n"
-        "print(pid, flush=True)\n"
-        "time.sleep(30)\n", timeout_ms=800)
+    with Sandbox(timeout_ms=800) as short:
+        result = execute_program(
+            "import os, time\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    time.sleep(30)\n"
+            "    os._exit(0)\n"
+            "print(pid, flush=True)\n"
+            "time.sleep(30)\n", short)
     assert result.timed_out
     child = int(result.stdout.split()[-1])
     deadline = time.monotonic() + 5
@@ -155,11 +157,12 @@ def test_sandbox_timeout_kills_what_the_program_forked():
 def test_sandbox_kills_a_program_that_killed_its_server():
     # The program outlives its server's timeout enforcement; the harness
     # must kill it when the server gives no reply.
-    result = execute_program(
-        "import os, signal, time\n"
-        "print(os.getpid(), flush=True)\n"
-        "os.kill(os.getppid(), signal.SIGKILL)\n"
-        "time.sleep(30)\n", timeout_ms=1000)
+    with Sandbox(timeout_ms=1000) as short:
+        result = execute_program(
+            "import os, signal, time\n"
+            "print(os.getpid(), flush=True)\n"
+            "os.kill(os.getppid(), signal.SIGKILL)\n"
+            "time.sleep(30)\n", short)
     assert result.stderr.endswith("sandbox server gave no reply")
     program = int(result.stdout.split()[0])
     deadline = time.monotonic() + 2
@@ -171,57 +174,62 @@ def test_sandbox_kills_a_program_that_killed_its_server():
 def test_sandbox_timeout_returns_when_a_child_left_the_group():
     # A child in a session of its own escapes the kill and keeps the
     # output pipes open; the sandbox must not wait for it.
-    started = time.monotonic()
-    result = execute_program(
-        "import os, time\n"
-        "if os.fork() == 0:\n"
-        "    os.setsid()\n"
-        "    print(os.getpid(), flush=True)\n"
-        "    time.sleep(30)\n"
-        "    os._exit(0)\n"
-        "time.sleep(30)\n", timeout_ms=800)
-    elapsed = time.monotonic() - started
+    with Sandbox(timeout_ms=800) as short:
+        started = time.monotonic()
+        result = execute_program(
+            "import os, time\n"
+            "if os.fork() == 0:\n"
+            "    os.setsid()\n"
+            "    print(os.getpid(), flush=True)\n"
+            "    time.sleep(30)\n"
+            "    os._exit(0)\n"
+            "time.sleep(30)\n", short)
+        elapsed = time.monotonic() - started
     with contextlib.suppress(ValueError, ProcessLookupError):
         os.kill(int(result.stdout.split()[-1]), signal.SIGKILL)
     assert result.timed_out
     assert elapsed < 0.8 + baselines._REAP_GRACE_S + 1.0
 
 
-def test_sandbox_runs_in_empty_cwd():
+def test_sandbox_runs_in_empty_cwd(sandbox):
     result = execute_program(
-        "import os\nprint(sorted(os.listdir('.')))")
+        "import os\nprint(sorted(os.listdir('.')))", sandbox)
     assert result.stdout.strip() == "['program.py']"
 
 
 def test_sandbox_scrubs_credentials(monkeypatch):
     monkeypatch.setenv("FAKE_CRED", "secret-value")
     monkeypatch.setenv("SOME_API_KEY", "another-secret")
-    result = execute_program(
-        "import os\n"
-        "print('FAKE_CRED' in os.environ, 'SOME_API_KEY' in os.environ)",
-        credential_env="FAKE_CRED")
+    with Sandbox(credential_env="FAKE_CRED") as scrubbed:
+        result = execute_program(
+            "import os\n"
+            "print('FAKE_CRED' in os.environ, 'SOME_API_KEY' in os.environ)",
+            scrubbed)
     assert result.stdout.strip() == "False False"
 
 
-def _server_pid() -> int:
-    return int(execute_program("import os\nprint(os.getppid())").stdout)
+def _server_pid(sandbox: Sandbox) -> int:
+    return int(execute_program("import os\nprint(os.getppid())",
+                               sandbox).stdout)
 
 
-def test_sandbox_reuses_its_server():
-    assert _server_pid() == _server_pid() != os.getpid()
+def test_sandbox_reuses_its_server(sandbox):
+    assert _server_pid(sandbox) == _server_pid(sandbox) != os.getpid()
 
 
-def test_sandbox_programs_do_not_share_state():
-    execute_program("import builtins\nbuiltins.LEAK = 1")
-    result = execute_program("import builtins\nprint(hasattr(builtins, 'LEAK'))")
+def test_sandbox_programs_do_not_share_state(sandbox):
+    execute_program("import builtins\nbuiltins.LEAK = 1", sandbox)
+    result = execute_program(
+        "import builtins\nprint(hasattr(builtins, 'LEAK'))", sandbox)
     assert result.stdout == "False\n"
 
 
-def test_sandbox_concurrent_programs_keep_their_own_stdout():
+def test_sandbox_concurrent_programs_keep_their_own_stdout(sandbox):
     def run(tag: str) -> str:
         return execute_program(
             f"import time\nfor _ in range(5):\n"
-            f"    print({tag!r}, flush=True)\n    time.sleep(0.05)\n").stdout
+            f"    print({tag!r}, flush=True)\n    time.sleep(0.05)\n",
+            sandbox).stdout
 
     with ThreadPoolExecutor(2) as pool:
         outputs = list(pool.map(run, ["a", "b"]))
@@ -229,28 +237,28 @@ def test_sandbox_concurrent_programs_keep_their_own_stdout():
 
 
 def test_sandbox_stdin_is_empty():
-    result = execute_program(
-        "try:\n    input()\nexcept EOFError:\n    print('eof')",
-        timeout_ms=2000)
+    with Sandbox(timeout_ms=2000) as short:
+        result = execute_program(
+            "try:\n    input()\nexcept EOFError:\n    print('eof')", short)
     assert result.stdout == "eof\n" and not result.timed_out
 
 
 @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["default", "no_site"])
 def test_sandbox_imports_nothing_before_the_program(flags):
-    result = execute_program(
-        "print(1)",
-        interpreter_command=[sys.executable, *flags, "-X", "importtime"])
+    with Sandbox([sys.executable, *flags, "-X", "importtime"]) as timed:
+        result = execute_program("print(1)", timed)
     assert (result.stdout, result.stderr) == ("1\n", "")
 
 
-def _as_python_script(program: str, tmp_path: Path) -> tuple[str, str]:
+def _as_python_script(program: str, tmp_path: Path,
+                      sandbox: Sandbox) -> tuple[str, str]:
     """stdout and stderr of ``python program.py``, as ``execute_program``
     runs it, with the script's path reduced to its name."""
     script = tmp_path / "program.py"
     script.write_text(program, encoding="utf-8")
     ran = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
                          capture_output=True, text=True, timeout=60)
-    sandboxed = execute_program(program)
+    sandboxed = execute_program(program, sandbox)
     normalised = [re.sub(r'File "[^"]*program\.py"', 'File "program.py"',
                          stderr) for stderr in (ran.stderr, sandboxed.stderr)]
     assert sandboxed.stdout == ran.stdout
@@ -266,29 +274,29 @@ def _as_python_script(program: str, tmp_path: Path) -> tuple[str, str]:
     # ``python program.py`` dies of SIGINT (exit -2) after this one.
     "print('before')\nraise KeyboardInterrupt\n",
 ])
-def test_sandbox_traceback_matches_python_script(program, tmp_path):
-    _, stderr = _as_python_script(program, tmp_path)
+def test_sandbox_traceback_matches_python_script(program, tmp_path, sandbox):
+    _, stderr = _as_python_script(program, tmp_path, sandbox)
     assert "sandbox_server" not in stderr and "runpy" not in stderr
 
 
-def test_sandbox_program_runs_as_main(tmp_path):
+def test_sandbox_program_runs_as_main(tmp_path, sandbox):
     stdout, _ = _as_python_script(
         "import os, pickle, sys\n"
         "class Point:\n    pass\n"
         "copy = pickle.loads(pickle.dumps(Point()))\n"
         "print(__name__, __file__ == sys.argv[0],\n"
         "      os.path.basename(__file__), type(copy) is Point)\n",
-        tmp_path)
+        tmp_path, sandbox)
     assert stdout == "__main__ True program.py True\n"
 
 
-def test_sandbox_replaces_a_killed_server():
-    first = _server_pid()
+def test_sandbox_replaces_a_killed_server(sandbox):
+    first = _server_pid(sandbox)
     os.kill(first, signal.SIGKILL)
     deadline = time.monotonic() + 5
     while _running(first) and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert _server_pid() != first
+    assert _server_pid(sandbox) != first
 
 
 def _parent_of(pid: int) -> int:
@@ -296,8 +304,8 @@ def _parent_of(pid: int) -> int:
                .rsplit(")", 1)[1].split()[1])
 
 
-def _zygote_pid() -> int:
-    return _parent_of(_server_pid())
+def _zygote_pid(sandbox: Sandbox) -> int:
+    return _parent_of(_server_pid(sandbox))
 
 
 def _wait_gone(pid: int) -> None:
@@ -307,32 +315,34 @@ def _wait_gone(pid: int) -> None:
     assert not _running(pid)
 
 
-def test_sandbox_forks_a_new_server_from_the_same_zygote():
-    zygote, server = _zygote_pid(), _server_pid()
+def test_sandbox_forks_a_new_server_from_the_same_zygote(sandbox):
+    zygote, server = _zygote_pid(sandbox), _server_pid(sandbox)
     result = execute_program(
-        "import os, signal\nos.kill(os.getppid(), signal.SIGKILL)")
+        "import os, signal\nos.kill(os.getppid(), signal.SIGKILL)", sandbox)
     assert result.stderr.endswith("sandbox server gave no reply")
-    assert _zygote_pid() == zygote != os.getpid()
-    assert _server_pid() != server
+    assert _zygote_pid(sandbox) == zygote != os.getpid()
+    assert _server_pid(sandbox) != server
 
 
-def test_sandbox_replaces_a_killed_zygote():
-    zygote = _zygote_pid()
+def test_sandbox_replaces_a_killed_zygote(sandbox):
+    zygote = _zygote_pid(sandbox)
     assert zygote != os.getpid()
     os.kill(zygote, signal.SIGKILL)
     _wait_gone(zygote)
     # The idle server still runs the next program ...
-    assert execute_program("print('alive')").stdout == "alive\n"
+    assert execute_program("print('alive')", sandbox).stdout == "alive\n"
     # ... and once it is gone, a new zygote forks the next one.
-    execute_program("import os, signal\nos.kill(os.getppid(), signal.SIGKILL)")
-    assert execute_program("print('alive')").stdout == "alive\n"
-    assert _zygote_pid() not in (zygote, os.getpid(), 1)
+    execute_program("import os, signal\nos.kill(os.getppid(), signal.SIGKILL)",
+                    sandbox)
+    assert execute_program("print('alive')", sandbox).stdout == "alive\n"
+    assert _zygote_pid(sandbox) not in (zygote, os.getpid(), 1)
 
 
-def test_sandbox_concurrent_servers_share_one_zygote():
+def test_sandbox_concurrent_servers_share_one_zygote(sandbox):
     def server(_) -> int:
         return int(execute_program(
-            "import os, time\nprint(os.getppid())\ntime.sleep(0.3)").stdout)
+            "import os, time\nprint(os.getppid())\ntime.sleep(0.3)",
+            sandbox).stdout)
 
     with ThreadPoolExecutor(2) as pool:
         servers = set(pool.map(server, range(2)))
@@ -341,69 +351,106 @@ def test_sandbox_concurrent_servers_share_one_zygote():
     assert zygote != os.getpid()
 
 
+def _run_script(script: str, *flags: str) -> str:
+    """stdout of ``script`` run by a fresh interpreter that imports this
+    package, which must exit 0."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(baselines.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *flags, "-c",
+                           textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr, proc.stderr
+    return proc.stdout
+
+
 def test_sandbox_string_hash_seed_is_the_same_on_every_run(monkeypatch):
     # Each harness run prints the server pid and the set order seen by two
     # programs on each of two concurrent workers.
     monkeypatch.delenv("PYTHONHASHSEED", raising=False)
-    script = textwrap.dedent("""
+    script = """
         from concurrent.futures import ThreadPoolExecutor
-        from pseudoexec.baselines import execute_program
+        from pseudoexec.baselines import Sandbox, execute_program
         program = ("import os, time\\n"
                    "print(os.getppid())\\n"
                    "print(set('item%d' % i for i in range(20)))\\n"
                    "time.sleep(0.2)\\n")
-        with ThreadPoolExecutor(2) as pool:
-            for result in pool.map(execute_program, [program] * 4):
+        with Sandbox() as sandbox, ThreadPoolExecutor(2) as pool:
+            for result in pool.map(lambda p: execute_program(p, sandbox),
+                                   [program] * 4):
                 print(result.stdout, end="")
-    """)
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(baselines.__file__).parents[1]))
+    """
     orders = set()
     for _ in range(2):
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
+        lines = _run_script(script).splitlines()
         assert len(set(lines[0::2])) == 2      # two servers
         orders.update(lines[1::2])
     assert len(orders) == 1, orders
 
 
+def test_sandbox_keeps_the_harness_python_variables_from_programs(
+        monkeypatch, tmp_path):
+    entries = [str(tmp_path / "a"), str(tmp_path / "b")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(entries))
+    monkeypatch.setenv("PYTHONHASHSEED", "5")
+    with Sandbox() as sandbox:
+        result = execute_program(
+            "import os, sys\n"
+            f"print(sorted(name for name in os.environ "
+            f"if name.startswith('PYTHON')))\n"
+            f"print([p for p in sys.path if p in {entries!r}])\n", sandbox)
+    assert result.stdout == "['PYTHONHASHSEED']\n[]\n", result.stderr
+
+
 def test_sandbox_program_that_kills_its_parent_spares_the_harness():
     # Run in a subprocess of its own, so a regression kills that, not pytest.
-    script = textwrap.dedent("""
-        from pseudoexec.baselines import execute_program
-        first = execute_program(
-            "import os, signal\\nos.kill(os.getppid(), signal.SIGKILL)")
-        print(first.exit_status, first.stderr.strip().splitlines()[-1])
-        print(execute_program("print('alive')").stdout.strip())
+    stdout = _run_script("""
+        from pseudoexec.baselines import Sandbox, execute_program
+        with Sandbox() as sandbox:
+            first = execute_program(
+                "import os, signal\\nos.kill(os.getppid(), signal.SIGKILL)",
+                sandbox)
+            print(first.exit_status, first.stderr.strip().splitlines()[-1])
+            print(execute_program("print('alive')", sandbox).stdout.strip())
     """)
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(baselines.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["-1 sandbox server gave no reply",
-                                        "alive"]
+    assert stdout.splitlines() == ["-1 sandbox server gave no reply", "alive"]
 
 
-def test_sandbox_servers_are_discarded_at_exit():
-    script = "from pseudoexec.baselines import execute_program\n" \
-             "assert execute_program('print(1)').stdout == '1\\n'\n"
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(baselines.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-X", "dev", "-c", script],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "ResourceWarning" not in proc.stderr, proc.stderr
+def test_a_closed_sandbox_leaves_no_process():
+    # Under -X dev, where an unwaited process or an unclosed socket warns.
+    # One sandbox is closed with two idle servers, one before its zygote
+    # has forked any.
+    stdout = _run_script("""
+        import os
+        from concurrent.futures import ThreadPoolExecutor
+        from pseudoexec.baselines import Sandbox, execute_program
+        from pseudoexec.errors import SpawnFailure
+        program = "import os, time\\nprint(os.getppid())\\ntime.sleep(0.2)"
+        with Sandbox() as sandbox, ThreadPoolExecutor(2) as pool:
+            servers = [int(r.stdout) for r in pool.map(
+                lambda p: execute_program(p, sandbox), [program] * 2)]
+            zygote = sandbox._proc.pid
+        unforked = Sandbox()
+        pids = [*servers, zygote, unforked._proc.pid]
+        unforked.close()
+        print(len(set(pids)),
+              [os.path.exists(f"/proc/{pid}") for pid in pids])
+        try:
+            execute_program("print(1)", sandbox)
+        except SpawnFailure as exc:
+            print(exc)
+    """, "-X", "dev")
+    assert stdout.splitlines() == ["4 [False, False, False, False]",
+                                   "the sandbox is closed"]
 
 
 def test_sandbox_sets_resource_limits():
-    result = execute_program(
-        "import resource\n"
-        "for name in ('CPU', 'AS', 'FSIZE', 'NOFILE'):\n"
-        "    print(resource.getrlimit(getattr(resource, 'RLIMIT_' + name)))",
-        timeout_ms=2500)
+    with Sandbox(timeout_ms=2500) as sandbox:
+        result = execute_program(
+            "import resource\n"
+            "for name in ('CPU', 'AS', 'FSIZE', 'NOFILE'):\n"
+            "    print(resource.getrlimit(\n"
+            "        getattr(resource, 'RLIMIT_' + name)))", sandbox)
     assert result.stdout.splitlines() == [
         str((n, n)) for n in (sandbox_server.cpu_limit_s(2.5),
                               sandbox_server.ADDRESS_SPACE_LIMIT,
@@ -411,31 +458,34 @@ def test_sandbox_sets_resource_limits():
                               sandbox_server.OPEN_FILES_LIMIT)]
 
 
-def test_sandbox_memory_limit_stops_a_large_allocation():
+def test_sandbox_memory_limit_stops_a_large_allocation(sandbox):
     result = execute_program(
-        f"x = bytearray({2 * sandbox_server.ADDRESS_SPACE_LIMIT})")
+        f"x = bytearray({2 * sandbox_server.ADDRESS_SPACE_LIMIT})", sandbox)
     failure = pot_answer(result, _nav()).failure
     assert failure.startswith("sandbox_error") and "MemoryError" in failure
 
 
-def test_sandbox_file_size_limit_stops_a_large_write():
+def test_sandbox_file_size_limit_stops_a_large_write(sandbox):
     result = execute_program(
         "with open('big', 'wb') as f:\n"
         f"    f.write(bytes({sandbox_server.FILE_SIZE_LIMIT}))\n"
-        "    f.write(b'x')\n")
+        "    f.write(b'x')\n", sandbox)
     assert result.exit_status == 1
     assert "File too large" in result.stderr
 
 
 def test_sandbox_requires_interpreter():
     with pytest.raises(ValueError, match="no interpreter command configured"):
-        execute_program("print(1)", interpreter_command=[])
+        Sandbox([])
+    with pytest.raises(ValueError, match="timeout_ms must be positive"):
+        Sandbox(timeout_ms=0)
 
 
 def test_sandbox_interpreter_that_runs_no_zygote_is_a_spawn_failure():
     # ``true`` starts and exits: no zygote, so no program can run.
-    with pytest.raises(SpawnFailure, match="forked no server"):
-        execute_program("print(1)", interpreter_command=["true"])
+    with Sandbox(["true"]) as sandbox:
+        with pytest.raises(SpawnFailure, match="forked no server"):
+            execute_program("print(1)", sandbox)
 
 
 def test_sandbox_environment_is_scrubbed_once_per_zygote(monkeypatch):
@@ -447,13 +497,20 @@ def test_sandbox_environment_is_scrubbed_once_per_zygote(monkeypatch):
         return scrub(credential_env)
 
     monkeypatch.setattr(baselines, "_sandbox_env", counted)
-    # A setting no other test uses, so its zygote starts here.
-    with ThreadPoolExecutor(2) as pool:
-        results = list(pool.map(
-            lambda i: execute_program(f"print({i})",
-                                      credential_env="PSEUDOEXEC_ONCE"),
-            range(20)))
-    assert [r.stdout for r in results] == [f"{i}\n" for i in range(20)]
+    # More workers than cores and frequent thread switches: each server
+    # runs one program at a time, and at most one server per worker.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Sandbox(credential_env="PSEUDOEXEC_ONCE") as sandbox, \
+                ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(lambda i: execute_program(
+                f"import os\nprint({i}, os.getppid())", sandbox), range(40)))
+    finally:
+        sys.setswitchinterval(interval)
+    outputs = [r.stdout.split() for r in results]
+    assert [int(i) for i, _ in outputs] == list(range(40))
+    assert len({server for _, server in outputs}) <= 4
     assert calls == ["PSEUDOEXEC_ONCE"]
 
 
@@ -462,31 +519,33 @@ def test_sandbox_environment_is_the_one_its_zygote_started_with(monkeypatch):
                "print(*(name in os.environ for name in "
                "('PSEUDOEXEC_EARLY', 'PSEUDOEXEC_LATE')))")
     monkeypatch.setenv("PSEUDOEXEC_EARLY", "1")
-    assert execute_program(program, credential_env="PSEUDOEXEC_FIRST"
-                           ).stdout == "True False\n"
-    monkeypatch.setenv("PSEUDOEXEC_LATE", "1")
-    assert execute_program(program, credential_env="PSEUDOEXEC_FIRST"
-                           ).stdout == "True False\n"
-    # A new setting gets a zygote scrubbed from the environment of now.
-    assert execute_program(program, credential_env="PSEUDOEXEC_EARLY"
-                           ).stdout == "False True\n"
+    with Sandbox(credential_env="PSEUDOEXEC_FIRST") as first:
+        assert execute_program(program, first).stdout == "True False\n"
+        monkeypatch.setenv("PSEUDOEXEC_LATE", "1")
+        assert execute_program(program, first).stdout == "True False\n"
+    # A new sandbox is scrubbed from the environment of now.
+    with Sandbox(credential_env="PSEUDOEXEC_EARLY") as second:
+        assert execute_program(program, second).stdout == "False True\n"
 
 
-def test_a_missing_interpreter_discards_the_previous_setting():
-    server = _server_pid()
-    zygote = _parent_of(server)
+def _children() -> set[int]:
+    task = Path(f"/proc/{os.getpid()}/task")
+    return {int(pid) for thread in task.iterdir()
+            for pid in (thread / "children").read_text().split()}
+
+
+def test_a_missing_interpreter_leaves_no_socket_or_process():
+    children, fds = _children(), len(os.listdir("/proc/self/fd"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ConfigError,
                            match="interpreter 'no-such-python-xyz' not found"):
-            baselines.start_sandbox(["no-such-python-xyz"])
+            Sandbox(["no-such-python-xyz"])
         gc.collect()
     assert [str(w.message) for w in caught
             if issubclass(w.category, ResourceWarning)] == []
-    _wait_gone(server)
-    _wait_gone(zygote)
-    # The next program starts a zygote of its own setting.
-    assert execute_program("print('alive')").stdout == "alive\n"
+    assert _children() == children
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_pot_answer_boolean_mapping():
@@ -518,9 +577,9 @@ def test_pot_answer_failures():
     assert pot_answer(silent, dyck).failure.startswith("sandbox_error")
 
 
-def test_run_pot_instance_end_to_end():
+def test_run_pot_instance_end_to_end(sandbox):
     pred = run_pot_instance(
-        _nav(), "```python\ndef solution():\n    return True\n```")
+        _nav(), "```python\ndef solution():\n    return True\n```", sandbox)
     assert pred.final_answer == "Yes"
 
 

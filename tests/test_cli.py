@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -16,6 +17,7 @@ import textwrap
 import threading
 import time
 import uuid
+import warnings
 from pathlib import Path
 
 import pytest
@@ -533,8 +535,10 @@ def test_a_failed_transcript_write_stops_the_run(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "mock_gateway", counting_gateway)
     monkeypatch.setattr(cli, "_write_file", watched_write)
     monkeypatch.setattr(cli._WriterLanes, "put", watched_put)
-    with pytest.raises(IsADirectoryError):
-        main(["run", "--config", str(config)])
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: IsADirectoryError: [Errno 21] Is a directory: ")
     assert not (run_dir / "manifest.json").exists()
     assert sorted(p.name for p in (run_dir / "navigate").iterdir()) == \
         ["0.txt", "1.txt", "2.txt", "3.txt"]
@@ -542,7 +546,6 @@ def test_a_failed_transcript_write_stops_the_run(tmp_path, monkeypatch,
     # next instances in flight.  A lane reports the failure at the next
     # transcript, by when each worker may have taken one more instance.
     assert len(reached) <= 4 + 2 + 2
-    capsys.readouterr()
 
 
 def test_an_interrupted_run_keeps_the_transcripts_it_reached(
@@ -662,12 +665,15 @@ def test_a_failed_artifact_write_leaves_no_manifest(tmp_path, capsys):
         (run_dir / name).unlink()
     # A directory in its place makes the report.csv rename fail.
     (run_dir / "report.csv").mkdir()
-    with pytest.raises(IsADirectoryError):
-        main(["run", "--config", str(config)])
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: IsADirectoryError: [Errno 21] Is a "
+                          "directory: ")
+    assert err.endswith(f" -> '{run_dir / 'report.csv'}'\n")
     assert (run_dir / "report.md").is_file()
     assert not (run_dir / "manifest.json").exists()
     assert not list(run_dir.glob("*.tmp"))
-    capsys.readouterr()
 
 
 def test_report_unknown_run_id(tmp_path, capsys):
@@ -727,12 +733,13 @@ _MARKER = "PSEUDOEXEC_TEST_MARKER"
 
 
 def _marked(value: str) -> list[int]:
-    """The live processes whose environment holds ``_MARKER=value``."""
+    """The live processes but this one whose environment holds
+    ``_MARKER=value``."""
     needle = f"\0{_MARKER}={value}\0".encode()
     pids = []
     for entry in Path("/proc").iterdir():
         try:
-            if entry.name.isdigit() and \
+            if entry.name.isdigit() and entry.name != str(os.getpid()) and \
                     needle in b"\0" + (entry / "environ").read_bytes():
                 pids.append(int(entry.name))
         except OSError:              # gone, or not ours
@@ -762,13 +769,18 @@ def _pot_cassette(path: Path, body: str) -> Path:
     return path
 
 
+def _pot_run_config(tmp_path: Path, cassette: Path) -> Path:
+    """A config for ``pseudoexec run`` of zero-shot PoT over the navigate
+    fixtures."""
+    return _write_config(tmp_path, method="zero_shot_pot",
+                         tasks=["navigate"], cassette_path=str(cassette),
+                         max_parallel=2, sandbox_timeout_ms=60_000)
+
+
 def _start_marked_run(tmp_path: Path, value: str,
                       cassette: Path) -> subprocess.Popen:
-    """``pseudoexec run`` of zero-shot PoT over the navigate fixtures, in a
-    subprocess whose environment carries the marker."""
-    config = _write_config(tmp_path, method="zero_shot_pot",
-                           tasks=["navigate"], cassette_path=str(cassette),
-                           max_parallel=2, sandbox_timeout_ms=60_000)
+    """That run in a subprocess whose environment carries the marker."""
+    config = _pot_run_config(tmp_path, cassette)
     env = dict(os.environ, **{_MARKER: value},
                PYTHONPATH=str(Path(cli.__file__).parents[1]))
     return subprocess.Popen(
@@ -793,6 +805,33 @@ def test_no_sandbox_process_outlives_a_run(tmp_path, outcome):
         assert proc.returncode == 0, err
     else:      # the zygote has started when the missing cassette shows
         assert proc.returncode == 2
+        assert "error: ConfigError: cassette " in err
+
+
+@pytest.mark.parametrize("outcome", ["completes", "stops_in_set_up"])
+def test_the_run_closes_its_sandbox_before_it_returns(
+        tmp_path, monkeypatch, capsys, outcome):
+    value = uuid.uuid4().hex
+    cassette = tmp_path / "pot.jsonl"
+    if outcome == "completes":
+        _pot_cassette(cassette, "return True\n")
+    config = _pot_run_config(tmp_path, cassette)
+    monkeypatch.setenv(_MARKER, value)   # inherited by the zygote
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(config)])
+            gc.collect()
+        assert _marked(value) == []
+    finally:
+        _kill_marked(value)
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
+    err = capsys.readouterr().err
+    if outcome == "completes":
+        assert code == 0, err
+    else:      # the zygote has started when the missing cassette shows
+        assert code == 2
         assert "error: ConfigError: cassette " in err
 
 
