@@ -205,15 +205,19 @@ def cmd_ingest(args) -> int:
 
 def cmd_think(args, config: RunConfig) -> int:
     task = TaskId(args.task)
-    gateway = build_gateway(config)
+    analysis, pseudocode = run_think(
+        task, build_gateway(config), config.seed,
+        source=config.pseudocode_source, model_id=config.instructor_model)
     out_dir = Path(args.out) if args.out else \
         Path(config.runs_dir) / "think"
-    analysis, pseudocode = run_think(
-        task, gateway, config.seed, source=config.pseudocode_source,
-        model_id=config.instructor_model, out_dir=out_dir)
-    print(f"analysis: {out_dir / (task.value + '.analysis.txt')}")
-    print(f"pseudocode ({pseudocode.function_name}): "
-          f"{out_dir / (task.value + '.txt')}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    analysis_path = out_dir / f"{task.value}.analysis.txt"
+    analysis_path.write_text(analysis.body + "\n", encoding="utf-8")
+    code_path = out_dir / f"{task.value}.txt"
+    code_path.write_text(pseudocode.body if pseudocode.body.endswith("\n")
+                         else pseudocode.body + "\n", encoding="utf-8")
+    print(f"analysis: {analysis_path}")
+    print(f"pseudocode ({pseudocode.function_name}): {code_path}")
     return 0
 
 
@@ -256,27 +260,26 @@ def _run(config: RunConfig, sandbox: Sandbox | None) -> int:
     lane_of = {task: k % lane_count for k, task in enumerate(run_tasks)}
     for task in run_tasks:
         (run_dir / task.value).mkdir(exist_ok=True)
-    slots = []   # per instance: its number within its task, path and lane
-    numbered = dict.fromkeys(run_tasks, 0)
-    for instance in instances:
-        idx = numbered[instance.task]
-        numbered[instance.task] = idx + 1
-        slots.append((idx, f"{run_dir}/{instance.task.value}/{idx}.txt",
-                      lane_of[instance.task]))
+    numbered = dict.fromkeys(run_tasks, 0)   # transcripts written per task
     lanes = None
 
     def persist(index, instance, prediction, correct):
+        # Predictions arrive in input order, so a transcript's number is
+        # its instance's place within its task.
         nonlocal lanes
         if lanes is None:   # here, so the set-up starts no thread
             lanes = _WriterLanes(lane_count)
-        idx, path, lane = slots[index]
+        task = instance.task
+        idx = numbered[task]
+        numbered[task] = idx + 1
         verdict = "correct" if correct else "incorrect"
         body = (f"# instance {idx} [{verdict}]"
                 f" target={instance.target!r}"
                 f" answer={prediction.final_answer!r}"
                 f" failure={prediction.failure!r}\n"
                 + prediction.transcript + "\n")
-        lanes.put(lane, path, body.encode("utf-8"))
+        lanes.put(lane_of[task], f"{run_dir}/{task.value}/{idx}.txt",
+                  body.encode("utf-8"))
 
     try:
         report = evaluate_run(

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .baselines import DEFAULT_INTERPRETER, DEFAULT_TIMEOUT_MS, MethodId
-from .errors import ConfigError
+from .errors import ConfigError, is_unicode
 from .prompts import PSEUDOCODE_SOURCES
 from .tasks import TaskId
 
@@ -108,6 +108,10 @@ def load_config(path: str | Path | None,
                     and not all(type(item) is str for item in value))):
             raise ConfigError(f"{spec.name} must be a JSON {spec.type}, "
                               f"not {type(value).__name__}")
+        texts = value if type(value) is list else [value]
+        if not all(is_unicode(t) for t in texts if type(t) is str):
+            raise ConfigError(f"{spec.name} must be valid Unicode text "
+                              "(a lone surrogate is not)")
     return RunConfig(**data).validate()
 
 

@@ -1,7 +1,17 @@
-"""Exception hierarchy shared across the harness.  A class exists when some
-code catches it by type or when ``pseudoexec`` can print it as
-``error: <Name>``; argument checks that no command can reach raise
-``ValueError``."""
+"""Exception hierarchy shared across the harness, and the text check each
+boundary that reads outside input applies.  A class exists when some code
+catches it by type or when ``pseudoexec`` can print it as ``error:
+<Name>``; argument checks that no command can reach raise ``ValueError``."""
+
+
+def is_unicode(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8.  It does not when it holds a lone
+    surrogate, which a JSON escape such as ``"\\ud800"`` decodes to."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 class PseudoexecError(Exception):

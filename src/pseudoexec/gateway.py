@@ -19,7 +19,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from .errors import CassetteMiss, ConfigError, RateLimited, TransportError
+from .errors import (CassetteMiss, ConfigError, RateLimited, TransportError,
+                     is_unicode)
 
 CANONICAL_VERSION = "v1"
 DEFAULT_MAX_TOKENS = 2048
@@ -108,9 +109,9 @@ class Cassette(dict):
         response = entry.get("response_text")
         if (entry.get("version") != CANONICAL_VERSION
                 or entry.get("request") != _request_fields(request)
-                or not isinstance(response, str)):
-            raise ConfigError(f"{self.path}: cassette entry {key[:12]} "
-                              "does not match its digest")
+                or not isinstance(response, str) or not is_unicode(response)):
+            raise ConfigError(f"{self.path}: cassette entry {key[:12]} is "
+                              "malformed or does not match its digest")
         return response
 
     def append(self, key: str, line: str) -> None:
@@ -367,9 +368,9 @@ class LiveGateway(Gateway):
             except (ValueError, LookupError, TypeError) as exc:
                 raise TransportError(
                     f"malformed response body: {exc!r}") from exc
-            if not isinstance(content, str):
+            if not isinstance(content, str) or not is_unicode(content):
                 raise TransportError(
-                    "malformed response body: content is not text")
+                    "malformed response body: content is not Unicode text")
             return content
         raise last_error if last_error else TransportError("no attempts made")
 

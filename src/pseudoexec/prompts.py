@@ -9,7 +9,6 @@ import random
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
-from pathlib import Path
 
 from .errors import MalformedPseudocode, MissingAsset
 from .gateway import ChatRequest, Gateway
@@ -206,7 +205,9 @@ def build_meta_prompt(name: str, target_task: TaskId, seed: int,
 
 # --- Think orchestration -----------------------------------------------------
 
-FENCE_RE = re.compile(r"```(?:python)?\n(.*?)```", re.DOTALL)
+# A fenced code block: an info string of at most one word (``python``,
+# ``py``, ``Python3``), then the code up to the closing fence.
+FENCE_RE = re.compile(r"```[^\s`]*\n(.*?)```", re.DOTALL)
 
 
 def parse_pseudocode_response(response: str, function_name: str) -> str:
@@ -224,12 +225,12 @@ def parse_pseudocode_response(response: str, function_name: str) -> str:
 
 
 def run_think(target_task: TaskId, gateway: Gateway, seed: int,
-              source: str = "human", model_id: str = "mock-model",
-              out_dir: Path | None = None
+              source: str = "human", model_id: str = "mock-model"
               ) -> tuple[PromptAsset, PromptAsset]:
     """The Think phase: one Instructor call for the analysis, one for the
     pseudocode prompt, whose demos show ``source`` pseudocode.  No system
-    message is sent for either call."""
+    message is sent for either call.  Returns the analysis and the
+    pseudocode prompt; writing them is the caller's."""
     analysis_text = gateway.complete(ChatRequest(
         role_tag="instructor", model_id=model_id,
         user=build_meta_prompt("meta_analysis", target_task, seed, source)))
@@ -243,17 +244,7 @@ def run_think(target_task: TaskId, gateway: Gateway, seed: int,
         role_tag="instructor", user=code_prompt, model_id=model_id))
     function_name = TASKS[target_task].function_name
     body = parse_pseudocode_response(code_response, function_name)
-    pseudocode = PromptAsset(body=body, function_name=function_name)
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{target_task.value}.analysis.txt").write_text(
-            analysis.body + "\n", encoding="utf-8")
-        (out_dir / f"{target_task.value}.txt").write_text(
-            pseudocode.body if pseudocode.body.endswith("\n")
-            else pseudocode.body + "\n", encoding="utf-8")
-    return analysis, pseudocode
+    return analysis, PromptAsset(body=body, function_name=function_name)
 
 
 # --- ablation ----------------------------------------------------------------

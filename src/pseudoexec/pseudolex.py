@@ -125,21 +125,21 @@ def detokenize(tokens: list[Token]) -> str:
 
 
 def _split_lines(tokens: list[Token]) -> list[list[Token]]:
-    """Group tokens into lines; each NEWLINE token ends the line it is on."""
+    """Group tokens into lines; each NEWLINE token ends the line it is on,
+    so a multi-line string belongs to the line that opens it."""
     lines: list[list[Token]] = [[]]
     for tok in tokens:
         lines[-1].append(tok)
-        if tok.kind is TokKind.NEWLINE or "\n" in tok.text:
+        if tok.kind is TokKind.NEWLINE:
             lines.append([])
     if not lines[-1]:
         lines.pop()
     return lines
 
 
-def _is_docstring_line(line: list[Token]) -> bool:
-    """A line whose only content is a triple-quoted string (the idiom the
-    prompts use for docstrings)."""
-    content = [t for t in line if t.kind not in (TokKind.WS, TokKind.NEWLINE)]
+def _is_docstring(content: list[Token]) -> bool:
+    """Whether a line's content is only a triple-quoted string (the idiom
+    the prompts use for docstrings)."""
     return (len(content) == 1 and content[0].kind is TokKind.STRING
             and content[0].text.lstrip("fFrRbBuU")[:3] in ("'''", '"""'))
 
@@ -149,21 +149,20 @@ def strip_comments(tokens: list[Token]) -> list[Token]:
     a docstring disappear entirely; trailing comments leave no padding."""
     out: list[Token] = []
     for line in _split_lines(tokens):
-        if _is_docstring_line(line):
+        content = [t for t in line if t.kind not in
+                   (TokKind.WS, TokKind.NEWLINE, TokKind.COMMENT)]
+        if _is_docstring(content):
             continue
-        kept = [t for t in line if t.kind is not TokKind.COMMENT]
-        content = [t for t in kept
-                   if t.kind not in (TokKind.WS, TokKind.NEWLINE)]
-        had_content = any(t.kind not in (TokKind.WS, TokKind.NEWLINE,
-                                         TokKind.COMMENT) for t in line)
-        if not content and not had_content and len(kept) != len(line):
-            continue                       # the line was comment-only
-        # drop whitespace that only existed to pad a removed trailing comment
-        while (len(kept) != len(line) and len(kept) >= 2
-               and kept[-1].kind is TokKind.NEWLINE
-               and kept[-2].kind is TokKind.WS):
-            kept.pop(-2)
-        out.extend(kept)
+        end = line[-1:] if line[-1].kind is TokKind.NEWLINE else []
+        body = line[:len(line) - len(end)]
+        if body and body[-1].kind is TokKind.COMMENT:   # it ends the line
+            if not content:
+                continue                   # the line was comment-only
+            body.pop()
+            while body[-1].kind is TokKind.WS:
+                body.pop()
+            line = body + end
+        out.extend(line)
     return out
 
 
@@ -192,7 +191,5 @@ def ablate_text(text: str) -> tuple[str, dict[str, str]]:
     docstrings, then rename user identifiers to meaningless ones."""
     tokens = strip_comments(tokenize(text))
     tokens, mapping = rename_identifiers(tokens)
-    result = detokenize(tokens)
-    tokenize(result)                       # must still lex cleanly
-    return result, mapping
+    return detokenize(tokens), mapping
 

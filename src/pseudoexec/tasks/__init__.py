@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..errors import NoMatchingOption
+from ..errors import NoMatchingOption, is_unicode
 
 
 class TaskId(Enum):
@@ -113,6 +113,9 @@ def make_instance(task: TaskId, input_text: str, target: str) -> TaskInstance:
     """Build a TaskInstance, parsing the options block out of the input text."""
     if not isinstance(input_text, str) or not isinstance(target, str):
         raise ValueError("input text and target must be strings")
+    if not (is_unicode(input_text) and is_unicode(target)):
+        raise ValueError("input text and target must be valid Unicode "
+                         "(a lone surrogate is not)")
     return TaskInstance(task=task, input_text=input_text, target=target,
                         options=parse_options_block(input_text))
 

@@ -18,7 +18,7 @@ from pseudoexec.baselines import (MethodId, Sandbox, build_baseline_prompt,
                                   execute_program)
 from pseudoexec.cli import load_dataset, main
 from pseudoexec.engine import build_execute_prompt, extract_final_answer
-from pseudoexec.evaluator import evaluate_run, score_prediction
+from pseudoexec.evaluator import EvalReport, evaluate_run, score_prediction
 from pseudoexec.prompts import (ablate_prompt, build_meta_prompt,
                                 load_nl_plan, load_pseudocode)
 from pseudoexec.pseudolex import (RESERVED_NAMES, TokKind,
@@ -230,13 +230,11 @@ def test_end_to_end_replay_determinism(tmp_path, monkeypatch, assets_dir,
     assert (run_dir / "report.md").read_bytes() == report1
     assert (run_dir / "report.csv").read_bytes() == csv1
 
-    recorded = json.loads(
-        (assets_dir / "replay" / "manifest.json").read_text())
-    produced = json.loads((run_dir / "manifest.json").read_text())
-    for task, tally in recorded["per_task"].items():
-        assert produced["per_task"][task]["correct"] == tally["correct"]
-        assert produced["per_task"][task]["total"] == tally["total"]
-    assert produced["average_accuracy"] == recorded["average_accuracy"]
+    recorded, produced = (
+        EvalReport.from_manifest(json.loads(path.read_text()))
+        for path in (assets_dir / "replay" / "manifest.json",
+                     run_dir / "manifest.json"))
+    assert produced == recorded
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     _ok(f"end-to-end replay determinism: byte-identical reports, manifest "

@@ -85,6 +85,14 @@ def test_extract_program_fenced_block(sandbox):
     assert result.stdout.strip() == "1"
 
 
+@pytest.mark.parametrize("info", ["python", "py", "Python", "python3", ""])
+def test_extract_program_takes_a_fence_with_any_one_word_info(info):
+    response = (f"Here is the program.\n```{info}\ndef solution():\n"
+                "    return 1\n```\nIt returns 1.")
+    assert extract_program(response, "def solution():") == \
+        "def solution():\n    return 1\n\nprint(solution())\n"
+
+
 def test_extract_program_unfenced_continuation(sandbox):
     header = pot_seeded_header(_nav())
     program = extract_program("\n    return 2 + 2", header)

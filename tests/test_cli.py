@@ -136,6 +136,38 @@ def test_a_record_holding_a_unicode_line_break_round_trips(tmp_path):
     assert cli.load_dataset(tmp_path, [TaskId.NAVIGATE]) == [instance]
 
 
+@pytest.mark.parametrize("command", ["run", "ingest"])
+def test_a_record_that_is_not_valid_unicode_is_a_malformed_dataset(
+        tmp_path, capsys, command):
+    # JSON's "\\ud800" decodes to a lone surrogate, which no UTF-8 encode
+    # accepts: the record is refused before a run directory is made.
+    good = generate_instance(TaskId.NAVIGATE, 0, 3)
+    data = tmp_path / "data"
+    data.mkdir()
+    records = [{"input_text": good.input_text, "target": good.target},
+               {"input_text": good.input_text + "\ud800",
+                "target": good.target}]
+    if command == "ingest":
+        path = data / "navigate.json"
+        path.write_text(json.dumps({"examples": [
+            {"input": r["input_text"], "target": r["target"]}
+            for r in records]}), encoding="utf-8")
+        argv = ["ingest", str(data)]
+    else:
+        path = data / "navigate.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records),
+                        encoding="utf-8")
+        config = _write_config(tmp_path, dataset_dir=str(data), mode="mock",
+                               cassette_path=None, method="direct",
+                               tasks=["navigate"])
+        argv = ["run", "--config", str(config)]
+    assert main(argv) == 2
+    assert (f"error: MalformedDataset: {path} record 1: input text and "
+            "target must be valid Unicode") in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    assert not (data / "normalized").exists()
+
+
 def test_run_replay_deterministic(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
@@ -234,6 +266,19 @@ def test_a_config_value_of_the_wrong_json_type_is_a_config_error(
     err = capsys.readouterr().err
     assert f"error: ConfigError: {field} must be a JSON " in err
     assert len(err) < 200
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("reasoner_model", "m\ud800"), ("runs_dir", "runs\udfff"),
+    ("interpreter_command", ["python3", "-c\ud800"])])
+def test_a_config_text_that_is_not_valid_unicode_is_a_config_error(
+        tmp_path, capsys, field, value):
+    config = _write_config(tmp_path, **{"mode": "mock", "cassette_path": None,
+                                        "method": "direct", field: value})
+    assert main(["run", "--config", str(config)]) == 2
+    assert f"error: ConfigError: {field} must be valid Unicode text" in \
+        capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
@@ -608,6 +653,22 @@ def test_run_stops_on_a_malformed_cassette_line(tmp_path, capsys):
     config = _write_config(tmp_path, cassette_path=str(torn))
     assert main(["run", "--config", str(config)]) == 2
     assert f"error: ConfigError: {torn} line 3: " in capsys.readouterr().err
+
+
+def test_run_stops_on_a_cassette_response_that_is_not_unicode(tmp_path,
+                                                              capsys):
+    lines = BUNDLED_CASSETTE.read_text(encoding="utf-8").splitlines(True)
+    entry = json.loads(lines[2])
+    entry["response_text"] += "\ud800"      # written as a JSON escape
+    lines[2] = json.dumps(entry) + "\n"
+    cassette = tmp_path / "cassette.jsonl"
+    cassette.write_text("".join(lines), encoding="utf-8")
+    config = _write_config(tmp_path, cassette_path=str(cassette))
+    assert main(["run", "--config", str(config)]) == 2
+    assert (f"error: ConfigError: {cassette}: cassette entry "
+            f"{entry['digest'][:12]} is malformed") in capsys.readouterr().err
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert not (run_dir / "manifest.json").exists()
 
 
 def test_max_parallel_has_a_ceiling(tmp_path, capsys):

@@ -448,7 +448,8 @@ def _answer(content: str) -> bytes:
 
 
 MALFORMED_BODIES = [b"<html>not json</html>", b"{}", b'{"choices": []}',
-                    b'{"choices": [{"message": {"content": null}}]}']
+                    b'{"choices": [{"message": {"content": null}}]}',
+                    _answer("a lone surrogate: \ud800")]
 
 
 @pytest.mark.parametrize("body", MALFORMED_BODIES)
@@ -484,6 +485,26 @@ def test_live_malformed_body_does_not_abort_run(chat_server):
     assert report.per_task[TaskId.NAVIGATE].correct == 1
     assert predictions[0].final_answer == good.target
     assert predictions[1].failure.startswith("gateway_error: ")
+
+
+def test_live_content_that_is_not_unicode_is_never_recorded(chat_server,
+                                                            tmp_path):
+    from pseudoexec.baselines import MethodId
+    from pseudoexec.evaluator import evaluate_run
+    from pseudoexec.tasks import TaskId
+    from pseudoexec.tasks.generate import generate_instance
+
+    instance = generate_instance(TaskId.NAVIGATE, 1, 3)
+    live, _ = chat_server(lambda request: (
+        200, _answer(f"Final answer: {instance.target}\ud800")))
+    cassette = tmp_path / "c.jsonl"
+    predictions = {}
+    evaluate_run(
+        MethodId.DIRECT, [instance], RecordGateway(live, cassette),
+        on_prediction=lambda i, inst, pred, ok: predictions.update({i: pred}))
+    assert predictions[0].failure == ("gateway_error: malformed response "
+                                      "body: content is not Unicode text")
+    assert not cassette.exists()
 
 
 def test_live_sends_key_and_json_body(chat_server):

@@ -241,8 +241,9 @@ def test_parse_rejects_another_templates_text(rendered):
 def test_parse_pseudocode_response_variants():
     body = "def f(input_text):\n    return input_text\n"
     assert parse_pseudocode_response(body, "f") == body
-    fenced = f"Here you go:\n```python\n{body}```\n"
-    assert parse_pseudocode_response(fenced, "f") == body
+    for info in ("python", "Python", "py", "python3", ""):
+        fenced = f"Here you go:\n```{info}\n{body}```\n"
+        assert parse_pseudocode_response(fenced, "f") == body
     with pytest.raises(MalformedPseudocode):
         parse_pseudocode_response("no code here", "f")
 
@@ -276,19 +277,30 @@ def test_run_think_malformed_response():
         run_think(TaskId.WEB_OF_LIES, gateway, 0)
 
 
-def test_run_think_echo_roundtrip(tmp_path):
+def test_run_think_echo_roundtrip(tmp_path, monkeypatch, capsys):
     body = load_pseudocode(TaskId.NAVIGATE).body
+    out = tmp_path / "think"
+    for response in (body, body + "\n"):
+        def responder(request, response=response):
+            if "The main function name should be" in request.user:
+                return response
+            return "analysis text"
 
-    def responder(request):
-        if "The main function name should be" in request.user:
-            return body
-        return "analysis text"
-
-    gateway = MockGateway(responders={"instructor": responder})
-    _, pseudocode = run_think(TaskId.NAVIGATE, gateway, 0,
-                              out_dir=tmp_path / "think")
-    assert pseudocode.body == body
-    assert (tmp_path / "think" / "navigate.txt").read_text() == body + "\n"
+        gateway = MockGateway(responders={"instructor": responder})
+        _, pseudocode = run_think(TaskId.NAVIGATE, gateway, 0)
+        assert pseudocode.body == response
+        # `think` writes what run_think returns, ending in one newline.
+        monkeypatch.setattr(cli, "build_gateway", lambda config: gateway)
+        assert cli.main(["think", "--task", "navigate", "--out",
+                         str(out)]) == 0
+        assert (out / "navigate.txt").read_text() == body + "\n"
+        assert (out / "navigate.analysis.txt").read_text() == \
+            "analysis text\n"
+        assert capsys.readouterr().out == (
+            f"analysis: {out / 'navigate.analysis.txt'}\n"
+            f"pseudocode ({pseudocode.function_name}): "
+            f"{out / 'navigate.txt'}\n")
+        shutil.rmtree(out)
 
 
 def test_run_think_propagates_gateway_errors():

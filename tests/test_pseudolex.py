@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoexec.prompts import ablate_prompt, load_pseudocode
-from pseudoexec.pseudolex import TokKind, ablate_text, detokenize, tokenize
+from pseudoexec.pseudolex import (TokKind, ablate_text, detokenize,
+                                 strip_comments, tokenize)
 from pseudoexec.tasks import TaskId
 
 
@@ -99,3 +100,62 @@ def test_ablate_prompt_rejects_non_pseudocode():
 
     with pytest.raises(ValueError):
         ablate_prompt(PromptAsset(body="text"))
+
+
+def test_the_three_line_rule_cases():
+    for body, expected in [
+            ('x = """a\nb"""  # c\ny = 1\n', 'X1 = """a\nb"""\nX2 = 1\n'),
+            ('def f():\n    """a\n    b"""\n    return 1\n',
+             "def X1():\n    return 1\n"),
+            ("x = 1  # c", "X1 = 1")]:
+        assert ablate_text(body)[0] == expected
+
+
+_TEXT = st.text(alphabet="ab #:x", max_size=6)
+_ATOMS = st.one_of(
+    st.from_regex(r"[a-z_][a-z0-9_]{0,4}", fullmatch=True),
+    st.integers(0, 999).map(str),
+    _TEXT.map(lambda s: f'"{s}"'),
+    st.text(alphabet="ab #\n", max_size=8).map(lambda s: f'"""{s}"""'))
+_INDENT = st.sampled_from(["", "    ", "\t"])
+_COMMENT = st.tuples(st.sampled_from([" ", "  ", "\t"]), _TEXT).map(
+    lambda pad_text: f"{pad_text[0]}# {pad_text[1]}")
+
+
+@st.composite
+def _pseudocode_line(draw) -> tuple[str, str | None]:
+    """A line without its newline, and what stripping comments keeps of it
+    (None: the line goes)."""
+    kind = draw(st.sampled_from(["code", "comment", "docstring", "blank"]))
+    indent = draw(_INDENT)
+    if kind == "blank":
+        return indent, indent
+    if kind == "comment":
+        return indent + draw(_COMMENT).lstrip(" \t"), None
+    trailing = draw(st.one_of(st.just(""), _COMMENT))
+    if kind == "docstring":
+        text = draw(st.text(alphabet="ab #\n", max_size=8))
+        return f'{indent}"""{text}"""{trailing}', None
+    code = (indent + draw(_ATOMS.filter(str.isidentifier)) + " = "
+            + " + ".join(draw(st.lists(_ATOMS, min_size=1, max_size=3))))
+    return code + trailing, code
+
+
+@settings(max_examples=200)
+@given(st.lists(_pseudocode_line(), max_size=8), st.booleans())
+def test_the_ablation_keeps_each_line_of_code_on_a_line_of_its_own(
+        lines, final_newline):
+    ends = ["\n"] * len(lines)
+    if ends and not final_newline:
+        ends[-1] = ""
+    source = "".join(line + end for (line, _), end in zip(lines, ends))
+    kept = [(code, end) for (_, code), end in zip(lines, ends)
+            if code is not None]
+    # Each line of code stays, minus its comment and the comment's padding.
+    stripped = detokenize(strip_comments(tokenize(source)))
+    assert stripped == "".join(code + end for code, end in kept)
+    ablated, _ = ablate_text(source)
+    assert ablated == ablate_text(stripped)[0]
+    assert sum(t.kind is TokKind.NEWLINE for t in tokenize(ablated)) == \
+        sum(end == "\n" for _, end in kept)
+    assert ablate_text(ablated)[0] == ablated

@@ -67,17 +67,7 @@ def record_cassette(corpus: dict[TaskId, list[TaskInstance]]) -> None:
     assets = {task: load_pseudocode(task) for task in TaskId}
     report = evaluate_run(MethodId.THINK_AND_EXECUTE, instances, recorder,
                           assets, model_id=MODEL_ID)
-    manifest = {
-        "model_id": MODEL_ID,
-        "method": MethodId.THINK_AND_EXECUTE.value,
-        "corrupt_fraction": CORRUPT_FRACTION,
-        "per_task": {
-            task.value: {"correct": tally.correct, "total": tally.total}
-            for task, tally in sorted(report.per_task.items(),
-                                      key=lambda kv: kv[0].value)
-        },
-        "average_accuracy": report.average_accuracy,
-    }
+    manifest = {**report.to_manifest(), "corrupt_fraction": CORRUPT_FRACTION}
     (ASSETS / "replay" / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
