@@ -98,7 +98,7 @@ def build_gateway(config: RunConfig,
     """The configured backend; in mock mode the Reasoner answers for
     ``instances``."""
     if config.mode == "mock":
-        return mock_gateway(instances, config.mock_corrupt_fraction)
+        return mock_gateway(instances)
     if config.mode in ("record", "replay") and not config.cassette_path:
         raise ConfigError(f"mode {config.mode!r} requires cassette_path")
     if config.mode == "replay":
@@ -110,7 +110,12 @@ def build_gateway(config: RunConfig,
             f"credential env var {config.credential_env!r} not set")
     live = LiveGateway(config.endpoint, config.credential_env)
     if config.mode == "record":
-        return RecordGateway(live, Path(config.cassette_path))
+        # The cassette itself is made at the first append.
+        cassette = Path(config.cassette_path)
+        if not cassette.parent.is_dir():
+            raise ConfigError(
+                f"cassette directory {str(cassette.parent)!r} not found")
+        return RecordGateway(live, cassette)
     return live
 
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .baselines import DEFAULT_INTERPRETER, DEFAULT_TIMEOUT_MS, MethodId
 from .errors import ConfigError, is_unicode
@@ -21,7 +22,7 @@ DEFAULT_CREDENTIAL_ENV = "PSEUDOEXEC_API_KEY"
 MAX_PARALLEL_CEILING = 32
 # The JSON value types each field annotation accepts; bool is not an int.
 _JSON_TYPES = {"str": (str,), "str | None": (str, type(None)), "int": (int,),
-               "float": (int, float), "list[str]": (list,)}
+               "list[str]": (list,)}
 
 
 @dataclass
@@ -43,7 +44,6 @@ class RunConfig:
     interpreter_command: list[str] = field(
         default_factory=lambda: list(DEFAULT_INTERPRETER))
     sandbox_timeout_ms: int = DEFAULT_TIMEOUT_MS
-    mock_corrupt_fraction: float = 0.2
 
     def method_id(self) -> MethodId:
         try:
@@ -70,8 +70,13 @@ class RunConfig:
                 f"pseudocode_source must be one of {PSEUDOCODE_SOURCES}")
         if self.sandbox_timeout_ms <= 0:
             raise ConfigError("sandbox_timeout_ms must be positive")
-        if not 0 <= self.mock_corrupt_fraction <= 1:
-            raise ConfigError("mock_corrupt_fraction must be between 0 and 1")
+        try:
+            url = urlsplit(self.endpoint)
+        except ValueError:          # e.g. an unclosed "[" in the host
+            url = urlsplit("")
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError("endpoint must be an http or https URL with a "
+                              f"host, not {self.endpoint!r}")
         if not self.tasks:
             raise ConfigError("tasks must be non-empty")
         if len(set(self.tasks)) < len(self.tasks):
@@ -133,7 +138,7 @@ def run_id_fields(config: RunConfig, cassette_digest: str | None) -> dict:
         "mode": mode is not None,
         "pseudocode_source": method is MethodId.THINK_AND_EXECUTE,
         "interpreter_command": pot, "sandbox_timeout_ms": pot,
-        "mock_corrupt_fraction": mode == "mock", "endpoint": model_call,
+        "endpoint": model_call,
         # The sandbox scrubs the credential from its environment.
         "credential_env": model_call or pot,
         "cassette_path": mode == "record"}

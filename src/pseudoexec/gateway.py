@@ -19,11 +19,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from .errors import (CassetteMiss, ConfigError, RateLimited, TransportError,
-                     is_unicode)
+from .errors import (CassetteMiss, ConfigError, GatewayError, RateLimited,
+                     TransportError, is_unicode)
 
 CANONICAL_VERSION = "v1"
-DEFAULT_MAX_TOKENS = 2048
+# Every request is sent, and hashed, with these two settings.
+TEMPERATURE = 0.0
+MAX_TOKENS = 2048
+# A live call is tried 5 times, sleeping 1, 2, 4 and 8 s between tries.
+MAX_ATTEMPTS = 5
+BACKOFF_BASE_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -32,14 +37,10 @@ class ChatRequest:
     user: str
     system: str | None = None
     model_id: str = "mock-model"
-    temperature: float = 0.0
-    max_tokens: int = DEFAULT_MAX_TOKENS
 
     def __post_init__(self) -> None:
         if self.role_tag not in ("instructor", "reasoner"):
             raise ValueError(f"unknown role_tag {self.role_tag!r}")
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
 
 
 def _request_fields(request: ChatRequest) -> dict:
@@ -50,8 +51,8 @@ def _request_fields(request: ChatRequest) -> dict:
         "system": request.system,       # None vs "" survive JSON encoding
         "user": request.user,
         "model_id": request.model_id,
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
+        "temperature": TEMPERATURE,
+        "max_tokens": MAX_TOKENS,
     }
 
 
@@ -233,7 +234,8 @@ class Gateway:
 
 class MockGateway(Gateway):
     """Fixture-table backend.  Fixtures are keyed by request digest, with an
-    optional fallback responder function per role_tag."""
+    optional fallback responder function per role_tag.  An answer that is
+    not valid Unicode is a gateway error, as from a live endpoint."""
 
     label = "mock"
 
@@ -244,16 +246,17 @@ class MockGateway(Gateway):
         self._responders = dict(responders or {})
 
     def complete(self, request: ChatRequest) -> str:
-        if self._fixtures:
-            fixture = self._fixtures.get(digest(request))
-            if fixture is not None:
-                return fixture
-        responder = self._responders.get(request.role_tag)
-        if responder is None:
-            raise CassetteMiss(
-                f"no mock fixture or responder for {request.role_tag} "
-                f"request {digest(request)[:12]}")
-        return responder(request)
+        text = self._fixtures.get(digest(request)) if self._fixtures else None
+        if text is None:
+            responder = self._responders.get(request.role_tag)
+            if responder is None:
+                raise CassetteMiss(
+                    f"no mock fixture or responder for {request.role_tag} "
+                    f"request {digest(request)[:12]}")
+            text = responder(request)
+        if not is_unicode(text):
+            raise GatewayError("mock response is not Unicode text")
+        return text
 
 
 class ReplayGateway(Gateway):
@@ -307,12 +310,9 @@ class LiveGateway(Gateway):
 
     label = "live"
 
-    def __init__(self, endpoint: str, credential_env: str,
-                 max_attempts: int = 5, backoff_base_s: float = 1.0):
+    def __init__(self, endpoint: str, credential_env: str):
         self._endpoint = endpoint
         self._credential_env = credential_env
-        self._max_attempts = max_attempts
-        self._backoff_base_s = backoff_base_s
 
     def complete(self, request: ChatRequest) -> str:
         from http.client import HTTPException
@@ -329,13 +329,12 @@ class LiveGateway(Gateway):
         data = json.dumps({
             "model": request.model_id,
             "messages": messages,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }, allow_nan=False).encode()
-        last_error: Exception | None = None
-        for attempt in range(self._max_attempts):
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
+        }).encode()
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                time.sleep(min(self._backoff_base_s * 2 ** (attempt - 1), 30))
+                time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
             # One connection per call: urllib sends ``Connection: close``.
             # The key is not carried over to a redirect's target.
             try:
@@ -372,5 +371,5 @@ class LiveGateway(Gateway):
                 raise TransportError(
                     "malformed response body: content is not Unicode text")
             return content
-        raise last_error if last_error else TransportError("no attempts made")
+        raise last_error
 

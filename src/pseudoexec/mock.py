@@ -19,13 +19,16 @@ from .prompts import (load_asset_text, load_nl_plan, load_pseudocode, parse,
                       task_slots, unescape_instance)
 from .tasks import TASKS, TaskId, TaskInstance, solve
 
+# The share of Reasoner requests answered wrongly, as in the bundled cassette.
+CORRUPT_FRACTION = 0.2
+
 
 def mock_gateway(instances: Iterable[TaskInstance] = (),
-                 corrupt_fraction: float = 0.0) -> MockGateway:
+                 corrupt_fraction: float = CORRUPT_FRACTION) -> MockGateway:
     """A gateway that answers the Reasoner for ``instances`` and the
     Instructor for every task.  A deterministic slice of Reasoner requests,
-    keyed on the request digest, is answered wrongly so recorded accuracies
-    are not all 100%."""
+    keyed on the request digest, is answered wrongly; a test passes 0 for a
+    mock that never is."""
     by_question = {inst.input_text: inst for inst in instances}
     threshold = int(corrupt_fraction * 10_000)
     templates = _templates(TEMPLATE_BY_METHOD.values())

@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -18,6 +19,7 @@ import threading
 import time
 import uuid
 import warnings
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -25,9 +27,9 @@ import pytest
 from pseudoexec import cli
 from pseudoexec.baselines import MethodId, build_baseline_prompt
 from pseudoexec.cli import main
-from pseudoexec.config import (MAX_PARALLEL_CEILING, RunConfig, load_config,
-                               run_id, run_id_fields)
-from pseudoexec.errors import ConfigError
+from pseudoexec.config import (MAX_PARALLEL_CEILING, RunConfig, run_id,
+                               run_id_fields)
+from pseudoexec.errors import ConfigError, GatewayError
 from pseudoexec.gateway import ChatRequest, MockGateway, RecordGateway
 from pseudoexec.prompts import load_asset_text, parse
 from pseudoexec.tasks import TaskId, make_instance
@@ -212,8 +214,7 @@ def test_a_file_that_is_not_utf8_is_named_in_its_error(
 @pytest.mark.parametrize("sandbox", [
     {"interpreter_command": []}, {"sandbox_timeout_ms": 0},
     {"interpreter_command": ["no-such-python-xyz"]},
-    {"pseudocode_source": "bogus"}, {"mock_corrupt_fraction": 7.5},
-    {"mock_corrupt_fraction": -0.1}])
+    {"pseudocode_source": "bogus"}])
 def test_run_rejects_unusable_sandbox_config(tmp_path, capsys, sandbox):
     config = _write_config(tmp_path, mode="mock", cassette_path=None,
                            method="zero_shot_pot", tasks=["navigate"],
@@ -237,6 +238,45 @@ def test_live_run_without_its_credential_makes_no_run_dir(
     assert not (tmp_path / "runs").exists()
 
 
+def test_a_record_run_into_a_missing_directory_pays_for_nothing(
+        tmp_path, capsys, monkeypatch):
+    paid = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, format, *args):
+            pass
+
+        def do_POST(self):
+            paid.append(self.rfile.read(int(self.headers["Content-Length"])))
+            body = json.dumps({"choices": [
+                {"message": {"content": "Final answer: Yes"}}]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    monkeypatch.setenv("PSEUDOEXEC_TEST_KEY", "not-a-real-key")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    missing = tmp_path / "missing"
+    with ThreadingHTTPServer(("127.0.0.1", 0), Handler) as server:
+        threading.Thread(target=server.serve_forever, args=(0.01,),
+                         daemon=True).start()
+        config = _write_config(
+            tmp_path, mode="record", method="direct", tasks=["navigate"],
+            credential_env="PSEUDOEXEC_TEST_KEY",
+            cassette_path=str(missing / "c.jsonl"),
+            endpoint=f"http://127.0.0.1:{server.server_port}/v1")
+        try:
+            assert main(["run", "--config", str(config)]) == 2
+        finally:
+            server.shutdown()
+    assert f"error: ConfigError: cassette directory {str(missing)!r} " \
+        "not found" in capsys.readouterr().err
+    assert paid == []
+    assert not (tmp_path / "runs").exists()
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "oracle"])
 @pytest.mark.parametrize("tasks, error", [
     (["navigate"], "MalformedDataset"), ([], "ConfigError"),
@@ -256,8 +296,8 @@ def test_an_empty_dataset_makes_no_run_dir(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("field, value", [
     ("max_parallel", "2"), ("sandbox_timeout_ms", "5"), ("seed", True),
-    ("tasks", 5), ("tasks", ["navigate", 5]), ("mock_corrupt_fraction", "x"),
-    ("cassette_path", 5), ("method", None)])
+    ("tasks", 5), ("tasks", ["navigate", 5]), ("cassette_path", 5),
+    ("method", None)])
 def test_a_config_value_of_the_wrong_json_type_is_a_config_error(
         tmp_path, capsys, field, value):
     config = _write_config(tmp_path, **{"mode": "mock", "cassette_path": None,
@@ -282,10 +322,27 @@ def test_a_config_text_that_is_not_valid_unicode_is_a_config_error(
     assert not (tmp_path / "runs").exists()
 
 
-def test_an_int_is_a_valid_float_config_value(tmp_path):
-    config = _write_config(tmp_path, mode="mock", cassette_path=None,
-                           mock_corrupt_fraction=0)
-    assert load_config(config).mock_corrupt_fraction == 0
+def test_the_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    shown = json.loads(re.sub(r"\s+//[^\n]*", "", block))
+    assert shown["tasks"] == ["dyck_languages", "..."]
+    shown["tasks"] = [task.value for task in TaskId]
+    assert shown == dataclasses.asdict(RunConfig())
+
+
+@pytest.mark.parametrize("endpoint", [
+    "localhost:8000/v1/chat/completions", "htp://127.0.0.1:8000/v1", ""],
+    ids=["no-scheme", "another-scheme", "empty"])
+def test_a_malformed_endpoint_is_a_config_error(tmp_path, capsys, endpoint):
+    config = _write_config(tmp_path, mode="live", method="direct",
+                           cassette_path=None, tasks=["navigate"],
+                           endpoint=endpoint)
+    assert main(["run", "--config", str(config)]) == 2
+    assert "error: ConfigError: endpoint must be an http or https URL" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_persists_transcripts(tmp_path):
@@ -408,7 +465,6 @@ def test_fields_a_run_reads_split_its_id(tmp_path, capsys):
     assert rid("pot", method="zero_shot_pot") != \
         rid("pot slow", method="zero_shot_pot", sandbox_timeout_ms=20_000)
     base = rid("base")
-    assert rid("corrupt", mock_corrupt_fraction=0.5) != base
     assert rid("reasoner", reasoner_model="other-model") != base
     # No record run can be made offline; its id is the same function's.
     record = RunConfig(mode="record", cassette_path="a.jsonl")
@@ -424,8 +480,7 @@ def test_an_oracle_run_reads_no_gateway_setting(tmp_path, capsys):
     mock = {**oracle, "mode": "mock", "cassette_path": None}
     first = _run_outputs(tmp_path, "mock", **mock)
     assert _run_outputs(tmp_path, "replay", **oracle) == first
-    for field, value in [("mock_corrupt_fraction", 0.5),
-                         ("endpoint", "http://127.0.0.1:9/"),
+    for field, value in [("endpoint", "http://127.0.0.1:9/"),
                          ("credential_env", "PSEUDOEXEC_OTHER_KEY")]:
         assert _run_outputs(tmp_path, field, **{**mock, field: value}) == \
             first
@@ -545,8 +600,8 @@ def test_a_failed_transcript_write_stops_the_run(tmp_path, monkeypatch,
                                      cli._WriterLanes.put)
     failed, stopped = threading.Event(), threading.Event()
 
-    def counting_gateway(instances, corrupt_fraction):
-        inner = mock_gateway(instances, corrupt_fraction)
+    def counting_gateway(instances):
+        inner = mock_gateway(instances)
         number = {instance.input_text: i
                   for i, instance in enumerate(instances)}
         template = load_asset_text("meta/direct.txt")
@@ -669,6 +724,31 @@ def test_run_stops_on_a_cassette_response_that_is_not_unicode(tmp_path,
             f"{entry['digest'][:12]} is malformed") in capsys.readouterr().err
     (run_dir,) = (tmp_path / "runs").iterdir()
     assert not (run_dir / "manifest.json").exists()
+
+
+def test_a_mock_answer_that_is_not_unicode_is_a_recorded_gateway_error(
+        tmp_path, capsys, monkeypatch):
+    mock = MockGateway(responders={
+        "reasoner": lambda request: "Final answer: Yes\ud800"})
+    monkeypatch.setattr(cli, "build_gateway",
+                        lambda config, instances=(): mock)
+    config = _write_config(tmp_path, **_NAVIGATE_DIRECT)
+    assert main(["run", "--config", str(config)]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    headers = [path.read_text("utf-8").splitlines()[0]
+               for path in (run_dir / "navigate").iterdir()]
+    assert len(headers) == 20
+    assert all(header.endswith("answer=None failure='gateway_error: mock "
+                               "response is not Unicode text'")
+               for header in headers)
+    assert (run_dir / "manifest.json").is_file()
+    # Nor is such an answer recorded.
+    cassette = tmp_path / "c.jsonl"
+    with pytest.raises(GatewayError, match="not Unicode text"):
+        RecordGateway(mock, cassette).complete(
+            ChatRequest(role_tag="reasoner", user="q"))
+    assert not cassette.exists()
+    capsys.readouterr()
 
 
 def test_max_parallel_has_a_ceiling(tmp_path, capsys):

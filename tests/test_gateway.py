@@ -9,6 +9,7 @@ import socket
 import sys
 import threading
 import time
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -23,6 +24,13 @@ from pseudoexec.gateway import (CANONICAL_VERSION, INDEX_FORMAT, ChatRequest,
 
 def _req(user: str = "hello", **kw) -> ChatRequest:
     return ChatRequest(role_tag="reasoner", user=user, **kw)
+
+
+def _request_of(entry: dict) -> ChatRequest:
+    """The request a cassette entry records; the line's other request
+    fields are the gateway's constants."""
+    return ChatRequest(**{f.name: entry["request"][f.name]
+                          for f in fields(ChatRequest)})
 
 
 def test_digest_deterministic():
@@ -64,7 +72,7 @@ def test_serializations_keep_their_bytes(cassette_path):
     assert lines
     for line in lines:
         entry = json.loads(line)
-        assert _entry_line(entry["digest"], ChatRequest(**entry["request"]),
+        assert _entry_line(entry["digest"], _request_of(entry),
                            entry["response_text"], entry["recorded_at"],
                            entry["backend_label"]) == line
 
@@ -75,7 +83,7 @@ def test_bundled_cassette_digests_verify(cassette_path):
     for line in cassette_path.read_text(encoding="utf-8").splitlines():
         entry = json.loads(line)
         assert entry["version"] == CANONICAL_VERSION
-        assert digest(ChatRequest(**entry["request"])) == entry["digest"]
+        assert digest(_request_of(entry)) == entry["digest"]
 
 
 def test_load_cassette_indexes_and_hashes_in_one_pass(cassette_path,
@@ -222,12 +230,11 @@ def test_a_served_span_that_is_no_entry_is_a_config_error(tmp_path, span):
 def test_request_validation():
     with pytest.raises(ValueError):
         ChatRequest(role_tag="narrator", user="x")
-    with pytest.raises(ValueError):
-        ChatRequest(role_tag="reasoner", user="x", max_tokens=0)
 
 
 def test_temperature_defaults_to_zero():
-    assert _req().temperature == 0.0
+    sent = json.loads(canonical_serialization(_req()))
+    assert (sent["temperature"], sent["max_tokens"]) == (0.0, 2048)
 
 
 class _CountingEcho(MockGateway):
@@ -397,19 +404,29 @@ def test_live_requires_credential_env(monkeypatch):
 
 
 @pytest.fixture
-def chat_server(monkeypatch):
-    """``serve(respond, **live_kw)`` starts an HTTP server on 127.0.0.1 that
-    answers each POST with ``respond(json_body)``: ``(status, payload)``, or
+def sleeps(monkeypatch):
+    """The seconds each backoff sleep of a LiveGateway asked for, recorded
+    instead of slept."""
+    slept = []
+    monkeypatch.setattr(gateway.time, "sleep", slept.append)
+    return slept
+
+
+@pytest.fixture
+def chat_server(monkeypatch, sleeps):
+    """``serve(respond)`` starts an HTTP server on 127.0.0.1 that answers
+    each POST with ``respond(json_body)``: ``(status, payload)``, or
     ``(status, payload, content_length)`` to announce another length.  It
     closes the socket after each reply.  ``serve`` returns a LiveGateway on
-    that server and the list of ``(headers, json_body)`` the server saw."""
+    that server and the list of ``(headers, json_body)`` the server saw.
+    Backoff sleeps are recorded in ``sleeps``, not slept."""
     from pseudoexec.gateway import LiveGateway
 
     monkeypatch.setenv("TEST_CRED", "not-a-real-key")
     monkeypatch.setenv("no_proxy", "127.0.0.1")
     servers = []
 
-    def serve(respond, max_attempts=1, backoff_base_s=0.0):
+    def serve(respond):
         seen = []
 
         class Handler(BaseHTTPRequestHandler):
@@ -433,8 +450,7 @@ def chat_server(monkeypatch):
                          daemon=True).start()
         servers.append(server)
         endpoint = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-        return LiveGateway(endpoint, "TEST_CRED", max_attempts=max_attempts,
-                           backoff_base_s=backoff_base_s), seen
+        return LiveGateway(endpoint, "TEST_CRED"), seen
 
     yield serve
     for server in servers:
@@ -517,37 +533,39 @@ def test_live_sends_key_and_json_body(chat_server):
     assert body == {"model": "m-1",
                     "messages": [{"role": "system", "content": "be brief"},
                                  {"role": "user", "content": "question"}],
-                    "temperature": 0.0, "max_tokens": request.max_tokens}
+                    "temperature": 0.0, "max_tokens": 2048}
 
 
-def test_live_retries_a_429_then_answers(chat_server):
+def test_live_retries_a_429_then_answers(chat_server, sleeps):
     statuses = iter([429, 200])
     live, seen = chat_server(
-        lambda request: (next(statuses), _answer("after retry")),
-        max_attempts=2)
+        lambda request: (next(statuses), _answer("after retry")))
     assert live.complete(_req()) == "after retry"
     assert len(seen) == 2
+    assert sleeps == [1]
 
 
-def test_live_5xx_on_every_attempt_is_transport_error(chat_server):
+def test_live_5xx_on_every_attempt_is_transport_error(chat_server, sleeps):
     from pseudoexec.errors import RateLimited, TransportError
 
-    live, seen = chat_server(lambda request: (503, b"busy"), max_attempts=3)
+    live, seen = chat_server(lambda request: (503, b"busy"))
     with pytest.raises(TransportError, match="server error 503") as caught:
         live.complete(_req())
     assert not isinstance(caught.value, RateLimited)
-    assert len(seen) == 3
+    assert len(seen) == 5
+    assert sleeps == [1, 2, 4, 8]
 
 
-def test_live_4xx_is_transport_error_with_the_body_head(chat_server):
+def test_live_4xx_is_transport_error_with_the_body_head(chat_server, sleeps):
     from pseudoexec.errors import TransportError
 
     payload = b"no such model: " + b"x" * 300
-    live, seen = chat_server(lambda request: (404, payload), max_attempts=3)
+    live, seen = chat_server(lambda request: (404, payload))
     with pytest.raises(TransportError) as caught:
         live.complete(_req())
     assert str(caught.value) == f"HTTP 404: {payload[:200].decode()}"
     assert len(seen) == 1
+    assert sleeps == []
 
 
 def test_live_cut_short_body_is_a_recorded_gateway_error(chat_server):
@@ -577,12 +595,13 @@ def _refused_endpoint() -> str:
 @pytest.mark.parametrize("endpoint", [_refused_endpoint,
                                       lambda: "127.0.0.1/no-scheme"],
                          ids=["refused", "malformed_url"])
-def test_live_unreachable_endpoint_is_transport_error(monkeypatch, endpoint):
+def test_live_unreachable_endpoint_is_transport_error(monkeypatch, sleeps,
+                                                      endpoint):
     from pseudoexec.errors import TransportError
     from pseudoexec.gateway import LiveGateway
 
     monkeypatch.setenv("TEST_CRED", "not-a-real-key")
-    live = LiveGateway(endpoint(), "TEST_CRED", max_attempts=2,
-                       backoff_base_s=0.0)
+    live = LiveGateway(endpoint(), "TEST_CRED")
     with pytest.raises(TransportError):
         live.complete(_req())
+    assert sleeps == [1, 2, 4, 8]

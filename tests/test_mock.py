@@ -7,11 +7,12 @@ from __future__ import annotations
 import ast
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from pseudoexec import mock, prompts
+from pseudoexec import cli, mock, prompts
 from pseudoexec.baselines import TEMPLATE_BY_METHOD, MethodId
 from pseudoexec.cli import load_dataset, main, write_dataset
 from pseudoexec.engine import run_instance
@@ -36,11 +37,14 @@ def test_bundled_cassette_is_the_mock_answer(replay_fixture_dir,
     assert {e["request"]["role_tag"] for e in entries} == \
         {"instructor", "reasoner"}
     for entry in entries:
-        assert gateway.complete(ChatRequest(**entry["request"])) == \
-            entry["response_text"]
+        request = ChatRequest(**{f.name: entry["request"][f.name]
+                                 for f in fields(ChatRequest)})
+        assert gateway.complete(request) == entry["response_text"]
 
 
-def _run_mock(tmp_path: Path, method: MethodId, per_task: int) -> dict:
+def _run_mock(tmp_path: Path, monkeypatch, method: MethodId,
+              per_task: int) -> dict:
+    """The manifest of a mock run whose reasoner never answers wrongly."""
     instances = [generate_instance(task, seed, 3)
                  for task in TaskId for seed in range(per_task)]
     dataset = tmp_path / "dataset"
@@ -48,8 +52,9 @@ def _run_mock(tmp_path: Path, method: MethodId, per_task: int) -> dict:
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "dataset_dir": str(dataset), "runs_dir": str(tmp_path / "runs"),
-        "mode": "mock", "method": method.value,
-        "mock_corrupt_fraction": 0.0}), encoding="utf-8")
+        "mode": "mock", "method": method.value}), encoding="utf-8")
+    monkeypatch.setattr(cli, "mock_gateway",
+                        lambda instances: mock_gateway(instances, 0))
     assert main(["run", "--config", str(config)]) == 0
     run_dir = next((tmp_path / "runs").iterdir())
     return json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
@@ -58,19 +63,20 @@ def _run_mock(tmp_path: Path, method: MethodId, per_task: int) -> dict:
 @pytest.mark.parametrize("method", [
     MethodId.DIRECT, MethodId.ZERO_SHOT_COT, MethodId.PLAN_AND_SOLVE,
     MethodId.NL_PLANNING, MethodId.THINK_AND_EXECUTE])
-def test_mock_run_answers_every_task(tmp_path, capsys, method):
+def test_mock_run_answers_every_task(tmp_path, capsys, monkeypatch, method):
     # Seeds 0 and 2 give colored-objects "If I remove all the ..." questions.
     assert "If I remove all the" in generate_instance(
         TaskId.COLORED_OBJECTS, 0, 3).input_text
-    manifest = _run_mock(tmp_path, method, per_task=4)
+    manifest = _run_mock(tmp_path, monkeypatch, method, per_task=4)
     assert {t: c["total"] for t, c in manifest["per_task"].items()} == \
         {t.value: 4 for t in TaskId}
     assert manifest["average_accuracy"] == 1.0
     capsys.readouterr()
 
 
-def test_mock_run_pot_runs_the_sandbox(tmp_path, capsys):
-    manifest = _run_mock(tmp_path, MethodId.ZERO_SHOT_POT, per_task=1)
+def test_mock_run_pot_runs_the_sandbox(tmp_path, capsys, monkeypatch):
+    manifest = _run_mock(tmp_path, monkeypatch, MethodId.ZERO_SHOT_POT,
+                         per_task=1)
     assert {t: c["total"] for t, c in manifest["per_task"].items()} == \
         {t.value: 1 for t in TaskId}
     assert manifest["average_accuracy"] == 1.0
@@ -104,9 +110,9 @@ def reworded_assets(tmp_path, monkeypatch, assets_dir):
 
 @pytest.mark.parametrize("method", list(TEMPLATE_BY_METHOD),
                          ids=lambda m: m.value)
-def test_mock_follows_a_reworded_template(tmp_path, capsys, reworded_assets,
-                                          method):
-    manifest = _run_mock(tmp_path, method, per_task=1)
+def test_mock_follows_a_reworded_template(tmp_path, capsys, monkeypatch,
+                                          reworded_assets, method):
+    manifest = _run_mock(tmp_path, monkeypatch, method, per_task=1)
     assert {t: c["total"] for t, c in manifest["per_task"].items()} == \
         {t.value: 1 for t in TaskId}
     assert manifest["average_accuracy"] == 1.0

@@ -26,7 +26,7 @@ from pseudoexec.baselines import MethodId, build_baseline_prompt  # noqa: E402
 from pseudoexec.cli import load_dataset, write_dataset  # noqa: E402
 from pseudoexec.evaluator import evaluate_run  # noqa: E402
 from pseudoexec.gateway import RecordGateway  # noqa: E402
-from pseudoexec.mock import mock_gateway  # noqa: E402
+from pseudoexec.mock import CORRUPT_FRACTION, mock_gateway  # noqa: E402
 from pseudoexec.prompts import (build_meta_prompt, load_nl_plan,  # noqa: E402
                                 load_pseudocode, run_think)
 from pseudoexec.tasks import TaskId, TaskInstance  # noqa: E402
@@ -36,7 +36,6 @@ ASSETS = ROOT / "src" / "pseudoexec" / "assets"
 
 CORPUS_SIZE = 20
 CORPUS_SEED_BASE = 2000
-CORRUPT_FRACTION = 0.2
 MODEL_ID = "mock-model"
 
 
@@ -58,8 +57,7 @@ def record_cassette(corpus: dict[TaskId, list[TaskInstance]]) -> None:
     if cassette.exists():
         cassette.unlink()
     instances = [inst for task in TaskId for inst in corpus[task]]
-    recorder = RecordGateway(mock_gateway(instances, CORRUPT_FRACTION),
-                             cassette)
+    recorder = RecordGateway(mock_gateway(instances), cassette)
 
     # Think exchange for web_of_lies (seed 0, human demo pseudocode).
     run_think(TaskId.WEB_OF_LIES, recorder, 0, model_id=MODEL_ID)
