@@ -8,7 +8,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import select
 import shutil
 import signal
 import subprocess
@@ -39,8 +38,8 @@ class MethodId(Enum):
     ORACLE = "oracle"          # routes through the task solvers, no model
 
 DEFAULT_TIMEOUT_MS = 10_000
-# How long past the timeout the sandbox server gets to reply before it is
-# killed and replaced.
+# How long past the timeout the zygote gets to reply before the harness
+# kills the program's process group itself.
 _REAP_GRACE_S = 1.0
 _SERVER_SCRIPT = Path(__file__).with_name("sandbox_server.py")
 DEFAULT_INTERPRETER = ("python3",)
@@ -160,71 +159,12 @@ def _sandbox_env(credential_env: str | None) -> dict[str, str]:
     return env
 
 
-class _SandboxServer:
-    """A sandbox server forked from a zygote: our end of its socket pair
-    and a pidfd of the server.  It runs one program at a time, each in a
-    child it forks."""
-
-    def __init__(self, sock: socket.socket, pidfd: int) -> None:
-        self.sock, self.pidfd = sock, pidfd
-        self._received = b""
-
-    def alive(self) -> bool:
-        return not select.select([self.pidfd], [], [], 0)[0]
-
-    def run(self, request: dict, wait_s: float) -> dict | None:
-        """Send one request and read its reply; None if the server gave no
-        reply within ``wait_s``, in which case the program's process group
-        has been killed."""
-        deadline = time.monotonic() + wait_s
-        try:
-            self.sock.sendall(json.dumps(request).encode() + b"\n")
-        except OSError:
-            return None
-        started = self._read_line(deadline)
-        if started is None:
-            return None
-        try:
-            pidfd = os.pidfd_open(started["pid"])
-        except ProcessLookupError:          # already reaped: nothing to kill
-            return self._read_line(deadline)
-        try:
-            reply = self._read_line(deadline)
-            if reply is None:
-                _kill_program_group(pidfd, started["pid"])
-            return reply
-        finally:
-            os.close(pidfd)
-
-    def _read_line(self, deadline: float) -> dict | None:
-        while b"\n" not in self._received:
-            wait_s = max(0.0, deadline - time.monotonic())
-            if not select.select([self.sock], [], [], wait_s)[0]:
-                return None
-            try:
-                chunk = self.sock.recv(4096)
-            except OSError:
-                return None
-            if not chunk:                               # EOF: the server died
-                return None
-            self._received += chunk
-        line, self._received = self._received.split(b"\n", 1)
-        return json.loads(line)
-
-    def discard(self) -> None:
-        # Its zygote reaps it.
-        with contextlib.suppress(ProcessLookupError):
-            signal.pidfd_send_signal(self.pidfd, signal.SIGKILL)
-        os.close(self.pidfd)
-        self.sock.close()
-
-
 class Sandbox:
     """The PoT sandbox of one run: the zygote, a ``sandbox_server.py``
     started when the Sandbox is built, in a session of its own and with the
-    environment scrubbed then, and the idle servers forked from it, at most
-    one per concurrent caller.  ``close``, or the end of a ``with`` block,
-    discards them all."""
+    environment scrubbed then.  It forks one child per program, for every
+    worker that shares the Sandbox.  ``close``, or the end of a ``with``
+    block, stops it."""
 
     def __init__(self, interpreter_command: Sequence[str]
                  = DEFAULT_INTERPRETER, credential_env: str | None = None,
@@ -237,7 +177,6 @@ class Sandbox:
         self._command = [*interpreter_command, str(_SERVER_SCRIPT)]
         self._env = _sandbox_env(credential_env)
         self._lock = threading.Lock()
-        self._idle: list[_SandboxServer] = []
         self._start()
 
     def __enter__(self) -> Sandbox:
@@ -250,8 +189,9 @@ class Sandbox:
         # Imported here: it costs every command about 4 ms, and only a run
         # that runs programs needs it.
         import socket
-        self._control, theirs = socket.socketpair()
-        self._forked = False
+        self._control, theirs = socket.socketpair(socket.AF_UNIX,
+                                                  socket.SOCK_SEQPACKET)
+        self._sent = False
         try:
             self._proc = subprocess.Popen(
                 self._command, env=self._env, stdin=theirs,
@@ -267,69 +207,84 @@ class Sandbox:
             theirs.close()
 
     def _stop(self) -> None:
-        """Stop the zygote.  At EOF it kills and reaps whatever servers it
-        has left; one that has forked none has nothing to orphan, and is
-        killed rather than left to finish its start-up."""
+        """Stop the zygote.  At EOF it kills and reaps whatever programs it
+        still runs; one that has been sent none is killed rather than left
+        to finish its start-up."""
         self._control.close()
-        if not self._forked:
+        if not self._sent:
             self._proc.kill()
         self._proc.wait()
 
-    def _fork(self) -> _SandboxServer | None:
+    def _run(self, request: dict, wait_s: float) -> dict | None:
+        """Have the zygote run one program and return its reply; None if it
+        gave none within ``wait_s``, in which case the program's process
+        group has been killed.  A zygote that closes the reply socket before
+        the program reports its pid has died: it is started again and sent
+        the request again, once."""
         import socket
-        self._forked = True
-        try:
-            self._control.sendall(b"\n")
-            _, fds, _, _ = socket.recv_fds(self._control, 1, 2,
-                                           socket.MSG_CMSG_CLOEXEC)
-        except OSError:
-            return None
-        if not fds:                                     # EOF: it died
-            return None
-        return _SandboxServer(socket.socket(fileno=fds[0]), fds[1])
-
-    def _take(self) -> _SandboxServer:
-        """An idle server, or one forked now.  A zygote found dead is
-        started again, once."""
-        with self._lock:
-            if self._proc is None:
-                raise SpawnFailure("the sandbox is closed")
-            while self._idle:
-                server = self._idle.pop()
-                if server.alive():
-                    return server
-                server.discard()                        # died while idle
-            server = self._fork()
-            if server is None:
-                self._stop()
-                self._start()
-                server = self._fork()
-        if server is None:
-            raise SpawnFailure("a new sandbox zygote forked no server")
-        return server
-
-    def _give(self, server: _SandboxServer) -> None:
-        with self._lock:
-            if self._proc is not None:
-                self._idle.append(server)
-                return
-        server.discard()
+        deadline = time.monotonic() + wait_s
+        payload = json.dumps(request).encode()
+        sent_to = None
+        for _ in range(2):
+            ours, theirs = socket.socketpair(socket.AF_UNIX,
+                                             socket.SOCK_SEQPACKET)
+            with ours:
+                with theirs, self._lock:
+                    if self._proc is None:
+                        raise SpawnFailure("the sandbox is closed")
+                    if self._proc is sent_to:
+                        self._stop()
+                        self._start()
+                    sent_to, self._sent = self._proc, True
+                    # A failed send shows as EOF below.  So does a send the
+                    # kernel accepted for a zygote that was killed but had
+                    # not yet exited.
+                    with contextlib.suppress(OSError):
+                        socket.send_fds(self._control, [payload],
+                                        [theirs.fileno()])
+                started = _receive(ours, deadline)
+                if started == b"":
+                    continue
+                if started is None:
+                    return None
+                pid = json.loads(started)["pid"]
+                try:
+                    pidfd = os.pidfd_open(pid)
+                except ProcessLookupError:      # reaped: nothing to kill
+                    reply = _receive(ours, deadline)
+                    return json.loads(reply) if reply else None
+                try:
+                    reply = _receive(ours, deadline)
+                    if not reply:
+                        _kill_program_group(pidfd, pid)
+                        return None
+                    return json.loads(reply)
+                finally:
+                    os.close(pidfd)
+        raise SpawnFailure("a new sandbox zygote started no program")
 
     def close(self) -> None:
-        """Discard the idle servers and stop the zygote."""
+        """Stop the zygote."""
         with self._lock:
             if self._proc is None:
                 return
-            for server in self._idle:
-                server.discard()
-            self._idle = []
             self._stop()
             self._proc = None
 
 
+def _receive(sock: socket.socket, deadline: float) -> bytes | None:
+    """The next record on ``sock``: b"" at EOF, None if none came by
+    ``deadline``."""
+    sock.settimeout(max(0.0, deadline - time.monotonic()))
+    try:
+        return sock.recv(4096)
+    except OSError:
+        return None
+
+
 def _kill_program_group(pidfd: int, pid: int) -> None:
     """SIGKILL the process group a program leads (it called setsid, so the
-    group id is its pid) after its server gave no reply.  The server reaps a
+    group id is its pid) after the zygote gave no reply.  The zygote reaps a
     program only just before it replies, so the pidfd, opened when the pid
     was reported, names the program; while it is live the pid, and so the
     group id, cannot have been reused."""
@@ -342,7 +297,7 @@ def _kill_program_group(pidfd: int, pid: int) -> None:
 
 
 def execute_program(program: str, sandbox: Sandbox) -> SandboxResult:
-    """Run a generated program in a child forked from a warm server of
+    """Run a generated program in a child forked from the zygote of
     ``sandbox``: empty temp working dir, stdin from /dev/null, scrubbed
     environment, resource limits, and its process group killed at the
     sandbox's timeout."""
@@ -354,22 +309,19 @@ def execute_program(program: str, sandbox: Sandbox) -> SandboxResult:
         workdir.mkdir()
         script = workdir / "program.py"
         script.write_text(program, encoding="utf-8")
-        server = sandbox._take()
         started = time.monotonic()
-        reply = server.run({"script": str(script),
-                            "stdout": str(tmp / "stdout"),
-                            "stderr": str(tmp / "stderr"),
-                            "timeout_s": timeout_ms / 1000.0},
-                           timeout_ms / 1000.0 + _REAP_GRACE_S)
+        reply = sandbox._run({"script": str(script),
+                              "stdout": str(tmp / "stdout"),
+                              "stderr": str(tmp / "stderr"),
+                              "timeout_s": timeout_ms / 1000.0},
+                             timeout_ms / 1000.0 + _REAP_GRACE_S)
         wall_ms = int((time.monotonic() - started) * 1000)
         stdout, stderr = _read_output(tmp / "stdout"), _read_output(
             tmp / "stderr")
         if reply is None:
-            server.discard()
             return SandboxResult(
                 stdout=stdout, stderr=stderr + "\nsandbox server gave no reply",
                 exit_status=-1, timed_out=False, wall_time_ms=wall_ms)
-        sandbox._give(server)
         if reply["timed_out"]:
             return SandboxResult(
                 stdout=stdout, stderr=stderr, exit_status=-1, timed_out=True,

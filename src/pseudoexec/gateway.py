@@ -315,7 +315,7 @@ class LiveGateway(Gateway):
         self._credential_env = credential_env
 
     def complete(self, request: ChatRequest) -> str:
-        from http.client import HTTPException
+        from http.client import HTTPException, InvalidURL
         from urllib.request import HTTPError, Request, urlopen
 
         api_key = os.environ.get(self._credential_env)
@@ -348,7 +348,10 @@ class LiveGateway(Gateway):
                     resp = exc
                 with resp:
                     status, text = resp.status, resp.read()
-            except (OSError, HTTPException, ValueError) as exc:
+            except (ValueError, InvalidURL) as exc:
+                # A URL that cannot be opened: no retry changes that.
+                raise TransportError(str(exc)) from exc
+            except (OSError, HTTPException) as exc:
                 last_error = TransportError(str(exc))
                 continue
             if status == 429:

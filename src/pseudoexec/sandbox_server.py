@@ -1,29 +1,28 @@
-"""Sandbox zygote and servers for PoT programs: one warm interpreter per
-run, started when the run opens its ``baselines.Sandbox`` and stopped when
-it closes it, forks the servers, and each server forks one child per
-program, so no server and no program pays for interpreter start-up.
+"""Sandbox zygote for PoT programs: one warm interpreter per run, started
+when the run opens its ``baselines.Sandbox`` and stopped when it closes it,
+forks one child per program, so no program pays for interpreter start-up.
 
-Run as ``<interpreter> sandbox_server.py`` with stdin a Unix stream socket,
-the control socket.  That process is the zygote and never runs a program.
-Each byte it reads there asks for a server: it makes a fresh
-``socket.socketpair()``, forks a server into a session of its own that keeps
-one end, and hands the caller the other end and a pidfd of the server, two
-descriptors sent with one byte (``socket.send_fds``).  It reaps its servers
-as they exit.  At EOF on the control socket it gives the servers
-``EXIT_GRACE_S`` to exit, kills and reaps any that are left, and exits at
-once, with no interpreter teardown.  A zygote that has forked no server is
-killed by the harness instead.
+Run as ``<interpreter> sandbox_server.py`` with stdin a Unix
+``SOCK_SEQPACKET`` socket, the control socket.  The zygote never runs a
+program itself.  Each record it reads there is one request, the JSON
+``{"script", "stdout", "stderr", "timeout_s"}``, sent with the caller's end
+of a fresh socket pair, the reply socket (``socket.send_fds``).  For each
+request it forks a child that runs ``script`` as ``python script`` would,
+in a session of its own and the script's directory, with stdin from
+/dev/null, stdout and stderr written to the named files and resource limits
+set.  The child first writes ``{"pid"}`` on the reply socket, then closes
+every descriptor it inherited beyond 0-2, so no program holds the control
+socket or another program's reply socket.
 
-A server reads requests on its end of the pair.  Each is one JSON line
-``{"script", "stdout", "stderr", "timeout_s"}``; the server forks a child
-that runs ``script`` as ``python script`` would, in a session of its own
-and the script's directory, with stdin from /dev/null, stdout and stderr
-written to the named files and resource limits set.  The child first writes
-one line ``{"pid"}``; once it has ended the server replies with one line
-``{"status", "timed_out"}``.  At ``timeout_s`` it kills the child's process
-group, and it always kills whatever the program left in that group.  At EOF
-it exits; if the caller goes while a program runs (its socket turns
-readable), the server kills the program's group and exits.
+The zygote supervises every running program in one ``select`` loop over
+the control socket and the programs' pidfds, whose timeout is the nearest
+deadline.  When a program ends, or at its ``timeout_s``, the zygote kills
+the program's process group (a program that ended may have left processes
+in it), reaps the program, replies ``{"status", "timed_out"}`` on its reply
+socket and closes that socket.  At EOF on the control socket it kills and
+reaps every program still running and exits at once, with no interpreter
+teardown.  A zygote that has been sent no program is killed by the harness
+instead.
 
 Standard library only: the zygote imports nothing from pseudoexec.
 """
@@ -42,15 +41,15 @@ import sys
 import time
 import types
 
-# The server's own VmSize is about 17 MB (Python 3.11); 1 GiB leaves a
+# The zygote's own VmSize is about 17 MB (Python 3.11); 1 GiB leaves a
 # program ample room while one runaway allocation fails with MemoryError.
 ADDRESS_SPACE_LIMIT = 1 << 30
 FILE_SIZE_LIMIT = 16 << 20          # also caps stdout and stderr
 OPEN_FILES_LIMIT = 64
 # CPU seconds beyond the wall-clock timeout; the timeout normally acts first.
 CPU_GRACE_S = 1
-# How long the zygote waits, at EOF, for its servers to see EOF too and exit.
-EXIT_GRACE_S = 1.0
+# Far more than a request's JSON, which holds three paths and a number.
+_MAX_REQUEST = 1 << 16
 
 # Whether ``python script`` would put the script's directory first on
 # sys.path (-P and -I leave it out).
@@ -112,7 +111,11 @@ def _run_child(script: str, stdout: str, stderr: str,
     try:
         with open(script, "rb") as source:
             code = compile(source.read(), script, "exec")
-        exec(code, main.__dict__)
+        # Called rather than passed to exec, whose C call costs one
+        # recursion level: run from module level, a program recurses only
+        # two frames less deep than under ``python script``.  Code compiled
+        # as a module takes its globals as its locals.
+        types.FunctionType(code, main.__dict__)()
         status = 0
     except SystemExit as exc:
         status = _exit_status(exc.code)
@@ -142,64 +145,21 @@ def _run_child(script: str, stdout: str, stderr: str,
     return status
 
 
-def _serve(request: dict, sock: int) -> dict | None:
-    """Run one program; its reply, or None if the caller has gone."""
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.setsid()
-            # Sent by the group leader before any program code runs, so the
-            # harness can kill the group even if the program kills this
-            # server.  One write of a few bytes, before the reply.
-            os.write(sock, (json.dumps({"pid": os.getpid()}) + "\n").encode())
-            os.close(sock)
-            status = _run_child(**request)
-        finally:
-            os._exit(status)
-    pidfd = os.pidfd_open(pid)
-    try:
-        ready = select.select([pidfd, sock], [], [], request["timeout_s"])[0]
-    finally:
-        os.close(pidfd)
-    ended = pidfd in ready
-    # The child is not reaped yet, so its pid (and group id) cannot be
-    # reused before these kills.
-    if not ended:
-        os.kill(pid, signal.SIGKILL)     # in case it has not called setsid
+def _end(pid: int, timed_out: bool) -> int:
+    """Kill the process group of the program ``pid`` leads, and ``pid``
+    itself if it has timed out (it may not have called setsid yet); reap it
+    and return its exit status.  Until it is reaped its pid, and so its
+    group id, cannot be reused."""
+    if timed_out:
+        os.kill(pid, signal.SIGKILL)
     with contextlib.suppress(ProcessLookupError):
         os.killpg(pid, signal.SIGKILL)
-    _, wait_status = os.waitpid(pid, 0)
-    if sock in ready:     # the caller sends nothing while a program runs
-        return None
-    return {"status": os.waitstatus_to_exitcode(wait_status),
-            "timed_out": not ended}
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _run_server(sock: socket.socket) -> None:
-    with contextlib.suppress(OSError):
-        for line in sock.makefile("rb"):
-            reply = _serve(json.loads(line), sock.fileno())
-            if reply is None:
-                return
-            sock.sendall((json.dumps(reply) + "\n").encode())
-
-
-def _reap(servers: set[int], wait_s: float = 0.0) -> None:
-    """Reap the servers that have exited, waiting up to ``wait_s`` for the
-    rest."""
-    deadline = time.monotonic() + wait_s
-    while servers:
-        pid, _ = os.waitpid(-1, os.WNOHANG)
-        if pid:
-            servers.discard(pid)
-        elif time.monotonic() < deadline:
-            time.sleep(0.001)
-        else:
-            return
-
-
-def main() -> None:
+def main() -> dict:
+    """Serve requests until EOF on the control socket, then exit.  Returns
+    only in a forked child: the request that child is to run."""
     # The control socket moves off fd 0, and fds 0 and 1, which programs
     # take over, point at /dev/null.
     control = socket.socket(fileno=os.dup(0))
@@ -207,39 +167,57 @@ def main() -> None:
     os.dup2(null, 0)
     os.dup2(null, 1)
     os.close(null)
-    servers: set[int] = set()
-    # EOF, a caller gone mid-request or a failed fork ends the loop.
-    with contextlib.suppress(OSError):
-        while control.recv(1):
-            kept, handed = socket.socketpair()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    control.close()
-                    handed.close()
-                    os.setsid()
-                    _run_server(kept)
-                finally:
-                    os._exit(0)
-            servers.add(pid)
-            kept.close()
-            # Not reaped yet, so the pid names the server.
-            pidfd = os.pidfd_open(pid)
-            try:
-                socket.send_fds(control, [b"\n"], [handed.fileno(), pidfd])
-            finally:
+    running = {}       # pidfd: (pid, reply socket, deadline)
+    while True:
+        deadline = min((d for _, _, d in running.values()), default=None)
+        wait_s = None if deadline is None else max(
+            0.0, deadline - time.monotonic())
+        ready = select.select([control, *running], [], [], wait_s)[0]
+        now = time.monotonic()
+        for pidfd, (pid, reply, deadline) in list(running.items()):
+            if pidfd in ready or deadline <= now:
+                del running[pidfd]
                 os.close(pidfd)
-                handed.close()
-            _reap(servers)
-    _reap(servers, EXIT_GRACE_S)
-    for pid in servers:               # unreaped, so still theirs
-        os.kill(pid, signal.SIGKILL)
-    for pid in servers:
-        os.waitpid(pid, 0)
+                timed_out = pidfd not in ready
+                status = _end(pid, timed_out)
+                with contextlib.suppress(OSError):   # the caller has gone
+                    os.write(reply, json.dumps(
+                        {"status": status, "timed_out": timed_out}).encode())
+                os.close(reply)
+        if control not in ready:
+            continue
+        try:
+            data, fds, _, _ = socket.recv_fds(control, _MAX_REQUEST, 1)
+        except OSError:
+            data = b""
+        if not data:
+            break
+        request, (reply,) = json.loads(data), fds
+        pid = os.fork()
+        if pid == 0:
+            os.setsid()
+            # Sent by the group leader before any program code runs, so the
+            # harness can kill the group even if the program kills the
+            # zygote.
+            os.write(reply, json.dumps({"pid": os.getpid()}).encode())
+            control.close()
+            os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+            return request
+        # Not reaped yet, so the pid names the child.
+        running[os.pidfd_open(pid)] = (pid, reply,
+                                       now + request["timeout_s"])
+    for pid, _, _ in running.values():
+        _end(pid, timed_out=True)
     # Nothing is left to clean up, so skip the interpreter's teardown: the
     # harness waits for this exit before its run returns.
     os._exit(0)
 
 
 if __name__ == "__main__":
-    main()
+    # The child runs its program from here, after ``main`` has returned,
+    # so the program starts as few frames deep as a fork allows.
+    status = 1
+    try:
+        status = _run_child(**main())
+    finally:
+        os._exit(status)

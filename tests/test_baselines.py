@@ -217,6 +217,7 @@ def test_sandbox_scrubs_credentials(monkeypatch):
 
 
 def _server_pid(sandbox: Sandbox) -> int:
+    """The pid of the process that forks each program: the zygote."""
     return int(execute_program("import os\nprint(os.getppid())",
                                sandbox).stdout)
 
@@ -298,6 +299,17 @@ def test_sandbox_program_runs_as_main(tmp_path, sandbox):
     assert stdout == "__main__ True program.py True\n"
 
 
+def test_sandbox_program_recurses_as_deep_as_under_python_script(
+        tmp_path, sandbox):
+    stdout, _ = _as_python_script(
+        "import sys\n"
+        "def depth(n):\n"
+        "    return 0 if n == 0 else 1 + depth(n - 1)\n"
+        "print(sys.getrecursionlimit(), depth(sys.getrecursionlimit() - 4))\n",
+        tmp_path, sandbox)
+    assert stdout == "1000 996\n"
+
+
 def test_sandbox_replaces_a_killed_server(sandbox):
     first = _server_pid(sandbox)
     os.kill(first, signal.SIGKILL)
@@ -307,15 +319,6 @@ def test_sandbox_replaces_a_killed_server(sandbox):
     assert _server_pid(sandbox) != first
 
 
-def _parent_of(pid: int) -> int:
-    return int(Path(f"/proc/{pid}/stat").read_text()
-               .rsplit(")", 1)[1].split()[1])
-
-
-def _zygote_pid(sandbox: Sandbox) -> int:
-    return _parent_of(_server_pid(sandbox))
-
-
 def _wait_gone(pid: int) -> None:
     deadline = time.monotonic() + 5
     while _running(pid) and time.monotonic() < deadline:
@@ -323,40 +326,89 @@ def _wait_gone(pid: int) -> None:
     assert not _running(pid)
 
 
-def test_sandbox_forks_a_new_server_from_the_same_zygote(sandbox):
-    zygote, server = _zygote_pid(sandbox), _server_pid(sandbox)
-    result = execute_program(
-        "import os, signal\nos.kill(os.getppid(), signal.SIGKILL)", sandbox)
-    assert result.stderr.endswith("sandbox server gave no reply")
-    assert _zygote_pid(sandbox) == zygote != os.getpid()
-    assert _server_pid(sandbox) != server
+def test_sandbox_forks_every_program_from_the_same_zygote(sandbox):
+    # Programs that fail, exit or leave a child behind do not change the
+    # process that forks the next one: the zygote the sandbox started.
+    zygote = _server_pid(sandbox)
+    assert zygote == sandbox._proc.pid != os.getpid()
+    for program in ("raise ValueError('bad')", "import sys\nsys.exit(3)",
+                    "import os\nos._exit(4)",
+                    "import os\nif os.fork() == 0:\n    os._exit(0)"):
+        execute_program(program, sandbox)
+        assert _server_pid(sandbox) == zygote
 
 
 def test_sandbox_replaces_a_killed_zygote(sandbox):
-    zygote = _zygote_pid(sandbox)
+    zygote = _server_pid(sandbox)
     assert zygote != os.getpid()
     os.kill(zygote, signal.SIGKILL)
     _wait_gone(zygote)
-    # The idle server still runs the next program ...
+    # A new zygote runs the next program ...
     assert execute_program("print('alive')", sandbox).stdout == "alive\n"
-    # ... and once it is gone, a new zygote forks the next one.
+    replaced = _server_pid(sandbox)
+    assert replaced not in (zygote, os.getpid(), 1)
+    # ... and the next one after a program that killed it.
     execute_program("import os, signal\nos.kill(os.getppid(), signal.SIGKILL)",
                     sandbox)
     assert execute_program("print('alive')", sandbox).stdout == "alive\n"
-    assert _zygote_pid(sandbox) not in (zygote, os.getpid(), 1)
+    assert _server_pid(sandbox) not in (zygote, replaced, os.getpid(), 1)
 
 
-def test_sandbox_concurrent_servers_share_one_zygote(sandbox):
-    def server(_) -> int:
-        return int(execute_program(
-            "import os, time\nprint(os.getppid())\ntime.sleep(0.3)",
-            sandbox).stdout)
+def test_sandbox_concurrent_programs_share_one_zygote(sandbox):
+    def ids(_) -> tuple[int, int]:
+        pid, parent = execute_program(
+            "import os, time\nprint(os.getpid(), os.getppid())\n"
+            "time.sleep(0.3)", sandbox).stdout.split()
+        return int(pid), int(parent)
 
     with ThreadPoolExecutor(2) as pool:
-        servers = set(pool.map(server, range(2)))
-    assert len(servers) == 2
-    (zygote,) = {_parent_of(pid) for pid in servers}
-    assert zygote != os.getpid()
+        programs = list(pool.map(ids, range(2)))
+    assert len({pid for pid, _ in programs}) == 2
+    (zygote,) = {parent for _, parent in programs}
+    assert zygote == sandbox._proc.pid != os.getpid()
+
+
+def test_sandbox_program_sees_no_descriptor_but_the_standard_three(sandbox):
+    # Two at once, so each is forked while the other's reply socket and
+    # pidfd are open in the zygote.
+    program = ("import os, time\n"
+               "def is_open(fd):\n"
+               "    try:\n        os.fstat(fd)\n"
+               "    except OSError:\n        return False\n"
+               "    return True\n"
+               "time.sleep(0.2)\n"
+               "print([fd for fd in range(1024) if is_open(fd)])\n")
+    with ThreadPoolExecutor(2) as pool:
+        outputs = [r.stdout for r in pool.map(
+            lambda p: execute_program(p, sandbox), [program] * 2)]
+    assert outputs == ["[0, 1, 2]\n"] * 2
+
+
+def test_sandbox_program_that_kills_the_zygote_fails_with_its_sibling(
+        tmp_path):
+    # The sibling is running when the other program kills their parent:
+    # both are sandbox errors, neither is left running, and a new zygote
+    # runs the next program.
+    marker = tmp_path / "sibling-started"
+    sibling = ("import os, time\n"
+               "print(os.getpid(), flush=True)\n"
+               f"open({str(marker)!r}, 'w').close()\n"
+               "time.sleep(30)\n")
+    killer = ("import os, signal, time\n"
+              "print(os.getpid(), flush=True)\n"
+              f"while not os.path.exists({str(marker)!r}):\n"
+              "    time.sleep(0.01)\n"
+              "os.kill(os.getppid(), signal.SIGKILL)\n"
+              "time.sleep(30)\n")
+    with Sandbox(timeout_ms=20_000) as sandbox, \
+            ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(lambda p: execute_program(p, sandbox),
+                                [sibling, killer]))
+        for result in results:
+            assert pot_answer(result, _nav()).failure == \
+                "sandbox_error: exit -1: sandbox server gave no reply"
+            _wait_gone(int(result.stdout))
+        assert execute_program("print('alive')", sandbox).stdout == "alive\n"
 
 
 def _run_script(script: str, *flags: str) -> str:
@@ -373,14 +425,15 @@ def _run_script(script: str, *flags: str) -> str:
 
 
 def test_sandbox_string_hash_seed_is_the_same_on_every_run(monkeypatch):
-    # Each harness run prints the server pid and the set order seen by two
-    # programs on each of two concurrent workers.
+    # Each harness run, with a zygote of its own, prints the pid, the parent
+    # and the set order seen by two programs on each of two concurrent
+    # workers.
     monkeypatch.delenv("PYTHONHASHSEED", raising=False)
     script = """
         from concurrent.futures import ThreadPoolExecutor
         from pseudoexec.baselines import Sandbox, execute_program
         program = ("import os, time\\n"
-                   "print(os.getppid())\\n"
+                   "print(os.getpid(), os.getppid())\\n"
                    "print(set('item%d' % i for i in range(20)))\\n"
                    "time.sleep(0.2)\\n")
         with Sandbox() as sandbox, ThreadPoolExecutor(2) as pool:
@@ -388,11 +441,15 @@ def test_sandbox_string_hash_seed_is_the_same_on_every_run(monkeypatch):
                                    [program] * 4):
                 print(result.stdout, end="")
     """
-    orders = set()
+    orders, zygotes = set(), set()
     for _ in range(2):
         lines = _run_script(script).splitlines()
-        assert len(set(lines[0::2])) == 2      # two servers
+        ids = [line.split() for line in lines[0::2]]
+        assert len({pid for pid, _ in ids}) == 4
+        (zygote,) = {parent for _, parent in ids}    # one zygote per run
+        zygotes.add(zygote)
         orders.update(lines[1::2])
+    assert len(zygotes) == 2
     assert len(orders) == 1, orders
 
 
@@ -426,29 +483,31 @@ def test_sandbox_program_that_kills_its_parent_spares_the_harness():
 
 def test_a_closed_sandbox_leaves_no_process():
     # Under -X dev, where an unwaited process or an unclosed socket warns.
-    # One sandbox is closed with two idle servers, one before its zygote
-    # has forked any.
+    # One sandbox is closed after two concurrent programs, the other before
+    # it was sent any.
     stdout = _run_script("""
         import os
         from concurrent.futures import ThreadPoolExecutor
         from pseudoexec.baselines import Sandbox, execute_program
         from pseudoexec.errors import SpawnFailure
-        program = "import os, time\\nprint(os.getppid())\\ntime.sleep(0.2)"
+        program = ("import os, time\\n"
+                   "print(os.getpid(), os.getppid())\\n"
+                   "time.sleep(0.2)\\n")
         with Sandbox() as sandbox, ThreadPoolExecutor(2) as pool:
-            servers = [int(r.stdout) for r in pool.map(
+            ids = [r.stdout.split() for r in pool.map(
                 lambda p: execute_program(p, sandbox), [program] * 2)]
             zygote = sandbox._proc.pid
-        unforked = Sandbox()
-        pids = [*servers, zygote, unforked._proc.pid]
-        unforked.close()
-        print(len(set(pids)),
+        unsent = Sandbox()
+        pids = [*(int(pid) for pid, _ in ids), zygote, unsent._proc.pid]
+        unsent.close()
+        print({int(parent) for _, parent in ids} == {zygote}, len(set(pids)),
               [os.path.exists(f"/proc/{pid}") for pid in pids])
         try:
             execute_program("print(1)", sandbox)
         except SpawnFailure as exc:
             print(exc)
     """, "-X", "dev")
-    assert stdout.splitlines() == ["4 [False, False, False, False]",
+    assert stdout.splitlines() == ["True 4 [False, False, False, False]",
                                    "the sandbox is closed"]
 
 
@@ -492,7 +551,7 @@ def test_sandbox_requires_interpreter():
 def test_sandbox_interpreter_that_runs_no_zygote_is_a_spawn_failure():
     # ``true`` starts and exits: no zygote, so no program can run.
     with Sandbox(["true"]) as sandbox:
-        with pytest.raises(SpawnFailure, match="forked no server"):
+        with pytest.raises(SpawnFailure, match="started no program"):
             execute_program("print(1)", sandbox)
 
 

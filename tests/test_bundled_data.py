@@ -5,10 +5,14 @@ cassette's ``recorded_at`` times."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import re
 import shutil
 import sys
 from pathlib import Path
+
+from pseudoexec.gateway import (Cassette, _load_index, index_path,
+                               load_cassette)
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "make_bundled_data.py"
 _RECORDED_AT = re.compile(rb'"recorded_at": "[^"]*"')
@@ -24,6 +28,8 @@ def test_the_tool_rewrites_the_bundled_artifacts_unchanged(
     spec = importlib.util.spec_from_file_location("make_bundled_data", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    cassette = Path("replay", "cassette.jsonl")
+    load_cassette(assets_dir / cassette)     # the index of the bundled bytes
     copy = tmp_path / "assets"
     shutil.copytree(assets_dir, copy)
     monkeypatch.setattr(tool, "ASSETS", copy)
@@ -34,7 +40,13 @@ def test_the_tool_rewrites_the_bundled_artifacts_unchanged(
     for rel in _files(assets_dir):
         before = (assets_dir / rel).read_bytes()
         after = (copy / rel).read_bytes()
-        if rel == Path("replay", "cassette.jsonl"):
+        if rel == cassette:
             assert len(_RECORDED_AT.findall(after)) == after.count(b"\n")
             before, after = (_RECORDED_AT.sub(b"", b) for b in (before, after))
+        if rel == index_path(cassette):
+            # Rewritten for the restamped bytes: an index hit, with the
+            # bundled index's entries in the same order.
+            assert _load_index(Cassette(copy / cassette))
+            before, after = ([key for key, _, _ in json.loads(b)["entries"]]
+                             for b in (before, after))
         assert after == before, rel

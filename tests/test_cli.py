@@ -993,7 +993,7 @@ def test_no_sandbox_process_outlives_a_killed_run(tmp_path):
         assert len(list(started.iterdir())) == 2      # one per worker
         proc.kill()
         proc.communicate(timeout=10)
-        # Zygote, servers and programs all see EOF and exit.
+        # The zygote sees EOF, kills the programs it runs and exits.
         deadline = time.monotonic() + 2
         while _marked(value) and time.monotonic() < deadline:
             time.sleep(0.05)

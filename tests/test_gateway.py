@@ -592,11 +592,15 @@ def _refused_endpoint() -> str:
     return f"http://127.0.0.1:{port}/v1/chat/completions"
 
 
-@pytest.mark.parametrize("endpoint", [_refused_endpoint,
-                                      lambda: "127.0.0.1/no-scheme"],
-                         ids=["refused", "malformed_url"])
+# A refused connection may clear, so it is retried; a URL that cannot be
+# opened never will.
+@pytest.mark.parametrize("endpoint, backoff", [
+    (_refused_endpoint, [1, 2, 4, 8]),
+    (lambda: "127.0.0.1/no-scheme", []),                 # ValueError
+    (lambda: "http://127.0.0.1:port/v1/chat", []),       # InvalidURL
+], ids=["refused", "malformed_url", "invalid_port"])
 def test_live_unreachable_endpoint_is_transport_error(monkeypatch, sleeps,
-                                                      endpoint):
+                                                      endpoint, backoff):
     from pseudoexec.errors import TransportError
     from pseudoexec.gateway import LiveGateway
 
@@ -604,4 +608,4 @@ def test_live_unreachable_endpoint_is_transport_error(monkeypatch, sleeps,
     live = LiveGateway(endpoint(), "TEST_CRED")
     with pytest.raises(TransportError):
         live.complete(_req())
-    assert sleeps == [1, 2, 4, 8]
+    assert sleeps == backoff

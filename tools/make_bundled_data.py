@@ -3,6 +3,7 @@
 - assets/fixtures/replay/<task>.jsonl  20 generated instances per task
 - assets/replay/cassette.jsonl         mock-recorded exchanges for the corpus
                                        plus the web_of_lies think exchange
+- assets/replay/cassette.jsonl.idx     its sidecar index, for those bytes
 - assets/replay/manifest.json          accuracies recorded at record time
 - assets/golden/*.txt                  audited golden prompt instantiations
 
@@ -25,7 +26,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from pseudoexec.baselines import MethodId, build_baseline_prompt  # noqa: E402
 from pseudoexec.cli import load_dataset, write_dataset  # noqa: E402
 from pseudoexec.evaluator import evaluate_run  # noqa: E402
-from pseudoexec.gateway import RecordGateway  # noqa: E402
+from pseudoexec.gateway import RecordGateway, load_cassette  # noqa: E402
 from pseudoexec.mock import CORRUPT_FRACTION, mock_gateway  # noqa: E402
 from pseudoexec.prompts import (build_meta_prompt, load_nl_plan,  # noqa: E402
                                 load_pseudocode, run_think)
@@ -65,6 +66,9 @@ def record_cassette(corpus: dict[TaskId, list[TaskInstance]]) -> None:
     assets = {task: load_pseudocode(task) for task in TaskId}
     report = evaluate_run(MethodId.THINK_AND_EXECUTE, instances, recorder,
                           assets, model_id=MODEL_ID)
+    # Recording restamps every line, so the index of the old bytes no
+    # longer fits; a full load writes the index of the new ones.
+    load_cassette(cassette)
     manifest = {**report.to_manifest(), "corrupt_fraction": CORRUPT_FRACTION}
     (ASSETS / "replay" / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
