@@ -11,6 +11,7 @@ import os
 import shutil
 import signal
 import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -173,6 +174,12 @@ class Sandbox:
             raise ValueError("no interpreter command configured")
         if timeout_ms <= 0:
             raise ValueError("timeout_ms must be positive")
+        for module, name in ((os, "pidfd_open"),
+                             (signal, "pidfd_send_signal")):
+            if not hasattr(module, name):
+                raise ConfigError(
+                    f"{sys.executable!r} cannot run the PoT sandbox: it "
+                    f"lacks {module.__name__}.{name}")
         self.timeout_ms = timeout_ms
         self._command = [*interpreter_command, str(_SERVER_SCRIPT)]
         self._env = _sandbox_env(credential_env)
@@ -219,7 +226,8 @@ class Sandbox:
         """Have the zygote run one program and return its reply; None if it
         gave none within ``wait_s``, in which case the program's process
         group has been killed.  A zygote that closes the reply socket before
-        the program reports its pid has died: it is started again and sent
+        the program reports its pid has died: one whose interpreter lacks
+        what it needs is a ConfigError; any other is started again and sent
         the request again, once."""
         import socket
         deadline = time.monotonic() + wait_s
@@ -244,6 +252,7 @@ class Sandbox:
                                         [theirs.fileno()])
                 started = _receive(ours, deadline)
                 if started == b"":
+                    self._raise_lack()
                     continue
                 if started is None:
                     return None
@@ -262,6 +271,22 @@ class Sandbox:
                 finally:
                     os.close(pidfd)
         raise SpawnFailure("a new sandbox zygote started no program")
+
+    def _raise_lack(self) -> None:
+        """Raise the ConfigError a zygote that has gone left on the control
+        socket, if it left one: its interpreter lacks what it needs."""
+        import socket
+        with self._lock, contextlib.suppress(OSError):
+            # A zygote that exits with a request unread leaves a reset
+            # pending, which would hide the record; reading SO_ERROR clears
+            # it.
+            self._control.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            record = self._control.recv(4096, socket.MSG_DONTWAIT)
+            if record:
+                interpreter = " ".join(self._command[:-1])
+                raise ConfigError(
+                    f"interpreter {interpreter!r} cannot run the PoT "
+                    f"sandbox: it lacks {json.loads(record)['lacks']}")
 
     def close(self) -> None:
         """Stop the zygote."""

@@ -1,4 +1,4 @@
-"""Command-line surface: ingest, think, run, oracle, report, ablate."""
+"""Command-line surface: ingest, think, run, report, ablate."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Iterable
 from .baselines import MethodId, Sandbox
 from .config import MODES, RunConfig, load_config, run_id, run_id_fields
 from .errors import ConfigError, MalformedDataset, PseudoexecError
-from .evaluator import (EvalReport, TaskTally, evaluate_run, render_report)
+from .evaluator import EvalReport, evaluate_run, render_report
 from .gateway import (Gateway, LiveGateway, RecordGateway, ReplayGateway,
                       write_atomic)
 from .mock import mock_gateway
@@ -317,20 +317,6 @@ def _run(config: RunConfig, sandbox: Sandbox | None) -> int:
     return 0
 
 
-def cmd_oracle(args, config: RunConfig) -> int:
-    tasks = config.task_ids()
-    instances = load_dataset(config.dataset_dir, tasks)
-    report = evaluate_run(MethodId.ORACLE, instances, None)
-    for task in tasks:
-        tally = report.per_task.get(task, TaskTally())
-        rate = (tally.parse_unsupported / tally.total * 100
-                if tally.total else 0.0)
-        print(f"{task.value}: {tally.accuracy * 100:.1f} "
-              f"(parse_unsupported {rate:.1f}%)")
-    print(f"average: {report.average_accuracy * 100:.1f}")
-    return 0
-
-
 def cmd_report(args, config: RunConfig) -> int:
     manifest_path = Path(config.runs_dir) / args.run_id / "manifest.json"
     if not manifest_path.is_file():
@@ -388,10 +374,6 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="evaluate the configured method over the dataset")
     p.add_argument("--mode", choices=MODES, help="override gateway mode")
     p.set_defaults(handler=cmd_run)
-
-    sub.add_parser("oracle", parents=[with_config],
-                   help="oracle-solve the dataset and report accuracy"
-                   ).set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser("report", parents=[with_config],
                        help="re-render a stored run report")

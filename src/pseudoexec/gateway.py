@@ -9,6 +9,7 @@ whole pipeline testable offline.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -82,9 +83,9 @@ def _entry_line(key: str, request: ChatRequest, response_text: str,
 
 class Cassette(dict):
     """A cassette file's lines as ``{digest: (offset, length)}`` byte spans,
-    plus the SHA-256 of every byte loaded or appended.  A line is parsed
-    again only when it is served, and is checked then against the request
-    it answers."""
+    plus the SHA-256 of every byte indexed: loaded, appended by another
+    writer or appended.  A line is parsed again only when it is served, and
+    is checked then against the request it answers."""
 
     def __init__(self, path: Path):
         super().__init__()
@@ -116,10 +117,18 @@ class Cassette(dict):
         return response
 
     def append(self, key: str, line: str) -> None:
-        """Write one entry line at the end of the file and index it."""
-        prefix = b"\n" if self._newline_due else b""   # never fuse two lines
-        data = line.encode("utf-8") + b"\n"
-        with open(self.path, "ab") as fh:
+        """Write one entry line at the end of the file and index it.  Under
+        an exclusive lock on the file, the lines other writers appended
+        since this cassette last read it are indexed first; if one of them
+        answers ``key``, nothing is written."""
+        with open(self.path, "ab+") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)    # released when fh closes
+            fh.seek(self._size)
+            _index_lines(self, fh)
+            if key in self:
+                return
+            prefix = b"\n" if self._newline_due else b""   # never fuse lines
+            data = line.encode("utf-8") + b"\n"
             fh.write(prefix + data)
         self.sha256.update(prefix + data)
         self._size += len(prefix)
@@ -146,21 +155,28 @@ def load_cassette(path: Path) -> Cassette:
     cassette = Cassette(path)
     if _load_index(cassette):
         return cassette
-    line = b"\n"
     with open(cassette.path, "rb") as fh:
-        for number, line in enumerate(fh, 1):
-            cassette.sha256.update(line)
-            if line.strip():
-                try:
-                    key = json.loads(line)["digest"]
-                    cassette[key] = (cassette._size, len(line))
-                except (ValueError, LookupError, TypeError) as exc:
-                    raise ConfigError(f"{cassette.path} line {number}: "
-                                      f"not a cassette entry: {exc}") from None
-            cassette._size += len(line)
-    cassette._newline_due = not line.endswith(b"\n")
+        _index_lines(cassette, fh)
     _write_index(cassette)
     return cassette
+
+
+def _index_lines(cassette: Cassette, fh) -> None:
+    """Hash and index every line from ``fh``'s position, which is the
+    cassette's ``_size``, to the end of the file."""
+    for line in fh:
+        cassette.sha256.update(line)
+        if line.strip():
+            try:
+                key = json.loads(line)["digest"]
+                cassette[key] = (cassette._size, len(line))
+            except (ValueError, LookupError, TypeError) as exc:
+                with open(cassette.path, "rb") as whole:
+                    number = whole.read(cassette._size).count(b"\n") + 1
+                raise ConfigError(f"{cassette.path} line {number}: "
+                                  f"not a cassette entry: {exc}") from None
+        cassette._size += len(line)
+        cassette._newline_due = not line.endswith(b"\n")
 
 
 def _load_index(cassette: Cassette) -> bool:

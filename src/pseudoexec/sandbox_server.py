@@ -22,7 +22,9 @@ in it), reaps the program, replies ``{"status", "timed_out"}`` on its reply
 socket and closes that socket.  At EOF on the control socket it kills and
 reaps every program still running and exits at once, with no interpreter
 teardown.  A zygote that has been sent no program is killed by the harness
-instead.
+instead.  A zygote whose interpreter lacks a function it needs (``_NEEDS``)
+serves nothing: it sends ``{"lacks": "<module>.<name>"}`` on the control
+socket and exits.
 
 Standard library only: the zygote imports nothing from pseudoexec.
 """
@@ -50,6 +52,10 @@ OPEN_FILES_LIMIT = 64
 CPU_GRACE_S = 1
 # Far more than a request's JSON, which holds three paths and a number.
 _MAX_REQUEST = 1 << 16
+# What the zygote uses that an interpreter may lack: each came in 3.9, and
+# os.pidfd_open only where the build has it.
+_NEEDS = ((os, "pidfd_open"), (socket, "recv_fds"),
+          (os, "waitstatus_to_exitcode"))
 
 # Whether ``python script`` would put the script's directory first on
 # sys.path (-P and -I leave it out).
@@ -87,10 +93,16 @@ def _exit_status(code) -> int:
     return 1
 
 
-def _run_child(script: str, stdout: str, stderr: str,
-               timeout_s: float) -> int:
-    """In the forked child: set up like ``python script``, run the program
-    and return its exit status."""
+def _run_child(control: socket.socket, reply: int, script: str, stdout: str,
+               stderr: str, timeout_s: float) -> int:
+    """In the forked child: report the pid, set up like ``python script``,
+    run the program and return its exit status."""
+    os.setsid()
+    # Sent by the group leader before any program code runs, so the harness
+    # can kill the group even if the program kills the zygote.
+    os.write(reply, json.dumps({"pid": os.getpid()}).encode())
+    control.close()
+    os.closerange(3, os.sysconf("SC_OPEN_MAX"))
     _redirect(os.devnull, 0, os.O_RDONLY)
     _redirect(stdout, 1, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
     _redirect(stderr, 2, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
@@ -157,12 +169,19 @@ def _end(pid: int, timed_out: bool) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def main() -> dict:
+def main() -> tuple:
     """Serve requests until EOF on the control socket, then exit.  Returns
-    only in a forked child: the request that child is to run."""
+    only in a forked child: the control socket, the child's reply socket
+    and the request it is to run."""
     # The control socket moves off fd 0, and fds 0 and 1, which programs
     # take over, point at /dev/null.
     control = socket.socket(fileno=os.dup(0))
+    for module, name in _NEEDS:
+        if not hasattr(module, name):
+            # Read by the harness when the zygote has gone.
+            control.send(json.dumps(
+                {"lacks": f"{module.__name__}.{name}"}).encode())
+            os._exit(1)
     null = os.open(os.devnull, os.O_RDWR)
     os.dup2(null, 0)
     os.dup2(null, 1)
@@ -195,14 +214,7 @@ def main() -> dict:
         request, (reply,) = json.loads(data), fds
         pid = os.fork()
         if pid == 0:
-            os.setsid()
-            # Sent by the group leader before any program code runs, so the
-            # harness can kill the group even if the program kills the
-            # zygote.
-            os.write(reply, json.dumps({"pid": os.getpid()}).encode())
-            control.close()
-            os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-            return request
+            return control, reply, request
         # Not reaped yet, so the pid names the child.
         running[os.pidfd_open(pid)] = (pid, reply,
                                        now + request["timeout_s"])
@@ -214,10 +226,12 @@ def main() -> dict:
 
 
 if __name__ == "__main__":
-    # The child runs its program from here, after ``main`` has returned,
-    # so the program starts as few frames deep as a fork allows.
+    control, reply, request = main()
+    # Only a forked child gets here.  It runs its program after ``main`` has
+    # returned, so the program starts as few frames deep as a fork allows,
+    # and it exits with no interpreter teardown, however the program ends.
     status = 1
     try:
-        status = _run_child(**main())
+        status = _run_child(control, reply, **request)
     finally:
         os._exit(status)

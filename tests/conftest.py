@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,9 +31,23 @@ def cassette_path() -> Path:
 
 @pytest.fixture(scope="session")
 def sandbox():
-    """One default PoT sandbox for every test that needs no setting of its
-    own, so its zygote boots once per session."""
+    """One PoT sandbox for every test that needs no setting of its own, so
+    its zygote boots once per session.  It runs the interpreter the tests
+    run on, which is what a test compares its programs with."""
     from pseudoexec.baselines import Sandbox
 
-    with Sandbox() as opened:
+    with Sandbox([sys.executable]) as opened:
         yield opened
+
+
+@pytest.fixture(params=["os.pidfd_open", "socket.recv_fds"])
+def lacking_interpreter(request, tmp_path):
+    """``(name, command)``: an interpreter command whose Python lacks the
+    function ``name``, which the sandbox zygote needs."""
+    module, name = request.param.split(".")
+    shim = tmp_path / "shim.py"
+    shim.write_text(f"import {module}, runpy, sys\n"
+                    f"del {module}.{name}\n"
+                    "runpy.run_path(sys.argv[1], run_name='__main__')\n",
+                    encoding="utf-8")
+    return request.param, [sys.executable, str(shim)]

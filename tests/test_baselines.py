@@ -555,6 +555,30 @@ def test_sandbox_interpreter_that_runs_no_zygote_is_a_spawn_failure():
             execute_program("print(1)", sandbox)
 
 
+def test_a_zygote_whose_interpreter_lacks_what_it_needs_runs_nothing(
+        lacking_interpreter, tmp_path):
+    name, command = lacking_interpreter
+    marker = tmp_path / "ran"
+    with Sandbox(command) as sandbox:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"interpreter {' '.join(command)!r} cannot run the PoT "
+                f"sandbox: it lacks {name}")):
+            execute_program(f"open({str(marker)!r}, 'w').close()", sandbox)
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("module, name", [(os, "pidfd_open"),
+                                          (signal, "pidfd_send_signal")])
+def test_a_harness_python_that_lacks_what_the_sandbox_needs_starts_none(
+        monkeypatch, module, name):
+    children = _children()
+    monkeypatch.delattr(module, name)
+    with pytest.raises(ConfigError, match=f"cannot run the PoT sandbox: it "
+                                          f"lacks {module.__name__}.{name}"):
+        Sandbox()
+    assert _children() == children
+
+
 def test_sandbox_environment_is_scrubbed_once_per_zygote(monkeypatch):
     calls = []
     scrub = baselines._sandbox_env

@@ -1,4 +1,4 @@
-"""CLI surface tests: ingest, run, oracle, report, ablate, error paths."""
+"""CLI surface tests: ingest, run, report, ablate, error paths."""
 
 from __future__ import annotations
 
@@ -118,11 +118,11 @@ def test_a_record_of_the_wrong_shape_is_a_malformed_dataset(
     (data / name).write_text(content, encoding="utf-8")
     if command == "ingest":
         argv = ["ingest", str(data)]
-    else:
+    else:   # a run of the oracle method
         config = _write_config(tmp_path, dataset_dir=str(data), mode="mock",
-                               cassette_path=None,
+                               cassette_path=None, method="oracle",
                                tasks=[name.removesuffix(".jsonl")])
-        argv = ["oracle", "--config", str(config)]
+        argv = ["run", "--config", str(config)]
     before = sorted(tmp_path.rglob("*"))
     assert main(argv) == 2
     assert "error: MalformedDataset" in capsys.readouterr().err
@@ -277,19 +277,17 @@ def test_a_record_run_into_a_missing_directory_pays_for_nothing(
     assert not missing.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "oracle"])
 @pytest.mark.parametrize("tasks, error", [
     (["navigate"], "MalformedDataset"), ([], "ConfigError"),
     (["navigate", "navigate"], "ConfigError: tasks must not list a task")],
     ids=["empty-file", "no-tasks", "a-task-twice"])
-def test_an_empty_dataset_makes_no_run_dir(tmp_path, capsys, command,
-                                           tasks, error):
+def test_an_empty_dataset_makes_no_run_dir(tmp_path, capsys, tasks, error):
     data = tmp_path / "data"
     data.mkdir()
     (data / "navigate.jsonl").write_text("\n", encoding="utf-8")
     config = _write_config(tmp_path, dataset_dir=str(data), mode="mock",
                            cassette_path=None, tasks=tasks)
-    assert main([command, "--config", str(config)]) == 2
+    assert main(["run", "--config", str(config)]) == 2
     assert f"error: {error}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
@@ -524,14 +522,16 @@ def test_a_command_does_not_check_a_resource_it_never_uses(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 0
     (run_dir,) = (tmp_path / "runs").iterdir()
     # A PoT interpreter that is not on PATH, and a cassette that moved.
-    bad = tmp_path / "bad"
-    bad.mkdir()
-    config = _write_config(bad, runs_dir=str(tmp_path / "runs"),
-                           method="zero_shot_pot", tasks=["navigate"],
-                           interpreter_command=["no-such-python-xyz"],
-                           cassette_path=str(tmp_path / "moved.jsonl"))
+    bad = {"runs_dir": str(tmp_path / "runs"), "tasks": ["navigate"],
+           "interpreter_command": ["no-such-python-xyz"],
+           "cassette_path": str(tmp_path / "moved.jsonl")}
+    for name in ("bad", "oracle"):
+        (tmp_path / name).mkdir()
+    config = _write_config(tmp_path / "bad", method="zero_shot_pot", **bad)
+    oracle = _write_config(tmp_path / "oracle", method="oracle", **bad)
     capsys.readouterr()
-    assert main(["oracle", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(oracle)]) == 0
+    (oracle_run,) = set((tmp_path / "runs").iterdir()) - {run_dir}
     assert main(["report", run_dir.name, "--config", str(config)]) == 0
     assert main(["think", "--task", "navigate", "--config", str(config),
                  "--mode", "mock", "--out", str(tmp_path / "think")]) == 0
@@ -543,7 +543,21 @@ def test_a_command_does_not_check_a_resource_it_never_uses(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 2
     assert "ConfigError: interpreter 'no-such-python-xyz' not found" in \
         capsys.readouterr().err
-    assert list((tmp_path / "runs").iterdir()) == [run_dir]
+    assert set((tmp_path / "runs").iterdir()) == {run_dir, oracle_run}
+
+
+def test_a_pot_run_stops_on_an_interpreter_the_zygote_cannot_use(
+        tmp_path, capsys, lacking_interpreter):
+    name, command = lacking_interpreter
+    config = _write_config(tmp_path, **{**_NAVIGATE_DIRECT,
+                                        "method": "zero_shot_pot",
+                                        "interpreter_command": command})
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: interpreter {' '.join(command)!r} cannot run "
+        f"the PoT sandbox: it lacks {name}\n")
+    assert list((tmp_path / "runs").rglob("*.txt")) == []
+    assert list((tmp_path / "runs").rglob("manifest.json")) == []
 
 
 def test_each_command_takes_only_the_settings_it_reads(capsys):
@@ -560,11 +574,10 @@ def test_each_command_takes_only_the_settings_it_reads(capsys):
         "ingest": {"dataset_dir", "--out"},
         "think": {"--config", "--mode", "--seed", "--task", "--out"},
         "run": {"--config", "--mode"},
-        "oracle": {"--config"},
         "report": {"--config", "run_id", "--format"},
         "ablate": {"--task", "--source", "--out"}}
-    assert sum(map(len, options.values())) == 16
-    for argv in (["run", "--seed", "1"], ["oracle", "--mode", "mock"],
+    assert sum(map(len, options.values())) == 15
+    for argv in (["run", "--seed", "1"], ["oracle", "--config", "x"],
                  ["ingest", "DIR", "--config", "x"],
                  ["ablate", "--task", "navigate", "--seed", "1"]):
         with pytest.raises(SystemExit) as exit_:
@@ -762,16 +775,23 @@ def test_max_parallel_has_a_ceiling(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-def test_oracle_command_all_100(tmp_path, capsys):
+def test_an_oracle_run_scores_100_on_the_paper_fixtures(tmp_path, capsys):
     config = _write_config(
-        tmp_path,
+        tmp_path, method="oracle",
         dataset_dir=str(Path("src/pseudoexec/assets/fixtures/paper")
                         .resolve()))
-    assert main(["oracle", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
     out = capsys.readouterr().out
-    for task in TaskId:
-        assert f"{task.value}: 100.0" in out
-    assert "average: 100.0" in out
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    report = (run_dir / "report.md").read_text(encoding="utf-8")
+    for text in (out, report):
+        assert "| oracle |" + " 100.0 |" * 8 in text
+        assert "ParseUnsupported (counted incorrect): 0." in text
+    per_task = json.loads(
+        (run_dir / "manifest.json").read_text(encoding="utf-8"))["per_task"]
+    assert sorted(per_task) == sorted(task.value for task in TaskId)
+    assert all(tally["parse_unsupported"] == 0 and tally["total"] > 0
+               for tally in per_task.values())
 
 
 def test_report_rerenders_stored_run(tmp_path, capsys):

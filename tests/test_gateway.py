@@ -332,6 +332,39 @@ def test_record_concurrent_calls_append_each_digest_once(tmp_path):
         hashlib.sha256(data).hexdigest()
 
 
+def test_two_record_writers_on_one_cassette_index_each_other(tmp_path):
+    cassette = tmp_path / "c.jsonl"
+    a_inner, b_inner = _CountingEcho(), _CountingEcho()
+    a = RecordGateway(a_inner, cassette)
+    b = RecordGateway(b_inner, cassette)
+    assert a.complete(_req("q1")) == "echo: q1"
+    assert b.complete(_req("q2")) == "echo: q2"
+    assert a.complete(_req("q3")) == "echo: q3"
+    # b has not read a's line for q3, so it pays for q3; its append finds
+    # a's line, answers from it and writes nothing.
+    assert b.complete(_req("q3")) == "echo: q3"
+    assert a_inner.calls == ["q1", "q3"] and b_inner.calls == ["q2", "q3"]
+    data = cassette.read_bytes()
+    assert [json.loads(line)["request"]["user"]
+            for line in data.splitlines()] == ["q1", "q2", "q3"]
+    for recorder in (a, b):
+        assert len(recorder.cassette) == 3
+        assert recorder.cassette.sha256.hexdigest() == \
+            hashlib.sha256(data).hexdigest()
+    assert ReplayGateway(cassette).complete(_req("q2")) == "echo: q2"
+
+
+def test_a_torn_line_another_writer_left_is_a_config_error(tmp_path):
+    cassette = tmp_path / "c.jsonl"
+    recorder = RecordGateway(_CountingEcho(), cassette)
+    recorder.complete(_req("q1"))
+    with open(cassette, "ab") as fh:
+        fh.write(b'{"version": "v1", "dig')
+    with pytest.raises(ConfigError, match=f"{cassette} line 2: "
+                                          "not a cassette entry"):
+        recorder.complete(_req("q2"))
+
+
 def test_replay_rejects_tampered_cassette(tmp_path):
     cassette = tmp_path / "c.jsonl"
     mock = MockGateway(responders={"reasoner": lambda r: "ok"})
