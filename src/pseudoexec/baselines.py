@@ -43,6 +43,8 @@ DEFAULT_TIMEOUT_MS = 10_000
 # kills the program's process group itself.
 _REAP_GRACE_S = 1.0
 _SERVER_SCRIPT = Path(__file__).with_name("sandbox_server.py")
+# How much of an exited zygote's stderr its ConfigError quotes, in bytes.
+_STDERR_TAIL = 1000
 DEFAULT_INTERPRETER = ("python3",)
 
 # Each model-backed method's reasoner template, in the order the mock
@@ -97,8 +99,8 @@ class SandboxResult:
     stdout: str
     stderr: str
     exit_status: int
-    timed_out: bool
-    wall_time_ms: int
+    # The sandbox's timeout, if it stopped the program.
+    timed_out_after_ms: int | None = None
 
 
 def build_baseline_prompt(method: MethodId, instance: TaskInstance,
@@ -184,6 +186,9 @@ class Sandbox:
         self._command = [*interpreter_command, str(_SERVER_SCRIPT)]
         self._env = _sandbox_env(credential_env)
         self._lock = threading.Lock()
+        # Whether a zygote has started a program: the interpreter can run
+        # the sandbox.
+        self._served = False
         self._start()
 
     def __enter__(self) -> Sandbox:
@@ -199,13 +204,16 @@ class Sandbox:
         self._control, theirs = socket.socketpair(socket.AF_UNIX,
                                                   socket.SOCK_SEQPACKET)
         self._sent = False
+        # Read only when the zygote has exited: its stderr says why.
+        self._stderr = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
                 self._command, env=self._env, stdin=theirs,
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL, stderr=self._stderr,
                 start_new_session=True)
         except OSError as exc:
             self._control.close()
+            self._stderr.close()
             if isinstance(exc, FileNotFoundError):
                 raise ConfigError(
                     f"interpreter {self._command[0]!r} not found") from None
@@ -221,14 +229,17 @@ class Sandbox:
         if not self._sent:
             self._proc.kill()
         self._proc.wait()
+        self._stderr.close()
 
     def _run(self, request: dict, wait_s: float) -> dict | None:
         """Have the zygote run one program and return its reply; None if it
         gave none within ``wait_s``, in which case the program's process
         group has been killed.  A zygote that closes the reply socket before
-        the program reports its pid has died: one whose interpreter lacks
-        what it needs is a ConfigError; any other is started again and sent
-        the request again, once."""
+        the program reports its pid has ended.  One that exited before any
+        zygote of this Sandbox started a program cannot run programs: that
+        is a ConfigError.  Any other, killed by a signal (a program may kill
+        its parent) or exited once programs have run (a fork may fail), is
+        started again and sent the request again, once."""
         import socket
         deadline = time.monotonic() + wait_s
         payload = json.dumps(request).encode()
@@ -252,11 +263,14 @@ class Sandbox:
                                         [theirs.fileno()])
                 started = _receive(ours, deadline)
                 if started == b"":
-                    self._raise_lack()
+                    status = sent_to.wait()
+                    if status >= 0 and not self._served:
+                        self._raise_exited(status)
                     continue
                 if started is None:
                     return None
                 pid = json.loads(started)["pid"]
+                self._served = True
                 try:
                     pidfd = os.pidfd_open(pid)
                 except ProcessLookupError:      # reaped: nothing to kill
@@ -272,21 +286,16 @@ class Sandbox:
                     os.close(pidfd)
         raise SpawnFailure("a new sandbox zygote started no program")
 
-    def _raise_lack(self) -> None:
-        """Raise the ConfigError a zygote that has gone left on the control
-        socket, if it left one: its interpreter lacks what it needs."""
-        import socket
-        with self._lock, contextlib.suppress(OSError):
-            # A zygote that exits with a request unread leaves a reset
-            # pending, which would hide the record; reading SO_ERROR clears
-            # it.
-            self._control.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-            record = self._control.recv(4096, socket.MSG_DONTWAIT)
-            if record:
-                interpreter = " ".join(self._command[:-1])
-                raise ConfigError(
-                    f"interpreter {interpreter!r} cannot run the PoT "
-                    f"sandbox: it lacks {json.loads(record)['lacks']}")
+    def _raise_exited(self, status: int) -> None:
+        """The ConfigError of a zygote that exited ``status``, with the end
+        of what it wrote to stderr."""
+        fd = self._stderr.fileno()
+        tail = os.pread(fd, _STDERR_TAIL,
+                        max(0, os.fstat(fd).st_size - _STDERR_TAIL))
+        cause = tail.decode("utf-8", "replace").strip() or "no stderr"
+        interpreter = " ".join(self._command[:-1])
+        raise ConfigError(f"interpreter {interpreter!r} cannot run the PoT "
+                          f"sandbox: it exited {status}: {cause}")
 
     def close(self) -> None:
         """Stop the zygote."""
@@ -334,26 +343,19 @@ def execute_program(program: str, sandbox: Sandbox) -> SandboxResult:
         workdir.mkdir()
         script = workdir / "program.py"
         script.write_text(program, encoding="utf-8")
-        started = time.monotonic()
         reply = sandbox._run({"script": str(script),
                               "stdout": str(tmp / "stdout"),
                               "stderr": str(tmp / "stderr"),
                               "timeout_s": timeout_ms / 1000.0},
                              timeout_ms / 1000.0 + _REAP_GRACE_S)
-        wall_ms = int((time.monotonic() - started) * 1000)
-        stdout, stderr = _read_output(tmp / "stdout"), _read_output(
-            tmp / "stderr")
+        stderr = _read_output(tmp / "stderr")
         if reply is None:
-            return SandboxResult(
-                stdout=stdout, stderr=stderr + "\nsandbox server gave no reply",
-                exit_status=-1, timed_out=False, wall_time_ms=wall_ms)
-        if reply["timed_out"]:
-            return SandboxResult(
-                stdout=stdout, stderr=stderr, exit_status=-1, timed_out=True,
-                wall_time_ms=max(wall_ms, timeout_ms))
-        return SandboxResult(stdout=stdout, stderr=stderr,
-                             exit_status=reply["status"], timed_out=False,
-                             wall_time_ms=wall_ms)
+            reply = {"status": -1, "timed_out": False}
+            stderr += "\nsandbox server gave no reply"
+        return SandboxResult(
+            stdout=_read_output(tmp / "stdout"), stderr=stderr,
+            exit_status=reply["status"],
+            timed_out_after_ms=timeout_ms if reply["timed_out"] else None)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -369,8 +371,8 @@ def pot_answer(result: SandboxResult, instance: TaskInstance) -> Prediction:
     """Turn a sandbox run into a Prediction: the last non-empty stdout line
     is the answer; booleans become Yes/No only for the Yes/No tasks."""
     lines = [ln for ln in result.stdout.splitlines() if ln.strip()]
-    if result.timed_out:
-        detail = f"timed out after {result.wall_time_ms}ms"
+    if result.timed_out_after_ms is not None:
+        detail = f"timed out after {result.timed_out_after_ms}ms"
     elif result.exit_status != 0:
         detail = (f"exit {result.exit_status}: "
                   f"{result.stderr.strip().splitlines()[-1] if result.stderr.strip() else 'no stderr'}")

@@ -217,10 +217,11 @@ def cmd_think(args, config: RunConfig) -> int:
         Path(config.runs_dir) / "think"
     out_dir.mkdir(parents=True, exist_ok=True)
     analysis_path = out_dir / f"{task.value}.analysis.txt"
-    analysis_path.write_text(analysis.body + "\n", encoding="utf-8")
     code_path = out_dir / f"{task.value}.txt"
-    code_path.write_text(pseudocode.body if pseudocode.body.endswith("\n")
-                         else pseudocode.body + "\n", encoding="utf-8")
+    for path, body in ((analysis_path, analysis.body),
+                       (code_path, pseudocode.body)):
+        path.write_text(body if body.endswith("\n") else body + "\n",
+                        encoding="utf-8")
     print(f"analysis: {analysis_path}")
     print(f"pseudocode ({pseudocode.function_name}): {code_path}")
     return 0
@@ -257,14 +258,19 @@ def _run(config: RunConfig, sandbox: Sandbox | None) -> int:
     hashed = run_id_fields(config, _cassette_digest(gateway))
     rid = run_id(hashed, digest)
     run_dir = Path(config.runs_dir) / rid
-    run_dir.mkdir(parents=True, exist_ok=True)
+    # The directories come with the first transcript; checked here, making
+    # nothing, so one that cannot be made stops the run before any call.
+    for existing in (run_dir, *run_dir.parents):
+        if existing.exists():
+            break
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigError(f"runs_dir {config.runs_dir!r} cannot be made: "
+                          f"{str(existing)!r} is not a writable directory")
     # Task k of the run is written by lane k mod L, so no two lanes ever
     # create files in the same directory.
     run_tasks = list(dict.fromkeys(instance.task for instance in instances))
     lane_count = min(config.max_parallel, len(run_tasks))
     lane_of = {task: k % lane_count for k, task in enumerate(run_tasks)}
-    for task in run_tasks:
-        (run_dir / task.value).mkdir(exist_ok=True)
     numbered = dict.fromkeys(run_tasks, 0)   # transcripts written per task
     lanes = None
 
@@ -277,6 +283,8 @@ def _run(config: RunConfig, sandbox: Sandbox | None) -> int:
         task = instance.task
         idx = numbered[task]
         numbered[task] = idx + 1
+        if idx == 0:   # made here, so a run that stops earlier leaves none
+            (run_dir / task.value).mkdir(parents=True, exist_ok=True)
         verdict = "correct" if correct else "incorrect"
         body = (f"# instance {idx} [{verdict}]"
                 f" target={instance.target!r}"

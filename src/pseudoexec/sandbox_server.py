@@ -22,9 +22,7 @@ in it), reaps the program, replies ``{"status", "timed_out"}`` on its reply
 socket and closes that socket.  At EOF on the control socket it kills and
 reaps every program still running and exits at once, with no interpreter
 teardown.  A zygote that has been sent no program is killed by the harness
-instead.  A zygote whose interpreter lacks a function it needs (``_NEEDS``)
-serves nothing: it sends ``{"lacks": "<module>.<name>"}`` on the control
-socket and exits.
+instead.
 
 Standard library only: the zygote imports nothing from pseudoexec.
 """
@@ -42,6 +40,11 @@ import socket
 import sys
 import time
 import types
+# Each came in 3.9, and pidfd_open only where the build has it: a zygote
+# whose interpreter lacks one exits with an ImportError before it reads
+# any request.
+from os import pidfd_open, waitstatus_to_exitcode
+from socket import recv_fds
 
 # The zygote's own VmSize is about 17 MB (Python 3.11); 1 GiB leaves a
 # program ample room while one runaway allocation fails with MemoryError.
@@ -52,10 +55,6 @@ OPEN_FILES_LIMIT = 64
 CPU_GRACE_S = 1
 # Far more than a request's JSON, which holds three paths and a number.
 _MAX_REQUEST = 1 << 16
-# What the zygote uses that an interpreter may lack: each came in 3.9, and
-# os.pidfd_open only where the build has it.
-_NEEDS = ((os, "pidfd_open"), (socket, "recv_fds"),
-          (os, "waitstatus_to_exitcode"))
 
 # Whether ``python script`` would put the script's directory first on
 # sys.path (-P and -I leave it out).
@@ -166,7 +165,7 @@ def _end(pid: int, timed_out: bool) -> int:
         os.kill(pid, signal.SIGKILL)
     with contextlib.suppress(ProcessLookupError):
         os.killpg(pid, signal.SIGKILL)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def main() -> tuple:
@@ -176,12 +175,6 @@ def main() -> tuple:
     # The control socket moves off fd 0, and fds 0 and 1, which programs
     # take over, point at /dev/null.
     control = socket.socket(fileno=os.dup(0))
-    for module, name in _NEEDS:
-        if not hasattr(module, name):
-            # Read by the harness when the zygote has gone.
-            control.send(json.dumps(
-                {"lacks": f"{module.__name__}.{name}"}).encode())
-            os._exit(1)
     null = os.open(os.devnull, os.O_RDWR)
     os.dup2(null, 0)
     os.dup2(null, 1)
@@ -206,7 +199,7 @@ def main() -> tuple:
         if control not in ready:
             continue
         try:
-            data, fds, _, _ = socket.recv_fds(control, _MAX_REQUEST, 1)
+            data, fds, _, _ = recv_fds(control, _MAX_REQUEST, 1)
         except OSError:
             data = b""
         if not data:
@@ -216,8 +209,7 @@ def main() -> tuple:
         if pid == 0:
             return control, reply, request
         # Not reaped yet, so the pid names the child.
-        running[os.pidfd_open(pid)] = (pid, reply,
-                                       now + request["timeout_s"])
+        running[pidfd_open(pid)] = (pid, reply, now + request["timeout_s"])
     for pid, _, _ in running.values():
         _end(pid, timed_out=True)
     # Nothing is left to clean up, so skip the interpreter's teardown: the

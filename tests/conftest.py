@@ -40,14 +40,22 @@ def sandbox():
         yield opened
 
 
-@pytest.fixture(params=["os.pidfd_open", "socket.recv_fds"])
-def lacking_interpreter(request, tmp_path):
-    """``(name, command)``: an interpreter command whose Python lacks the
-    function ``name``, which the sandbox zygote needs."""
+@pytest.fixture(params=["os.pidfd_open", "socket.recv_fds", "true",
+                        "sh-exit-127"])
+def unusable_interpreter(request, tmp_path):
+    """``(command, status, cause)``: an interpreter command that cannot run
+    the sandbox zygote, the status it exits with and part of its stderr.
+    The first two are a Python that lacks a function the zygote needs."""
+    if request.param == "true":
+        return ["true"], 0, "no stderr"
+    if request.param == "sh-exit-127":
+        return (["sh", "-c", "echo 'no such python' >&2; exit 127", "sh"],
+                127, "no such python")
     module, name = request.param.split(".")
     shim = tmp_path / "shim.py"
     shim.write_text(f"import {module}, runpy, sys\n"
                     f"del {module}.{name}\n"
                     "runpy.run_path(sys.argv[1], run_name='__main__')\n",
                     encoding="utf-8")
-    return request.param, [sys.executable, str(shim)]
+    return ([sys.executable, str(shim)], 1,
+            f"ImportError: cannot import name {name!r}")

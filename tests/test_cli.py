@@ -31,9 +31,10 @@ from pseudoexec.config import (MAX_PARALLEL_CEILING, RunConfig, run_id,
                                run_id_fields)
 from pseudoexec.errors import ConfigError, GatewayError
 from pseudoexec.gateway import ChatRequest, MockGateway, RecordGateway
-from pseudoexec.prompts import load_asset_text, parse
+from pseudoexec.prompts import load_asset_text, load_pseudocode, parse
 from pseudoexec.tasks import TaskId, make_instance
 from pseudoexec.tasks.generate import generate_instance
+from test_outputs import load_table, run_row
 
 
 @pytest.fixture()
@@ -238,8 +239,26 @@ def test_live_run_without_its_credential_makes_no_run_dir(
     assert not (tmp_path / "runs").exists()
 
 
-def test_a_record_run_into_a_missing_directory_pays_for_nothing(
+def test_a_record_run_without_its_credential_leaves_no_run_dir(
         tmp_path, capsys, monkeypatch):
+    # The credential is read at the first request the cassette misses.
+    monkeypatch.delenv("PSEUDOEXEC_TEST_UNSET_KEY", raising=False)
+    config = _write_config(
+        tmp_path, mode="record", method="direct", tasks=["navigate"],
+        credential_env="PSEUDOEXEC_TEST_UNSET_KEY",
+        cassette_path=str(tmp_path / "c.jsonl"),
+        endpoint="http://127.0.0.1:9/v1",
+        dataset_dir=str(Path("src/pseudoexec/assets/fixtures/paper")
+                        .resolve()))
+    assert main(["run", "--config", str(config)]) == 2
+    assert "error: ConfigError: credential env var " \
+        "'PSEUDOEXEC_TEST_UNSET_KEY' not set" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def _record_run_against_a_stub(tmp_path, monkeypatch, **extra) -> list:
+    """Run a record ``direct`` run over navigate against a localhost model
+    stub, expect exit 2, and return the requests the stub was paid for."""
     paid = []
 
     class Handler(BaseHTTPRequestHandler):
@@ -257,24 +276,45 @@ def test_a_record_run_into_a_missing_directory_pays_for_nothing(
 
     monkeypatch.setenv("PSEUDOEXEC_TEST_KEY", "not-a-real-key")
     monkeypatch.setenv("no_proxy", "127.0.0.1")
-    missing = tmp_path / "missing"
     with ThreadingHTTPServer(("127.0.0.1", 0), Handler) as server:
         threading.Thread(target=server.serve_forever, args=(0.01,),
                          daemon=True).start()
         config = _write_config(
             tmp_path, mode="record", method="direct", tasks=["navigate"],
             credential_env="PSEUDOEXEC_TEST_KEY",
-            cassette_path=str(missing / "c.jsonl"),
-            endpoint=f"http://127.0.0.1:{server.server_port}/v1")
+            endpoint=f"http://127.0.0.1:{server.server_port}/v1", **extra)
         try:
             assert main(["run", "--config", str(config)]) == 2
         finally:
             server.shutdown()
+    return paid
+
+
+def test_a_record_run_into_a_missing_directory_pays_for_nothing(
+        tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing"
+    paid = _record_run_against_a_stub(
+        tmp_path, monkeypatch, cassette_path=str(missing / "c.jsonl"))
     assert f"error: ConfigError: cassette directory {str(missing)!r} " \
         "not found" in capsys.readouterr().err
     assert paid == []
     assert not (tmp_path / "runs").exists()
     assert not missing.exists()
+
+
+def test_a_run_whose_runs_dir_cannot_be_made_pays_for_nothing(
+        tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    runs_dir = tmp_path / "file" / "runs"
+    paid = _record_run_against_a_stub(
+        tmp_path, monkeypatch, runs_dir=str(runs_dir),
+        cassette_path=str(tmp_path / "c.jsonl"), max_parallel=4)
+    assert f"error: ConfigError: runs_dir {str(runs_dir)!r} cannot be " \
+        f"made: {str(tmp_path / 'file')!r} is not a writable directory" \
+        in capsys.readouterr().err
+    assert paid == []
+    assert not (tmp_path / "c.jsonl").exists()
+    assert (tmp_path / "file").read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.parametrize("tasks, error", [
@@ -391,19 +431,14 @@ def test_run_id_and_outputs_ignore_parallelism_and_paths(tmp_path, capsys):
 
 
 def test_mock_outputs_ignore_the_lane_count(tmp_path, capsys):
-    runs = [_run_outputs(tmp_path, f"mock {n}", mode="mock",
-                         cassette_path=None, max_parallel=n)
-            for n in (1, 2)]
+    # The runs at max_parallel 1 and 2 are checked by tests/test_outputs.py.
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)   # hand over between threads at every turn
     try:
-        runs.append(_run_outputs(tmp_path, "mock 8", mode="mock",
-                                 cassette_path=None, max_parallel=8))
+        row = run_row(tmp_path / "mock 8", "think_and_execute", 8)
     finally:
         sys.setswitchinterval(switch)
-    assert len(runs[0][1]) == 2 + 140
-    assert runs[1] == runs[0]
-    assert runs[2] == runs[0]
+    assert row == load_table()["think_and_execute"]
     capsys.readouterr()
 
 
@@ -547,17 +582,37 @@ def test_a_command_does_not_check_a_resource_it_never_uses(tmp_path, capsys):
 
 
 def test_a_pot_run_stops_on_an_interpreter_the_zygote_cannot_use(
-        tmp_path, capsys, lacking_interpreter):
-    name, command = lacking_interpreter
-    config = _write_config(tmp_path, **{**_NAVIGATE_DIRECT,
-                                        "method": "zero_shot_pot",
-                                        "interpreter_command": command})
+        tmp_path, capsys, unusable_interpreter):
+    command, status, cause = unusable_interpreter
+    marker = tmp_path / "ran"
+    cassette = _pot_cassette(tmp_path / "pot.jsonl",
+                             f"open({str(marker)!r}, 'w').close()\n"
+                             "return True\n")
+    config = _write_config(tmp_path, method="zero_shot_pot",
+                           tasks=["navigate"], cassette_path=str(cassette),
+                           interpreter_command=command)
     assert main(["run", "--config", str(config)]) == 2
-    assert capsys.readouterr().err == (
+    err = capsys.readouterr().err
+    assert err.startswith(
         f"error: ConfigError: interpreter {' '.join(command)!r} cannot run "
-        f"the PoT sandbox: it lacks {name}\n")
-    assert list((tmp_path / "runs").rglob("*.txt")) == []
-    assert list((tmp_path / "runs").rglob("manifest.json")) == []
+        f"the PoT sandbox: it exited {status}: ")
+    assert cause in err
+    assert not marker.exists()
+    assert not (tmp_path / "runs").exists()
+
+
+def test_think_ends_each_file_in_one_newline(tmp_path, capsys, monkeypatch):
+    answers = iter(["An analysis.\n",
+                    load_pseudocode(TaskId.NAVIGATE, "generated").body])
+    stub = MockGateway(responders={"instructor": lambda _: next(answers)})
+    monkeypatch.setattr(cli, "build_gateway", lambda config: stub)
+    out = tmp_path / "think"
+    assert main(["think", "--task", "navigate", "--out", str(out)]) == 0
+    assert (out / "navigate.analysis.txt").read_text("utf-8") == \
+        "An analysis.\n"
+    code = (out / "navigate.txt").read_text("utf-8")
+    assert code.endswith("\n") and not code.endswith("\n\n")
+    capsys.readouterr()
 
 
 def test_each_command_takes_only_the_settings_it_reads(capsys):
@@ -735,8 +790,7 @@ def test_run_stops_on_a_cassette_response_that_is_not_unicode(tmp_path,
     assert main(["run", "--config", str(config)]) == 2
     assert (f"error: ConfigError: {cassette}: cassette entry "
             f"{entry['digest'][:12]} is malformed") in capsys.readouterr().err
-    (run_dir,) = (tmp_path / "runs").iterdir()
-    assert not (run_dir / "manifest.json").exists()
+    assert not (tmp_path / "runs").exists()
 
 
 def test_a_mock_answer_that_is_not_unicode_is_a_recorded_gateway_error(

@@ -164,9 +164,9 @@ def test_failure_text_of_every_kind(tmp_path):
     _, user = build_baseline_prompt(MethodId.DIRECT, nav)
     key = digest(ChatRequest(role_tag="reasoner", user=user))
 
-    def sandbox(stdout="", stderr="", exit_status=0, timed_out=False):
+    def sandbox(stdout="", stderr="", exit_status=0, timed_out_after_ms=None):
         return pot_answer(SandboxResult(stdout, stderr, exit_status,
-                                        timed_out, wall_time_ms=700), nav)
+                                        timed_out_after_ms), nav)
 
     oracle = []
     evaluate_run(MethodId.ORACLE, [
@@ -184,7 +184,7 @@ def test_failure_text_of_every_kind(tmp_path):
         (run_instance(MethodId.DIRECT, nav, None,
                       ReplayGateway(tmp_path / "empty.jsonl")),
          f"gateway_error: request {key[:12]} not in cassette"),
-        (sandbox(exit_status=-1, timed_out=True),
+        (sandbox(exit_status=-9, timed_out_after_ms=700),
          "sandbox_error: timed out after 700ms"),
         (sandbox(stderr="Traceback:\nValueError: boom\n", exit_status=1),
          "sandbox_error: exit 1: ValueError: boom"),
