@@ -105,9 +105,6 @@ def build_gateway(config: RunConfig,
         if not Path(config.cassette_path).is_file():
             raise ConfigError(f"cassette {config.cassette_path!r} not found")
         return ReplayGateway(Path(config.cassette_path))
-    if config.mode == "live" and not os.environ.get(config.credential_env):
-        raise ConfigError(
-            f"credential env var {config.credential_env!r} not set")
     live = LiveGateway(config.endpoint, config.credential_env)
     if config.mode == "record":
         # The cassette itself is made at the first append.
@@ -140,19 +137,13 @@ def _write_file(path: str, data: bytes) -> None:
 
 
 class _WriterLanes:
-    """One writer thread per lane; each lane writes what ``put`` hands it in
-    the order it arrives.  ``put`` re-raises the first failed write, and
-    ``close`` returns it once every lane has drained."""
+    """A writer thread per directory, made with it at its first file, writes
+    its files in ``put`` order.  ``put`` re-raises the first failed write,
+    and ``close`` returns it once every lane has drained."""
 
-    def __init__(self, count: int):
-        import queue
-        import threading
+    def __init__(self):
         self._errors: list[Exception] = []
-        self._queues = [queue.SimpleQueue() for _ in range(count)]
-        self._threads = [threading.Thread(target=self._drain, args=(jobs,))
-                         for jobs in self._queues]
-        for thread in self._threads:
-            thread.start()
+        self._lanes: dict[str, tuple] = {}   # directory: (jobs, thread)
 
     def _drain(self, jobs) -> None:
         while (job := jobs.get()) is not None:
@@ -161,15 +152,24 @@ class _WriterLanes:
             except Exception as exc:   # kept; the calling thread raises it
                 self._errors.append(exc)
 
-    def put(self, lane: int, path: str, data: bytes) -> None:
+    def put(self, directory: str, name: str, data: bytes) -> None:
         if self._errors:
             raise self._errors[0]
-        self._queues[lane].put((path, data))
+        lane = self._lanes.get(directory)
+        if lane is None:
+            import queue
+            import threading
+            os.makedirs(directory, exist_ok=True)
+            jobs = queue.SimpleQueue()
+            thread = threading.Thread(target=self._drain, args=(jobs,))
+            thread.start()
+            lane = self._lanes[directory] = (jobs, thread)
+        lane[0].put((f"{directory}/{name}", data))
 
     def close(self) -> Exception | None:
-        for jobs in self._queues:
+        for jobs, _ in self._lanes.values():
             jobs.put(None)
-        for thread in self._threads:
+        for _, thread in self._lanes.values():
             thread.join()
         return self._errors[0] if self._errors else None
 
@@ -266,32 +266,22 @@ def _run(config: RunConfig, sandbox: Sandbox | None) -> int:
     if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
         raise ConfigError(f"runs_dir {config.runs_dir!r} cannot be made: "
                           f"{str(existing)!r} is not a writable directory")
-    # Task k of the run is written by lane k mod L, so no two lanes ever
-    # create files in the same directory.
-    run_tasks = list(dict.fromkeys(instance.task for instance in instances))
-    lane_count = min(config.max_parallel, len(run_tasks))
-    lane_of = {task: k % lane_count for k, task in enumerate(run_tasks)}
-    numbered = dict.fromkeys(run_tasks, 0)   # transcripts written per task
-    lanes = None
+    numbered = dict.fromkeys(TaskId, 0)   # transcripts written per task
+    lanes = _WriterLanes()
 
     def persist(index, instance, prediction, correct):
         # Predictions arrive in input order, so a transcript's number is
         # its instance's place within its task.
-        nonlocal lanes
-        if lanes is None:   # here, so the set-up starts no thread
-            lanes = _WriterLanes(lane_count)
         task = instance.task
         idx = numbered[task]
         numbered[task] = idx + 1
-        if idx == 0:   # made here, so a run that stops earlier leaves none
-            (run_dir / task.value).mkdir(parents=True, exist_ok=True)
         verdict = "correct" if correct else "incorrect"
         body = (f"# instance {idx} [{verdict}]"
                 f" target={instance.target!r}"
                 f" answer={prediction.final_answer!r}"
                 f" failure={prediction.failure!r}\n"
                 + prediction.transcript + "\n")
-        lanes.put(lane_of[task], f"{run_dir}/{task.value}/{idx}.txt",
+        lanes.put(f"{run_dir}/{task.value}", f"{idx}.txt",
                   body.encode("utf-8"))
 
     try:
@@ -301,7 +291,7 @@ def _run(config: RunConfig, sandbox: Sandbox | None) -> int:
             max_parallel=config.max_parallel, sandbox=sandbox)
     finally:
         # On any abort too, every transcript handed over reaches the disk.
-        failed = lanes.close() if lanes is not None else None
+        failed = lanes.close()
     if failed is not None:
         raise failed
 

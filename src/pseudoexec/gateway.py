@@ -93,6 +93,7 @@ class Cassette(dict):
         self.sha256 = hashlib.sha256()
         self._size = 0
         self._newline_due = False       # the file's last line has no "\n"
+        self._lock = threading.Lock()   # flock alone may not order threads
 
     def response(self, key: str, request: ChatRequest) -> str:
         """The recorded response for ``request``, whose digest is ``key``.
@@ -121,7 +122,7 @@ class Cassette(dict):
         an exclusive lock on the file, the lines other writers appended
         since this cassette last read it are indexed first; if one of them
         answers ``key``, nothing is written."""
-        with open(self.path, "ab+") as fh:
+        with self._lock, open(self.path, "ab+") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)    # released when fh closes
             fh.seek(self._size)
             _index_lines(self, fh)
@@ -130,11 +131,11 @@ class Cassette(dict):
             prefix = b"\n" if self._newline_due else b""   # never fuse lines
             data = line.encode("utf-8") + b"\n"
             fh.write(prefix + data)
-        self.sha256.update(prefix + data)
-        self._size += len(prefix)
-        self[key] = (self._size, len(data))
-        self._size += len(data)
-        self._newline_due = False
+            self.sha256.update(prefix + data)
+            self._size += len(prefix)
+            self[key] = (self._size, len(data))
+            self._size += len(data)
+            self._newline_due = False
 
 
 # The sidecar index: written beside a cassette after a full parse, and
@@ -293,8 +294,7 @@ class ReplayGateway(Gateway):
 class RecordGateway(Gateway):
     """Read-through cassette over another backend: a digest already in the
     cassette is answered from it, and only a miss reaches the inner backend
-    and is appended.  Appends are serialized through a lock so the file
-    stays line-consistent; under concurrent calls they land in completion
+    and is appended.  Under concurrent calls the appends land in completion
     order."""
 
     label = "record"
@@ -304,7 +304,6 @@ class RecordGateway(Gateway):
         path = Path(cassette_path)
         self.cassette = load_cassette(path) if path.exists() \
             else Cassette(path)
-        self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> str:
         key = digest(request)
@@ -312,11 +311,9 @@ class RecordGateway(Gateway):
             line = _entry_line(key, request, self._inner.complete(request),
                                datetime.now(timezone.utc).isoformat(),
                                self._inner.label)
-            with self._lock:
-                # Two concurrent misses on one digest both pay; the first to
-                # land is recorded and answers both, as a replay would.
-                if key not in self.cassette:
-                    self.cassette.append(key, line)
+            # Two concurrent misses on one digest both pay; the first to
+            # land is recorded and answers both, as a replay would.
+            self.cassette.append(key, line)
         return self.cassette.response(key, request)
 
 

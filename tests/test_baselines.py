@@ -101,6 +101,13 @@ def test_extract_program_unfenced_continuation(sandbox):
     assert result.stdout.strip() == "4"
 
 
+def test_extract_program_seeds_a_fenced_program_with_no_solution(sandbox):
+    header = pot_seeded_header(_nav())
+    program = extract_program("```python\n    return 2 + 2\n```", header)
+    assert program == header + "\n    return 2 + 2\n\nprint(solution())\n"
+    assert execute_program(program, sandbox).stdout == "4\n"
+
+
 def test_extract_program_empty_response_yields_none_answer(sandbox):
     # the seeded header alone is a docstring-only function: it runs, returns
     # None, and the resulting answer can never score correct
@@ -225,14 +232,10 @@ def test_sandbox_scrubs_credentials(monkeypatch):
     assert result.stdout.strip() == "False False"
 
 
-def _server_pid(sandbox: Sandbox) -> int:
+def _zygote_pid(sandbox: Sandbox) -> int:
     """The pid of the process that forks each program: the zygote."""
     return int(execute_program("import os\nprint(os.getppid())",
                                sandbox).stdout)
-
-
-def test_sandbox_reuses_its_server(sandbox):
-    assert _server_pid(sandbox) == _server_pid(sandbox) != os.getpid()
 
 
 def test_sandbox_programs_do_not_share_state(sandbox):
@@ -319,15 +322,6 @@ def test_sandbox_program_recurses_as_deep_as_under_python_script(
     assert stdout == "1000 996\n"
 
 
-def test_sandbox_replaces_a_killed_server(sandbox):
-    first = _server_pid(sandbox)
-    os.kill(first, signal.SIGKILL)
-    deadline = time.monotonic() + 5
-    while _running(first) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert _server_pid(sandbox) != first
-
-
 def _wait_gone(pid: int) -> None:
     deadline = time.monotonic() + 5
     while _running(pid) and time.monotonic() < deadline:
@@ -338,29 +332,29 @@ def _wait_gone(pid: int) -> None:
 def test_sandbox_forks_every_program_from_the_same_zygote(sandbox):
     # Programs that fail, exit or leave a child behind do not change the
     # process that forks the next one: the zygote the sandbox started.
-    zygote = _server_pid(sandbox)
+    zygote = _zygote_pid(sandbox)
     assert zygote == sandbox._proc.pid != os.getpid()
     for program in ("raise ValueError('bad')", "import sys\nsys.exit(3)",
                     "import os\nos._exit(4)",
                     "import os\nif os.fork() == 0:\n    os._exit(0)"):
         execute_program(program, sandbox)
-        assert _server_pid(sandbox) == zygote
+        assert _zygote_pid(sandbox) == zygote
 
 
 def test_sandbox_replaces_a_killed_zygote(sandbox):
-    zygote = _server_pid(sandbox)
+    zygote = _zygote_pid(sandbox)
     assert zygote != os.getpid()
     os.kill(zygote, signal.SIGKILL)
     _wait_gone(zygote)
     # A new zygote runs the next program ...
     assert execute_program("print('alive')", sandbox).stdout == "alive\n"
-    replaced = _server_pid(sandbox)
+    replaced = _zygote_pid(sandbox)
     assert replaced not in (zygote, os.getpid(), 1)
     # ... and the next one after a program that killed it.
     execute_program("import os, signal\nos.kill(os.getppid(), signal.SIGKILL)",
                     sandbox)
     assert execute_program("print('alive')", sandbox).stdout == "alive\n"
-    assert _server_pid(sandbox) not in (zygote, replaced, os.getpid(), 1)
+    assert _zygote_pid(sandbox) not in (zygote, replaced, os.getpid(), 1)
 
 
 def test_sandbox_replaces_a_zygote_that_exits_once_programs_have_run(

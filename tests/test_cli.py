@@ -17,6 +17,7 @@ import sys
 import textwrap
 import threading
 import time
+import urllib.request
 import uuid
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -171,20 +172,6 @@ def test_a_record_that_is_not_valid_unicode_is_a_malformed_dataset(
     assert not (data / "normalized").exists()
 
 
-def test_run_replay_deterministic(tmp_path, capsys):
-    config = _write_config(tmp_path)
-    assert main(["run", "--config", str(config)]) == 0
-    runs = tmp_path / "runs"
-    run_dir = next(d for d in runs.iterdir() if d.is_dir())
-    report1 = (run_dir / "report.md").read_bytes()
-    manifest1 = (run_dir / "manifest.json").read_bytes()
-    assert main(["run", "--config", str(config)]) == 0
-    assert [d for d in runs.iterdir() if d.is_dir()] == [run_dir]
-    assert (run_dir / "report.md").read_bytes() == report1
-    assert (run_dir / "manifest.json").read_bytes() == manifest1
-    capsys.readouterr()
-
-
 def test_run_unknown_task_in_config(tmp_path):
     config = _write_config(tmp_path, tasks=["navigate", "unknown_task"])
     assert main(["run", "--config", str(config)]) == 2
@@ -254,6 +241,49 @@ def test_a_record_run_without_its_credential_leaves_no_run_dir(
     assert "error: ConfigError: credential env var " \
         "'PSEUDOEXEC_TEST_UNSET_KEY' not set" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_think_in_live_mode_without_its_credential_sends_nothing(
+        tmp_path, capsys, monkeypatch):
+    sent = []
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda *args, **kwargs: sent.append(args))
+    monkeypatch.delenv("PSEUDOEXEC_TEST_UNSET_KEY", raising=False)
+    config = _write_config(tmp_path, cassette_path=None,
+                           credential_env="PSEUDOEXEC_TEST_UNSET_KEY")
+    assert main(["think", "--config", str(config), "--mode", "live",
+                 "--task", "navigate"]) == 2
+    assert "error: ConfigError: credential env var " \
+        "'PSEUDOEXEC_TEST_UNSET_KEY' not set" in capsys.readouterr().err
+    assert sent == []
+    assert not (tmp_path / "runs").exists()
+
+
+def test_each_task_directory_is_written_by_one_thread_of_its_own(
+        tmp_path, monkeypatch, capsys):
+    write_file = cli._write_file
+    writers = {}   # directory: the threads that wrote a transcript in it
+
+    def watched_write(path, data):
+        writers.setdefault(os.path.dirname(path), set()).add(
+            threading.get_ident())
+        write_file(path, data)
+
+    monkeypatch.setattr(cli, "_write_file", watched_write)
+    tasks = ["navigate", "web_of_lies", "dyck_languages"]
+    for max_parallel in (1, 2):
+        writers.clear()
+        (tmp_path / str(max_parallel)).mkdir()
+        config = _write_config(tmp_path / str(max_parallel), mode="mock",
+                               cassette_path=None, tasks=tasks,
+                               max_parallel=max_parallel)
+        assert main(["run", "--config", str(config)]) == 0
+        assert sorted(os.path.basename(d) for d in writers) == sorted(tasks)
+        assert all(len(threads) == 1 for threads in writers.values())
+        threads = {thread for (thread,) in writers.values()}
+        assert len(threads) == len(tasks)
+        assert threading.get_ident() not in threads
+    capsys.readouterr()
 
 
 def _record_run_against_a_stub(tmp_path, monkeypatch, **extra) -> list:
@@ -330,6 +360,45 @@ def test_an_empty_dataset_makes_no_run_dir(tmp_path, capsys, tasks, error):
     assert main(["run", "--config", str(config)]) == 2
     assert f"error: {error}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("run", None, "ConfigError: config file '{tmp}/config.json' not found"),
+    ("run", [], "ConfigError: config root must be a JSON object"),
+    ("run", {"bogus": 1}, "ConfigError: unknown config keys: ['bogus']"),
+    ("run", {"mode": "bogus"}, "ConfigError: mode must be one of "
+     "('live', 'record', 'replay', 'mock')"),
+    ("run", {"method": "bogus"}, "ConfigError: unknown method 'bogus'"),
+    ("run", {"dataset_dir": "{tmp}/missing"},
+     "ConfigError: dataset_dir '{tmp}/missing' not found"),
+    ("run", {"dataset_dir": "{tmp}", "tasks": ["navigate"]},
+     "MalformedDataset: missing dataset file {tmp}/navigate.jsonl"),
+    ("run", {"mode": "replay"},
+     "ConfigError: mode 'replay' requires cassette_path"),
+    ("run", {"mode": "record"},
+     "ConfigError: mode 'record' requires cassette_path"),
+    ("ingest", None, "MalformedDataset: no task files found under {tmp}")],
+    ids=["no-config-file", "config-not-an-object", "unknown-key",
+         "unknown-mode", "unknown-method", "no-dataset-dir",
+         "no-task-file", "replay-without-cassette",
+         "record-without-cassette", "ingest-without-task-files"])
+def test_a_rejected_config_or_dataset_makes_no_run_dir(
+        tmp_path, capsys, command, config, message):
+    path = tmp_path / "config.json"
+    if isinstance(config, dict):
+        config = {"dataset_dir": str(Path("src/pseudoexec/assets/fixtures/"
+                                          "replay").resolve()),
+                  "runs_dir": "{tmp}/runs", **config}
+    if config is not None:
+        path.write_text(json.dumps(config).replace("{tmp}", str(tmp_path)),
+                        encoding="utf-8")
+    argv = (["ingest", str(tmp_path)] if command == "ingest"
+            else ["run", "--config", str(path)])
+    assert main(argv) == 2
+    assert f"error: {message.format(tmp=tmp_path)}\n" == \
+        capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    assert not (tmp_path / "normalized").exists()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -423,9 +492,9 @@ def test_run_id_and_outputs_ignore_parallelism_and_paths(tmp_path, capsys):
                                 cassette_path=str(edited))
     assert outputs == serial[1]
     assert rid != serial[0]
-    # Four writer lanes, then one lane per task.
+    # Four workers, and eight: more than the run's seven tasks.
     for max_parallel in (4, 8):
-        assert _run_outputs(tmp_path, f"lanes {max_parallel}",
+        assert _run_outputs(tmp_path, f"workers {max_parallel}",
                             max_parallel=max_parallel) == serial
     capsys.readouterr()
 
