@@ -238,6 +238,10 @@ def _zygote_pid(sandbox: Sandbox) -> int:
                                sandbox).stdout)
 
 
+def test_sandbox_reuses_its_server(sandbox):
+    assert _zygote_pid(sandbox) == _zygote_pid(sandbox) != os.getpid()
+
+
 def test_sandbox_programs_do_not_share_state(sandbox):
     execute_program("import builtins\nbuiltins.LEAK = 1", sandbox)
     result = execute_program(
@@ -320,6 +324,15 @@ def test_sandbox_program_recurses_as_deep_as_under_python_script(
         "print(sys.getrecursionlimit(), depth(sys.getrecursionlimit() - 4))\n",
         tmp_path, sandbox)
     assert stdout == "1000 996\n"
+
+
+def test_sandbox_replaces_a_killed_server(sandbox):
+    first = _zygote_pid(sandbox)
+    os.kill(first, signal.SIGKILL)
+    deadline = time.monotonic() + 5
+    while _running(first) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _zygote_pid(sandbox) != first
 
 
 def _wait_gone(pid: int) -> None:
