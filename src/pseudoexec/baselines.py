@@ -47,9 +47,9 @@ _SERVER_SCRIPT = Path(__file__).with_name("sandbox_server.py")
 _STDERR_TAIL = 1000
 DEFAULT_INTERPRETER = ("python3",)
 
-# Each model-backed method's reasoner template, in the order the mock
-# Reasoner tries them.  Its {prompt} slot takes the method's task-level
-# asset, named here, or else the task description; pot.txt has no such slot.
+# Each model-backed method's reasoner template.  Its {prompt} slot takes the
+# method's task-level asset, named here, or else the task description;
+# pot.txt has no such slot.
 TEMPLATE_BY_METHOD = {
     MethodId.THINK_AND_EXECUTE: "execute",
     MethodId.DIRECT: "direct",

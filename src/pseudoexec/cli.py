@@ -13,13 +13,14 @@ from typing import Iterable
 
 from .baselines import MethodId, Sandbox
 from .config import MODES, RunConfig, load_config, run_id, run_id_fields
+from .engine import task_assets
 from .errors import ConfigError, MalformedDataset, PseudoexecError
 from .evaluator import EvalReport, evaluate_run, render_report
 from .gateway import (Gateway, LiveGateway, RecordGateway, ReplayGateway,
                       write_atomic)
 from .mock import mock_gateway
-from .prompts import (PSEUDOCODE_SOURCES, PromptAsset, ablate_prompt,
-                      load_nl_plan, load_pseudocode, run_think)
+from .prompts import (PSEUDOCODE_SOURCES, ablate_prompt, load_pseudocode,
+                      run_think)
 from .tasks import TaskId, TaskInstance, make_instance
 
 TASK_CHOICES = [t.value for t in TaskId]
@@ -98,7 +99,7 @@ def build_gateway(config: RunConfig,
     """The configured backend; in mock mode the Reasoner answers for
     ``instances``."""
     if config.mode == "mock":
-        return mock_gateway(instances)
+        return mock_gateway(instances, config=config)
     if config.mode in ("record", "replay") and not config.cassette_path:
         raise ConfigError(f"mode {config.mode!r} requires cassette_path")
     if config.mode == "replay":
@@ -227,17 +228,6 @@ def cmd_think(args, config: RunConfig) -> int:
     return 0
 
 
-def _task_assets(config: RunConfig) -> dict[TaskId, PromptAsset]:
-    """The one task-level prompt each task's instances are run with."""
-    method = config.method_id()
-    if method is MethodId.THINK_AND_EXECUTE:
-        return {task: load_pseudocode(task, config.pseudocode_source)
-                for task in config.task_ids()}
-    if method is MethodId.NL_PLANNING:
-        return {task: load_nl_plan(task) for task in config.task_ids()}
-    return {}
-
-
 def cmd_run(args, config: RunConfig) -> int:
     if config.method_id() is not MethodId.ZERO_SHOT_POT:
         return _run(config, None)
@@ -286,7 +276,8 @@ def _run(config: RunConfig, sandbox: Sandbox | None) -> int:
 
     try:
         report = evaluate_run(
-            method, instances, gateway, _task_assets(config),
+            method, instances, gateway,
+            task_assets(method, config.task_ids(), config.pseudocode_source),
             model_id=config.reasoner_model, on_prediction=persist,
             max_parallel=config.max_parallel, sandbox=sandbox)
     finally:

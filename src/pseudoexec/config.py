@@ -10,6 +10,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from .baselines import DEFAULT_INTERPRETER, DEFAULT_TIMEOUT_MS, MethodId
+from .engine import asset_digests
 from .errors import ConfigError, is_unicode
 from .prompts import PSEUDOCODE_SOURCES
 from .tasks import TaskId
@@ -122,10 +123,11 @@ def load_config(path: str | Path | None,
 
 def run_id_fields(config: RunConfig, cassette_digest: str | None) -> dict:
     """What a run's id hashes: each config field the run's method and mode
-    read; a field not named below stays in, so a new field splits runs.  A
-    replay hashes its cassette's content; a record run hashes the path of
-    the cassette it grows, so a resumed run lands in the same directory.
-    The oracle opens no gateway, so it reads no gateway setting."""
+    read, and each bundled file its requests are rendered from; a field not
+    named below stays in, so a new field splits runs.  A replay hashes its
+    cassette's content; a record run hashes the path of the cassette it
+    grows, so a resumed run lands in the same directory.  The oracle opens
+    no gateway, so it reads no gateway setting and no such file."""
     method = config.method_id()
     mode = config.mode if method is not MethodId.ORACLE else None
     pot = method is MethodId.ZERO_SHOT_POT
@@ -146,6 +148,9 @@ def run_id_fields(config: RunConfig, cassette_digest: str | None) -> dict:
               if read.get(name, True)}
     if mode == "replay":
         fields["cassette_digest"] = cassette_digest
+    if mode is not None:
+        fields["asset_digests"] = asset_digests(
+            method, config.task_ids(), config.pseudocode_source)
     return fields
 
 

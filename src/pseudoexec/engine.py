@@ -1,16 +1,20 @@
-"""The one reasoner call of every method: build its request, obtain the
-response, and extract the final answer (for PoT, run the program)."""
+"""The one reasoner call of every method: build its request from the
+task-level prompt and the bundled files named here, obtain the response,
+and extract the final answer (for PoT, run the program)."""
 
 from __future__ import annotations
 
+import hashlib
 import re
+from typing import Iterable
 
-from .baselines import (FailureKind, MethodId, Prediction, Sandbox,
-                        build_baseline_prompt, run_pot_instance)
+from .baselines import (TEMPLATE_BY_METHOD, FailureKind, MethodId, Prediction,
+                        Sandbox, build_baseline_prompt, run_pot_instance)
 from .errors import GatewayError
 from .gateway import ChatRequest, Gateway
-from .prompts import PromptAsset
-from .tasks import TaskInstance
+from .prompts import (PromptAsset, load_asset_text, load_nl_plan,
+                      load_pseudocode)
+from .tasks import TaskId, TaskInstance
 
 _MARKER_RE = re.compile(r"Final answer:[ \t]*(.*)")
 
@@ -21,6 +25,41 @@ def build_execute_prompt(pseudocode: PromptAsset,
     benchmark under ``perfbench/`` builds and traces it by this name."""
     return build_baseline_prompt(MethodId.THINK_AND_EXECUTE, instance,
                                  pseudocode)
+
+
+def task_assets(method: MethodId, tasks: Iterable[TaskId],
+                source: str = "human") -> dict[TaskId, PromptAsset]:
+    """The task-level prompt ``method`` sends for each of ``tasks``: the
+    ``source`` pseudocode, the bundled analysis (NL planning), or none."""
+    if method is MethodId.THINK_AND_EXECUTE:
+        return {task: load_pseudocode(task, source) for task in tasks}
+    if method is MethodId.NL_PLANNING:
+        return {task: load_nl_plan(task) for task in tasks}
+    return {}
+
+
+def asset_digests(method: MethodId, tasks: Iterable[TaskId],
+                  source: str = "human") -> dict[str, str]:
+    """The SHA-256 of each bundled file, as loaded, that ``method``'s
+    requests for ``tasks`` are rendered from."""
+    paths = [f"meta/{TEMPLATE_BY_METHOD[method]}.txt"]
+    if method is MethodId.THINK_AND_EXECUTE:
+        paths.append("meta/execute_system.txt")
+        paths += [f"{source}/{task.value}.txt" for task in tasks]
+    elif method is MethodId.NL_PLANNING:
+        paths += [f"analysis/{task.value}.txt" for task in tasks]
+    elif method is not MethodId.ZERO_SHOT_POT:
+        paths += [f"taskinfo/{task.value}.json" for task in tasks]
+    return {path: hashlib.sha256(load_asset_text(path).encode()).hexdigest()
+            for path in paths}
+
+
+def reasoner_request(method: MethodId, instance: TaskInstance,
+                     asset: PromptAsset | None, model_id: str) -> ChatRequest:
+    """The one request ``method`` sends the Reasoner for ``instance``."""
+    system, user = build_baseline_prompt(method, instance, asset)
+    return ChatRequest(role_tag="reasoner", system=system, user=user,
+                       model_id=model_id)
 
 
 def extract_final_answer(transcript: str) -> str | None:
@@ -36,14 +75,11 @@ def run_instance(method: MethodId, instance: TaskInstance,
                  model_id: str = "mock-model",
                  sandbox: Sandbox | None = None) -> Prediction:
     """Run one instance under one method with its one reasoner call.
-    ``asset`` is the task's prompt: the pseudocode for Think-and-Execute,
-    the plan for NL planning, unused otherwise.  PoT runs its program in
-    ``sandbox``.  Model-content failures (missing marker, gateway refusals,
-    sandbox crashes) are recorded in the returned Prediction; only
+    ``asset`` is the task's prompt from ``task_assets``.  PoT runs its
+    program in ``sandbox``.  Model-content failures (missing marker, gateway
+    refusals, sandbox crashes) are recorded in the returned Prediction; only
     configuration errors raise."""
-    system, user = build_baseline_prompt(method, instance, asset)
-    request = ChatRequest(role_tag="reasoner", system=system, user=user,
-                          model_id=model_id)
+    request = reasoner_request(method, instance, asset, model_id)
     try:
         response = gateway.complete(request)
     except GatewayError as exc:

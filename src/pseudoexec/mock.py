@@ -1,22 +1,25 @@
 """The deterministic model stand-ins behind mock mode.
 
-Each reads a request through the template that rendered it.  The Reasoner
-looks the ``input_text`` slot up in the run's own dataset and answers with
-the task solver; the Instructor answers a task's two Think meta prompts with
-its bundled analysis and generated pseudocode.  Any other request is a
+Each answers from a table of the requests its run sends, built at its first
+call.  The Reasoner finds the instance a request was built for and answers
+with the task solver; the Instructor answers a task's two Think meta prompts
+with its bundled analysis and generated pseudocode.  Any other request is a
 ``CassetteMiss``, which the engine records as a gateway error.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import threading
 from typing import Iterable
 
-from .baselines import TEMPLATE_BY_METHOD
+from .baselines import TEMPLATE_BY_METHOD, MethodId
+from .config import RunConfig
+from .engine import reasoner_request, task_assets
 from .errors import CassetteMiss
 from .gateway import ChatRequest, MockGateway, digest
-from .prompts import (load_asset_text, load_nl_plan, load_pseudocode, parse,
-                      task_slots, unescape_instance)
+from .prompts import build_meta_prompt, load_nl_plan, load_pseudocode
 from .tasks import TASKS, TaskId, TaskInstance, solve
 
 # The share of Reasoner requests answered wrongly, as in the bundled cassette.
@@ -24,24 +27,58 @@ CORRUPT_FRACTION = 0.2
 
 
 def mock_gateway(instances: Iterable[TaskInstance] = (),
-                 corrupt_fraction: float = CORRUPT_FRACTION) -> MockGateway:
-    """A gateway that answers the Reasoner for ``instances`` and the
-    Instructor for every task.  A deterministic slice of Reasoner requests,
+                 corrupt_fraction: float = CORRUPT_FRACTION,
+                 config: RunConfig | None = None) -> MockGateway:
+    """A gateway that answers a run with ``config`` (by default, under every
+    model-backed method): the Reasoner for ``instances``, the Instructor for
+    every task's Think calls.  A deterministic slice of Reasoner requests,
     keyed on the request digest, is answered wrongly; a test passes 0 for a
     mock that never is."""
-    by_question = {inst.input_text: inst for inst in instances}
+    instances = list(instances)
+    methods = [config.method_id()] if config else TEMPLATE_BY_METHOD
+    config = config or RunConfig()
     threshold = int(corrupt_fraction * 10_000)
-    templates = _templates(TEMPLATE_BY_METHOD.values())
+    lock = threading.Lock()     # so that each table is built once
+
+    @functools.cache
+    def reasoner_table() -> dict[int, list]:
+        # Keyed by the request's hash, so no rendered request is held; a
+        # hit is confirmed by building its request again.
+        tasks = dict.fromkeys(instance.task for instance in instances)
+        table: dict[int, list] = {}
+        for method in methods:
+            assets = task_assets(method, tasks, config.pseudocode_source)
+            for instance in instances:
+                asset = assets.get(instance.task)
+                request = reasoner_request(method, instance, asset,
+                                           config.reasoner_model)
+                table.setdefault(hash(request), []).append(
+                    (method, instance, asset))
+        return table
+
+    @functools.cache
+    def instructor_table() -> dict[ChatRequest, str]:
+        table = {}
+        for task in TaskId:
+            analysis = load_nl_plan(task).body
+            code = load_pseudocode(task, "generated").body
+            for name, answer in (("meta_analysis", analysis),
+                                 ("meta_code", code)):
+                user = build_meta_prompt(name, task, config.seed,
+                                         config.pseudocode_source, analysis)
+                table[ChatRequest(role_tag="instructor", user=user,
+                                  model_id=config.instructor_model)] = answer
+        return table
 
     def reasoner(request: ChatRequest) -> str:
-        name, slots = _parse(templates, request)
-        question = slots["input_text"]
-        if name == "execute":   # the instance is an escaped string literal
-            question = unescape_instance(question)
-        instance = by_question.get(question)
-        if instance is None:
-            raise CassetteMiss("mock reasoner: question not in the dataset: "
-                               f"{question[:60]!r}")
+        with lock:
+            candidates = reasoner_table().get(hash(request), ())
+        for method, instance, asset in candidates:
+            if reasoner_request(method, instance, asset,
+                                config.reasoner_model) == request:
+                break
+        else:
+            raise CassetteMiss("mock reasoner: no instance sends the request")
         key = int(hashlib.sha256(digest(request).encode()).hexdigest()[:8],
                   16)
         try:
@@ -50,39 +87,19 @@ def mock_gateway(instances: Iterable[TaskInstance] = (),
             answer = "unknown"
         if key % 10_000 < threshold:
             answer = "unknown"
-        if name == "pot":
+        if method is MethodId.ZERO_SHOT_POT:
             return (f"```python\ndef solution() -> str:\n"
                     f"    return {answer!r}\n```")
         return (f"Simulating {TASKS[instance.task].function_name} on the "
-                f"given input.\nParsed input of length {len(question)}.\n"
-                f"Final answer: {answer}")
+                f"given input.\nParsed input of length "
+                f"{len(instance.input_text)}.\nFinal answer: {answer}")
+
+    def instructor(request: ChatRequest) -> str:
+        with lock:
+            answer = instructor_table().get(request)
+        if answer is None:
+            raise CassetteMiss("mock instructor: no Think meta prompt matches")
+        return answer
 
     return MockGateway(responders={"reasoner": reasoner,
-                                   "instructor": _instructor})
-
-
-def _templates(names: Iterable[str]) -> dict[str, str]:
-    return {name: load_asset_text(f"meta/{name}.txt") for name in names}
-
-
-def _parse(templates: dict[str, str],
-           request: ChatRequest) -> tuple[str, dict[str, str]]:
-    """The first template that renders the request, and its slot values."""
-    for name, template in templates.items():
-        if (slots := parse(template, request.user)) is not None:
-            return name, slots
-    raise CassetteMiss(f"mock {request.role_tag}: request matches no template")
-
-
-def _instructor(request: ChatRequest) -> str:
-    """The bundled answer for the task, and in the code meta prompt for the
-    bundled analysis, that the request was rendered with."""
-    name, slots = _parse(_templates(("meta_analysis", "meta_code")), request)
-    for task in TaskId:
-        analysis = load_nl_plan(task).body
-        expected = {**task_slots(task, "target"), "analysis_target": analysis}
-        if all(slots.get(key, value) == value
-               for key, value in expected.items()):
-            return (analysis if name == "meta_analysis"
-                    else load_pseudocode(task, "generated").body)
-    raise CassetteMiss("mock instructor: no bundled task matches the request")
+                                   "instructor": instructor})

@@ -1,5 +1,5 @@
-"""Prompt assembly: the template codec (``render`` and its inverse ``parse``),
-Think meta prompts, prompt assets and the ablation."""
+"""Prompt assembly: template rendering, Think meta prompts, prompt assets
+and the ablation."""
 
 from __future__ import annotations
 
@@ -100,52 +100,10 @@ def render(template: str, mapping: dict[str, str]) -> str:
     return head + "".join(mapping[name] + text for name, text in steps)
 
 
-def parse(template: str, text: str) -> dict[str, str] | None:
-    """The inverse of ``render``: the slot values that make ``template``
-    render to ``text``, or None when no values do."""
-    head, steps = _steps(template)
-    slots: dict[str, str] = {}
-    if text.startswith(head) and _fill(steps, text, 0, len(head), slots):
-        return slots
-    return None
-
-
-def _fill(steps: tuple[tuple[str, str], ...], text: str, i: int, pos: int,
-          slots: dict[str, str]) -> bool:
-    """Whether ``steps[i:]`` render ``text[pos:]`` given ``slots``, which
-    it then completes.  A depth-first search: a new slot ends at each
-    occurrence of the text after it, leftmost first, the last slot where
-    the template's tail begins, and a repeated slot must repeat its value.
-    That is the order in which a lazy regex of the template backtracks, so
-    the first split found is the regex's match."""
-    if i == len(steps):
-        return pos == len(text)
-    name, literal = steps[i]
-    if name in slots:
-        end = pos + len(slots[name])
-        return (text.startswith(slots[name], pos)
-                and text.startswith(literal, end)
-                and _fill(steps, text, i + 1, end + len(literal), slots))
-    last = i == len(steps) - 1
-    end = len(text) - len(literal) if last else text.find(literal, pos)
-    while end >= pos and text.startswith(literal, end):
-        slots[name] = text[pos:end]
-        if _fill(steps, text, i + 1, end + len(literal), slots):
-            return True
-        end = -1 if last else text.find(literal, end + 1)
-    slots.pop(name, None)
-    return False
-
-
 def escape_instance(text: str) -> str:
     """Escaping for the embedded instance literal: backslash-escape double
     quotes; real newlines are kept."""
     return text.replace('"', '\\"')
-
-
-def unescape_instance(literal: str) -> str:
-    """The inverse of ``escape_instance``."""
-    return literal.replace('\\"', '"')
 
 
 # --- Think meta prompts ------------------------------------------------------
@@ -169,7 +127,7 @@ def _call_lines() -> str:
     return "\n".join(lines[first:last + 1])
 
 
-def task_slots(task: TaskId, suffix: str) -> dict[str, str]:
+def _task_slots(task: TaskId, suffix: str) -> dict[str, str]:
     """A task's slots in a meta prompt: its description, its example
     questions as plain instances and as calls of its main function (the
     Execute request's own call lines), and its output format."""
@@ -193,11 +151,11 @@ def build_meta_prompt(name: str, target_task: TaskId, seed: int,
     drawn by ``seed`` from the other six, each with its bundled analysis
     and its ``source`` pseudocode, then the target task with ``analysis``.
     Each template reads the slots it names and ignores the rest."""
-    mapping = task_slots(target_task, "target")
+    mapping = _task_slots(target_task, "target")
     mapping["function_name"] = TASKS[target_task].function_name
     mapping["analysis_target"] = analysis
     for i, demo in enumerate(sample_demos(seed, target_task), start=1):
-        mapping.update(task_slots(demo, str(i)))
+        mapping.update(_task_slots(demo, str(i)))
         mapping[f"analysis_{i}"] = load_nl_plan(demo).body
         mapping[f"code_{i}"] = load_pseudocode(demo, source).body
     return render(load_asset_text(f"meta/{name}.txt"), mapping)

@@ -9,10 +9,11 @@ program itself.  Each record it reads there is one request, the JSON
 of a fresh socket pair, the reply socket (``socket.send_fds``).  For each
 request it forks a child that runs ``script`` as ``python script`` would,
 in a session of its own and the script's directory, with stdin from
-/dev/null, stdout and stderr written to the named files and resource limits
-set.  The child first writes ``{"pid"}`` on the reply socket, then closes
-every descriptor it inherited beyond 0-2, so no program holds the control
-socket or another program's reply socket.
+/dev/null, stdout and stderr written to the named files, resource limits
+set and ``sys.modules`` as a script starts with it.  The child first writes
+``{"pid"}`` on the reply socket, then closes every descriptor it inherited
+beyond 0-2, so no program holds the control socket or another program's
+reply socket.
 
 The zygote supervises every running program in one ``select`` loop over
 the control socket and the programs' pidfds, whose timeout is the nearest
@@ -26,6 +27,9 @@ instead.
 
 Standard library only: the zygote imports nothing from pseudoexec.
 """
+
+# What ``python script`` has loaded when the script starts.
+_STARTUP_MODULES = frozenset(__import__("sys").modules)
 
 import atexit
 import builtins
@@ -45,6 +49,11 @@ import types
 # any request.
 from os import pidfd_open, waitstatus_to_exitcode
 from socket import recv_fds
+
+# The modules the zygote imported for itself, which a child drops.  Listed
+# once here: a child that computed it would touch every key of sys.modules,
+# and so copy the pages they sit on.
+_ZYGOTE_MODULES = tuple(sys.modules.keys() - _STARTUP_MODULES)
 
 # The zygote's own VmSize is about 17 MB (Python 3.11); 1 GiB leaves a
 # program ample room while one runaway allocation fails with MemoryError.
@@ -111,6 +120,8 @@ def _run_child(control: socket.socket, reply: int, script: str, stdout: str,
     if _SCRIPT_DIR_ON_PATH:
         sys.path[0] = workdir
     _set_limits(timeout_s)
+    for name in _ZYGOTE_MODULES:
+        del sys.modules[name]
     # A fresh ``__main__``, with the names ``runpy.run_path`` sets; unlike
     # run_path this imports nothing before the program's own code.
     main = types.ModuleType("__main__")

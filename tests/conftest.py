@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import shutil
 import sys
 from pathlib import Path
 
@@ -27,6 +28,20 @@ def replay_fixture_dir() -> Path:
 @pytest.fixture(scope="session")
 def cassette_path() -> Path:
     return ASSETS / "replay" / "cassette.jsonl"
+
+
+@pytest.fixture()
+def assets_copy(tmp_path, monkeypatch) -> Path:
+    """A copy of the bundled assets, which the prompt loader reads in their
+    place for the rest of the test."""
+    from pseudoexec import prompts
+
+    copy = tmp_path / "assets"
+    shutil.copytree(ASSETS, copy)
+    monkeypatch.setattr(prompts, "_assets_root", lambda: copy)
+    prompts.load_asset_text.cache_clear()
+    yield copy
+    prompts.load_asset_text.cache_clear()
 
 
 @pytest.fixture(scope="session")

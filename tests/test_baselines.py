@@ -315,6 +315,19 @@ def test_sandbox_program_runs_as_main(tmp_path, sandbox):
     assert stdout == "__main__ True program.py True\n"
 
 
+def test_sandbox_program_finds_the_modules_python_script_finds(tmp_path,
+                                                              sandbox):
+    # The zygote's own imports: none is loaded when a script starts.
+    stdout, _ = _as_python_script(
+        "import sys\n"
+        "print([name for name in ('array', 'json', 'resource', 'select',\n"
+        "       'selectors', 'signal', 'socket') if name in sys.modules])\n",
+        tmp_path, sandbox)
+    assert stdout == "[]\n"
+    _as_python_script("import sys\nprint(sorted(sys.modules))\n", tmp_path,
+                      sandbox)
+
+
 def test_sandbox_program_recurses_as_deep_as_under_python_script(
         tmp_path, sandbox):
     stdout, _ = _as_python_script(

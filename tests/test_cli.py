@@ -25,14 +25,15 @@ from pathlib import Path
 
 import pytest
 
-from pseudoexec import cli
+from pseudoexec import cli, prompts
 from pseudoexec.baselines import MethodId, build_baseline_prompt
 from pseudoexec.cli import main
 from pseudoexec.config import (MAX_PARALLEL_CEILING, RunConfig, run_id,
                                run_id_fields)
+from pseudoexec.engine import reasoner_request
 from pseudoexec.errors import ConfigError, GatewayError
 from pseudoexec.gateway import ChatRequest, MockGateway, RecordGateway
-from pseudoexec.prompts import load_asset_text, load_pseudocode, parse
+from pseudoexec.prompts import load_pseudocode
 from pseudoexec.tasks import TaskId, make_instance
 from pseudoexec.tasks.generate import generate_instance
 from test_outputs import load_table, run_row
@@ -473,32 +474,6 @@ def _run_outputs(tmp_path: Path, name: str, **extra) -> tuple[str, dict]:
                           for f in files}
 
 
-def test_run_id_and_outputs_ignore_parallelism_and_paths(tmp_path, capsys):
-    serial = _run_outputs(tmp_path, "serial", max_parallel=1)
-    assert len(serial[1]) == 2 + 140
-    assert _run_outputs(tmp_path, "parallel", max_parallel=2) == serial
-    copy = tmp_path / "dataset copy"
-    shutil.copytree(Path("src/pseudoexec/assets/fixtures/replay"), copy)
-    assert _run_outputs(tmp_path, "copied", dataset_dir=str(copy)) == serial
-    # A replay's id hashes the cassette's bytes, not its path.
-    bundled = BUNDLED_CASSETTE.read_bytes()
-    moved = tmp_path / "moved.jsonl"
-    moved.write_bytes(bundled)
-    assert _run_outputs(tmp_path, "moved", cassette_path=str(moved)) == serial
-    at = bundled.index(b'"recorded_at": "2') + len(b'"recorded_at": "')
-    edited = tmp_path / "edited.jsonl"
-    edited.write_bytes(bundled[:at] + b"1" + bundled[at + 1:])
-    rid, outputs = _run_outputs(tmp_path, "edited",
-                                cassette_path=str(edited))
-    assert outputs == serial[1]
-    assert rid != serial[0]
-    # Four workers, and eight: more than the run's seven tasks.
-    for max_parallel in (4, 8):
-        assert _run_outputs(tmp_path, f"workers {max_parallel}",
-                            max_parallel=max_parallel) == serial
-    capsys.readouterr()
-
-
 def test_mock_outputs_ignore_the_lane_count(tmp_path, capsys):
     # The runs at max_parallel 1 and 2 are checked by tests/test_outputs.py.
     switch = sys.getswitchinterval()
@@ -574,6 +549,19 @@ def test_fields_a_run_reads_split_its_id(tmp_path, capsys):
         record, dataclasses.replace(record, cassette_path="b.jsonl"),
         dataclasses.replace(record, endpoint="http://127.0.0.1:9/"))}
     assert len(ids) == 3
+    capsys.readouterr()
+
+
+def test_a_byte_of_a_template_the_run_reads_splits_its_id(tmp_path, capsys,
+                                                         assets_copy):
+    first = _run_outputs(tmp_path, "bundled", **_NAVIGATE_DIRECT)[0]
+    for template, splits in [("cot", False), ("direct", True)]:
+        path = assets_copy / "meta" / f"{template}.txt"
+        path.write_text(path.read_text(encoding="utf-8") + " ",
+                        encoding="utf-8")
+        prompts.load_asset_text.cache_clear()
+        rid = _run_outputs(tmp_path, template, **_NAVIGATE_DIRECT)[0]
+        assert (rid != first) == splits, template
     capsys.readouterr()
 
 
@@ -737,18 +725,18 @@ def test_a_failed_transcript_write_stops_the_run(tmp_path, monkeypatch,
                                      cli._WriterLanes.put)
     failed, stopped = threading.Event(), threading.Event()
 
-    def counting_gateway(instances):
-        inner = mock_gateway(instances)
-        number = {instance.input_text: i
+    def counting_gateway(instances, config):
+        inner = mock_gateway(instances, config=config)
+        number = {reasoner_request(MethodId.DIRECT, instance, None,
+                                   config.reasoner_model): i
                   for i, instance in enumerate(instances)}
-        template = load_asset_text("meta/direct.txt")
 
         def reasoner(request):
             reached.append(request)
             # However far the calling thread lags behind the workers,
             # instances 4 and 5 are answered once 3's write has failed and
             # later ones once the calling thread has seen it.
-            index = number[parse(template, request.user)["input_text"]]
+            index = number[request]
             if index >= 4:
                 assert (failed if index < 6 else stopped).wait(timeout=30)
             time.sleep(0.05)   # the workers, not the writes, set the pace

@@ -10,19 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudoexec import baselines
-from pseudoexec.baselines import (FailureKind, MethodId, SandboxResult,
-                                  build_baseline_prompt, pot_answer)
+from pseudoexec import baselines, prompts
+from pseudoexec.baselines import (TEMPLATE_BY_METHOD, FailureKind, MethodId,
+                                  SandboxResult, build_baseline_prompt,
+                                  pot_answer)
 from pseudoexec.cli import load_dataset
-from pseudoexec.engine import (Prediction, build_execute_prompt,
-                               extract_final_answer, run_instance)
+from pseudoexec.engine import (Prediction, asset_digests,
+                               build_execute_prompt, extract_final_answer,
+                               reasoner_request, run_instance, task_assets)
 from pseudoexec.errors import CassetteMiss, MissingAsset
 from pseudoexec.evaluator import evaluate_run
 from pseudoexec.gateway import (ChatRequest, Gateway, MockGateway,
                                 ReplayGateway, digest)
 from pseudoexec.mock import mock_gateway
-from pseudoexec.prompts import (load_asset_text, load_nl_plan,
-                                load_pseudocode, parse, unescape_instance)
+from pseudoexec.prompts import (PSEUDOCODE_SOURCES, load_nl_plan,
+                                load_pseudocode)
 from pseudoexec.tasks import TaskId, make_instance
 from pseudoexec.tasks.generate import generate_instance
 
@@ -60,28 +62,34 @@ def test_execute_prompt_escapes_double_quotes():
     inst2 = make_instance(TaskId.WEB_OF_LIES, text, "Yes")
     _, user = build_execute_prompt(asset, inst2)
     assert 'input_text = "Says \\"hi\\". ' in user
-    # unescape round-trips to the original text
+    # Every double quote, and nothing else, is escaped.
     embedded = user.split('input_text = "', 1)[1].split(
         '"\nfinal_answer', 1)[0]
-    assert unescape_instance(embedded) == text
+    assert embedded == text.replace('"', '\\"')
+
+
+_TEXT = st.lists(st.sampled_from(
+    ['"', "\\", '\\"', "\n", "\u2028", "a", " ",
+     '<path d="M 31,29 L 34,76"/>']), max_size=24).map("".join)
 
 
 @settings(max_examples=300)
-@given(text=st.lists(st.sampled_from(
-    ['"', "\\", '\\"', "\n", "\u2028", "a", " ",
-     '<path d="M 31,29 L 34,76"/>']), max_size=24).map("".join))
-def test_the_execute_instance_literal_round_trips(text):
-    """What Execute embeds in its request, read back through the template
-    that wrote it and unescaped, is the instance text; a geometric_shapes
+@given(texts=st.tuples(_TEXT, _TEXT))
+def test_the_execute_instance_literal_round_trips(texts):
+    """Execute embeds the instance as an escaped string literal; two
+    instances get the same request only if their texts are the same, so a
+    request finds the one instance it was built for.  A geometric_shapes
     instance quotes its SVG path data."""
     shapes = generate_instance(TaskId.GEOMETRIC_SHAPES, 0, 3)
-    text += shapes.input_text
-    instance = dataclasses.replace(shapes, input_text=text)
-    _, user = baselines.build_baseline_prompt(
-        MethodId.THINK_AND_EXECUTE, instance,
-        load_pseudocode(TaskId.GEOMETRIC_SHAPES))
-    slots = parse(load_asset_text("meta/execute.txt"), user)
-    assert unescape_instance(slots["input_text"]) == text
+    asset = load_pseudocode(TaskId.GEOMETRIC_SHAPES)
+    instances = [dataclasses.replace(shapes, input_text=text +
+                                     shapes.input_text) for text in texts]
+    built = {reasoner_request(MethodId.THINK_AND_EXECUTE, instance, asset,
+                              "mock-model"): instance
+             for instance in instances}
+    assert built[reasoner_request(MethodId.THINK_AND_EXECUTE, instances[0],
+                                  asset, "mock-model")] == instances[0]
+    assert len(built) == len(set(texts))
 
 
 def test_extract_last_marker():
@@ -259,3 +267,33 @@ def test_every_method_sends_the_pinned_requests(paper_fixture_dir,
     assert len(sent) == 7 * 147
     assert hashlib.sha256("\n".join(sent).encode()).hexdigest() == \
         REQUESTS_SHA256
+
+
+def test_the_run_id_hashes_the_files_each_request_reads(
+        monkeypatch, assets_dir, replay_fixture_dir):
+    """``asset_digests`` names exactly the bundled files that building a
+    method's requests reads, under either pseudocode source."""
+    tasks = [TaskId.NAVIGATE, TaskId.WEB_OF_LIES]
+    instances = load_dataset(replay_fixture_dir, tasks)
+    read = set()
+
+    class Root:
+        def __truediv__(self, relpath):
+            read.add(relpath)
+            return assets_dir / relpath
+
+    monkeypatch.setattr(prompts, "_assets_root", Root)
+    try:
+        for source in PSEUDOCODE_SOURCES:
+            for method in TEMPLATE_BY_METHOD:
+                read.clear()
+                prompts.load_asset_text.cache_clear()
+                assets = task_assets(method, tasks, source)
+                for instance in instances:
+                    reasoner_request(method, instance,
+                                     assets.get(instance.task), "mock-model")
+                built_from = set(read)
+                assert built_from == set(
+                    asset_digests(method, tasks, source)), (source, method)
+    finally:
+        prompts.load_asset_text.cache_clear()

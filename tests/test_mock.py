@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import ast
 import json
-import shutil
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from pseudoexec import cli, mock, prompts
+from pseudoexec import cli, mock
 from pseudoexec.baselines import TEMPLATE_BY_METHOD, MethodId
 from pseudoexec.cli import load_dataset, main, write_dataset
 from pseudoexec.engine import run_instance
@@ -20,7 +19,7 @@ from pseudoexec.errors import CassetteMiss
 from pseudoexec.gateway import ChatRequest
 from pseudoexec.mock import mock_gateway
 from pseudoexec.prompts import build_meta_prompt, load_nl_plan
-from pseudoexec.tasks import TaskId
+from pseudoexec.tasks import TASKS, TaskId
 from pseudoexec.tasks.generate import generate_instance
 
 
@@ -53,8 +52,8 @@ def _run_mock(tmp_path: Path, monkeypatch, method: MethodId,
     config.write_text(json.dumps({
         "dataset_dir": str(dataset), "runs_dir": str(tmp_path / "runs"),
         "mode": "mock", "method": method.value}), encoding="utf-8")
-    monkeypatch.setattr(cli, "mock_gateway",
-                        lambda instances: mock_gateway(instances, 0))
+    monkeypatch.setattr(cli, "mock_gateway", lambda instances, **settings:
+                        mock_gateway(instances, 0, **settings))
     assert main(["run", "--config", str(config)]) == 0
     run_dir = next((tmp_path / "runs").iterdir())
     return json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
@@ -84,11 +83,9 @@ def test_mock_run_pot_runs_the_sandbox(tmp_path, capsys, monkeypatch):
 
 
 @pytest.fixture()
-def reworded_assets(tmp_path, monkeypatch, assets_dir):
+def reworded_assets(assets_copy):
     """A copy of the assets whose reasoner and meta templates say the same
     things in other words."""
-    copy = tmp_path / "assets"
-    shutil.copytree(assets_dir, copy)
     for name, old, new in [
             ("execute", "\nfinal_answer = ", "\nresult = "),
             ("direct", "Final answer should be", "The final answer should be"),
@@ -98,14 +95,11 @@ def reworded_assets(tmp_path, monkeypatch, assets_dir):
             ("pot", "# solution using Python:", "# Python solution:"),
             ("meta_analysis", "[Example 4]", "[Target task]"),
             ("meta_code", "[Example 4]", "[Target task]")]:
-        path = copy / "meta" / f"{name}.txt"
+        path = assets_copy / "meta" / f"{name}.txt"
         text = path.read_text(encoding="utf-8")
         assert old in text
         path.write_text(text.replace(old, new), encoding="utf-8")
-    monkeypatch.setattr(prompts, "_assets_root", lambda: copy)
-    prompts.load_asset_text.cache_clear()
-    yield copy
-    prompts.load_asset_text.cache_clear()
+    return assets_copy
 
 
 @pytest.mark.parametrize("method", list(TEMPLATE_BY_METHOD),
@@ -170,6 +164,19 @@ def test_mock_reasoner_hashes_each_request_once(monkeypatch):
                         mock_gateway([instance]))
     assert pred.final_answer is not None
     assert len(hashed) == 1
+
+
+def test_mock_reasoner_tells_apart_requests_whose_hashes_collide(
+        monkeypatch):
+    monkeypatch.setattr(mock, "hash", lambda request: 0, raising=False)
+    instances = [generate_instance(task, 1, 3) for task in TaskId]
+    gateway = mock_gateway(instances, 0)
+    for instance in instances:
+        pred = run_instance(MethodId.DIRECT, instance, None, gateway)
+        assert TASKS[instance.task].function_name in pred.transcript
+    unknown = generate_instance(TaskId.NAVIGATE, 2, 3)
+    pred = run_instance(MethodId.DIRECT, unknown, None, gateway)
+    assert pred.failure.startswith("gateway_error")
 
 
 def test_unknown_question_is_a_recorded_gateway_error():

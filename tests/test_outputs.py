@@ -1,8 +1,10 @@
 """Every method's mock-mode outputs over the replay fixtures, at
 ``max_parallel`` 1 and 2, pinned against the committed digest table
 ``tests/outputs.json``: one row per method, since a run's id and outputs do
-not depend on its parallelism.  ``think_and_execute`` replayed from the
-bundled cassette gives its row too, in all but the run id.
+not depend on its parallelism.  Each model-backed method recorded through a
+model server that answers as the mock does gives its row too, and so does
+``think_and_execute`` replayed from the bundled cassette, in all but the
+run id; a replay's id does not depend on its parallelism or paths either.
 
 Only ``tools/make_outputs_table.py`` writes the table; this test only reads
 it.  A change that moves a row says why in ``CHANGES.md``.
@@ -12,18 +14,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 from pseudoexec.baselines import MethodId
-from pseudoexec.cli import main
+from pseudoexec.cli import load_dataset, main
+from pseudoexec.config import RunConfig
+from pseudoexec.gateway import ChatRequest
+from pseudoexec.mock import mock_gateway
+from pseudoexec.tasks import TaskId
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = Path(__file__).with_name("outputs.json")
 REPLAY_FIXTURES = ROOT / "src/pseudoexec/assets/fixtures/replay"
 BUNDLED_CASSETTE = ROOT / "src/pseudoexec/assets/replay/cassette.jsonl"
 MAX_PARALLELS = (1, 2)
+REPLAY = {"mode": "replay", "cassette_path": str(BUNDLED_CASSETTE)}
 
 
 def run_row(work: Path, method: str, max_parallel: int,
@@ -71,14 +81,66 @@ def test_mock_outputs_match_the_table(tmp_path, capsys, method,
     assert row == load_table()[method]
 
 
-@pytest.mark.parametrize("max_parallel", MAX_PARALLELS)
-def test_replayed_outputs_match_the_table(tmp_path, capsys, max_parallel):
-    # The run id hashes the cassette's bytes, so only it differs.
+@pytest.mark.parametrize("method", [m.value for m in MethodId
+                                    if m is not MethodId.ORACLE])
+def test_recorded_outputs_match_the_table(tmp_path, capsys, monkeypatch,
+                                          method):
+    gateway = mock_gateway(load_dataset(REPLAY_FIXTURES, list(TaskId)),
+                           config=RunConfig(method=method))
+
+    class Model(BaseHTTPRequestHandler):
+        """A chat-completions endpoint that answers as the mock does."""
+
+        def log_message(self, format, *args):
+            pass
+
+        def do_POST(self):
+            body = json.loads(
+                self.rfile.read(int(self.headers["Content-Length"])))
+            messages = {m["role"]: m["content"] for m in body["messages"]}
+            answer = gateway.complete(ChatRequest(
+                role_tag="reasoner", user=messages["user"],
+                system=messages.get("system"), model_id=body["model"]))
+            reply = json.dumps(
+                {"choices": [{"message": {"content": answer}}]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+
+    monkeypatch.setenv("PSEUDOEXEC_TEST_KEY", "not-a-real-key")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    with ThreadingHTTPServer(("127.0.0.1", 0), Model) as server:
+        threading.Thread(target=server.serve_forever, args=(0.01,),
+                         daemon=True).start()
+        try:
+            row = run_row(
+                tmp_path / "run", method, 2, mode="record",
+                cassette_path=str(tmp_path / "cassette.jsonl"),
+                credential_env="PSEUDOEXEC_TEST_KEY",
+                endpoint=f"http://127.0.0.1:{server.server_port}/v1")
+        finally:
+            server.shutdown()
+    capsys.readouterr()
+    # A record run's id hashes its cassette's path, so only it differs.
+    assert row == dict(load_table()[method], run_id=row["run_id"])
+
+
+@pytest.fixture(scope="module")
+def replay_id(tmp_path_factory) -> str:
+    """The run id of a serial replay of the bundled cassette, which hashes
+    the cassette's bytes where a mock run's id does not."""
+    work = tmp_path_factory.mktemp("replay") / "run"
+    return run_row(work, "think_and_execute", 1, **REPLAY)["run_id"]
+
+
+# Four workers, and eight: more than the run's seven tasks.
+@pytest.mark.parametrize("max_parallel", (*MAX_PARALLELS, 4, 8))
+def test_replayed_outputs_match_the_table(tmp_path, capsys, replay_id,
+                                          max_parallel):
     work = tmp_path / "run"
-    row = run_row(work, "think_and_execute", max_parallel, mode="replay",
-                  cassette_path=str(BUNDLED_CASSETTE))
-    assert row == dict(load_table()["think_and_execute"],
-                       run_id=row["run_id"])
+    row = run_row(work, "think_and_execute", max_parallel, **REPLAY)
+    assert row == dict(load_table()["think_and_execute"], run_id=replay_id)
     # A second replay lands in the same directory, with the same bytes.
     (run_dir,) = (work / "runs").iterdir()
     kept = [(run_dir / name).read_bytes()
@@ -87,4 +149,27 @@ def test_replayed_outputs_match_the_table(tmp_path, capsys, max_parallel):
     assert list((work / "runs").iterdir()) == [run_dir]
     assert [(run_dir / name).read_bytes()
             for name in ("report.md", "manifest.json")] == kept
+    capsys.readouterr()
+
+
+def test_replayed_outputs_ignore_the_dataset_and_cassette_paths(
+        tmp_path, capsys, replay_id):
+    expected = dict(load_table()["think_and_execute"], run_id=replay_id)
+    copy = tmp_path / "dataset copy"
+    shutil.copytree(REPLAY_FIXTURES, copy)
+    assert run_row(tmp_path / "copied", "think_and_execute", 1, **REPLAY,
+                   dataset_dir=str(copy)) == expected
+    bundled = BUNDLED_CASSETTE.read_bytes()
+    moved = tmp_path / "moved.jsonl"
+    moved.write_bytes(bundled)
+    assert run_row(tmp_path / "moved", "think_and_execute", 1, mode="replay",
+                   cassette_path=str(moved)) == expected
+    # Another recording time is other cassette bytes: only the id moves.
+    at = bundled.index(b'"recorded_at": "2') + len(b'"recorded_at": "')
+    edited = tmp_path / "edited.jsonl"
+    edited.write_bytes(bundled[:at] + b"1" + bundled[at + 1:])
+    row = run_row(tmp_path / "edited", "think_and_execute", 1, mode="replay",
+                  cassette_path=str(edited))
+    assert row == dict(expected, run_id=row["run_id"])
+    assert row["run_id"] != replay_id
     capsys.readouterr()

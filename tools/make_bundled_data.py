@@ -25,6 +25,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from pseudoexec.baselines import MethodId, build_baseline_prompt  # noqa: E402
 from pseudoexec.cli import load_dataset, write_dataset  # noqa: E402
+from pseudoexec.config import RunConfig  # noqa: E402
 from pseudoexec.evaluator import evaluate_run  # noqa: E402
 from pseudoexec.gateway import RecordGateway, load_cassette  # noqa: E402
 from pseudoexec.mock import CORRUPT_FRACTION, mock_gateway  # noqa: E402
@@ -58,7 +59,9 @@ def record_cassette(corpus: dict[TaskId, list[TaskInstance]]) -> None:
     if cassette.exists():
         cassette.unlink()
     instances = [inst for task in TaskId for inst in corpus[task]]
-    recorder = RecordGateway(mock_gateway(instances), cassette)
+    config = RunConfig(method=MethodId.THINK_AND_EXECUTE.value,
+                       instructor_model=MODEL_ID, reasoner_model=MODEL_ID)
+    recorder = RecordGateway(mock_gateway(instances, config=config), cassette)
 
     # Think exchange for web_of_lies (seed 0, human demo pseudocode).
     run_think(TaskId.WEB_OF_LIES, recorder, 0, model_id=MODEL_ID)
