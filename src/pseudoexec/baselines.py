@@ -203,7 +203,6 @@ class Sandbox:
         import socket
         self._control, theirs = socket.socketpair(socket.AF_UNIX,
                                                   socket.SOCK_SEQPACKET)
-        self._sent = False
         # Read only when the zygote has exited: its stderr says why.
         self._stderr = tempfile.TemporaryFile()
         try:
@@ -223,10 +222,13 @@ class Sandbox:
 
     def _stop(self) -> None:
         """Stop the zygote.  At EOF it kills and reaps whatever programs it
-        still runs; one that has been sent none is killed rather than left
-        to finish its start-up."""
+        still runs, once continued: a program may have stopped it.  While no
+        zygote has started a program, it is killed instead, as one that may
+        never read its control socket."""
         self._control.close()
-        if not self._sent:
+        if self._served:
+            self._proc.send_signal(signal.SIGCONT)
+        else:
             self._proc.kill()
         self._proc.wait()
         self._stderr.close()
@@ -254,7 +256,9 @@ class Sandbox:
                     if self._proc is sent_to:
                         self._stop()
                         self._start()
-                    sent_to, self._sent = self._proc, True
+                    sent_to = self._proc
+                    # Nothing else continues a zygote that a program stopped.
+                    sent_to.send_signal(signal.SIGCONT)
                     # A failed send shows as EOF below.  So does a send the
                     # kernel accepted for a zygote that was killed but had
                     # not yet exited.

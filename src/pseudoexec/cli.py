@@ -1,4 +1,4 @@
-"""Command-line surface: ingest, think, run, report, ablate."""
+"""Command-line surface: think, run, report, ablate."""
 
 from __future__ import annotations
 
@@ -61,24 +61,42 @@ def _record_instance(task: TaskId, path: Path, index: int, record,
 def load_dataset(dataset_dir: str | Path, tasks: list[TaskId],
                  files: list[tuple[TaskId, bytes]] | None = None
                  ) -> list[TaskInstance]:
-    """The instances of ``tasks``, in order.  Each file is read once; with
-    ``files`` given, its task and bytes are appended there, so the digest
-    covers the bytes that were parsed."""
+    """The instances of ``tasks``, in order, from each task's
+    ``<task>.jsonl`` if there is one and else from its BIG-Bench Hard
+    ``<task>.json``.  Each file is read once; with ``files`` given, its task
+    and bytes are appended there, so the digest covers the bytes that were
+    parsed."""
     if not Path(dataset_dir).is_dir():
         raise ConfigError(f"dataset_dir {str(dataset_dir)!r} not found")
     instances: list[TaskInstance] = []
     for task in tasks:
         path = Path(dataset_dir) / f"{task.value}.jsonl"
         if not path.is_file():
-            raise MalformedDataset(f"missing dataset file {path}")
+            if not path.with_suffix(".json").is_file():
+                raise MalformedDataset(f"missing dataset file {path}")
+            path = path.with_suffix(".json")
         data = path.read_bytes()
         if files is not None:
             files.append((task, data))
+        if path.suffix == ".jsonl":
+            key = "input_text"
+            # Split bytes, not text: a U+2028 in a record does not end it.
+            records = ((index, line) for index, line
+                       in enumerate(data.splitlines()) if line.strip())
+        else:
+            key = "input"
+            try:
+                # Decoded first: json.loads would take UTF-16 bytes too.
+                root = json.loads(data.decode("utf-8"))
+            except ValueError as exc:   # not UTF-8, or not JSON
+                raise MalformedDataset(f"{path}: {exc}") from exc
+            records = root.get("examples") if isinstance(root, dict) else None
+            if not isinstance(records, list):
+                raise MalformedDataset(f"{path}: no 'examples' array")
+            records = enumerate(records)
         count = len(instances)
-        # Split bytes, not text: a U+2028 in a record does not end it.
-        instances.extend(
-            _record_instance(task, path, index, line, "input_text")
-            for index, line in enumerate(data.splitlines()) if line.strip())
+        instances.extend(_record_instance(task, path, index, record, key)
+                         for index, record in records)
         if len(instances) == count:
             raise MalformedDataset(f"{path} holds no instances")
     return instances
@@ -183,31 +201,6 @@ def _print_report(text: str) -> None:
 
 
 # --- commands ----------------------------------------------------------------
-
-def cmd_ingest(args) -> int:
-    src = Path(args.dataset_dir)
-    out = Path(args.out) if args.out else src / "normalized"
-    instances: list[TaskInstance] = []
-    for task in TaskId:
-        path = src / f"{task.value}.json"
-        if not path.is_file():
-            continue
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedDataset(f"{path}: {exc}") from exc
-        examples = data.get("examples") if isinstance(data, dict) else None
-        if not isinstance(examples, list):
-            raise MalformedDataset(f"{path}: no 'examples' array")
-        instances.extend(_record_instance(task, path, index, record, "input")
-                         for index, record in enumerate(examples))
-        print(f"{task.value}: {len(examples)}")
-    if not instances:
-        raise MalformedDataset(f"no task files found under {src}")
-    write_dataset(instances, out)
-    print(f"normalized fixtures written to {out}")
-    return 0
-
 
 def cmd_think(args, config: RunConfig) -> int:
     task = TaskId(args.task)
@@ -344,12 +337,6 @@ def _make_parser() -> argparse.ArgumentParser:
         description="Deterministic Think/Execute pseudocode-prompt harness "
                     "for seven algorithmic reasoning tasks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest",
-                       help="normalize a BBH-format dataset directory")
-    p.add_argument("dataset_dir")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_ingest)
 
     p = sub.add_parser("think", parents=[with_config],
                        help="generate analysis + pseudocode for one task")

@@ -22,8 +22,8 @@ the program's process group (a program that ended may have left processes
 in it), reaps the program, replies ``{"status", "timed_out"}`` on its reply
 socket and closes that socket.  At EOF on the control socket it kills and
 reaps every program still running and exits at once, with no interpreter
-teardown.  A zygote that has been sent no program is killed by the harness
-instead.
+teardown.  The harness continues it first, as a program may have stopped
+it, or kills it if no zygote of its sandbox has started a program.
 
 Standard library only: the zygote imports nothing from pseudoexec.
 """

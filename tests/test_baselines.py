@@ -464,14 +464,14 @@ def test_sandbox_program_that_kills_the_zygote_fails_with_its_sibling(
         assert execute_program("print('alive')", sandbox).stdout == "alive\n"
 
 
-def _run_script(script: str, *flags: str) -> str:
+def _run_script(script: str, *flags: str, timeout_s: float = 60) -> str:
     """stdout of ``script`` run by a fresh interpreter that imports this
-    package, which must exit 0."""
+    package, which must exit 0 within ``timeout_s``."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(baselines.__file__).parents[1]))
     proc = subprocess.run([sys.executable, *flags, "-c",
-                           textwrap.dedent(script)],
-                          env=env, capture_output=True, text=True, timeout=60)
+                           textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=timeout_s)
     assert proc.returncode == 0, proc.stderr
     assert "ResourceWarning" not in proc.stderr, proc.stderr
     return proc.stdout
@@ -574,6 +574,65 @@ def test_a_closed_sandbox_leaves_no_process():
     """, "-X", "dev")
     assert stdout.splitlines() == [f"True 5 {[False] * 5}", "2 2 True",
                                    "the sandbox is closed"]
+
+
+def _run_zygote_script(script: str) -> list[str]:
+    """The lines ``script`` prints after its first, the pid of its sandbox's
+    zygote; it must exit 0 within 20 s.  However it ends, that zygote is
+    killed if it still runs, so a script that hangs fails the test and
+    leaves no process."""
+    stdout = ""
+    try:
+        stdout = _run_script(script, timeout_s=20)
+    except subprocess.TimeoutExpired as exc:
+        stdout = exc.stdout or ""
+        raise
+    finally:
+        if isinstance(stdout, bytes):
+            stdout = stdout.decode()
+        pid = stdout.split("\n", 1)[0]
+        with contextlib.suppress(OSError):
+            if pid.isdigit() and b"sandbox_server.py" in Path(
+                    f"/proc/{pid}/cmdline").read_bytes():
+                os.kill(int(pid), signal.SIGKILL)
+    return stdout.splitlines()[1:]
+
+
+def test_a_program_that_stops_its_zygote_fails_alone():
+    # The stopped zygote gives that program no reply; it is continued for
+    # the next program, and for the close, which waits for it to exit.
+    lines = _run_zygote_script("""
+        import os, signal
+        from pseudoexec.baselines import Sandbox, execute_program
+        with Sandbox(timeout_ms=500) as sandbox:
+            print(sandbox._proc.pid, flush=True)
+            for program in ("import os, signal\\n"
+                            "os.kill(os.getppid(), signal.SIGSTOP)",
+                            "print(1)", "print(2)"):
+                result = execute_program(program, sandbox)
+                print(result.exit_status,
+                      (result.stdout or result.stderr).splitlines()[-1])
+            # As a process that a program left running could, after the
+            # last request.
+            os.kill(sandbox._proc.pid, signal.SIGSTOP)
+    """)
+    assert lines == ["-1 sandbox server gave no reply", "0 1", "0 2"]
+
+
+def test_a_sandbox_whose_zygote_started_no_program_closes_at_once():
+    # The zygote never reads its control socket, so it never exits at EOF.
+    lines = _run_zygote_script("""
+        import sys, time
+        from pseudoexec.baselines import Sandbox, execute_program
+        ignores_stdin = [sys.executable, "-c", "import time; time.sleep(60)"]
+        sandbox = Sandbox(ignores_stdin, timeout_ms=100)
+        print(sandbox._proc.pid, flush=True)
+        print(execute_program("print(1)", sandbox).stderr.strip())
+        started = time.monotonic()
+        sandbox.close()
+        print(time.monotonic() - started < 0.5)
+    """)
+    assert lines == ["sandbox server gave no reply", "True"]
 
 
 def test_sandbox_sets_resource_limits():

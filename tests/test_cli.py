@@ -1,4 +1,4 @@
-"""CLI surface tests: ingest, run, report, ablate, error paths."""
+"""CLI surface tests: run, report, ablate, error paths."""
 
 from __future__ import annotations
 
@@ -72,62 +72,76 @@ def _write_config(tmp_path: Path, **extra) -> Path:
     return path
 
 
-def test_ingest_writes_normalized_fixtures(bbh_dir, capsys):
-    out = bbh_dir.parent / "normalized"
-    assert main(["ingest", str(bbh_dir), "--out", str(out)]) == 0
-    captured = capsys.readouterr().out
-    assert "navigate: 4" in captured
-    first = (out / "navigate.jsonl").read_bytes()
-    assert main(["ingest", str(bbh_dir), "--out", str(out)]) == 0
-    assert (out / "navigate.jsonl").read_bytes() == first   # idempotent
+def _run_bbh(tmp_path: Path, src: Path, tasks=("navigate",)) -> int:
+    """``pseudoexec run`` of the oracle over the task files in ``src``."""
+    config = _write_config(tmp_path, dataset_dir=str(src), mode="mock",
+                           cassette_path=None, method="oracle",
+                           tasks=list(tasks))
+    return main(["run", "--config", str(config)])
 
 
-def test_ingest_rejects_missing_target(tmp_path):
+def test_run_reads_big_bench_hard_task_files(tmp_path, bbh_dir, capsys):
+    tasks = ("navigate", "web_of_lies")
+    assert _run_bbh(tmp_path, bbh_dir, tasks) == 0
+    # A task's JSON Lines file is read in place of its BIG-Bench Hard one.
+    cli.write_dataset([generate_instance(TaskId.NAVIGATE, 9, 3)], bbh_dir)
+    assert _run_bbh(tmp_path, bbh_dir, tasks) == 0
+    capsys.readouterr()
+    totals = sorted(
+        [tally["total"] for tally in json.loads(
+            (run_dir / "manifest.json").read_text("utf-8"))["per_task"]
+         .values()]
+        for run_dir in (tmp_path / "runs").iterdir())
+    assert totals == [[1, 4], [4, 4]]
+
+
+def test_run_rejects_a_big_bench_hard_example_without_target(tmp_path,
+                                                             capsys):
     src = tmp_path / "bbh"
     src.mkdir()
     (src / "navigate.json").write_text(
         json.dumps({"examples": [{"input": "x"}]}), encoding="utf-8")
-    assert main(["ingest", str(src)]) == 2
+    assert _run_bbh(tmp_path, src) == 2
+    assert (f"error: MalformedDataset: {src / 'navigate.json'} record 0: "
+            "needs 'input' and 'target'") in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
-def test_ingest_rejects_a_target_its_task_rejects(tmp_path, capsys):
+def test_run_rejects_a_big_bench_hard_target_its_task_rejects(tmp_path,
+                                                              capsys):
     src = tmp_path / "bbh"
     src.mkdir()
     good = generate_instance(TaskId.NAVIGATE, 0, 3)
     (src / "navigate.json").write_text(json.dumps({"examples": [
         {"input": good.input_text, "target": good.target},
         {"input": good.input_text, "target": "Maybe"}]}), encoding="utf-8")
-    assert main(["ingest", str(src)]) == 2
+    assert _run_bbh(tmp_path, src) == 2
     assert (f"error: MalformedDataset: {src / 'navigate.json'} record 1: "
             "navigate: target must be Yes or No") in capsys.readouterr().err
-    assert not (src / "normalized").exists()
+    assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("command, name, content", [
-    ("ingest", "navigate.json", "[]"),
-    ("ingest", "navigate.json",
+@pytest.mark.parametrize("name, content", [
+    ("navigate.json", "[]"),
+    ("navigate.json",
      json.dumps({"examples": [{"input": 5, "target": "Yes"}]})),
-    ("oracle", "navigate.jsonl", "[1]\n"),
-    ("oracle", "navigate.jsonl",
+    ("navigate.jsonl", "[1]\n"),
+    ("navigate.jsonl",
      json.dumps({"input_text": 5, "target": "Yes"}) + "\n"),
-    ("oracle", "dyck_languages.jsonl",
+    ("dyck_languages.jsonl",
      json.dumps({"input_text": "Input: ( [", "target": 5}) + "\n"),
-], ids=["ingest-root-list", "ingest-input-int", "oracle-line-list",
+], ids=["bbh-root-list", "bbh-input-int", "oracle-line-list",
         "oracle-input-int", "oracle-target-int"])
 def test_a_record_of_the_wrong_shape_is_a_malformed_dataset(
-        tmp_path, capsys, command, name, content):
+        tmp_path, capsys, name, content):
     data = tmp_path / "data"
     data.mkdir()
     (data / name).write_text(content, encoding="utf-8")
-    if command == "ingest":
-        argv = ["ingest", str(data)]
-    else:   # a run of the oracle method
-        config = _write_config(tmp_path, dataset_dir=str(data), mode="mock",
-                               cassette_path=None, method="oracle",
-                               tasks=[name.removesuffix(".jsonl")])
-        argv = ["run", "--config", str(config)]
+    config = _write_config(tmp_path, dataset_dir=str(data), mode="mock",
+                           cassette_path=None, method="oracle",
+                           tasks=[name.split(".")[0]])
     before = sorted(tmp_path.rglob("*"))
-    assert main(argv) == 2
+    assert main(["run", "--config", str(config)]) == 2
     assert "error: MalformedDataset" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
 
@@ -141,9 +155,9 @@ def test_a_record_holding_a_unicode_line_break_round_trips(tmp_path):
     assert cli.load_dataset(tmp_path, [TaskId.NAVIGATE]) == [instance]
 
 
-@pytest.mark.parametrize("command", ["run", "ingest"])
+@pytest.mark.parametrize("bbh", [False, True], ids=["run", "bbh"])
 def test_a_record_that_is_not_valid_unicode_is_a_malformed_dataset(
-        tmp_path, capsys, command):
+        tmp_path, capsys, bbh):
     # JSON's "\\ud800" decodes to a lone surrogate, which no UTF-8 encode
     # accepts: the record is refused before a run directory is made.
     good = generate_instance(TaskId.NAVIGATE, 0, 3)
@@ -152,25 +166,22 @@ def test_a_record_that_is_not_valid_unicode_is_a_malformed_dataset(
     records = [{"input_text": good.input_text, "target": good.target},
                {"input_text": good.input_text + "\ud800",
                 "target": good.target}]
-    if command == "ingest":
+    if bbh:
         path = data / "navigate.json"
         path.write_text(json.dumps({"examples": [
             {"input": r["input_text"], "target": r["target"]}
             for r in records]}), encoding="utf-8")
-        argv = ["ingest", str(data)]
     else:
         path = data / "navigate.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records),
                         encoding="utf-8")
-        config = _write_config(tmp_path, dataset_dir=str(data), mode="mock",
-                               cassette_path=None, method="direct",
-                               tasks=["navigate"])
-        argv = ["run", "--config", str(config)]
-    assert main(argv) == 2
+    config = _write_config(tmp_path, dataset_dir=str(data), mode="mock",
+                           cassette_path=None, method="direct",
+                           tasks=["navigate"])
+    assert main(["run", "--config", str(config)]) == 2
     assert (f"error: MalformedDataset: {path} record 1: input text and "
             "target must be valid Unicode") in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
-    assert not (data / "normalized").exists()
 
 
 def test_run_unknown_task_in_config(tmp_path):
@@ -178,22 +189,20 @@ def test_run_unknown_task_in_config(tmp_path):
     assert main(["run", "--config", str(config)]) == 2
 
 
-@pytest.mark.parametrize("command, name, error", [
-    ("run", "config.json", "ConfigError"),
-    ("run", "data/navigate.jsonl", "MalformedDataset"),
-    ("ingest", "data/navigate.json", "MalformedDataset")],
-    ids=["config", "dataset", "ingest"])
+@pytest.mark.parametrize("name, error", [
+    ("config.json", "ConfigError"),
+    ("data/navigate.jsonl", "MalformedDataset"),
+    ("data/navigate.json", "MalformedDataset")],
+    ids=["config", "dataset", "bbh"])
 def test_a_file_that_is_not_utf8_is_named_in_its_error(
-        tmp_path, capsys, command, name, error):
+        tmp_path, capsys, name, error):
     (tmp_path / "data").mkdir()
     config = _write_config(tmp_path, mode="mock", cassette_path=None,
                            dataset_dir=str(tmp_path / "data"),
                            tasks=["navigate"])
     bad = tmp_path / name
     bad.write_bytes(b'{"input_text": "caf\xe9", "examples": []}\n')
-    argv = (["ingest", str(tmp_path / "data")] if command == "ingest"
-            else [command, "--config", str(config)])
-    assert main(argv) == 2
+    assert main(["run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert f"error: {error}: " in err and str(bad) in err
     assert "can't decode byte 0xe9" in err
@@ -363,28 +372,32 @@ def test_an_empty_dataset_makes_no_run_dir(tmp_path, capsys, tasks, error):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("command, config, message", [
-    ("run", None, "ConfigError: config file '{tmp}/config.json' not found"),
-    ("run", [], "ConfigError: config root must be a JSON object"),
-    ("run", {"bogus": 1}, "ConfigError: unknown config keys: ['bogus']"),
-    ("run", {"mode": "bogus"}, "ConfigError: mode must be one of "
+@pytest.mark.parametrize("config, message", [
+    (None, "ConfigError: config file '{tmp}/config.json' not found"),
+    ([], "ConfigError: config root must be a JSON object"),
+    ({"bogus": 1}, "ConfigError: unknown config keys: ['bogus']"),
+    ({"mode": "bogus"}, "ConfigError: mode must be one of "
      "('live', 'record', 'replay', 'mock')"),
-    ("run", {"method": "bogus"}, "ConfigError: unknown method 'bogus'"),
-    ("run", {"dataset_dir": "{tmp}/missing"},
+    ({"method": "bogus"}, "ConfigError: unknown method 'bogus'"),
+    ({"dataset_dir": "{tmp}/missing"},
      "ConfigError: dataset_dir '{tmp}/missing' not found"),
-    ("run", {"dataset_dir": "{tmp}", "tasks": ["navigate"]},
+    ({"dataset_dir": "{tmp}", "tasks": ["navigate"]},
      "MalformedDataset: missing dataset file {tmp}/navigate.jsonl"),
-    ("run", {"mode": "replay"},
+    ({"mode": "replay"},
      "ConfigError: mode 'replay' requires cassette_path"),
-    ("run", {"mode": "record"},
+    ({"mode": "record"},
      "ConfigError: mode 'record' requires cassette_path"),
-    ("ingest", None, "MalformedDataset: no task files found under {tmp}")],
+    ({"dataset_dir": "{tmp}", "tasks": ["web_of_lies"]},
+     "MalformedDataset: {tmp}/web_of_lies.json: no 'examples' array")],
     ids=["no-config-file", "config-not-an-object", "unknown-key",
          "unknown-mode", "unknown-method", "no-dataset-dir",
          "no-task-file", "replay-without-cassette",
-         "record-without-cassette", "ingest-without-task-files"])
+         "record-without-cassette", "bbh-without-examples"])
 def test_a_rejected_config_or_dataset_makes_no_run_dir(
-        tmp_path, capsys, command, config, message):
+        tmp_path, capsys, config, message):
+    # A BIG-Bench Hard file that only a config naming its task reads.
+    (tmp_path / "web_of_lies.json").write_text('{"examples": null}',
+                                               encoding="utf-8")
     path = tmp_path / "config.json"
     if isinstance(config, dict):
         config = {"dataset_dir": str(Path("src/pseudoexec/assets/fixtures/"
@@ -393,13 +406,10 @@ def test_a_rejected_config_or_dataset_makes_no_run_dir(
     if config is not None:
         path.write_text(json.dumps(config).replace("{tmp}", str(tmp_path)),
                         encoding="utf-8")
-    argv = (["ingest", str(tmp_path)] if command == "ingest"
-            else ["run", "--config", str(path)])
-    assert main(argv) == 2
+    assert main(["run", "--config", str(path)]) == 2
     assert f"error: {message.format(tmp=tmp_path)}\n" == \
         capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
-    assert not (tmp_path / "normalized").exists()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -683,12 +693,11 @@ def test_each_command_takes_only_the_settings_it_reads(capsys):
                if not isinstance(action, argparse._HelpAction)}
         for name, command in commands.choices.items()}
     assert options == {
-        "ingest": {"dataset_dir", "--out"},
         "think": {"--config", "--mode", "--seed", "--task", "--out"},
         "run": {"--config", "--mode"},
         "report": {"--config", "run_id", "--format"},
         "ablate": {"--task", "--source", "--out"}}
-    assert sum(map(len, options.values())) == 15
+    assert sum(map(len, options.values())) == 13
     for argv in (["run", "--seed", "1"], ["oracle", "--config", "x"],
                  ["ingest", "DIR", "--config", "x"],
                  ["ablate", "--task", "navigate", "--seed", "1"]):
@@ -698,6 +707,20 @@ def test_each_command_takes_only_the_settings_it_reads(capsys):
     assert parser.parse_args(["think", "--task", "navigate",
                               "--seed", "3"]).seed == 3
     capsys.readouterr()
+
+
+def test_the_readme_cli_section_names_every_command():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split("\n| command |", 1)[1].split("\n\n", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    (commands,) = [action for action in cli._make_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    listed = [name for row in table.splitlines()[2:]
+              for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(listed) == sorted(commands.choices)
+    assert set(re.findall(r"^pseudoexec (\w+)", block, re.M)) == \
+        set(commands.choices)
 
 
 def test_a_partial_report_prints_on_an_ascii_terminal(tmp_path,

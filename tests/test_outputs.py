@@ -5,6 +5,7 @@ not depend on its parallelism.  Each model-backed method recorded through a
 model server that answers as the mock does gives its row too, and so does
 ``think_and_execute`` replayed from the bundled cassette, in all but the
 run id; a replay's id does not depend on its parallelism or paths either.
+So does a run over the same instances as BIG-Bench Hard task files.
 
 Only ``tools/make_outputs_table.py`` writes the table; this test only reads
 it.  A change that moves a row says why in ``CHANGES.md``.
@@ -124,6 +125,32 @@ def test_recorded_outputs_match_the_table(tmp_path, capsys, monkeypatch,
     capsys.readouterr()
     # A record run's id hashes its cassette's path, so only it differs.
     assert row == dict(load_table()[method], run_id=row["run_id"])
+
+
+@pytest.fixture(scope="module")
+def bbh_fixtures(tmp_path_factory) -> Path:
+    """The replay fixtures' instances as BIG-Bench Hard task files."""
+    out = tmp_path_factory.mktemp("bbh")
+    for task in TaskId:
+        examples = [{"input": instance.input_text, "target": instance.target}
+                    for instance in load_dataset(REPLAY_FIXTURES, [task])]
+        (out / f"{task.value}.json").write_text(
+            json.dumps({"examples": examples}, ensure_ascii=False, indent=2),
+            encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("method", ["think_and_execute", "direct",
+                                    "zero_shot_pot", "oracle"])
+def test_big_bench_hard_files_give_the_json_lines_outputs(
+        tmp_path, capsys, bbh_fixtures, method):
+    # The table's rows are runs over the JSON Lines fixtures.  The dataset
+    # digest hashes the bytes that were read, so only the run id differs.
+    row = run_row(tmp_path / "run", method, 2, dataset_dir=str(bbh_fixtures))
+    capsys.readouterr()
+    expected = load_table()[method]
+    assert row == dict(expected, run_id=row["run_id"])
+    assert row["run_id"] != expected["run_id"]
 
 
 @pytest.fixture(scope="module")
