@@ -6,7 +6,6 @@ returns."""
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import shutil
 import signal
@@ -183,12 +182,17 @@ class Sandbox:
                     f"{sys.executable!r} cannot run the PoT sandbox: it "
                     f"lacks {module.__name__}.{name}")
         self.timeout_ms = timeout_ms
-        self._command = [*interpreter_command, str(_SERVER_SCRIPT)]
+        self._interpreter = " ".join(interpreter_command)
+        self._command = [*interpreter_command, str(_SERVER_SCRIPT),
+                         str(timeout_ms / 1000)]
         self._env = _sandbox_env(credential_env)
         self._lock = threading.Lock()
         # Whether a zygote has started a program: the interpreter can run
         # the sandbox.
         self._served = False
+        # The ConfigError of every later program, once a zygote started no
+        # program in time while none had.
+        self._unusable: str | None = None
         self._start()
 
     def __enter__(self) -> Sandbox:
@@ -233,18 +237,21 @@ class Sandbox:
         self._proc.wait()
         self._stderr.close()
 
-    def _run(self, request: dict, wait_s: float) -> dict | None:
-        """Have the zygote run one program and return its reply; None if it
-        gave none within ``wait_s``, in which case the program's process
-        group has been killed.  A zygote that closes the reply socket before
-        the program reports its pid has ended.  One that exited before any
-        zygote of this Sandbox started a program cannot run programs: that
-        is a ConfigError.  Any other, killed by a signal (a program may kill
-        its parent) or exited once programs have run (a fork may fail), is
-        started again and sent the request again, once."""
+    def _run(self, script: Path, stdout, stderr) -> bytes | None:
+        """Have the zygote run ``script`` with its output in the open files
+        ``stdout`` and ``stderr``, and return its reply; None if it gave
+        none by the timeout and ``_REAP_GRACE_S``, in which case the
+        program's process group has been killed.  A zygote that closes the
+        reply socket before the program reports its pid has ended.  One that
+        exited, or started no program by then, while no zygote of this
+        Sandbox had started one cannot run programs: that is a ConfigError.
+        Any other, killed by a signal (a program may kill its parent) or
+        exited once programs have run (a fork may fail), is started again
+        and sent the request again, once."""
         import socket
+        wait_s = self.timeout_ms / 1000 + _REAP_GRACE_S
         deadline = time.monotonic() + wait_s
-        payload = json.dumps(request).encode()
+        payload = os.fsencode(script)
         sent_to = None
         for _ in range(2):
             ours, theirs = socket.socketpair(socket.AF_UNIX,
@@ -253,6 +260,8 @@ class Sandbox:
                 with theirs, self._lock:
                     if self._proc is None:
                         raise SpawnFailure("the sandbox is closed")
+                    if self._unusable:
+                        raise ConfigError(self._unusable)
                     if self._proc is sent_to:
                         self._stop()
                         self._start()
@@ -263,8 +272,9 @@ class Sandbox:
                     # kernel accepted for a zygote that was killed but had
                     # not yet exited.
                     with contextlib.suppress(OSError):
-                        socket.send_fds(self._control, [payload],
-                                        [theirs.fileno()])
+                        socket.send_fds(self._control, [payload], [
+                            theirs.fileno(), stdout.fileno(),
+                            stderr.fileno()])
                 started = _receive(ours, deadline)
                 if started == b"":
                     status = sent_to.wait()
@@ -272,20 +282,24 @@ class Sandbox:
                         self._raise_exited(status)
                     continue
                 if started is None:
+                    if not self._served:
+                        self._unusable = (
+                            f"interpreter {self._interpreter!r} cannot run "
+                            f"the PoT sandbox: it started no program within "
+                            f"{round(wait_s * 1000)} ms")
+                        raise ConfigError(self._unusable)
                     return None
-                pid = json.loads(started)["pid"]
+                pid = int(started)
                 self._served = True
                 try:
                     pidfd = os.pidfd_open(pid)
                 except ProcessLookupError:      # reaped: nothing to kill
-                    reply = _receive(ours, deadline)
-                    return json.loads(reply) if reply else None
+                    return _receive(ours, deadline) or None
                 try:
                     reply = _receive(ours, deadline)
                     if not reply:
                         _kill_program_group(pidfd, pid)
-                        return None
-                    return json.loads(reply)
+                    return reply or None
                 finally:
                     os.close(pidfd)
         raise SpawnFailure("a new sandbox zygote started no program")
@@ -297,9 +311,8 @@ class Sandbox:
         tail = os.pread(fd, _STDERR_TAIL,
                         max(0, os.fstat(fd).st_size - _STDERR_TAIL))
         cause = tail.decode("utf-8", "replace").strip() or "no stderr"
-        interpreter = " ".join(self._command[:-1])
-        raise ConfigError(f"interpreter {interpreter!r} cannot run the PoT "
-                          f"sandbox: it exited {status}: {cause}")
+        raise ConfigError(f"interpreter {self._interpreter!r} cannot run "
+                          f"the PoT sandbox: it exited {status}: {cause}")
 
     def close(self) -> None:
         """Stop the zygote."""
@@ -339,36 +352,29 @@ def execute_program(program: str, sandbox: Sandbox) -> SandboxResult:
     ``sandbox``: empty temp working dir, stdin from /dev/null, scrubbed
     environment, resource limits, and its process group killed at the
     sandbox's timeout."""
-    timeout_ms = sandbox.timeout_ms
-    tmp = Path(tempfile.mkdtemp(prefix="pseudoexec-sandbox-"))
+    workdir = Path(tempfile.mkdtemp(prefix="pseudoexec-sandbox-"))
     try:
-        # Output goes outside the program's working directory.
-        workdir = tmp / "work"
-        workdir.mkdir()
         script = workdir / "program.py"
         script.write_text(program, encoding="utf-8")
-        reply = sandbox._run({"script": str(script),
-                              "stdout": str(tmp / "stdout"),
-                              "stderr": str(tmp / "stderr"),
-                              "timeout_s": timeout_ms / 1000.0},
-                             timeout_ms / 1000.0 + _REAP_GRACE_S)
-        stderr = _read_output(tmp / "stderr")
-        if reply is None:
-            reply = {"status": -1, "timed_out": False}
-            stderr += "\nsandbox server gave no reply"
-        return SandboxResult(
-            stdout=_read_output(tmp / "stdout"), stderr=stderr,
-            exit_status=reply["status"],
-            timed_out_after_ms=timeout_ms if reply["timed_out"] else None)
+        # Unnamed files, passed as descriptors: the program holds no path
+        # to its own output.  Text mode reads them with universal newlines.
+        with _output_file() as stdout, _output_file() as stderr:
+            reply = sandbox._run(script, stdout, stderr)
+            stdout.seek(0)
+            stderr.seek(0)
+            out, err = stdout.read(), stderr.read()
     finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
+    status, timed_out = map(int, (reply or b"-1 0").split())
+    if reply is None:
+        err += "\nsandbox server gave no reply"
+    return SandboxResult(
+        stdout=out, stderr=err, exit_status=status,
+        timed_out_after_ms=sandbox.timeout_ms if timed_out else None)
 
 
-def _read_output(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8", errors="replace")
-    except FileNotFoundError:
-        return ""
+def _output_file():
+    return tempfile.TemporaryFile("w+", encoding="utf-8", errors="replace")
 
 
 def pot_answer(result: SandboxResult, instance: TaskInstance) -> Prediction:

@@ -2,24 +2,24 @@
 when the run opens its ``baselines.Sandbox`` and stopped when it closes it,
 forks one child per program, so no program pays for interpreter start-up.
 
-Run as ``<interpreter> sandbox_server.py`` with stdin a Unix
+Run as ``<interpreter> sandbox_server.py <timeout_s>`` with stdin a Unix
 ``SOCK_SEQPACKET`` socket, the control socket.  The zygote never runs a
-program itself.  Each record it reads there is one request, the JSON
-``{"script", "stdout", "stderr", "timeout_s"}``, sent with the caller's end
-of a fresh socket pair, the reply socket (``socket.send_fds``).  For each
-request it forks a child that runs ``script`` as ``python script`` would,
-in a session of its own and the script's directory, with stdin from
-/dev/null, stdout and stderr written to the named files, resource limits
-set and ``sys.modules`` as a script starts with it.  The child first writes
-``{"pid"}`` on the reply socket, then closes every descriptor it inherited
-beyond 0-2, so no program holds the control socket or another program's
-reply socket.
+program itself.  Each record it reads there is one request, a script's path
+(``os.fsencode``), sent with three descriptors (``socket.send_fds``): the
+caller's end of a fresh socket pair, the reply socket, and the files for
+the program's stdout and stderr.  For each request it forks a child that
+runs the script as ``python script`` would, in a session of its own and the
+script's directory, with stdin from /dev/null, resource limits set and
+``sys.modules`` as a script starts with it.  The child first writes its pid
+on the reply socket, then moves the two files onto fds 1 and 2 and closes
+every descriptor beyond 0-2, so no program holds the control socket,
+another program's reply socket or a path to its own output.
 
 The zygote supervises every running program in one ``select`` loop over
 the control socket and the programs' pidfds, whose timeout is the nearest
-deadline.  When a program ends, or at its ``timeout_s``, the zygote kills
-the program's process group (a program that ended may have left processes
-in it), reaps the program, replies ``{"status", "timed_out"}`` on its reply
+deadline.  When a program ends, or at ``timeout_s``, the zygote kills the
+program's process group (a program that ended may have left processes in
+it), reaps the program, replies ``b"<status> <timed_out>"`` on its reply
 socket and closes that socket.  At EOF on the control socket it kills and
 reaps every program still running and exits at once, with no interpreter
 teardown.  The harness continues it first, as a program may have stopped
@@ -34,7 +34,6 @@ _STARTUP_MODULES = frozenset(__import__("sys").modules)
 import atexit
 import builtins
 import contextlib
-import json
 import math
 import os
 import resource
@@ -62,7 +61,7 @@ FILE_SIZE_LIMIT = 16 << 20          # also caps stdout and stderr
 OPEN_FILES_LIMIT = 64
 # CPU seconds beyond the wall-clock timeout; the timeout normally acts first.
 CPU_GRACE_S = 1
-# Far more than a request's JSON, which holds three paths and a number.
+# Far more than a request, one path (PATH_MAX is 4096 bytes).
 _MAX_REQUEST = 1 << 16
 
 # Whether ``python script`` would put the script's directory first on
@@ -85,12 +84,6 @@ def _set_limits(timeout_s: float) -> None:
         resource.setrlimit(res, (value, value))
 
 
-def _redirect(path: str, fd: int, flags: int) -> None:
-    opened = os.open(path, flags, 0o600)
-    os.dup2(opened, fd)
-    os.close(opened)
-
-
 def _exit_status(code) -> int:
     """The exit status of ``SystemExit(code)``, as the interpreter maps it."""
     if code is None:
@@ -101,19 +94,18 @@ def _exit_status(code) -> int:
     return 1
 
 
-def _run_child(control: socket.socket, reply: int, script: str, stdout: str,
-               stderr: str, timeout_s: float) -> int:
+def _run_child(control: socket.socket, reply: int, stdout: int, stderr: int,
+               script: str, timeout_s: float) -> int:
     """In the forked child: report the pid, set up like ``python script``,
     run the program and return its exit status."""
     os.setsid()
     # Sent by the group leader before any program code runs, so the harness
     # can kill the group even if the program kills the zygote.
-    os.write(reply, json.dumps({"pid": os.getpid()}).encode())
+    os.write(reply, b"%d" % os.getpid())
     control.close()
+    os.dup2(stdout, 1)
+    os.dup2(stderr, 2)
     os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-    _redirect(os.devnull, 0, os.O_RDONLY)
-    _redirect(stdout, 1, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
-    _redirect(stderr, 2, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
     workdir = os.path.dirname(script)
     os.chdir(workdir)
     sys.argv = [script]
@@ -181,15 +173,15 @@ def _end(pid: int, timed_out: bool) -> int:
 
 def main() -> tuple:
     """Serve requests until EOF on the control socket, then exit.  Returns
-    only in a forked child: the control socket, the child's reply socket
-    and the request it is to run."""
-    # The control socket moves off fd 0, and fds 0 and 1, which programs
-    # take over, point at /dev/null.
+    only in a forked child: ``_run_child``'s arguments."""
+    # Read from the end: a shim that runs this file with ``runpy`` leaves
+    # its own path first in argv.
+    timeout_s = float(sys.argv[-1])
+    # The control socket moves off fd 0, which every program inherits
+    # pointing at /dev/null: the lowest free descriptor is the one opened.
     control = socket.socket(fileno=os.dup(0))
-    null = os.open(os.devnull, os.O_RDWR)
-    os.dup2(null, 0)
-    os.dup2(null, 1)
-    os.close(null)
+    os.close(0)
+    os.open(os.devnull, os.O_RDONLY)
     running = {}       # pidfd: (pid, reply socket, deadline)
     while True:
         deadline = min((d for _, _, d in running.values()), default=None)
@@ -204,23 +196,24 @@ def main() -> tuple:
                 timed_out = pidfd not in ready
                 status = _end(pid, timed_out)
                 with contextlib.suppress(OSError):   # the caller has gone
-                    os.write(reply, json.dumps(
-                        {"status": status, "timed_out": timed_out}).encode())
+                    os.write(reply, b"%d %d" % (status, timed_out))
                 os.close(reply)
         if control not in ready:
             continue
         try:
-            data, fds, _, _ = recv_fds(control, _MAX_REQUEST, 1)
+            data, fds, _, _ = recv_fds(control, _MAX_REQUEST, 3)
         except OSError:
             data = b""
         if not data:
             break
-        request, (reply,) = json.loads(data), fds
         pid = os.fork()
         if pid == 0:
-            return control, reply, request
+            return control, *fds, os.fsdecode(data), timeout_s
+        reply, stdout, stderr = fds
+        os.close(stdout)
+        os.close(stderr)
         # Not reaped yet, so the pid names the child.
-        running[pidfd_open(pid)] = (pid, reply, now + request["timeout_s"])
+        running[pidfd_open(pid)] = (pid, reply, now + timeout_s)
     for pid, _, _ in running.values():
         _end(pid, timed_out=True)
     # Nothing is left to clean up, so skip the interpreter's teardown: the
@@ -229,12 +222,12 @@ def main() -> tuple:
 
 
 if __name__ == "__main__":
-    control, reply, request = main()
+    request = main()
     # Only a forked child gets here.  It runs its program after ``main`` has
     # returned, so the program starts as few frames deep as a fork allows,
     # and it exits with no interpreter teardown, however the program ends.
     status = 1
     try:
-        status = _run_child(control, reply, **request)
+        status = _run_child(*request)
     finally:
         os._exit(status)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
 import shutil
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,51 @@ def assets_copy(tmp_path, monkeypatch) -> Path:
     prompts.load_asset_text.cache_clear()
     yield copy
     prompts.load_asset_text.cache_clear()
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """``serve(respond)`` starts a chat-completions server on 127.0.0.1 that
+    answers each POST with ``respond(json_body)``: ``(status, payload)``, or
+    ``(status, payload, content_length)`` to announce another length.  It
+    closes the connection after each reply.  ``serve`` returns the server's
+    endpoint and the list of ``(headers, json_body)`` the server saw.  For
+    the test, ``PSEUDOEXEC_TEST_KEY`` holds a placeholder key and 127.0.0.1
+    bypasses any proxy; the servers stop when it ends."""
+    monkeypatch.setenv("PSEUDOEXEC_TEST_KEY", "not-a-real-key")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    servers = []
+
+    def serve(respond):
+        seen = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, format, *args):
+                pass
+
+            def do_POST(self):
+                length = int(self.headers["Content-Length"])
+                body = json.loads(self.rfile.read(length))
+                seen.append((self.headers, body))
+                status, payload, *announced = respond(body)
+                self.send_response(status)
+                self.send_header("Content-Length",
+                                 str(announced[0] if announced
+                                     else len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, args=(0.01,),
+                         daemon=True).start()
+        servers.append(server)
+        return (f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
+                seen)
+
+    yield serve
+    for server in servers:
+        server.shutdown()
+        server.server_close()
 
 
 @pytest.fixture(scope="session")

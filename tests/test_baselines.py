@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 import warnings
@@ -219,6 +220,26 @@ def test_sandbox_runs_in_empty_cwd(sandbox):
     result = execute_program(
         "import os\nprint(sorted(os.listdir('.')))", sandbox)
     assert result.stdout.strip() == "['program.py']"
+
+
+@pytest.mark.parametrize("program, decoy, stdout", [
+    ("print('answer', flush=True)\nimport os\nos.remove('../stdout')\n"
+     "print('after')\n", None, "answer\nafter\n"),
+    ("print('real', flush=True)\n"
+     "with open('../stdout', 'w') as f:\n    f.write('forged\\n')\n",
+     "forged\n", "real\n")], ids=["removed", "forged"])
+def test_a_program_cannot_reach_its_own_output(program, decoy, stdout,
+                                               tmp_path, monkeypatch,
+                                               sandbox):
+    # The working directory is made in tmp_path, so ``../stdout`` names a
+    # file there: a decoy, which the program removes or overwrites.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    (tmp_path / "stdout").write_text("decoy\n", encoding="utf-8")
+    result = execute_program(program, sandbox)
+    assert (result.stdout, result.stderr) == (stdout, "")
+    assert (tmp_path / "stdout").exists() == (decoy is not None)
+    if decoy is not None:
+        assert (tmp_path / "stdout").read_text(encoding="utf-8") == decoy
 
 
 def test_sandbox_scrubs_credentials(monkeypatch):
@@ -621,18 +642,26 @@ def test_a_program_that_stops_its_zygote_fails_alone():
 
 def test_a_sandbox_whose_zygote_started_no_program_closes_at_once():
     # The zygote never reads its control socket, so it never exits at EOF.
+    # Its first program, which it never starts, waits the timeout and the
+    # reap grace, and then raises a ConfigError.
     lines = _run_zygote_script("""
         import sys, time
         from pseudoexec.baselines import Sandbox, execute_program
+        from pseudoexec.errors import ConfigError
         ignores_stdin = [sys.executable, "-c", "import time; time.sleep(60)"]
         sandbox = Sandbox(ignores_stdin, timeout_ms=100)
         print(sandbox._proc.pid, flush=True)
-        print(execute_program("print(1)", sandbox).stderr.strip())
+        try:
+            execute_program("print(1)", sandbox)
+        except ConfigError as exc:
+            print(exc)
         started = time.monotonic()
         sandbox.close()
         print(time.monotonic() - started < 0.5)
     """)
-    assert lines == ["sandbox server gave no reply", "True"]
+    ignores_stdin = f"{sys.executable} -c import time; time.sleep(60)"
+    assert lines == [f"interpreter {ignores_stdin!r} cannot run the PoT "
+                     "sandbox: it started no program within 1100 ms", "True"]
 
 
 def test_sandbox_sets_resource_limits():

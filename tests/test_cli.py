@@ -20,7 +20,6 @@ import time
 import urllib.request
 import uuid
 import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -296,45 +295,24 @@ def test_each_task_directory_is_written_by_one_thread_of_its_own(
     capsys.readouterr()
 
 
-def _record_run_against_a_stub(tmp_path, monkeypatch, **extra) -> list:
+def _record_run_against_a_stub(tmp_path, chat_server, **extra) -> list:
     """Run a record ``direct`` run over navigate against a localhost model
     stub, expect exit 2, and return the requests the stub was paid for."""
-    paid = []
-
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, format, *args):
-            pass
-
-        def do_POST(self):
-            paid.append(self.rfile.read(int(self.headers["Content-Length"])))
-            body = json.dumps({"choices": [
-                {"message": {"content": "Final answer: Yes"}}]}).encode()
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-    monkeypatch.setenv("PSEUDOEXEC_TEST_KEY", "not-a-real-key")
-    monkeypatch.setenv("no_proxy", "127.0.0.1")
-    with ThreadingHTTPServer(("127.0.0.1", 0), Handler) as server:
-        threading.Thread(target=server.serve_forever, args=(0.01,),
-                         daemon=True).start()
-        config = _write_config(
-            tmp_path, mode="record", method="direct", tasks=["navigate"],
-            credential_env="PSEUDOEXEC_TEST_KEY",
-            endpoint=f"http://127.0.0.1:{server.server_port}/v1", **extra)
-        try:
-            assert main(["run", "--config", str(config)]) == 2
-        finally:
-            server.shutdown()
+    endpoint, paid = chat_server(lambda request: (200, json.dumps(
+        {"choices": [{"message": {"content": "Final answer: Yes"}}]}
+    ).encode()))
+    config = _write_config(
+        tmp_path, mode="record", method="direct", tasks=["navigate"],
+        credential_env="PSEUDOEXEC_TEST_KEY", endpoint=endpoint, **extra)
+    assert main(["run", "--config", str(config)]) == 2
     return paid
 
 
 def test_a_record_run_into_a_missing_directory_pays_for_nothing(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, chat_server):
     missing = tmp_path / "missing"
     paid = _record_run_against_a_stub(
-        tmp_path, monkeypatch, cassette_path=str(missing / "c.jsonl"))
+        tmp_path, chat_server, cassette_path=str(missing / "c.jsonl"))
     assert f"error: ConfigError: cassette directory {str(missing)!r} " \
         "not found" in capsys.readouterr().err
     assert paid == []
@@ -343,11 +321,11 @@ def test_a_record_run_into_a_missing_directory_pays_for_nothing(
 
 
 def test_a_run_whose_runs_dir_cannot_be_made_pays_for_nothing(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, chat_server):
     (tmp_path / "file").write_text("", encoding="utf-8")
     runs_dir = tmp_path / "file" / "runs"
     paid = _record_run_against_a_stub(
-        tmp_path, monkeypatch, runs_dir=str(runs_dir),
+        tmp_path, chat_server, runs_dir=str(runs_dir),
         cassette_path=str(tmp_path / "c.jsonl"), max_parallel=4)
     assert f"error: ConfigError: runs_dir {str(runs_dir)!r} cannot be " \
         f"made: {str(tmp_path / 'file')!r} is not a writable directory" \
@@ -665,6 +643,28 @@ def test_a_pot_run_stops_on_an_interpreter_the_zygote_cannot_use(
         f"the PoT sandbox: it exited {status}: ")
     assert cause in err
     assert not marker.exists()
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_pot_run_stops_after_one_wait_on_a_zygote_that_starts_nothing(
+        tmp_path, capsys):
+    data = tmp_path / "data"
+    cli.write_dataset([generate_instance(TaskId.NAVIGATE, seed, 3)
+                       for seed in range(3)], data)
+    ignores_stdin = [sys.executable, "-c", "import time; time.sleep(60)"]
+    config = _write_config(tmp_path, dataset_dir=str(data), mode="mock",
+                           cassette_path=None, method="zero_shot_pot",
+                           tasks=["navigate"], max_parallel=1,
+                           interpreter_command=ignores_stdin,
+                           sandbox_timeout_ms=100)
+    started = time.monotonic()
+    assert main(["run", "--config", str(config)]) == 2
+    elapsed = time.monotonic() - started
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: interpreter {' '.join(ignores_stdin)!r} cannot "
+        "run the PoT sandbox: it started no program within 1100 ms\n")
+    # The timeout and the reap grace once, not once per instance.
+    assert 1.1 <= elapsed < 2.2
     assert not (tmp_path / "runs").exists()
 
 

@@ -10,7 +10,6 @@ import sys
 import threading
 import time
 from dataclasses import fields
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -446,49 +445,17 @@ def sleeps(monkeypatch):
 
 
 @pytest.fixture
-def chat_server(monkeypatch, sleeps):
-    """``serve(respond)`` starts an HTTP server on 127.0.0.1 that answers
-    each POST with ``respond(json_body)``: ``(status, payload)``, or
-    ``(status, payload, content_length)`` to announce another length.  It
-    closes the socket after each reply.  ``serve`` returns a LiveGateway on
-    that server and the list of ``(headers, json_body)`` the server saw.
+def live_server(chat_server, sleeps):
+    """``serve(respond)`` returns a LiveGateway on a ``chat_server`` that
+    answers with ``respond``, and the list of requests that server saw.
     Backoff sleeps are recorded in ``sleeps``, not slept."""
     from pseudoexec.gateway import LiveGateway
 
-    monkeypatch.setenv("TEST_CRED", "not-a-real-key")
-    monkeypatch.setenv("no_proxy", "127.0.0.1")
-    servers = []
-
     def serve(respond):
-        seen = []
+        endpoint, seen = chat_server(respond)
+        return LiveGateway(endpoint, "PSEUDOEXEC_TEST_KEY"), seen
 
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, format, *args):
-                pass
-
-            def do_POST(self):
-                length = int(self.headers["Content-Length"])
-                body = json.loads(self.rfile.read(length))
-                seen.append((self.headers, body))
-                status, payload, *announced = respond(body)
-                self.send_response(status)
-                self.send_header("Content-Length",
-                                 str(announced[0] if announced
-                                     else len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, args=(0.01,),
-                         daemon=True).start()
-        servers.append(server)
-        endpoint = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-        return LiveGateway(endpoint, "TEST_CRED"), seen
-
-    yield serve
-    for server in servers:
-        server.shutdown()
-        server.server_close()
+    return serve
 
 
 def _answer(content: str) -> bytes:
@@ -502,15 +469,15 @@ MALFORMED_BODIES = [b"<html>not json</html>", b"{}", b'{"choices": []}',
 
 
 @pytest.mark.parametrize("body", MALFORMED_BODIES)
-def test_live_malformed_body_is_transport_error(chat_server, body):
+def test_live_malformed_body_is_transport_error(live_server, body):
     from pseudoexec.errors import TransportError
 
-    live, _ = chat_server(lambda request: (200, body))
+    live, _ = live_server(lambda request: (200, body))
     with pytest.raises(TransportError, match="malformed response body"):
         live.complete(_req())
 
 
-def test_live_malformed_body_does_not_abort_run(chat_server):
+def test_live_malformed_body_does_not_abort_run(live_server):
     import json
 
     from pseudoexec.baselines import MethodId
@@ -528,7 +495,7 @@ def test_live_malformed_body_does_not_abort_run(chat_server):
 
     predictions = {}
     report = evaluate_run(
-        MethodId.DIRECT, [good, bad], chat_server(respond)[0],
+        MethodId.DIRECT, [good, bad], live_server(respond)[0],
         on_prediction=lambda i, inst, pred, ok: predictions.update({i: pred}))
     assert report.per_task[TaskId.NAVIGATE].total == 2
     assert report.per_task[TaskId.NAVIGATE].correct == 1
@@ -536,7 +503,7 @@ def test_live_malformed_body_does_not_abort_run(chat_server):
     assert predictions[1].failure.startswith("gateway_error: ")
 
 
-def test_live_content_that_is_not_unicode_is_never_recorded(chat_server,
+def test_live_content_that_is_not_unicode_is_never_recorded(live_server,
                                                             tmp_path):
     from pseudoexec.baselines import MethodId
     from pseudoexec.evaluator import evaluate_run
@@ -544,7 +511,7 @@ def test_live_content_that_is_not_unicode_is_never_recorded(chat_server,
     from pseudoexec.tasks.generate import generate_instance
 
     instance = generate_instance(TaskId.NAVIGATE, 1, 3)
-    live, _ = chat_server(lambda request: (
+    live, _ = live_server(lambda request: (
         200, _answer(f"Final answer: {instance.target}\ud800")))
     cassette = tmp_path / "c.jsonl"
     predictions = {}
@@ -556,8 +523,8 @@ def test_live_content_that_is_not_unicode_is_never_recorded(chat_server,
     assert not cassette.exists()
 
 
-def test_live_sends_key_and_json_body(chat_server):
-    live, seen = chat_server(lambda request: (200, _answer("ok")))
+def test_live_sends_key_and_json_body(live_server):
+    live, seen = live_server(lambda request: (200, _answer("ok")))
     request = _req("question", system="be brief", model_id="m-1")
     assert live.complete(request) == "ok"
     [(headers, body)] = seen
@@ -569,19 +536,19 @@ def test_live_sends_key_and_json_body(chat_server):
                     "temperature": 0.0, "max_tokens": 2048}
 
 
-def test_live_retries_a_429_then_answers(chat_server, sleeps):
+def test_live_retries_a_429_then_answers(live_server, sleeps):
     statuses = iter([429, 200])
-    live, seen = chat_server(
+    live, seen = live_server(
         lambda request: (next(statuses), _answer("after retry")))
     assert live.complete(_req()) == "after retry"
     assert len(seen) == 2
     assert sleeps == [1]
 
 
-def test_live_5xx_on_every_attempt_is_transport_error(chat_server, sleeps):
+def test_live_5xx_on_every_attempt_is_transport_error(live_server, sleeps):
     from pseudoexec.errors import RateLimited, TransportError
 
-    live, seen = chat_server(lambda request: (503, b"busy"))
+    live, seen = live_server(lambda request: (503, b"busy"))
     with pytest.raises(TransportError, match="server error 503") as caught:
         live.complete(_req())
     assert not isinstance(caught.value, RateLimited)
@@ -589,11 +556,11 @@ def test_live_5xx_on_every_attempt_is_transport_error(chat_server, sleeps):
     assert sleeps == [1, 2, 4, 8]
 
 
-def test_live_4xx_is_transport_error_with_the_body_head(chat_server, sleeps):
+def test_live_4xx_is_transport_error_with_the_body_head(live_server, sleeps):
     from pseudoexec.errors import TransportError
 
     payload = b"no such model: " + b"x" * 300
-    live, seen = chat_server(lambda request: (404, payload))
+    live, seen = live_server(lambda request: (404, payload))
     with pytest.raises(TransportError) as caught:
         live.complete(_req())
     assert str(caught.value) == f"HTTP 404: {payload[:200].decode()}"
@@ -601,14 +568,14 @@ def test_live_4xx_is_transport_error_with_the_body_head(chat_server, sleeps):
     assert sleeps == []
 
 
-def test_live_cut_short_body_is_a_recorded_gateway_error(chat_server):
+def test_live_cut_short_body_is_a_recorded_gateway_error(live_server):
     from pseudoexec.baselines import MethodId
     from pseudoexec.errors import TransportError
     from pseudoexec.evaluator import evaluate_run
     from pseudoexec.tasks import TaskId
     from pseudoexec.tasks.generate import generate_instance
 
-    live, _ = chat_server(lambda request: (200, b'{"choices"', 100))
+    live, _ = live_server(lambda request: (200, b'{"choices"', 100))
     with pytest.raises(TransportError):
         live.complete(_req())
     predictions = {}

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,44 +85,24 @@ def test_mock_outputs_match_the_table(tmp_path, capsys, method,
 
 @pytest.mark.parametrize("method", [m.value for m in MethodId
                                     if m is not MethodId.ORACLE])
-def test_recorded_outputs_match_the_table(tmp_path, capsys, monkeypatch,
+def test_recorded_outputs_match_the_table(tmp_path, capsys, chat_server,
                                           method):
     gateway = mock_gateway(load_dataset(REPLAY_FIXTURES, list(TaskId)),
                            config=RunConfig(method=method))
 
-    class Model(BaseHTTPRequestHandler):
-        """A chat-completions endpoint that answers as the mock does."""
+    def answer_as_the_mock(body):
+        messages = {m["role"]: m["content"] for m in body["messages"]}
+        answer = gateway.complete(ChatRequest(
+            role_tag="reasoner", user=messages["user"],
+            system=messages.get("system"), model_id=body["model"]))
+        return 200, json.dumps(
+            {"choices": [{"message": {"content": answer}}]}).encode()
 
-        def log_message(self, format, *args):
-            pass
-
-        def do_POST(self):
-            body = json.loads(
-                self.rfile.read(int(self.headers["Content-Length"])))
-            messages = {m["role"]: m["content"] for m in body["messages"]}
-            answer = gateway.complete(ChatRequest(
-                role_tag="reasoner", user=messages["user"],
-                system=messages.get("system"), model_id=body["model"]))
-            reply = json.dumps(
-                {"choices": [{"message": {"content": answer}}]}).encode()
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(reply)))
-            self.end_headers()
-            self.wfile.write(reply)
-
-    monkeypatch.setenv("PSEUDOEXEC_TEST_KEY", "not-a-real-key")
-    monkeypatch.setenv("no_proxy", "127.0.0.1")
-    with ThreadingHTTPServer(("127.0.0.1", 0), Model) as server:
-        threading.Thread(target=server.serve_forever, args=(0.01,),
-                         daemon=True).start()
-        try:
-            row = run_row(
-                tmp_path / "run", method, 2, mode="record",
-                cassette_path=str(tmp_path / "cassette.jsonl"),
-                credential_env="PSEUDOEXEC_TEST_KEY",
-                endpoint=f"http://127.0.0.1:{server.server_port}/v1")
-        finally:
-            server.shutdown()
+    endpoint, _ = chat_server(answer_as_the_mock)
+    row = run_row(
+        tmp_path / "run", method, 2, mode="record",
+        cassette_path=str(tmp_path / "cassette.jsonl"),
+        credential_env="PSEUDOEXEC_TEST_KEY", endpoint=endpoint)
     capsys.readouterr()
     # A record run's id hashes its cassette's path, so only it differs.
     assert row == dict(load_table()[method], run_id=row["run_id"])
@@ -200,3 +181,25 @@ def test_replayed_outputs_ignore_the_dataset_and_cassette_paths(
     assert row == dict(expected, run_id=row["run_id"])
     assert row["run_id"] != replay_id
     capsys.readouterr()
+
+
+def test_outputs_ignore_the_hash_seed_locale_and_time_zone(tmp_path):
+    # Another string-hash seed, the C locale and a zone 14 hours ahead of
+    # UTC, in a process of its own: each method's row is the table's.
+    methods = ["direct", "zero_shot_pot", "think_and_execute"]
+    script = ("import json, sys\n"
+              "from pathlib import Path\n"
+              "from test_outputs import run_row\n"
+              "work = Path(sys.argv[1])\n"
+              "rows = {m: run_row(work / m, m, 2) for m in sys.argv[2:]}\n"
+              "(work / 'rows.json').write_text(json.dumps(rows))\n")
+    env = dict(os.environ, PYTHONHASHSEED="1", LC_ALL="C",
+               TZ="Pacific/Kiritimati", PYTHONPATH=os.pathsep.join(
+                   [str(ROOT / "src"), str(ROOT / "tests")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path),
+                           *methods], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads((tmp_path / "rows.json").read_text(encoding="utf-8"))
+    table = load_table()
+    assert rows == {method: table[method] for method in methods}
