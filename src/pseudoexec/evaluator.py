@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import threading
 from dataclasses import asdict, dataclass, field, fields
 
 from .baselines import FailureKind, MethodId, Prediction, Sandbox
@@ -128,10 +129,24 @@ def evaluate_run(method: MethodId, instances: list[TaskInstance], gateway,
     # that never evaluate do not pay for it (it pulls in ``logging``).
     from concurrent.futures import ThreadPoolExecutor
 
+    # Set once a prediction raises or the run aborts: an instance a worker
+    # takes after that is skipped, so it never reaches the model.
+    stop = threading.Event()
+
+    def predict_until_stopped(instance: TaskInstance) -> Prediction | None:
+        if stop.is_set():
+            return None         # never read: the run has already failed
+        try:
+            return predict(instance)
+        except BaseException:
+            stop.set()
+            raise
+
     report = EvalReport(method=method, model_id=model_id)
     pool = ThreadPoolExecutor(max_workers=min(max_parallel, len(instances)))
     try:
-        futures = [pool.submit(predict, instance) for instance in instances]
+        futures = [pool.submit(predict_until_stopped, instance)
+                   for instance in instances]
         for index, (instance, future) in enumerate(zip(instances, futures)):
             prediction = future.result()
             tally = report.per_task.setdefault(instance.task, TaskTally())
@@ -145,6 +160,7 @@ def evaluate_run(method: MethodId, instances: list[TaskInstance], gateway,
                 on_prediction(index, instance, prediction, correct)
     finally:
         # After an abort, queued instances must not reach the model.
+        stop.set()
         pool.shutdown(cancel_futures=True)
     return report
 

@@ -12,11 +12,15 @@ import contextlib
 import fcntl
 import hashlib
 import json
+import operator
 import os
+import struct
+import sys
 import threading
 import time
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
@@ -81,19 +85,62 @@ def _entry_line(key: str, request: ChatRequest, response_text: str,
     }, ensure_ascii=False)
 
 
-class Cassette(dict):
+class Cassette(Mapping):
     """A cassette file's lines as ``{digest: (offset, length)}`` byte spans,
     plus the SHA-256 of every byte indexed: loaded, appended by another
-    writer or appended.  A line is parsed again only when it is served, and
-    is checked then against the request it answers."""
+    writer or appended.  An index hit leaves its spans in the index's table,
+    searched in place; lines parsed in full or appended go in a dict beside
+    it, which wins for a digest both hold.  A line is parsed again only
+    when it is served, and is checked then against the request it
+    answers."""
 
     def __init__(self, path: Path):
-        super().__init__()
         self.path = Path(path)
         self.sha256 = hashlib.sha256()
         self._size = 0
         self._newline_due = False       # the file's last line has no "\n"
         self._lock = threading.Lock()   # flock alone may not order threads
+        self._lines: dict[str, tuple[int, int]] = {}
+        # The table: ``_rows`` digests of 32 bytes in increasing order lead
+        # ``_table``; their spans are the columns beside it.
+        self._rows = 0
+        self._table = memoryview(b"")
+        self._offsets = self._lengths = ()
+
+    def _digest(self, row: int) -> bytes:
+        return self._table[32 * row:32 * row + 32].tobytes()
+
+    def _row(self, key) -> int | None:
+        """The table row of the hex digest ``key``, if it has one."""
+        try:
+            raw = bytes.fromhex(key)
+        except (TypeError, ValueError):
+            return None
+        row = bisect_left(range(self._rows), raw, key=self._digest)
+        if row < self._rows and self._digest(row) == raw \
+                and raw.hex() == key:   # not upper case, not spaced
+            return row
+        return None
+
+    def __getitem__(self, key) -> tuple[int, int]:
+        span = self._lines.get(key)
+        if span is None:
+            row = self._row(key)
+            if row is None:
+                raise KeyError(key)
+            span = self._offsets[row], self._lengths[row]
+        return span
+
+    def _added(self) -> list[str]:
+        """The dict's digests that the table does not hold."""
+        return [key for key in self._lines if self._row(key) is None]
+
+    def __len__(self) -> int:
+        return self._rows + len(self._added())
+
+    def __iter__(self):
+        yield from map(bytes.hex, map(self._digest, range(self._rows)))
+        yield from self._added()
 
     def response(self, key: str, request: ChatRequest) -> str:
         """The recorded response for ``request``, whose digest is ``key``.
@@ -133,15 +180,17 @@ class Cassette(dict):
             fh.write(prefix + data)
             self.sha256.update(prefix + data)
             self._size += len(prefix)
-            self[key] = (self._size, len(data))
+            self._lines[key] = (self._size, len(data))
             self._size += len(data)
             self._newline_due = False
 
 
 # The sidecar index: written beside a cassette after a full parse, and
-# trusted only for the exact bytes that parse read.
-INDEX_FORMAT = "pseudoexec-cassette-index/1"
-_HASH_CHUNK = 1 << 20
+# trusted only for the exact bytes that parse read.  A JSON header line,
+# then the table: the digests, 32 bytes each in increasing order, then the
+# offsets and the lengths as columns of unsigned 64-bit integers in the
+# header's byte order.
+INDEX_FORMAT = "pseudoexec-cassette-index/2"
 
 
 def index_path(path: Path) -> Path:
@@ -150,7 +199,7 @@ def index_path(path: Path) -> Path:
 
 def load_cassette(path: Path) -> Cassette:
     """Index a cassette file.  When its sidecar index matches the file's
-    SHA-256 and size, the entries come from the index; otherwise every byte
+    SHA-256 and size, the spans are the index's table; otherwise every byte
     goes into the running SHA-256 and every line is parsed once, for its
     digest, and the index is written afresh."""
     cassette = Cassette(path)
@@ -170,7 +219,7 @@ def _index_lines(cassette: Cassette, fh) -> None:
         if line.strip():
             try:
                 key = json.loads(line)["digest"]
-                cassette[key] = (cassette._size, len(line))
+                cassette._lines[key] = (cassette._size, len(line))
             except (ValueError, LookupError, TypeError) as exc:
                 with open(cassette.path, "rb") as whole:
                     number = whole.read(cassette._size).count(b"\n") + 1
@@ -181,48 +230,77 @@ def _index_lines(cassette: Cassette, fh) -> None:
 
 
 def _load_index(cassette: Cassette) -> bool:
-    """Fill ``cassette`` from its sidecar index if the index was written
-    for the bytes the file holds now; False leaves it untouched."""
+    """Give ``cassette`` its sidecar index's table if the index was written
+    in this byte order for the bytes the file holds now; False leaves it
+    untouched.  Each check is one C-level pass over the table, and no
+    entry is kept as an object."""
     try:
-        index = json.loads(index_path(cassette.path).read_bytes())
-    except (OSError, ValueError):           # absent, unreadable or garbled
-        return False
-    sha256, size, last = hashlib.sha256(), 0, b"\n"
-    with open(cassette.path, "rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK):
-            sha256.update(chunk)
-            size += len(chunk)
-            last = chunk[-1:]
-    try:
-        if (index["format"], index["sha256"], index["size"]) != \
-                (INDEX_FORMAT, sha256.hexdigest(), size):
+        data = index_path(cassette.path).read_bytes()
+        end = data.index(b"\n") + 1
+        index = json.loads(data[:end])
+        table = memoryview(data)[end:]      # read once, never copied
+        rows = index["entries"]
+        if (index["format"], index["byteorder"], type(rows)) != \
+                (INDEX_FORMAT, sys.byteorder, int) or len(table) != 48 * rows:
             return False
-        entries = {}
-        for key, offset, length in index["entries"]:
-            if not (type(offset) is type(length) is int
-                    and 0 <= offset <= offset + length <= size):
-                return False
-            entries[key] = (offset, length)
-    except (LookupError, TypeError, ValueError):    # another shape
+        written = index["sha256"], index["size"]
+    except (OSError, ValueError, LookupError, TypeError):
+        return False            # absent, unreadable, garbled or foreign
+    with open(cassette.path, "rb") as fh:
+        sha256, size, newline_due = _hash_file(fh)
+    if written != (sha256.hexdigest(), size):
         return False
-    cassette.update(entries)
+    digests = table[:32 * rows]
+    offsets = table[32 * rows:40 * rows].cast("Q")
+    lengths = table[40 * rows:].cast("Q")
+    increasing = map(operator.lt, struct.iter_unpack("32s", digests[:-32]),
+                     struct.iter_unpack("32s", digests[32:]))
+    if max(map(operator.add, offsets, lengths), default=0) > size \
+            or not all(increasing):
+        return False            # a span past the end, or keys out of order
+    cassette._rows, cassette._table = rows, table
+    cassette._offsets, cassette._lengths = offsets, lengths
     cassette.sha256, cassette._size = sha256, size
-    cassette._newline_due = last != b"\n"
+    cassette._newline_due = newline_due
     return True
+
+
+def _hash_file(fh) -> tuple:
+    """The SHA-256 and size of the open file ``fh``, hashed in one call over
+    a map of it, and whether its last line lacks its newline."""
+    if not os.fstat(fh.fileno()).st_size:
+        return hashlib.sha256(), 0, False     # an empty file has no map
+    import mmap     # here, so that only a cassette load pays for it
+    with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        return hashlib.sha256(data), len(data), data[-1:] != b"\n"
 
 
 def _write_index(cassette: Cassette) -> None:
     """Write the sidecar index of the bytes just parsed, atomically.  A
-    location that cannot be written only means no index."""
-    data = json.dumps({
+    location that cannot be written, or a digest that is not 64 lower-case
+    hex digits, only means no index."""
+    try:
+        keys = sorted(cassette._lines)
+        digests = b"".join(map(bytes.fromhex, keys))
+        canonical = set(map(len, keys)) <= {64} and \
+            digests.hex() == "".join(keys)
+    except (TypeError, ValueError):
+        canonical = False
+    if not canonical:
+        return
+    columns = [cassette._lines[key][column] for column in (0, 1)
+               for key in keys]            # the offsets, then the lengths
+    header = json.dumps({
         "format": INDEX_FORMAT,
         "sha256": cassette.sha256.hexdigest(),
         "size": cassette._size,
-        "entries": [[key, offset, length]
-                    for key, (offset, length) in cassette.items()],
+        "entries": len(keys),
+        "byteorder": sys.byteorder,
     }, separators=(",", ":")).encode()
     with contextlib.suppress(OSError):
-        write_atomic(index_path(cassette.path), data)
+        write_atomic(index_path(cassette.path), b"".join([
+            header, b"\n", digests,
+            struct.pack(f"{len(columns)}Q", *columns)]))
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -308,6 +386,8 @@ class RecordGateway(Gateway):
     def complete(self, request: ChatRequest) -> str:
         key = digest(request)
         if key not in self.cassette:
+            # Only record mode stamps a time: other commands skip the import.
+            from datetime import datetime, timezone
             line = _entry_line(key, request, self._inner.complete(request),
                                datetime.now(timezone.utc).isoformat(),
                                self._inner.label)

@@ -12,7 +12,6 @@ from importlib import resources
 
 from .errors import MalformedPseudocode, MissingAsset
 from .gateway import ChatRequest, Gateway
-from .pseudolex import ablate_text
 from .tasks import TASKS, TaskId
 
 # The bundled pseudocode prompt sets: assets/<source>/<task>.txt.
@@ -213,6 +212,7 @@ def ablate_prompt(asset: PromptAsset) -> PromptAsset:
     meaningless ones."""
     if not asset.function_name:
         raise ValueError("only pseudocode assets can be ablated")
+    from .pseudolex import ablate_text   # only ``ablate`` pays its import
     body, mapping = ablate_text(asset.body)
     new_name = mapping.get(asset.function_name, asset.function_name)
     return replace(asset, body=body, function_name=new_name)

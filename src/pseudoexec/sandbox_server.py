@@ -182,6 +182,10 @@ def main() -> tuple:
     control = socket.socket(fileno=os.dup(0))
     os.close(0)
     os.open(os.devnull, os.O_RDONLY)
+    # CPython sets its compiler up at the first ``compile``.  A zygote whose
+    # start-up compiled no source (``-S``, or a ``site`` that executes no
+    # ``.pth`` line) would leave that to every child.
+    compile("", "<zygote>", "exec")
     running = {}       # pidfd: (pid, reply socket, deadline)
     while True:
         deadline = min((d for _, _, d in running.values()), default=None)

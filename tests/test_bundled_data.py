@@ -5,7 +5,6 @@ cassette's ``recorded_at`` times."""
 from __future__ import annotations
 
 import importlib.util
-import json
 import re
 import shutil
 import sys
@@ -44,9 +43,10 @@ def test_the_tool_rewrites_the_bundled_artifacts_unchanged(
             assert len(_RECORDED_AT.findall(after)) == after.count(b"\n")
             before, after = (_RECORDED_AT.sub(b"", b) for b in (before, after))
         if rel == index_path(cassette):
-            # Rewritten for the restamped bytes: an index hit, with the
-            # bundled index's entries in the same order.
-            assert _load_index(Cassette(copy / cassette))
-            before, after = ([key for key, _, _ in json.loads(b)["entries"]]
-                             for b in (before, after))
+            # Rewritten for the restamped bytes: an index hit on each side,
+            # with the same digests.  The spans may move: a time stamp
+            # whose microseconds are 0 is shorter.
+            loaded = [Cassette(root / cassette) for root in (assets_dir, copy)]
+            assert all(map(_load_index, loaded))
+            before, after = (sorted(each) for each in loaded)
         assert after == before, rel

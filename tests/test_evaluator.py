@@ -249,3 +249,29 @@ def test_abort_stops_queued_model_calls():
         evaluate_run(MethodId.DIRECT, instances, gateway, max_parallel=2,
                      on_prediction=disk_full)
     assert len(gateway.finished) <= 2 + 2
+
+
+class _FailsFirst(Gateway):
+    """Raises on its first call and answers every later one, each call
+    after ``wait_s``."""
+
+    def __init__(self, wait_s: float):
+        self._wait_s = wait_s
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        time.sleep(self._wait_s)
+        if self.calls == 1:
+            raise RuntimeError("the first call fails")
+        return "Final answer: (A)"
+
+
+def test_no_instance_starts_after_a_prediction_raised():
+    # A call made after the run has failed would be paid for nothing.  The
+    # first call's wait lets every instance be queued before it raises, so
+    # the worker is free to take the next one at once.
+    gateway = _FailsFirst(wait_s=0.1)
+    with pytest.raises(RuntimeError, match="the first call fails"):
+        evaluate_run(MethodId.DIRECT, _task_mix(5), gateway, max_parallel=1)
+    assert gateway.calls == 1

@@ -9,6 +9,8 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
+from array import array
 from dataclasses import fields
 
 import pytest
@@ -119,8 +121,9 @@ def _recorded(tmp_path, words=("alpha", "beta", "gamma")):
 
 
 def _state(cassette) -> tuple:
-    return (list(cassette.items()), cassette.sha256.hexdigest(),
-            cassette._size, cassette._newline_due)
+    # As a mapping: an index hit lists its digests in the table's order.
+    return (dict(cassette), cassette.sha256.hexdigest(), cassette._size,
+            cassette._newline_due)
 
 
 def _loads_seen(monkeypatch) -> list:
@@ -129,6 +132,34 @@ def _loads_seen(monkeypatch) -> list:
     monkeypatch.setattr(json, "loads", lambda text, *args, **kwargs:
                         seen.append(text) or loads(text, *args, **kwargs))
     return seen
+
+
+def _read_index(cassette) -> tuple:
+    """The header, digest column and span columns of a cassette's index."""
+    header, _, table = index_path(cassette).read_bytes().partition(b"\n")
+    header = json.loads(header)
+    rows = header["entries"]
+    offsets, lengths = array("Q"), array("Q")
+    offsets.frombytes(table[32 * rows:40 * rows])
+    lengths.frombytes(table[40 * rows:])
+    return header, table[:32 * rows], offsets, lengths
+
+
+def _write_index(cassette, header, digests, offsets, lengths) -> None:
+    index_path(cassette).write_bytes(
+        json.dumps(header).encode() + b"\n" + digests + offsets.tobytes()
+        + lengths.tobytes())
+
+
+def _index_of(loaded) -> tuple:
+    """What ``_read_index`` returns for the index of ``loaded``'s bytes."""
+    keys = sorted(loaded)
+    return ({"format": INDEX_FORMAT, "sha256": loaded.sha256.hexdigest(),
+             "size": loaded._size, "entries": len(keys),
+             "byteorder": sys.byteorder},
+            b"".join(map(bytes.fromhex, keys)),
+            array("Q", [loaded[key][0] for key in keys]),
+            array("Q", [loaded[key][1] for key in keys]))
 
 
 @pytest.mark.parametrize("strip", [False, True],
@@ -140,10 +171,18 @@ def test_an_index_hit_loads_what_the_full_parse_loaded(
     cassette.write_bytes(data.rstrip(b"\n") if strip else data)
     parsed = load_cassette(cassette)        # no index yet: the full parse
     assert parsed._newline_due is strip
+    assert _read_index(cassette) == _index_of(parsed)
     loads = _loads_seen(monkeypatch)
     indexed = load_cassette(cassette)
-    assert loads == [index_path(cassette).read_bytes()]   # no cassette line
+    header = index_path(cassette).read_bytes().partition(b"\n")[0] + b"\n"
+    assert loads == [header]                # no cassette line, no entry
+    assert indexed._lines == {}
     assert _state(indexed) == _state(parsed)
+    assert sorted(indexed) == sorted(parsed)
+    key = max(parsed)
+    assert key in indexed and indexed[key] == parsed[key]
+    for other in (key.upper(), " ".join([key[:2], key[2:]]), key[:-2]):
+        assert other not in indexed         # only the digest's own text
     # A record-mode append after an index hit keeps the running SHA-256.
     recorder = RecordGateway(_CountingEcho(), cassette)
     assert recorder.complete(_req("not recorded yet")) == \
@@ -163,36 +202,118 @@ def test_a_changed_byte_under_an_index_is_parsed_and_named(tmp_path):
         load_cassette(cassette)
 
 
-@pytest.mark.parametrize("kind", ["stale", "garbled", "foreign",
-                                  "entries of another shape",
-                                  "a span outside the file"])
+@pytest.mark.parametrize("kind", [
+    "stale", "garbled", "foreign", "entries of another shape",
+    "a count that is no integer", "a span outside the file",
+    "keys out of order", "keys repeated", "another byte order"])
 def test_an_index_that_does_not_fit_is_ignored_and_rewritten(tmp_path,
                                                              kind):
-    cassette = _recorded(tmp_path, ["alpha"])
+    cassette = _recorded(tmp_path, ["alpha", "beta"])
     load_cassette(cassette)
     index = index_path(cassette)
-    written = json.loads(index.read_bytes())
+    header, digests, offsets, lengths = _read_index(cassette)
     if kind == "stale":                     # the file grew under it
-        RecordGateway(_CountingEcho(), cassette).complete(_req("beta"))
+        RecordGateway(_CountingEcho(), cassette).complete(_req("gamma"))
     elif kind == "garbled":
-        index.write_bytes(index.read_bytes()[:-9])
+        index.write_bytes(index.read_bytes()[:9])
     elif kind == "foreign":
-        index.write_text(json.dumps(
-            {**written, "format": "another-index/1", "entries": []}))
-    elif kind == "entries of another shape":
-        index.write_text(json.dumps({**written, "entries": [[1, 2]]}))
+        _write_index(cassette, {**header, "format": "another-index/1"},
+                     digests, offsets, lengths)
+    elif kind == "entries of another shape":    # a table of another length
+        _write_index(cassette, header, digests, offsets, lengths[:1])
+    elif kind == "a count that is no integer":
+        _write_index(cassette, {**header, "entries": 2.0},
+                     digests, offsets, lengths)
+    elif kind == "a span outside the file":     # one byte past the end
+        offsets[0] = header["size"] - lengths[0] + 1
+        _write_index(cassette, header, digests, offsets, lengths)
+    elif kind == "keys out of order":           # each with its own span
+        _write_index(cassette, header, digests[32:] + digests[:32],
+                     offsets[::-1], lengths[::-1])
+    elif kind == "keys repeated":
+        _write_index(cassette, header, digests[:32] * 2, offsets, lengths)
     else:
-        (key, _, length), = written["entries"]
-        index.write_text(json.dumps({**written,
-                                     "entries": [[key, -5, length]]}))
+        # The columns as this machine reads them, so that only the
+        # header's byte order rejects them; another machine's columns
+        # would be swapped, and their spans past the end as well.
+        other = "big" if sys.byteorder == "little" else "little"
+        _write_index(cassette, {**header, "byteorder": other}, digests,
+                     offsets, lengths)
     loaded = load_cassette(cassette)
     data = cassette.read_bytes()
+    assert loaded._lines                    # the full parse ran
     assert len(loaded) == len(data.splitlines())
     assert loaded.sha256.hexdigest() == hashlib.sha256(data).hexdigest()
-    assert json.loads(index.read_bytes()) == {
-        "format": INDEX_FORMAT, "sha256": hashlib.sha256(data).hexdigest(),
-        "size": len(data),
-        "entries": [[key, *span] for key, span in loaded.items()]}
+    assert _read_index(cassette) == _index_of(loaded)
+
+
+def test_an_empty_cassette_is_indexed_and_recorded_into(tmp_path):
+    cassette = tmp_path / "c.jsonl"
+    cassette.write_bytes(b"")
+    for _ in range(2):                      # the full parse, then the hit
+        loaded = load_cassette(cassette)
+        assert (len(loaded), list(loaded), loaded._size,
+                loaded._newline_due) == (0, [], 0, False)
+        assert loaded.sha256.hexdigest() == hashlib.sha256().hexdigest()
+        assert _read_index(cassette) == _index_of(loaded)
+    recorder = RecordGateway(_CountingEcho(), cassette)
+    assert recorder.complete(_req("alpha")) == "echo: alpha"
+    assert cassette.read_bytes().count(b"\n") == 1
+    assert list(recorder.cassette) == [digest(_req("alpha"))]
+
+
+@pytest.mark.parametrize("keys", [
+    [digest(_req("alpha")).upper()], ["ab", "cd" * 63], [5]],
+    ids=["upper-case", "short-and-long", "a-number"])
+def test_a_digest_that_is_no_hex_digest_gets_no_index(tmp_path, keys):
+    cassette = tmp_path / "c.jsonl"
+    cassette.write_text("".join(
+        json.dumps({"digest": key}) + "\n" for key in keys))
+    for _ in range(2):                      # each load parses every line
+        loaded = load_cassette(cassette)
+        assert list(loaded) == keys and keys[0] in loaded
+        assert not index_path(cassette).exists()
+
+
+def test_len_and_iteration_after_an_index_hit_and_appends(tmp_path):
+    cassette = _recorded(tmp_path, ["alpha", "beta"])
+    load_cassette(cassette)
+    recorder = RecordGateway(_CountingEcho(), cassette)    # an index hit
+    assert not recorder.cassette._lines
+    recorder.complete(_req("gamma"))                       # appended here
+    RecordGateway(_CountingEcho(), cassette).complete(_req("delta"))
+    with open(cassette, "ab") as fh:    # a line again for a table digest
+        fh.write(cassette.read_bytes().splitlines(keepends=True)[0])
+    recorder.complete(_req("epsilon"))  # indexes the lines before it
+    full = gateway.Cassette(cassette)
+    with open(cassette, "rb") as fh:
+        gateway._index_lines(full, fh)
+    keys = [digest(_req(word))
+            for word in ("alpha", "beta", "gamma", "delta", "epsilon")]
+    assert len(recorder.cassette) == len(full) == 5
+    assert sorted(recorder.cassette) == sorted(full) == sorted(keys)
+    assert dict(recorder.cassette) == dict(full)   # the later line wins
+    assert recorder.cassette.sha256.hexdigest() == full.sha256.hexdigest()
+
+
+def test_an_index_hit_builds_no_object_per_entry(tmp_path):
+    cassette = tmp_path / "c.jsonl"
+    entries = 3000
+    cassette.write_text("".join(
+        _entry_line(digest(_req(f"w{i}")), _req(f"w{i}"), "x", "t", "mock")
+        + "\n" for i in range(entries)))
+    assert len(load_cassette(cassette)) == entries      # writes the index
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        loaded = load_cassette(cassette)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The index is 48 bytes an entry, read once and searched in place.  A
+    # dict entry of a digest string and a span tuple alone takes over 200.
+    assert peak < 80 * entries
+    assert len(loaded) == entries and not loaded._lines
 
 
 @pytest.mark.parametrize("blocker", ["directory", "failing replace"])
@@ -217,11 +338,10 @@ def test_an_unwritable_index_location_is_not_an_error(tmp_path, monkeypatch,
 def test_a_served_span_that_is_no_entry_is_a_config_error(tmp_path, span):
     cassette = _recorded(tmp_path, ["alpha"])
     load_cassette(cassette)
-    index = index_path(cassette)
-    written = json.loads(index.read_bytes())
-    (key, _, _), = written["entries"]
-    written["entries"] = [[key, *span(cassette.read_bytes())]]
-    index.write_text(json.dumps(written))   # its SHA-256 still matches
+    header, digests, offsets, lengths = _read_index(cassette)
+    offsets[0], lengths[0] = span(cassette.read_bytes())
+    _write_index(cassette, header, digests, offsets, lengths)
+    assert not load_cassette(cassette)._lines    # its SHA-256 still fits
     with pytest.raises(ConfigError, match="does not match its digest"):
         ReplayGateway(cassette).complete(_req("alpha"))
 

@@ -3,7 +3,11 @@
 - assets/fixtures/replay/<task>.jsonl  20 generated instances per task
 - assets/replay/cassette.jsonl         mock-recorded exchanges for the corpus
                                        plus the web_of_lies think exchange
-- assets/replay/cassette.jsonl.idx     its sidecar index, for those bytes
+- assets/replay/cassette.jsonl.idx     its sidecar index, for those bytes: a
+                                       JSON header, then the digests and
+                                       their spans as a binary table
+                                       (ignored by git; any load rewrites
+                                       one that does not fit)
 - assets/replay/manifest.json          accuracies recorded at record time
 - assets/golden/*.txt                  audited golden prompt instantiations
 
