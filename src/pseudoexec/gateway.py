@@ -211,6 +211,33 @@ def load_cassette(path: Path) -> Cassette:
     return cassette
 
 
+def _mend_tail(path: Path) -> bool:
+    """Move the line a full parse of ``path`` stops at to ``<path>.torn``
+    if it is an append cut short: the last line, with no newline, and not
+    JSON.  Parsed, checked and cut under the lock appends take; True if the
+    file may be loaded again."""
+    cassette = Cassette(path)
+    with open(path, "rb+") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)    # released when fh closes
+        with contextlib.suppress(ConfigError):
+            _index_lines(cassette, fh)
+            return True                   # another run mended it
+        fh.seek(cassette._size)
+        tail = fh.read()
+        with contextlib.suppress(ValueError):
+            json.loads(tail)
+            return False                  # a line that parses was not cut
+        if b"\n" in tail:
+            return False                  # damage before the last line
+        with open(f"{path}.torn", "ab") as torn:
+            torn.write(tail + b"\n")
+        fh.truncate(cassette._size)
+    print(f"warning: {path}: moved the unfinished last line of an "
+          f"interrupted append ({len(tail)} bytes) to {path}.torn",
+          file=sys.stderr)
+    return True
+
+
 def _index_lines(cassette: Cassette, fh) -> None:
     """Hash and index every line from ``fh``'s position, which is the
     cassette's ``_size``, to the end of the file."""
@@ -219,6 +246,12 @@ def _index_lines(cassette: Cassette, fh) -> None:
         if line.strip():
             try:
                 key = json.loads(line)["digest"]
+                # The one form ``digest`` gives, so every loaded cassette
+                # can be indexed; strip leaves any other character.
+                if not isinstance(key, str) or len(key) != 64 or \
+                        key.strip("0123456789abcdef"):
+                    raise ValueError(f"digest {key!r} is not 64 lower-case "
+                                     "hex digits")
                 cassette._lines[key] = (cassette._size, len(line))
             except (ValueError, LookupError, TypeError) as exc:
                 with open(cassette.path, "rb") as whole:
@@ -277,17 +310,9 @@ def _hash_file(fh) -> tuple:
 
 def _write_index(cassette: Cassette) -> None:
     """Write the sidecar index of the bytes just parsed, atomically.  A
-    location that cannot be written, or a digest that is not 64 lower-case
-    hex digits, only means no index."""
-    try:
-        keys = sorted(cassette._lines)
-        digests = b"".join(map(bytes.fromhex, keys))
-        canonical = set(map(len, keys)) <= {64} and \
-            digests.hex() == "".join(keys)
-    except (TypeError, ValueError):
-        canonical = False
-    if not canonical:
-        return
+    location that cannot be written only means no index."""
+    keys = sorted(cassette._lines)
+    digests = b"".join(map(bytes.fromhex, keys))
     columns = [cassette._lines[key][column] for column in (0, 1)
                for key in keys]            # the offsets, then the lengths
     header = json.dumps({
@@ -354,38 +379,28 @@ class MockGateway(Gateway):
         return text
 
 
-class ReplayGateway(Gateway):
-    """Cassette-only backend; performs no network access by construction."""
-
-    label = "replay"
-
-    def __init__(self, cassette_path: Path):
-        self.cassette = load_cassette(Path(cassette_path))
-
-    def complete(self, request: ChatRequest) -> str:
-        key = digest(request)
-        if key not in self.cassette:
-            raise CassetteMiss(f"request {key[:12]} not in cassette")
-        return self.cassette.response(key, request)
-
-
 class RecordGateway(Gateway):
     """Read-through cassette over another backend: a digest already in the
     cassette is answered from it, and only a miss reaches the inner backend
-    and is appended.  Under concurrent calls the appends land in completion
-    order."""
+    and is appended; with none, a miss is a CassetteMiss.  Under concurrent
+    calls the appends land in completion order."""
 
-    label = "record"
-
-    def __init__(self, inner: Gateway, cassette_path: Path):
+    def __init__(self, inner: Gateway | None, cassette_path: Path):
         self._inner = inner
         path = Path(cassette_path)
-        self.cassette = load_cassette(path) if path.exists() \
-            else Cassette(path)
+        try:
+            self.cassette = load_cassette(path) \
+                if inner is None or path.exists() else Cassette(path)
+        except ConfigError:     # record mode mends an append cut short
+            if inner is None or not _mend_tail(path):
+                raise
+            self.cassette = load_cassette(path)
 
     def complete(self, request: ChatRequest) -> str:
         key = digest(request)
         if key not in self.cassette:
+            if self._inner is None:
+                raise CassetteMiss(f"request {key[:12]} not in cassette")
             # Only record mode stamps a time: other commands skip the import.
             from datetime import datetime, timezone
             line = _entry_line(key, request, self._inner.complete(request),
@@ -395,6 +410,13 @@ class RecordGateway(Gateway):
             # land is recorded and answers both, as a replay would.
             self.cassette.append(key, line)
         return self.cassette.response(key, request)
+
+
+class ReplayGateway(RecordGateway):
+    """A record gateway with no backend: no network access by construction."""
+
+    def __init__(self, cassette_path: Path):
+        super().__init__(None, cassette_path)
 
 
 class LiveGateway(Gateway):

@@ -308,6 +308,36 @@ def _record_run_against_a_stub(tmp_path, chat_server, **extra) -> list:
     return paid
 
 
+def test_a_record_run_resumes_over_a_torn_last_line(tmp_path, capsys,
+                                                     chat_server):
+    # An append cut 37 bytes into the bundled cassette's last line.
+    lines = BUNDLED_CASSETTE.read_bytes().splitlines(keepends=True)
+    cut = json.loads(lines[-1])
+    cassette = tmp_path / "c.jsonl"
+    cassette.write_bytes(b"".join(lines[:-1]) + lines[-1][:37])
+    endpoint, paid = chat_server(lambda request: (200, json.dumps(
+        {"choices": [{"message": {"content": cut["response_text"]}}]}
+    ).encode()))
+    config = _write_config(
+        tmp_path, mode="record", cassette_path=str(cassette),
+        credential_env="PSEUDOEXEC_TEST_KEY", endpoint=endpoint)
+    assert main(["run", "--config", str(config)]) == 0
+    assert f"warning: {cassette}: moved the unfinished last line of an " \
+        f"interrupted append (37 bytes) to {cassette}.torn" \
+        in capsys.readouterr().err
+    assert [body["messages"][-1]["content"] for _, body in paid] == \
+        [cut["request"]["user"]]
+    assert (tmp_path / "c.jsonl.torn").read_bytes() == lines[-1][:37] + b"\n"
+    assert len(cassette.read_bytes().splitlines()) == len(lines)
+    # A replay of the cut file keeps its error and leaves the file alone.
+    cassette.write_bytes(b"".join(lines[:-1]) + lines[-1][:37])
+    config = _write_config(tmp_path, cassette_path=str(cassette))
+    assert main(["run", "--config", str(config)]) == 2
+    assert f"error: ConfigError: {cassette} line {len(lines)}: not a " \
+        "cassette entry: " in capsys.readouterr().err
+    assert cassette.read_bytes() == b"".join(lines[:-1]) + lines[-1][:37]
+
+
 def test_a_record_run_into_a_missing_directory_pays_for_nothing(
         tmp_path, capsys, chat_server):
     missing = tmp_path / "missing"

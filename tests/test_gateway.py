@@ -262,17 +262,40 @@ def test_an_empty_cassette_is_indexed_and_recorded_into(tmp_path):
     assert list(recorder.cassette) == [digest(_req("alpha"))]
 
 
-@pytest.mark.parametrize("keys", [
+# Digests no writer in this program produces.
+NOT_HEX_DIGESTS = pytest.mark.parametrize("keys", [
     [digest(_req("alpha")).upper()], ["ab", "cd" * 63], [5]],
     ids=["upper-case", "short-and-long", "a-number"])
-def test_a_digest_that_is_no_hex_digest_gets_no_index(tmp_path, keys):
+
+
+@NOT_HEX_DIGESTS
+def test_a_digest_that_is_no_hex_digest_is_not_a_cassette_entry(tmp_path,
+                                                                 keys):
     cassette = tmp_path / "c.jsonl"
     cassette.write_text("".join(
         json.dumps({"digest": key}) + "\n" for key in keys))
-    for _ in range(2):                      # each load parses every line
-        loaded = load_cassette(cassette)
-        assert list(loaded) == keys and keys[0] in loaded
-        assert not index_path(cassette).exists()
+    data = cassette.read_bytes()
+    for load in (load_cassette, ReplayGateway,
+                 lambda path: RecordGateway(_CountingEcho(), path)):
+        with pytest.raises(ConfigError, match=f"{cassette} line 1: not a "
+                                              "cassette entry: digest"):
+            load(cassette)
+    assert cassette.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+
+@NOT_HEX_DIGESTS
+def test_a_digest_another_writer_appended_that_is_no_hex_digest_stops_append(
+        tmp_path, keys):
+    cassette = tmp_path / "c.jsonl"
+    recorder = RecordGateway(_CountingEcho(), cassette)
+    recorder.complete(_req("q1"))
+    with open(cassette, "a") as fh:
+        fh.write(json.dumps({"digest": keys[0]}) + "\n")
+    with pytest.raises(ConfigError, match=f"{cassette} line 2: not a "
+                                          "cassette entry: digest"):
+        recorder.complete(_req("q2"))
+    assert len(cassette.read_bytes().splitlines()) == 2
 
 
 def test_len_and_iteration_after_an_index_hit_and_appends(tmp_path):
@@ -383,6 +406,130 @@ def test_record_then_replay_roundtrip(tmp_path):
     assert replay.complete(_req("beta")) == "echo: beta"
     with pytest.raises(CassetteMiss):
         replay.complete(_req("gamma"))
+
+
+def test_a_replay_miss_appends_nothing_and_calls_no_backend(tmp_path,
+                                                          monkeypatch):
+    cassette = _recorded(tmp_path, ["alpha"])
+    data = cassette.read_bytes()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("replay reached a backend or wrote a line")
+
+    for cls, method in ((MockGateway, "complete"),
+                        (gateway.LiveGateway, "complete"),
+                        (gateway.Cassette, "append")):
+        monkeypatch.setattr(cls, method, forbidden)
+    replay = ReplayGateway(cassette)
+    key = digest(_req("beta"))
+    with pytest.raises(CassetteMiss,
+                       match=f"request {key[:12]} not in cassette"):
+        replay.complete(_req("beta"))
+    assert replay.complete(_req("alpha")) == "echo: alpha"
+    assert cassette.read_bytes() == data
+
+
+def _recorded_lines(tmp_path) -> tuple:
+    """A recorded cassette of three lines, and those lines."""
+    cassette = _recorded(tmp_path)
+    return cassette, cassette.read_bytes().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("how", ["fresh", "resumed", "after a cut",
+                                 "no final newline", "two writers"])
+def test_a_cassette_a_record_gateway_writes_is_indexed_at_its_next_load(
+        tmp_path, capsys, how):
+    cassette = _recorded(tmp_path, ["alpha"])
+    if how == "resumed":
+        load_cassette(cassette)             # an index hit for the recorder
+    elif how == "after a cut":
+        cassette.write_bytes(cassette.read_bytes()[:-9])
+    elif how == "no final newline":
+        cassette.write_bytes(cassette.read_bytes().rstrip(b"\n"))
+    elif how == "two writers":
+        RecordGateway(_CountingEcho(), cassette).complete(_req("gamma"))
+    RecordGateway(_CountingEcho(), cassette).complete(_req("beta"))
+    assert ("warning:" in capsys.readouterr().err) == (how == "after a cut")
+    loaded = load_cassette(cassette)        # the full parse, indexed
+    assert _read_index(cassette) == _index_of(loaded)
+    again = load_cassette(cassette)
+    assert not again._lines and _state(again) == _state(loaded)
+
+
+# Where a record append is cut in its last line: the line is cut after
+# ``cut(line)`` of its bytes.
+TORN_CUTS = pytest.mark.parametrize("cut", [
+    lambda line: 1, lambda line: len(line) // 2,
+    lambda line: len(line) - 2], ids=["1-byte-in", "mid-json",
+                                      "1-byte-before-the-brace"])
+
+
+@TORN_CUTS
+def test_record_mode_moves_a_torn_last_line_aside(tmp_path, capsys, cut):
+    cassette, lines = _recorded_lines(tmp_path)
+    torn = lines[-1][:cut(lines[-1])]
+    cassette.write_bytes(b"".join(lines[:-1]) + torn)
+    inner = _CountingEcho()
+    recorder = RecordGateway(inner, cassette)
+    assert capsys.readouterr().err == (
+        f"warning: {cassette}: moved the unfinished last line of an "
+        f"interrupted append ({len(torn)} bytes) to {cassette}.torn\n")
+    assert (tmp_path / "c.jsonl.torn").read_bytes() == torn + b"\n"
+    assert cassette.read_bytes() == b"".join(lines[:-1])
+    assert _read_index(cassette) == _index_of(recorder.cassette)
+    for word in ("alpha", "beta", "gamma"):
+        assert recorder.complete(_req(word)) == f"echo: {word}"
+    assert inner.calls == ["gamma"]         # only the cut entry is paid for
+    assert recorder.cassette.sha256.hexdigest() == \
+        hashlib.sha256(cassette.read_bytes()).hexdigest()
+
+
+@TORN_CUTS
+def test_replay_keeps_the_error_for_a_torn_last_line(tmp_path, cut):
+    cassette, lines = _recorded_lines(tmp_path)
+    cassette.write_bytes(b"".join(lines[:-1])
+                         + lines[-1][:cut(lines[-1])])
+    data = cassette.read_bytes()
+    with pytest.raises(ConfigError, match=f"{cassette} line 3: not a "
+                                          "cassette entry"):
+        ReplayGateway(cassette)
+    assert cassette.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+
+def test_a_line_cut_just_before_its_newline_is_not_torn(tmp_path, capsys):
+    cassette, lines = _recorded_lines(tmp_path)
+    cassette.write_bytes(b"".join(lines)[:-1])
+    inner = _CountingEcho()
+    assert RecordGateway(inner, cassette).complete(_req("gamma")) == \
+        "echo: gamma"
+    assert inner.calls == [] and capsys.readouterr().err == ""
+    assert not (tmp_path / "c.jsonl.torn").exists()
+
+
+def test_a_tail_another_run_mended_is_left_as_it_is(tmp_path, capsys):
+    # The load failed, then another run mended the file before this one
+    # took the lock: the file parses now and is loaded again as it is.
+    cassette, lines = _recorded_lines(tmp_path)
+    assert gateway._mend_tail(cassette)
+    assert cassette.read_bytes() == b"".join(lines)
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "c.jsonl.torn").exists()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda lines: lines[0] + lines[1][:9] + lines[2],   # fused with the next
+    lambda lines: lines[0] + lines[1][:9] + b"\n" + lines[2],
+    lambda lines: lines[0] + lines[1] + b"[1, 2]"],     # JSON, not an entry
+    ids=["cut-then-fused", "cut-then-a-whole-line", "a-last-line-that-parses"])
+def test_record_mode_mends_no_other_damage(tmp_path, capsys, damage):
+    cassette, lines = _recorded_lines(tmp_path)
+    cassette.write_bytes(damage(lines))
+    data = cassette.read_bytes()
+    with pytest.raises(ConfigError, match="not a cassette entry"):
+        RecordGateway(_CountingEcho(), cassette)
+    assert cassette.read_bytes() == data and capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
 
 
 def test_record_reads_through_reopened_cassette(tmp_path):
