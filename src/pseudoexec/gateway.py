@@ -88,11 +88,11 @@ def _entry_line(key: str, request: ChatRequest, response_text: str,
 class Cassette(Mapping):
     """A cassette file's lines as ``{digest: (offset, length)}`` byte spans,
     plus the SHA-256 of every byte indexed: loaded, appended by another
-    writer or appended.  An index hit leaves its spans in the index's table,
-    searched in place; lines parsed in full or appended go in a dict beside
-    it, which wins for a digest both hold.  A line is parsed again only
-    when it is served, and is checked then against the request it
-    answers."""
+    writer or appended.  The spans of the bytes a fitting index was written
+    for stay in its table, searched in place; lines parsed or appended go
+    in a dict beside it, which wins for a digest both hold.  A line is
+    parsed again only when it is served, and is checked then against the
+    request it answers."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
@@ -171,7 +171,6 @@ class Cassette(Mapping):
         answers ``key``, nothing is written."""
         with self._lock, open(self.path, "ab+") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)    # released when fh closes
-            fh.seek(self._size)
             _index_lines(self, fh)
             if key in self:
                 return
@@ -185,11 +184,12 @@ class Cassette(Mapping):
             self._newline_due = False
 
 
-# The sidecar index: written beside a cassette after a full parse, and
-# trusted only for the exact bytes that parse read.  A JSON header line,
-# then the table: the digests, 32 bytes each in increasing order, then the
-# offsets and the lengths as columns of unsigned 64-bit integers in the
-# header's byte order.
+# The sidecar index: written beside a cassette, for all its bytes, by each
+# load that parsed a line.  A later load trusts its table for those bytes,
+# the file's first ``size``, and parses only the lines after them.  A JSON
+# header line, then the table: the digests, 32 bytes each in increasing
+# order, then the offsets and the lengths as columns of unsigned 64-bit
+# integers in the header's byte order.
 INDEX_FORMAT = "pseudoexec-cassette-index/2"
 
 
@@ -198,28 +198,28 @@ def index_path(path: Path) -> Path:
 
 
 def load_cassette(path: Path) -> Cassette:
-    """Index a cassette file.  When its sidecar index matches the file's
-    SHA-256 and size, the spans are the index's table; otherwise every byte
-    goes into the running SHA-256 and every line is parsed once, for its
-    digest, and the index is written afresh."""
+    """Index a cassette file.  The spans of the bytes its sidecar index fits
+    are the index's table; every line after them (every line, when no index
+    fits) is hashed and parsed once, for its digest, and then the index is
+    written afresh for the whole file."""
     cassette = Cassette(path)
-    if _load_index(cassette):
-        return cassette
     with open(cassette.path, "rb") as fh:
-        _index_lines(cassette, fh)
-    _write_index(cassette)
+        fits = _load_index(cassette, fh)
+        if _index_lines(cassette, fh) or not fits:
+            _write_index(cassette)
     return cassette
 
 
 def _mend_tail(path: Path) -> bool:
-    """Move the line a full parse of ``path`` stops at to ``<path>.torn``
-    if it is an append cut short: the last line, with no newline, and not
-    JSON.  Parsed, checked and cut under the lock appends take; True if the
-    file may be loaded again."""
+    """Move the line a load of ``path`` stops at to ``<path>.torn`` if it is
+    an append cut short: the last line, with no newline, and not JSON.
+    Parsed past a fitting index, checked and cut under the lock appends
+    take; True if the file may be loaded again."""
     cassette = Cassette(path)
     with open(path, "rb+") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)    # released when fh closes
         with contextlib.suppress(ConfigError):
+            _load_index(cassette, fh)
             _index_lines(cassette, fh)
             return True                   # another run mended it
         fh.seek(cassette._size)
@@ -238,9 +238,10 @@ def _mend_tail(path: Path) -> bool:
     return True
 
 
-def _index_lines(cassette: Cassette, fh) -> None:
-    """Hash and index every line from ``fh``'s position, which is the
-    cassette's ``_size``, to the end of the file."""
+def _index_lines(cassette: Cassette, fh) -> bool:
+    """Hash and index every line of ``fh`` after the cassette's first
+    ``_size`` bytes; True if there was one."""
+    start = fh.seek(cassette._size)
     for line in fh:
         cassette.sha256.update(line)
         if line.strip():
@@ -260,37 +261,42 @@ def _index_lines(cassette: Cassette, fh) -> None:
                                   f"not a cassette entry: {exc}") from None
         cassette._size += len(line)
         cassette._newline_due = not line.endswith(b"\n")
+    return cassette._size > start
 
 
-def _load_index(cassette: Cassette) -> bool:
+def _load_index(cassette: Cassette, fh) -> bool:
     """Give ``cassette`` its sidecar index's table if the index was written
-    in this byte order for the bytes the file holds now; False leaves it
-    untouched.  Each check is one C-level pass over the table, and no
-    entry is kept as an object."""
+    in this byte order for the first bytes of ``fh``'s file, as many as its
+    ``size``; False leaves it untouched.  Each check is one C-level pass
+    over the table, and no entry is kept as an object."""
+    import mmap     # here, so that only a cassette load pays for it
     try:
         data = index_path(cassette.path).read_bytes()
         end = data.index(b"\n") + 1
         index = json.loads(data[:end])
         table = memoryview(data)[end:]      # read once, never copied
-        rows = index["entries"]
-        if (index["format"], index["byteorder"], type(rows)) != \
-                (INDEX_FORMAT, sys.byteorder, int) or len(table) != 48 * rows:
+        rows, size = index["entries"], index["size"]
+        if (index["format"], index["byteorder"]) != \
+                (INDEX_FORMAT, sys.byteorder) or len(table) != 48 * rows:
             return False
-        written = index["sha256"], index["size"]
-    except (OSError, ValueError, LookupError, TypeError):
+        digests = table[:32 * rows]
+        offsets = table[32 * rows:40 * rows].cast("Q")
+        lengths = table[40 * rows:].cast("Q")
+        # The prefix, hashed in one call over a map of just its bytes.  A
+        # file shorter than ``size``, or a ``size`` that is no length, has
+        # no map; 0 maps the whole file, so the index of an empty file
+        # never fits.
+        with mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ) as prefix:
+            sha256, newline_due = hashlib.sha256(prefix), prefix[-1:] != b"\n"
+        if sha256.hexdigest() != index["sha256"]:
+            return False
+    except (OSError, ValueError, LookupError, TypeError, OverflowError):
         return False            # absent, unreadable, garbled or foreign
-    with open(cassette.path, "rb") as fh:
-        sha256, size, newline_due = _hash_file(fh)
-    if written != (sha256.hexdigest(), size):
-        return False
-    digests = table[:32 * rows]
-    offsets = table[32 * rows:40 * rows].cast("Q")
-    lengths = table[40 * rows:].cast("Q")
     increasing = map(operator.lt, struct.iter_unpack("32s", digests[:-32]),
                      struct.iter_unpack("32s", digests[32:]))
     if max(map(operator.add, offsets, lengths), default=0) > size \
             or not all(increasing):
-        return False            # a span past the end, or keys out of order
+        return False            # a span past the prefix, or keys out of order
     cassette._rows, cassette._table = rows, table
     cassette._offsets, cassette._lengths = offsets, lengths
     cassette.sha256, cassette._size = sha256, size
@@ -298,22 +304,16 @@ def _load_index(cassette: Cassette) -> bool:
     return True
 
 
-def _hash_file(fh) -> tuple:
-    """The SHA-256 and size of the open file ``fh``, hashed in one call over
-    a map of it, and whether its last line lacks its newline."""
-    if not os.fstat(fh.fileno()).st_size:
-        return hashlib.sha256(), 0, False     # an empty file has no map
-    import mmap     # here, so that only a cassette load pays for it
-    with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
-        return hashlib.sha256(data), len(data), data[-1:] != b"\n"
-
-
 def _write_index(cassette: Cassette) -> None:
-    """Write the sidecar index of the bytes just parsed, atomically.  A
-    location that cannot be written only means no index."""
-    keys = sorted(cassette._lines)
-    digests = b"".join(map(bytes.fromhex, keys))
-    columns = [cassette._lines[key][column] for column in (0, 1)
+    """Write the sidecar index of every byte the cassette has read,
+    atomically: the table's rows and the parsed lines, a parsed line
+    winning.  A location that cannot be written only means no index."""
+    spans = dict(zip(map(cassette._digest, range(cassette._rows)),
+                     zip(cassette._offsets, cassette._lengths)))
+    spans.update(zip(map(bytes.fromhex, cassette._lines),
+                     cassette._lines.values()))
+    keys = sorted(spans)
+    columns = [spans[key][column] for column in (0, 1)
                for key in keys]            # the offsets, then the lengths
     header = json.dumps({
         "format": INDEX_FORMAT,
@@ -324,7 +324,7 @@ def _write_index(cassette: Cassette) -> None:
     }, separators=(",", ":")).encode()
     with contextlib.suppress(OSError):
         write_atomic(index_path(cassette.path), b"".join([
-            header, b"\n", digests,
+            header, b"\n", *keys,
             struct.pack(f"{len(columns)}Q", *columns)]))
 
 

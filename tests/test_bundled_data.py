@@ -44,9 +44,12 @@ def test_the_tool_rewrites_the_bundled_artifacts_unchanged(
             before, after = (_RECORDED_AT.sub(b"", b) for b in (before, after))
         if rel == index_path(cassette):
             # Rewritten for the restamped bytes: an index hit on each side,
-            # with the same digests.  The spans may move: a time stamp
-            # whose microseconds are 0 is shorter.
+            # for the whole file, with the same digests.  The spans may
+            # move: a time stamp whose microseconds are 0 is shorter.
             loaded = [Cassette(root / cassette) for root in (assets_dir, copy)]
-            assert all(map(_load_index, loaded))
+            for each in loaded:
+                with open(each.path, "rb") as fh:
+                    assert _load_index(each, fh)
+                assert each._size == each.path.stat().st_size
             before, after = (sorted(each) for each in loaded)
         assert after == before, rel

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import socket
@@ -202,18 +203,79 @@ def test_a_changed_byte_under_an_index_is_parsed_and_named(tmp_path):
         load_cassette(cassette)
 
 
+def _append_entries(cassette, words) -> None:
+    """Append entry lines for ``words`` as another program would."""
+    with open(cassette, "a") as fh:
+        for word in words:
+            fh.write(_entry_line(digest(_req(word)), _req(word),
+                                 f"echo: {word}", "t", "mock") + "\n")
+
+
+@pytest.mark.parametrize("how", ["a record session", "another writer",
+                                 "resumed after a kill"])
+def test_a_load_parses_only_the_lines_after_its_index(tmp_path, monkeypatch,
+                                                      capsys, how):
+    cassette = _recorded(tmp_path, ["alpha", "beta"])
+    load_cassette(cassette)                 # the index of two lines
+    if how == "a record session":           # the file grew under it
+        recorder = RecordGateway(_CountingEcho(), cassette)
+        for word in ("gamma", "delta"):
+            recorder.complete(_req(word))
+    elif how == "another writer":           # a line again for alpha too
+        _append_entries(cassette, ["gamma", "alpha"])
+    else:
+        # Killed in its second append; the resumed run mends the tail,
+        # indexes gamma's line at its load and records delta again.
+        _append_entries(cassette, ["gamma", "delta"])
+        cassette.write_bytes(cassette.read_bytes()[:-9])
+        indexed = cassette.read_bytes().splitlines(keepends=True)[:2]
+        loads, inner = _loads_seen(monkeypatch), _CountingEcho()
+        assert RecordGateway(inner, cassette).complete(_req("delta")) == \
+            "echo: delta"
+        assert inner.calls == ["delta"]
+        assert not set(indexed) & set(loads)    # nor does the mend
+        assert "warning:" in capsys.readouterr().err
+    header = index_path(cassette).read_bytes().partition(b"\n")[0] + b"\n"
+    size = json.loads(header)["size"]
+    data = cassette.read_bytes()
+    after = data[size:].splitlines(keepends=True)
+    offsets = itertools.accumulate(map(len, after), initial=size)
+    appended = {json.loads(line)["digest"]: (offset, len(line))
+                for line, offset in zip(after, offsets)}
+    loads = _loads_seen(monkeypatch)
+    loaded = load_cassette(cassette)
+    assert loads == [header, *after]        # no line before them is parsed
+    assert loaded._lines == appended
+    assert len(appended) == (1 if how == "resumed after a kill" else 2)
+    assert sorted(loaded) == sorted({json.loads(line)["digest"]
+                                     for line in data.splitlines()})
+    assert loaded.sha256.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert _read_index(cassette) == _index_of(loaded)   # the later line wins
+    again = load_cassette(cassette)
+    assert not again._lines and _state(again) == _state(loaded)
+
+
 @pytest.mark.parametrize("kind", [
-    "stale", "garbled", "foreign", "entries of another shape",
+    "garbled", "foreign", "entries of another shape",
     "a count that is no integer", "a span outside the file",
-    "keys out of order", "keys repeated", "another byte order"])
+    "keys out of order", "keys repeated", "another byte order",
+    "a changed response byte", "a file cut below its size",
+    "a size that is no integer"])
 def test_an_index_that_does_not_fit_is_ignored_and_rewritten(tmp_path,
                                                              kind):
     cassette = _recorded(tmp_path, ["alpha", "beta"])
     load_cassette(cassette)
     index = index_path(cassette)
     header, digests, offsets, lengths = _read_index(cassette)
-    if kind == "stale":                     # the file grew under it
+    if kind == "a changed response byte":   # under the prefix; still JSON
         RecordGateway(_CountingEcho(), cassette).complete(_req("gamma"))
+        cassette.write_bytes(cassette.read_bytes().replace(
+            b'"echo: alpha"', b'"echo: alphA"'))
+    elif kind == "a file cut below its size":   # by its last newline
+        cassette.write_bytes(cassette.read_bytes()[:-1])
+    elif kind == "a size that is no integer":
+        _write_index(cassette, {**header, "size": float(header["size"])},
+                     digests, offsets, lengths)
     elif kind == "garbled":
         index.write_bytes(index.read_bytes()[:9])
     elif kind == "foreign":
@@ -241,7 +303,7 @@ def test_an_index_that_does_not_fit_is_ignored_and_rewritten(tmp_path,
                      offsets, lengths)
     loaded = load_cassette(cassette)
     data = cassette.read_bytes()
-    assert loaded._lines                    # the full parse ran
+    assert len(loaded._lines) == len(data.splitlines())   # the full parse
     assert len(loaded) == len(data.splitlines())
     assert loaded.sha256.hexdigest() == hashlib.sha256(data).hexdigest()
     assert _read_index(cassette) == _index_of(loaded)
@@ -250,7 +312,8 @@ def test_an_index_that_does_not_fit_is_ignored_and_rewritten(tmp_path,
 def test_an_empty_cassette_is_indexed_and_recorded_into(tmp_path):
     cassette = tmp_path / "c.jsonl"
     cassette.write_bytes(b"")
-    for _ in range(2):                      # the full parse, then the hit
+    for _ in range(2):      # an index of no bytes never fits; each load
+        # parses the empty file and writes it again
         loaded = load_cassette(cassette)
         assert (len(loaded), list(loaded), loaded._size,
                 loaded._newline_due) == (0, [], 0, False)
@@ -450,7 +513,7 @@ def test_a_cassette_a_record_gateway_writes_is_indexed_at_its_next_load(
         RecordGateway(_CountingEcho(), cassette).complete(_req("gamma"))
     RecordGateway(_CountingEcho(), cassette).complete(_req("beta"))
     assert ("warning:" in capsys.readouterr().err) == (how == "after a cut")
-    loaded = load_cassette(cassette)        # the full parse, indexed
+    loaded = load_cassette(cassette)        # parses what is not indexed
     assert _read_index(cassette) == _index_of(loaded)
     again = load_cassette(cassette)
     assert not again._lines and _state(again) == _state(loaded)
@@ -530,6 +593,50 @@ def test_record_mode_mends_no_other_damage(tmp_path, capsys, damage):
         RecordGateway(_CountingEcho(), cassette)
     assert cassette.read_bytes() == data and capsys.readouterr().err == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+
+def test_every_cut_under_a_prefix_index_serves_only_recorded_answers(
+        tmp_path, capsys):
+    # Every state a crash can leave: the file cut at each byte, beside an
+    # index of its first two lines.  Replay loads the whole lines or names
+    # the cut one and writes nothing; record mode mends and goes on.
+    words = ["alpha", "beta", "gamma"]
+    cassette = _recorded(tmp_path, words[:2])
+    load_cassette(cassette)
+    RecordGateway(_CountingEcho(), cassette).complete(_req(words[2]))
+    index, data = index_path(cassette).read_bytes(), cassette.read_bytes()
+    ends = list(itertools.accumulate(map(len, data.splitlines(True))))
+    assert _read_index(cassette)[0]["size"] == ends[1]
+    torn = tmp_path / "c.jsonl.torn"
+    fresh = MockGateway(responders={"reasoner": lambda r: f"new: {r.user}"})
+    for cut in range(len(data) + 1):
+        # A line is whole when the cut leaves all of it but its newline.
+        whole = [word for word, end in zip(words, ends) if cut >= end - 1]
+        for replay in (True, False):
+            cassette.write_bytes(data[:cut])
+            index_path(cassette).write_bytes(index)
+            torn.unlink(missing_ok=True)
+            if replay:
+                try:
+                    opened = ReplayGateway(cassette)
+                except ConfigError as exc:
+                    assert str(exc).startswith(
+                        f"{cassette} line {len(whole) + 1}: not a cassette "
+                        "entry"), (cut, exc)
+                else:
+                    assert sorted(opened.cassette) == \
+                        sorted(digest(_req(word)) for word in whole), cut
+                    for word in whole:
+                        assert opened.complete(_req(word)) == \
+                            f"echo: {word}"
+                assert cassette.read_bytes() == data[:cut]
+                assert not torn.exists()
+            else:
+                opened = RecordGateway(fresh, cassette)
+                for word in words:
+                    assert opened.complete(_req(word)) == (
+                        "echo: " if word in whole else "new: ") + word, cut
+    capsys.readouterr()
 
 
 def test_record_reads_through_reopened_cassette(tmp_path):
