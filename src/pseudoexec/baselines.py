@@ -1,11 +1,12 @@
 """The reasoner request of Think-and-Execute and of the baselines (Direct,
-zero-shot CoT, Plan-and-Solve, NL planning, zero-shot PoT), the Sandbox a
-PoT run opens once for all its programs, and the Prediction every method
-returns."""
+zero-shot CoT, Plan-and-Solve, NL planning, zero-shot PoT) and the bundled
+files it is rendered from, the Sandbox a PoT run opens once for all its
+programs, and the Prediction every method returns."""
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import shutil
 import signal
@@ -17,12 +18,13 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError, MissingAsset, SpawnFailure
 from .prompts import (FENCE_RE, PromptAsset, escape_instance, load_asset_text,
-                      load_taskinfo, render)
-from .tasks import TASKS, TaskInstance
+                      load_nl_plan, load_pseudocode, load_taskinfo, render,
+                      task_file)
+from .tasks import TASKS, TaskId, TaskInstance
 
 if TYPE_CHECKING:
     import socket
@@ -46,19 +48,19 @@ _SERVER_SCRIPT = Path(__file__).with_name("sandbox_server.py")
 _STDERR_TAIL = 1000
 DEFAULT_INTERPRETER = ("python3",)
 
-# Each model-backed method's reasoner template.  Its {prompt} slot takes the
-# method's task-level asset, named here, or else the task description;
-# pot.txt has no such slot.
-TEMPLATE_BY_METHOD = {
-    MethodId.THINK_AND_EXECUTE: "execute",
-    MethodId.DIRECT: "direct",
-    MethodId.ZERO_SHOT_COT: "cot",
-    MethodId.PLAN_AND_SOLVE: "plan_and_solve",
-    MethodId.NL_PLANNING: "direct",
-    MethodId.ZERO_SHOT_POT: "pot",
+# Each model-backed method's reasoner template, meta/<template>.txt, and the
+# kind of task-level prompt (a ``prompts.task_file`` kind) its {prompt} slot
+# takes: the task's pseudocode or NL plan, which the run loads once as a
+# PromptAsset, or its taskinfo's description.  pot.txt has no such slot.
+REQUEST_BY_METHOD = {
+    MethodId.THINK_AND_EXECUTE: ("execute", "pseudocode"),
+    MethodId.DIRECT: ("direct", "taskinfo"),
+    MethodId.ZERO_SHOT_COT: ("cot", "taskinfo"),
+    MethodId.PLAN_AND_SOLVE: ("plan_and_solve", "taskinfo"),
+    MethodId.NL_PLANNING: ("direct", "nl_plan"),
+    MethodId.ZERO_SHOT_POT: ("pot", None),
 }
-_ASSET_BY_METHOD = {MethodId.NL_PLANNING: "nl_plan",
-                    MethodId.THINK_AND_EXECUTE: "pseudocode"}
+_EXECUTE_SYSTEM = "meta/execute_system.txt"
 
 
 class FailureKind(Enum):
@@ -105,25 +107,52 @@ class SandboxResult:
 def build_baseline_prompt(method: MethodId, instance: TaskInstance,
                           asset: PromptAsset | None = None
                           ) -> tuple[str | None, str]:
-    """Returns (system, user) for ``method``'s reasoner request.  Only
-    Think-and-Execute sends a system message; it embeds the instance as an
-    escaped string literal and calls the pseudocode's main function."""
-    template = TEMPLATE_BY_METHOD.get(method)
-    if template is None:
+    """Returns (system, user) for ``method``'s reasoner request; ``asset``
+    is the task's prompt from ``task_assets``.  Only Think-and-Execute sends
+    a system message; it embeds the instance as an escaped string literal
+    and calls the pseudocode's main function."""
+    if method not in REQUEST_BY_METHOD:
         raise ValueError(f"no request template for {method}")
+    template, kind = REQUEST_BY_METHOD[method]
     system, mapping = None, {"input_text": instance.input_text}
-    if method in _ASSET_BY_METHOD:
-        if asset is None or (method is MethodId.THINK_AND_EXECUTE
-                             and not asset.function_name):
-            raise MissingAsset(_ASSET_BY_METHOD[method])
-        mapping["prompt"] = asset.body
-    elif method is not MethodId.ZERO_SHOT_POT:
+    if kind == "taskinfo":
         mapping["prompt"] = load_taskinfo(instance.task)["description"]
+    elif kind is not None:
+        if asset is None or (kind == "pseudocode"
+                             and not asset.function_name):
+            raise MissingAsset(kind)
+        mapping["prompt"] = asset.body
     if method is MethodId.THINK_AND_EXECUTE:
-        system = load_asset_text("meta/execute_system.txt")
+        system = load_asset_text(_EXECUTE_SYSTEM)
         mapping["input_text"] = escape_instance(instance.input_text)
         mapping["function_name"] = asset.function_name
     return system, render(load_asset_text(f"meta/{template}.txt"), mapping)
+
+
+def task_assets(method: MethodId, tasks: Iterable[TaskId],
+                source: str = "human") -> dict[TaskId, PromptAsset]:
+    """The task-level prompt ``method`` sends for each of ``tasks``: the
+    ``source`` pseudocode, the bundled analysis (NL planning), or none."""
+    kind = REQUEST_BY_METHOD.get(method, (None, None))[1]
+    if kind == "pseudocode":
+        return {task: load_pseudocode(task, source) for task in tasks}
+    if kind == "nl_plan":
+        return {task: load_nl_plan(task) for task in tasks}
+    return {}
+
+
+def asset_digests(method: MethodId, tasks: Iterable[TaskId],
+                  source: str = "human") -> dict[str, str]:
+    """The SHA-256 of each bundled file, as loaded, that ``method``'s
+    requests for ``tasks`` are rendered from."""
+    template, kind = REQUEST_BY_METHOD[method]
+    paths = [f"meta/{template}.txt"]
+    if method is MethodId.THINK_AND_EXECUTE:
+        paths.append(_EXECUTE_SYSTEM)
+    if kind is not None:
+        paths += [task_file(kind, task, source) for task in tasks]
+    return {path: hashlib.sha256(load_asset_text(path).encode()).hexdigest()
+            for path in paths}
 
 
 def pot_seeded_header(instance: TaskInstance) -> str:

@@ -11,9 +11,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
-from .baselines import MethodId, Sandbox
+from .baselines import MethodId, Sandbox, task_assets
 from .config import MODES, RunConfig, load_config, run_id, run_id_fields
-from .engine import task_assets
 from .errors import ConfigError, MalformedDataset, PseudoexecError
 from .evaluator import EvalReport, evaluate_run, render_report
 from .gateway import (Gateway, LiveGateway, RecordGateway, ReplayGateway,
@@ -43,13 +42,20 @@ def write_dataset(instances: list[TaskInstance], out_dir: Path) -> None:
             "\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _parse_json(data: bytes):
+    """``data`` as JSON in strict UTF-8, the one encoding a dataset file may
+    have: ``json.loads`` would take UTF-16 and UTF-32 bytes too, and skip a
+    UTF-8 byte order mark."""
+    return json.loads(data.decode("utf-8"))
+
+
 def _record_instance(task: TaskId, path: Path, index: int, record,
                      input_key: str) -> TaskInstance:
     """Record ``index`` of ``path`` (a JSON Lines record as its bytes) as an
     instance, or a MalformedDataset naming the record."""
     try:
         if isinstance(record, bytes):
-            record = json.loads(record)
+            record = _parse_json(record)
         if not isinstance(record, dict) or \
                 input_key not in record or "target" not in record:
             raise ValueError(f"needs {input_key!r} and 'target'")
@@ -86,8 +92,7 @@ def load_dataset(dataset_dir: str | Path, tasks: list[TaskId],
         else:
             key = "input"
             try:
-                # Decoded first: json.loads would take UTF-16 bytes too.
-                root = json.loads(data.decode("utf-8"))
+                root = _parse_json(data)
             except ValueError as exc:   # not UTF-8, or not JSON
                 raise MalformedDataset(f"{path}: {exc}") from exc
             records = root.get("examples") if isinstance(root, dict) else None

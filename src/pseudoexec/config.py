@@ -9,8 +9,8 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .baselines import DEFAULT_INTERPRETER, DEFAULT_TIMEOUT_MS, MethodId
-from .engine import asset_digests
+from .baselines import (DEFAULT_INTERPRETER, DEFAULT_TIMEOUT_MS, MethodId,
+                        asset_digests)
 from .errors import ConfigError, is_unicode
 from .prompts import PSEUDOCODE_SOURCES
 from .tasks import TaskId

@@ -1,20 +1,17 @@
 """The one reasoner call of every method: build its request from the
-task-level prompt and the bundled files named here, obtain the response,
-and extract the final answer (for PoT, run the program)."""
+task-level prompt, obtain the response, and extract the final answer (for
+PoT, run the program)."""
 
 from __future__ import annotations
 
-import hashlib
 import re
-from typing import Iterable
 
-from .baselines import (TEMPLATE_BY_METHOD, FailureKind, MethodId, Prediction,
-                        Sandbox, build_baseline_prompt, run_pot_instance)
+from .baselines import (FailureKind, MethodId, Prediction, Sandbox,
+                        build_baseline_prompt, run_pot_instance)
 from .errors import GatewayError
 from .gateway import ChatRequest, Gateway
-from .prompts import (PromptAsset, load_asset_text, load_nl_plan,
-                      load_pseudocode)
-from .tasks import TaskId, TaskInstance
+from .prompts import PromptAsset
+from .tasks import TaskInstance
 
 _MARKER_RE = re.compile(r"Final answer:[ \t]*(.*)")
 
@@ -25,33 +22,6 @@ def build_execute_prompt(pseudocode: PromptAsset,
     benchmark under ``perfbench/`` builds and traces it by this name."""
     return build_baseline_prompt(MethodId.THINK_AND_EXECUTE, instance,
                                  pseudocode)
-
-
-def task_assets(method: MethodId, tasks: Iterable[TaskId],
-                source: str = "human") -> dict[TaskId, PromptAsset]:
-    """The task-level prompt ``method`` sends for each of ``tasks``: the
-    ``source`` pseudocode, the bundled analysis (NL planning), or none."""
-    if method is MethodId.THINK_AND_EXECUTE:
-        return {task: load_pseudocode(task, source) for task in tasks}
-    if method is MethodId.NL_PLANNING:
-        return {task: load_nl_plan(task) for task in tasks}
-    return {}
-
-
-def asset_digests(method: MethodId, tasks: Iterable[TaskId],
-                  source: str = "human") -> dict[str, str]:
-    """The SHA-256 of each bundled file, as loaded, that ``method``'s
-    requests for ``tasks`` are rendered from."""
-    paths = [f"meta/{TEMPLATE_BY_METHOD[method]}.txt"]
-    if method is MethodId.THINK_AND_EXECUTE:
-        paths.append("meta/execute_system.txt")
-        paths += [f"{source}/{task.value}.txt" for task in tasks]
-    elif method is MethodId.NL_PLANNING:
-        paths += [f"analysis/{task.value}.txt" for task in tasks]
-    elif method is not MethodId.ZERO_SHOT_POT:
-        paths += [f"taskinfo/{task.value}.json" for task in tasks]
-    return {path: hashlib.sha256(load_asset_text(path).encode()).hexdigest()
-            for path in paths}
 
 
 def reasoner_request(method: MethodId, instance: TaskInstance,

@@ -33,10 +33,12 @@ class EvalReport:
 
     @property
     def average_accuracy(self) -> float:
-        populated = [t for t in self.per_task.values() if t.total]
-        if not populated:
-            return 0.0
-        return sum(t.accuracy for t in populated) / len(populated)
+        """The mean accuracy of the tasks that ran, summed in ``TaskId``
+        order (the report's columns), so however ``per_task`` was filled
+        the float, and so the printed ``Avg``, is the same."""
+        accuracies = [tally.accuracy for task in TaskId
+                      if (tally := self.per_task.get(task)) and tally.total]
+        return sum(accuracies) / len(accuracies) if accuracies else 0.0
 
     def to_manifest(self) -> dict:
         """The report's fields of ``manifest.json``."""

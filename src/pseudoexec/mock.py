@@ -14,12 +14,12 @@ import hashlib
 import threading
 from typing import Iterable
 
-from .baselines import TEMPLATE_BY_METHOD, MethodId
+from .baselines import REQUEST_BY_METHOD, MethodId, task_assets
 from .config import RunConfig
-from .engine import reasoner_request, task_assets
+from .engine import reasoner_request
 from .errors import CassetteMiss
 from .gateway import ChatRequest, MockGateway, digest
-from .prompts import build_meta_prompt, load_nl_plan, load_pseudocode
+from .prompts import load_nl_plan, load_pseudocode, think_request
 from .tasks import TASKS, TaskId, TaskInstance, solve
 
 # The share of Reasoner requests answered wrongly, as in the bundled cassette.
@@ -35,7 +35,7 @@ def mock_gateway(instances: Iterable[TaskInstance] = (),
     keyed on the request digest, is answered wrongly; a test passes 0 for a
     mock that never is."""
     instances = list(instances)
-    methods = [config.method_id()] if config else TEMPLATE_BY_METHOD
+    methods = [config.method_id()] if config else REQUEST_BY_METHOD
     config = config or RunConfig()
     threshold = int(corrupt_fraction * 10_000)
     lock = threading.Lock()     # so that each table is built once
@@ -64,10 +64,10 @@ def mock_gateway(instances: Iterable[TaskInstance] = (),
             code = load_pseudocode(task, "generated").body
             for name, answer in (("meta_analysis", analysis),
                                  ("meta_code", code)):
-                user = build_meta_prompt(name, task, config.seed,
-                                         config.pseudocode_source, analysis)
-                table[ChatRequest(role_tag="instructor", user=user,
-                                  model_id=config.instructor_model)] = answer
+                table[think_request(name, task, config.seed,
+                                    config.pseudocode_source,
+                                    config.instructor_model,
+                                    analysis)] = answer
         return table
 
     def reasoner(request: ChatRequest) -> str:

@@ -58,22 +58,31 @@ def load_asset_text(relpath: str) -> str:
     return text[:-1] if text.endswith("\n") else text
 
 
+def task_file(kind: str, task: TaskId, source: str = "human") -> str:
+    """The bundled file of ``task``'s prompt of ``kind``: its ``source``
+    ``pseudocode``, its ``nl_plan`` (the analysis) or its ``taskinfo``."""
+    return {"pseudocode": f"{source}/{task.value}.txt",
+            "nl_plan": f"analysis/{task.value}.txt",
+            "taskinfo": f"taskinfo/{task.value}.json"}[kind]
+
+
 def load_pseudocode(task: TaskId, source: str = "human") -> PromptAsset:
     if source not in PSEUDOCODE_SOURCES:
         raise ValueError(f"unknown pseudocode source {source!r}")
-    return PromptAsset(body=load_asset_text(f"{source}/{task.value}.txt"),
-                       function_name=TASKS[task].function_name)
+    return PromptAsset(
+        body=load_asset_text(task_file("pseudocode", task, source)),
+        function_name=TASKS[task].function_name)
 
 
 def load_nl_plan(task: TaskId) -> PromptAsset:
     """The bundled per-task analysis.  It is both the NL plan of the
     ``nl_planning`` baseline and the demo analysis of the Think phase."""
-    return PromptAsset(body=load_asset_text(f"analysis/{task.value}.txt"))
+    return PromptAsset(body=load_asset_text(task_file("nl_plan", task)))
 
 
 def load_taskinfo(task: TaskId) -> dict:
     """A task's description, output format and example questions."""
-    return json.loads(load_asset_text(f"taskinfo/{task.value}.json"))
+    return json.loads(load_asset_text(task_file("taskinfo", task)))
 
 
 # --- template rendering ------------------------------------------------------
@@ -181,24 +190,30 @@ def parse_pseudocode_response(response: str, function_name: str) -> str:
         f"no definition of {function_name!r} in Instructor response")
 
 
+def think_request(name: str, task: TaskId, seed: int, source: str,
+                  model_id: str, analysis: str = "") -> ChatRequest:
+    """The Instructor request of the Think meta prompt ``meta/<name>.txt``
+    for ``task``, as ``build_meta_prompt`` renders it; no system message is
+    sent."""
+    return ChatRequest(role_tag="instructor", model_id=model_id,
+                       user=build_meta_prompt(name, task, seed, source,
+                                              analysis))
+
+
 def run_think(target_task: TaskId, gateway: Gateway, seed: int,
               source: str = "human", model_id: str = "mock-model"
               ) -> tuple[PromptAsset, PromptAsset]:
     """The Think phase: one Instructor call for the analysis, one for the
-    pseudocode prompt, whose demos show ``source`` pseudocode.  No system
-    message is sent for either call.  Returns the analysis and the
-    pseudocode prompt; writing them is the caller's."""
-    analysis_text = gateway.complete(ChatRequest(
-        role_tag="instructor", model_id=model_id,
-        user=build_meta_prompt("meta_analysis", target_task, seed, source)))
+    pseudocode prompt, whose demos show ``source`` pseudocode.  Returns the
+    analysis and the pseudocode prompt; writing them is the caller's."""
+    analysis_text = gateway.complete(think_request(
+        "meta_analysis", target_task, seed, source, model_id))
     if not analysis_text.strip():
         raise MalformedPseudocode("empty analysis in Instructor response")
     analysis = PromptAsset(body=analysis_text)
 
-    code_prompt = build_meta_prompt("meta_code", target_task, seed, source,
-                                    analysis_text)
-    code_response = gateway.complete(ChatRequest(
-        role_tag="instructor", user=code_prompt, model_id=model_id))
+    code_response = gateway.complete(think_request(
+        "meta_code", target_task, seed, source, model_id, analysis_text))
     function_name = TASKS[target_task].function_name
     body = parse_pseudocode_response(code_response, function_name)
     return analysis, PromptAsset(body=body, function_name=function_name)

@@ -94,71 +94,6 @@ def _exit_status(code) -> int:
     return 1
 
 
-def _run_child(control: socket.socket, reply: int, stdout: int, stderr: int,
-               script: str, timeout_s: float) -> int:
-    """In the forked child: report the pid, set up like ``python script``,
-    run the program and return its exit status."""
-    os.setsid()
-    # Sent by the group leader before any program code runs, so the harness
-    # can kill the group even if the program kills the zygote.
-    os.write(reply, b"%d" % os.getpid())
-    control.close()
-    os.dup2(stdout, 1)
-    os.dup2(stderr, 2)
-    os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-    workdir = os.path.dirname(script)
-    os.chdir(workdir)
-    sys.argv = [script]
-    if _SCRIPT_DIR_ON_PATH:
-        sys.path[0] = workdir
-    _set_limits(timeout_s)
-    for name in _ZYGOTE_MODULES:
-        del sys.modules[name]
-    # A fresh ``__main__``, with the names ``runpy.run_path`` sets; unlike
-    # run_path this imports nothing before the program's own code.
-    main = types.ModuleType("__main__")
-    main.__file__ = script
-    main.__cached__ = None
-    main.__builtins__ = builtins
-    sys.modules["__main__"] = main
-    interrupted = False
-    try:
-        with open(script, "rb") as source:
-            code = compile(source.read(), script, "exec")
-        # Called rather than passed to exec, whose C call costs one
-        # recursion level: run from module level, a program recurses only
-        # two frames less deep than under ``python script``.  Code compiled
-        # as a module takes its globals as its locals.
-        types.FunctionType(code, main.__dict__)()
-        status = 0
-    except SystemExit as exc:
-        status = _exit_status(exc.code)
-    except BaseException as exc:
-        # The traceback starts at the program, not at this function, as
-        # under ``python script`` (none for a syntax error).
-        tb = exc.__traceback__.tb_next
-        sys.excepthook(type(exc), exc.with_traceback(tb), tb)
-        status = 1
-        interrupted = isinstance(exc, KeyboardInterrupt)
-    # What the interpreter does at exit: join non-daemon threads, then run
-    # the atexit handlers.
-    threading = sys.modules.get("threading")
-    if threading is not None:
-        threading._shutdown()
-    atexit._run_exitfuncs()
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            stream.flush()
-        except Exception:
-            status = status or 120   # as the interpreter does on exit
-    if interrupted:
-        # Die of SIGINT, as the interpreter does after an unhandled
-        # KeyboardInterrupt, so the caller sees the program was interrupted.
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-        os.kill(os.getpid(), signal.SIGINT)
-    return status
-
-
 def _end(pid: int, timed_out: bool) -> int:
     """Kill the process group of the program ``pid`` leads, and ``pid``
     itself if it has timed out (it may not have called setsid yet); reap it
@@ -173,7 +108,8 @@ def _end(pid: int, timed_out: bool) -> int:
 
 def main() -> tuple:
     """Serve requests until EOF on the control socket, then exit.  Returns
-    only in a forked child: ``_run_child``'s arguments."""
+    only in a forked child: the control socket, the request's three
+    descriptors, the script's path and the timeout."""
     # Read from the end: a shim that runs this file with ``runpy`` leaves
     # its own path first in argv.
     timeout_s = float(sys.argv[-1])
@@ -226,12 +162,70 @@ def main() -> tuple:
 
 
 if __name__ == "__main__":
-    request = main()
-    # Only a forked child gets here.  It runs its program after ``main`` has
-    # returned, so the program starts as few frames deep as a fork allows,
-    # and it exits with no interpreter teardown, however the program ends.
+    control, reply, stdout, stderr, script, timeout_s = main()
+    # Only a forked child gets here.  It runs its program from module level
+    # after ``main`` has returned, so the program starts one frame deeper
+    # than under ``python script``, and it exits with no interpreter
+    # teardown, however the program ends.
     status = 1
     try:
-        status = _run_child(*request)
+        os.setsid()
+        # Sent by the group leader before any program code runs, so the
+        # harness can kill the group even if the program kills the zygote.
+        os.write(reply, b"%d" % os.getpid())
+        control.close()
+        os.dup2(stdout, 1)
+        os.dup2(stderr, 2)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        workdir = os.path.dirname(script)
+        os.chdir(workdir)
+        sys.argv = [script]
+        if _SCRIPT_DIR_ON_PATH:
+            sys.path[0] = workdir
+        _set_limits(timeout_s)
+        for name in _ZYGOTE_MODULES:
+            del sys.modules[name]
+        # A fresh ``__main__``, with the names ``runpy.run_path`` sets;
+        # unlike run_path this imports nothing before the program's code.
+        program = types.ModuleType("__main__")
+        program.__file__ = script
+        program.__cached__ = None
+        program.__builtins__ = builtins
+        sys.modules["__main__"] = program
+        interrupted = False
+        try:
+            with open(script, "rb") as source:
+                code = compile(source.read(), script, "exec")
+            # Called rather than passed to exec, whose C call costs one
+            # recursion level: the program's frame is the only one above
+            # this module's.  Code compiled as a module takes its globals
+            # as its locals.
+            types.FunctionType(code, program.__dict__)()
+            status = 0
+        except SystemExit as exc:
+            status = _exit_status(exc.code)
+        except BaseException as exc:
+            # The traceback starts at the program, not at this module, as
+            # under ``python script`` (none for a syntax error).
+            tb = exc.__traceback__.tb_next
+            sys.excepthook(type(exc), exc.with_traceback(tb), tb)
+            status = 1
+            interrupted = isinstance(exc, KeyboardInterrupt)
+        # What the interpreter does at exit: join non-daemon threads, then
+        # run the atexit handlers.
+        threading = sys.modules.get("threading")
+        if threading is not None:
+            threading._shutdown()
+        atexit._run_exitfuncs()
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except Exception:
+                status = status or 120   # as the interpreter does on exit
+        if interrupted:
+            # Die of SIGINT, as the interpreter does after an unhandled
+            # KeyboardInterrupt, so the caller sees it was interrupted.
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            os.kill(os.getpid(), signal.SIGINT)
     finally:
         os._exit(status)

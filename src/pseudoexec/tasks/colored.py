@@ -159,8 +159,7 @@ def _item_phrase(count: int, color: str, noun: str) -> str:
 
 
 def _listing(phrases: list[str]) -> str:
-    if len(phrases) == 1:
-        return phrases[0]
+    """At least two phrases, as a serial-comma listing."""
     return ", ".join(phrases[:-1]) + ", and " + phrases[-1]
 
 
@@ -179,8 +178,6 @@ def generate(rng: random.Random, size: int) -> TaskInstance:
             side = "left" if index >= 1 and rng.random() < 0.5 else "right"
             if side == "right" and index == n_items - 1:
                 side = "left"
-            if side == "left" and index == 0:
-                side = "right"
             question = (f"What is the color of the thing directly to the "
                         f"{side} of the {nouns[index]}?")
             answer = colors[index - 1] if side == "left" else colors[index + 1]

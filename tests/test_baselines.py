@@ -24,7 +24,7 @@ from pseudoexec.baselines import (MethodId, Sandbox, build_baseline_prompt,
                                   execute_program, extract_program,
                                   pot_answer, pot_seeded_header,
                                   run_pot_instance)
-from pseudoexec.errors import ConfigError, MissingAsset
+from pseudoexec.errors import ConfigError, MissingAsset, SpawnFailure
 from pseudoexec.prompts import load_nl_plan
 from pseudoexec.tasks import TaskId, make_instance
 
@@ -62,8 +62,14 @@ def test_pot_prompt_seeds_solution_docstring():
     assert f'def solution():\n    """{NAV_TEXT}"""' in user
 
 
+def test_oracle_sends_no_request():
+    with pytest.raises(ValueError, match="no request template for "
+                       "MethodId.ORACLE"):
+        build_baseline_prompt(MethodId.ORACLE, _nav())
+
+
 def test_nl_planning_requires_asset():
-    with pytest.raises(MissingAsset):
+    with pytest.raises(MissingAsset, match="^nl_plan$"):
         build_baseline_prompt(MethodId.NL_PLANNING, _nav())
     plan = load_nl_plan(TaskId.NAVIGATE)
     _, user = build_baseline_prompt(MethodId.NL_PLANNING, _nav(), plan)
@@ -71,9 +77,9 @@ def test_nl_planning_requires_asset():
 
 
 def test_think_and_execute_requires_pseudocode():
-    with pytest.raises(MissingAsset):
+    with pytest.raises(MissingAsset, match="^pseudocode$"):
         build_baseline_prompt(MethodId.THINK_AND_EXECUTE, _nav())
-    with pytest.raises(MissingAsset):       # a plan is not pseudocode
+    with pytest.raises(MissingAsset, match="^pseudocode$"):  # not a plan
         build_baseline_prompt(MethodId.THINK_AND_EXECUTE, _nav(),
                               load_nl_plan(TaskId.NAVIGATE))
 
@@ -319,6 +325,9 @@ def _as_python_script(program: str, tmp_path: Path,
     "raise ValueError('bad')  # a comment\n",
     # ``python program.py`` dies of SIGINT (exit -2) after this one.
     "print('before')\nraise KeyboardInterrupt\n",
+    # Both exit 0.
+    "import sys\nsys.exit()\n",
+    "raise SystemExit\n",
 ])
 def test_sandbox_traceback_matches_python_script(program, tmp_path, sandbox):
     _, stderr = _as_python_script(program, tmp_path, sandbox)
@@ -355,9 +364,9 @@ def test_sandbox_program_recurses_as_deep_as_under_python_script(
         "import sys\n"
         "def depth(n):\n"
         "    return 0 if n == 0 else 1 + depth(n - 1)\n"
-        "print(sys.getrecursionlimit(), depth(sys.getrecursionlimit() - 4))\n",
+        "print(sys.getrecursionlimit(), depth(sys.getrecursionlimit() - 3))\n",
         tmp_path, sandbox)
-    assert stdout == "1000 996\n"
+    assert stdout == "1000 997\n"
 
 
 def test_sandbox_replaces_a_killed_server(sandbox):
@@ -662,6 +671,26 @@ def test_a_sandbox_whose_zygote_started_no_program_closes_at_once():
     ignores_stdin = f"{sys.executable} -c import time; time.sleep(60)"
     assert lines == [f"interpreter {ignores_stdin!r} cannot run the PoT "
                      "sandbox: it started no program within 1100 ms", "True"]
+
+
+def test_a_sandbox_refuses_at_once_what_it_cannot_run():
+    # Once a zygote has started no program in time while none had, every
+    # later program is the same ConfigError at once; after ``close``, every
+    # program is a SpawnFailure at once.
+    ignores_stdin = [sys.executable, "-c", "import time; time.sleep(60)"]
+    with Sandbox(ignores_stdin, timeout_ms=100) as sandbox:
+        with pytest.raises(ConfigError) as first:
+            execute_program("print(1)", sandbox)
+        started = time.monotonic()
+        with pytest.raises(ConfigError) as later:
+            execute_program("print(2)", sandbox)
+        assert time.monotonic() - started < 0.5
+        assert str(later.value) == str(first.value)
+    sandbox.close()     # a second close does nothing
+    started = time.monotonic()
+    with pytest.raises(SpawnFailure, match="^the sandbox is closed$"):
+        execute_program("print(3)", sandbox)
+    assert time.monotonic() - started < 0.5
 
 
 def test_sandbox_sets_resource_limits():

@@ -120,19 +120,31 @@ def test_run_rejects_a_big_bench_hard_target_its_task_rejects(tmp_path,
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("name, content", [
-    ("navigate.json", "[]"),
+@pytest.mark.parametrize("name, content, message", [
+    ("navigate.json", "[]", ": no 'examples' array"),
     ("navigate.json",
-     json.dumps({"examples": [{"input": 5, "target": "Yes"}]})),
-    ("navigate.jsonl", "[1]\n"),
+     json.dumps({"examples": [{"input": 5, "target": "Yes"}]}),
+     " record 0: input text and target must be strings"),
+    ("navigate.jsonl", "[1]\n",
+     " record 0: needs 'input_text' and 'target'"),
     ("navigate.jsonl",
-     json.dumps({"input_text": 5, "target": "Yes"}) + "\n"),
+     json.dumps({"input_text": 5, "target": "Yes"}) + "\n",
+     " record 0: input text and target must be strings"),
     ("dyck_languages.jsonl",
-     json.dumps({"input_text": "Input: ( [", "target": 5}) + "\n"),
+     json.dumps({"input_text": "Input: ( [", "target": 5}) + "\n",
+     " record 0: input text and target must be strings"),
+    ("dyck_languages.jsonl",
+     json.dumps({"input_text": "Input: ( [", "target": ""}) + "\n",
+     " record 0: target must be non-empty"),
+    ("geometric_shapes.jsonl",
+     json.dumps({"input_text": "A path with no options.",
+                 "target": "(A)"}) + "\n",
+     " record 0: geometric_shapes: options must be non-empty"),
 ], ids=["bbh-root-list", "bbh-input-int", "oracle-line-list",
-        "oracle-input-int", "oracle-target-int"])
+        "oracle-input-int", "oracle-target-int", "oracle-target-empty",
+        "oracle-no-options"])
 def test_a_record_of_the_wrong_shape_is_a_malformed_dataset(
-        tmp_path, capsys, name, content):
+        tmp_path, capsys, name, content, message):
     data = tmp_path / "data"
     data.mkdir()
     (data / name).write_text(content, encoding="utf-8")
@@ -141,7 +153,8 @@ def test_a_record_of_the_wrong_shape_is_a_malformed_dataset(
                            tasks=[name.split(".")[0]])
     before = sorted(tmp_path.rglob("*"))
     assert main(["run", "--config", str(config)]) == 2
-    assert "error: MalformedDataset" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"error: MalformedDataset: {data / name}{message}\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -208,6 +221,30 @@ def test_a_file_that_is_not_utf8_is_named_in_its_error(
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("encoding", [
+    "utf-16-le", "utf-16", "utf-32", "utf-8-sig"])
+def test_a_dataset_file_in_another_encoding_is_a_malformed_dataset(
+        tmp_path, capsys, encoding):
+    # json.loads would read each of these bytes; both formats are strict
+    # UTF-8, and a JSON Lines file names the record.
+    record = {"input_text": "Input: ( [", "target": "] )"}
+    for name, content, where in [
+            ("dyck_languages.jsonl", json.dumps(record) + "\n", " record 0"),
+            ("dyck_languages.json", json.dumps({"examples": [
+                {"input": record["input_text"],
+                 "target": record["target"]}]}), "")]:
+        data = tmp_path / name
+        data.mkdir()
+        (data / name).write_bytes(content.encode(encoding))
+        config = _write_config(tmp_path, dataset_dir=str(data), mode="mock",
+                               cassette_path=None, method="oracle",
+                               tasks=["dyck_languages"])
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: MalformedDataset: {data / name}{where}: ")
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("sandbox", [
     {"interpreter_command": []}, {"sandbox_timeout_ms": 0},
     {"interpreter_command": ["no-such-python-xyz"]},
@@ -218,6 +255,21 @@ def test_run_rejects_unusable_sandbox_config(tmp_path, capsys, sandbox):
                            **sandbox)
     assert main(["run", "--config", str(config)]) == 2
     assert "error: ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_pot_run_stops_on_an_interpreter_it_cannot_execute(tmp_path,
+                                                            capsys):
+    not_executable = tmp_path / "python"
+    not_executable.write_text("", encoding="utf-8")
+    not_executable.chmod(0o644)
+    config = _write_config(tmp_path, mode="mock", cassette_path=None,
+                           method="zero_shot_pot", tasks=["navigate"],
+                           interpreter_command=[str(not_executable)])
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: SpawnFailure: [Errno 13] Permission denied: "
+        f"{str(not_executable)!r}\n")
     assert not (tmp_path / "runs").exists()
 
 
@@ -459,8 +511,9 @@ def test_the_readme_config_block_is_the_default_config():
 
 
 @pytest.mark.parametrize("endpoint", [
-    "localhost:8000/v1/chat/completions", "htp://127.0.0.1:8000/v1", ""],
-    ids=["no-scheme", "another-scheme", "empty"])
+    "localhost:8000/v1/chat/completions", "htp://127.0.0.1:8000/v1", "",
+    "http://[::1"],
+    ids=["no-scheme", "another-scheme", "empty", "unclosed-bracket"])
 def test_a_malformed_endpoint_is_a_config_error(tmp_path, capsys, endpoint):
     config = _write_config(tmp_path, mode="live", method="direct",
                            cassette_path=None, tasks=["navigate"],
@@ -712,6 +765,17 @@ def test_think_ends_each_file_in_one_newline(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_think_without_out_writes_under_the_runs_dir(tmp_path, capsys):
+    config = _write_config(tmp_path, mode="mock", cassette_path=None)
+    assert main(["think", "--task", "navigate", "--config", str(config)]) == 0
+    think = tmp_path / "runs" / "think"
+    assert capsys.readouterr().out == (
+        f"analysis: {think / 'navigate.analysis.txt'}\n"
+        f"pseudocode (ends_up_at_start): {think / 'navigate.txt'}\n")
+    assert sorted(p.name for p in think.iterdir()) == \
+        ["navigate.analysis.txt", "navigate.txt"]
+
+
 def test_each_command_takes_only_the_settings_it_reads(capsys):
     parser = cli._make_parser()
     (commands,) = [action for action in parser._actions
@@ -824,6 +888,29 @@ def test_a_failed_transcript_write_stops_the_run(tmp_path, monkeypatch,
     # next instances in flight.  A lane reports the failure at the next
     # transcript, by when each worker may have taken one more instance.
     assert len(reached) <= 4 + 2 + 2
+
+
+def test_a_failed_last_transcript_write_stops_the_run(tmp_path,
+                                                     monkeypatch, capsys):
+    # The write of the last transcript fails only after every instance has
+    # been scored, so the run learns of it when its lanes drain.
+    config, run_dir, transcripts = _navigate_run(tmp_path)
+    last = f"{len(transcripts) - 1}.txt"
+    write_file = cli._write_file
+
+    def failing_write(path, data):
+        if path.endswith("/" + last):
+            raise OSError(28, "No space left on device")
+        write_file(path, data)
+
+    monkeypatch.setattr(cli, "_write_file", failing_write)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == \
+        "error: OSError: [Errno 28] No space left on device\n"
+    assert sorted(p.name for p in run_dir.iterdir()) == ["navigate"]
+    assert len(list((run_dir / "navigate").iterdir())) == \
+        len(transcripts) - 1
 
 
 def test_an_interrupted_run_keeps_the_transcripts_it_reached(
@@ -958,6 +1045,45 @@ def test_an_oracle_run_scores_100_on_the_paper_fixtures(tmp_path, capsys):
                for tally in per_task.values())
 
 
+def test_report_prints_the_average_the_run_printed(tmp_path, capsys):
+    # Summed in the config's task order, these four accuracies give
+    # 0.5025000000000001 (50.3); in column order, 0.5025 (50.2).  Instances
+    # beyond each task's generated ones are rejected by its parser.
+    rejected = {
+        TaskId.WEB_OF_LIES: ("Nobody speaks.", "Yes"),
+        TaskId.NAVIGATE: ("do you return to the starting point? Jump "
+                          "twice.", "Yes"),
+        TaskId.DYCK_LANGUAGES: ("Input: x", ")"),
+        TaskId.GEOMETRIC_SHAPES: ("No path here. Options: (A) circle",
+                                  "(A)")}
+    tallies = {TaskId.WEB_OF_LIES: (43, 50), TaskId.NAVIGATE: (20, 25),
+               TaskId.DYCK_LANGUAGES: (14, 40),
+               TaskId.GEOMETRIC_SHAPES: (0, 3)}
+    instances = []
+    for task, (passing, total) in tallies.items():
+        instances += [generate_instance(task, seed, 3)
+                      for seed in range(passing)]
+        instances += [make_instance(task, *rejected[task])] * (total - passing)
+    cli.write_dataset(instances, tmp_path / "data")
+    config = _write_config(tmp_path, dataset_dir=str(tmp_path / "data"),
+                           mode="mock", cassette_path=None, method="oracle",
+                           tasks=[task.value for task in tallies])
+    assert main(["run", "--config", str(config)]) == 0
+    ran = capsys.readouterr().out
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    row = "| oracle | 35.0 | 0.0 | 80.0 | — | — | — | 86.0 | 50.2 |"
+    assert ran == f"run {run_dir.name} complete\n" + \
+        (run_dir / "report.md").read_text(encoding="utf-8")
+    assert row in ran
+    assert main(["report", run_dir.name, "--config", str(config)]) == 0
+    assert capsys.readouterr().out == ran.split("\n", 1)[1]
+    assert main(["report", run_dir.name, "--config", str(config),
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out == \
+        (run_dir / "report.csv").read_text(encoding="utf-8")
+    assert ",50.2\n" in (run_dir / "report.csv").read_text(encoding="utf-8")
+
+
 def test_report_rerenders_stored_run(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
@@ -1025,6 +1151,7 @@ def test_report_unknown_run_id(tmp_path, capsys):
             ("correct_over_total", manifest(correct=5)),
             ("parse_unsupported_over_total", manifest(parse_unsupported=2)),
             ("per_task_list", manifest(per_task=[tally])),
+            ("tally_list", manifest(per_task={"navigate": [1, 1, 0]})),
             ("model_id_number", manifest(model_id=7))]:
         (tmp_path / "runs" / name).mkdir(parents=True)
         (tmp_path / "runs" / name / "manifest.json").write_text(

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoexec import baselines, prompts
-from pseudoexec.baselines import (TEMPLATE_BY_METHOD, FailureKind, MethodId,
-                                  SandboxResult, build_baseline_prompt,
-                                  pot_answer)
+from pseudoexec.baselines import (REQUEST_BY_METHOD, FailureKind, MethodId,
+                                  SandboxResult, asset_digests,
+                                  build_baseline_prompt, pot_answer,
+                                  task_assets)
 from pseudoexec.cli import load_dataset
-from pseudoexec.engine import (Prediction, asset_digests,
-                               build_execute_prompt, extract_final_answer,
-                               reasoner_request, run_instance, task_assets)
+from pseudoexec.engine import (Prediction, build_execute_prompt,
+                               extract_final_answer, reasoner_request,
+                               run_instance)
 from pseudoexec.errors import CassetteMiss, MissingAsset
 from pseudoexec.evaluator import evaluate_run
 from pseudoexec.gateway import (ChatRequest, Gateway, MockGateway,
@@ -285,7 +286,7 @@ def test_the_run_id_hashes_the_files_each_request_reads(
     monkeypatch.setattr(prompts, "_assets_root", Root)
     try:
         for source in PSEUDOCODE_SOURCES:
-            for method in TEMPLATE_BY_METHOD:
+            for method in REQUEST_BY_METHOD:
                 read.clear()
                 prompts.load_asset_text.cache_clear()
                 assets = task_assets(method, tasks, source)

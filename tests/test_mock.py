@@ -12,14 +12,14 @@ from pathlib import Path
 import pytest
 
 from pseudoexec import cli, mock
-from pseudoexec.baselines import TEMPLATE_BY_METHOD, MethodId
+from pseudoexec.baselines import REQUEST_BY_METHOD, MethodId
 from pseudoexec.cli import load_dataset, main, write_dataset
 from pseudoexec.engine import run_instance
 from pseudoexec.errors import CassetteMiss
 from pseudoexec.gateway import ChatRequest
 from pseudoexec.mock import mock_gateway
 from pseudoexec.prompts import build_meta_prompt, load_nl_plan
-from pseudoexec.tasks import TASKS, TaskId
+from pseudoexec.tasks import TASKS, TaskId, make_instance
 from pseudoexec.tasks.generate import generate_instance
 
 
@@ -102,7 +102,7 @@ def reworded_assets(assets_copy):
     return assets_copy
 
 
-@pytest.mark.parametrize("method", list(TEMPLATE_BY_METHOD),
+@pytest.mark.parametrize("method", list(REQUEST_BY_METHOD),
                          ids=lambda m: m.value)
 def test_mock_follows_a_reworded_template(tmp_path, capsys, monkeypatch,
                                           reworded_assets, method):
@@ -177,6 +177,13 @@ def test_mock_reasoner_tells_apart_requests_whose_hashes_collide(
     unknown = generate_instance(TaskId.NAVIGATE, 2, 3)
     pred = run_instance(MethodId.DIRECT, unknown, None, gateway)
     assert pred.failure.startswith("gateway_error")
+
+
+def test_the_mock_answers_unknown_to_what_the_solver_rejects():
+    rejected = make_instance(TaskId.DYCK_LANGUAGES, "Input: x", ")")
+    pred = run_instance(MethodId.DIRECT, rejected, None,
+                        mock_gateway([rejected], 0))
+    assert pred.final_answer == "unknown"
 
 
 def test_unknown_question_is_a_recorded_gateway_error():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pseudoexec import cli, prompts
 from pseudoexec.baselines import MethodId, build_baseline_prompt
-from pseudoexec.errors import CassetteMiss, MalformedPseudocode
+from pseudoexec.errors import CassetteMiss, MalformedPseudocode, MissingAsset
 from pseudoexec.gateway import MockGateway
 from pseudoexec.prompts import (build_meta_prompt, load_nl_plan,
                                 load_pseudocode, parse_pseudocode_response,
@@ -62,6 +62,13 @@ def test_think_rejects_an_empty_analysis(tmp_path, capsys, monkeypatch):
     assert "error: MalformedPseudocode: empty analysis" in \
         capsys.readouterr().err
     assert not (tmp_path / "think").exists()
+
+
+def test_a_missing_bundled_file_or_source_is_refused():
+    with pytest.raises(MissingAsset, match="^meta/no_such_template.txt$"):
+        prompts.load_asset_text("meta/no_such_template.txt")
+    with pytest.raises(ValueError, match="unknown pseudocode source 'bogus'"):
+        load_pseudocode(TaskId.NAVIGATE, "bogus")
 
 
 def test_nl_plan_prompt_shape():
